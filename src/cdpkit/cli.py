@@ -1,7 +1,8 @@
 """Command-line entry point: validate manifolds, solve single instances,
 probe penalty-theory properties, and run benchmark grids.
 
-Exit codes: 0 ok, 1 check or convergence failure, 2 usage/config error.
+Exit codes: 0 ok, 1 check, convergence or solver failure, 2 usage/config
+error.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ from . import bench, diagnostics, dissolve, manifolds, solver
 from .core import (
     CdpkitError,
     ConfigurationError,
+    DimensionError,
     MultiplierSet,
+    ParameterError,
     PenaltyParams,
+    _load_problem_and_point,
     default_fd_step,
     finite_diff_check,
-    load_problem,
     validate_manifold,
 )
 
@@ -124,15 +127,16 @@ def _decrease_slope(handle, base, seed: int):
 
 
 def _load_from_args(args):
+    """The configured problem and the generator's suggested start."""
     if args.config:
-        return load_problem(Path(args.config))
+        return _load_problem_and_point(Path(args.config))
     doc = {"family": args.family, "seed": args.seed}
     for key in ("m", "q", "n_samples", "r", "rho"):
         val = getattr(args, key.replace("n_samples", "N"), None) \
             if key == "n_samples" else getattr(args, key, None)
         if val is not None:
             doc["N" if key == "n_samples" else key] = val
-    return load_problem(doc)
+    return _load_problem_and_point(doc)
 
 
 def _default_instance(problem, args):
@@ -143,28 +147,8 @@ def _default_instance(problem, args):
     return dissolve.build_cdp(problem, PenaltyParams(beta, tau, gamma))
 
 
-def _initial_point(problem, args):
-    from . import bench as _b
-
-    if problem.name.startswith("center_of_mass"):
-        cfg = _cfg_from_name(problem.name, _b.CenterOfMassConfig)
-        return _b.gen_center_of_mass(cfg)[1]
-    cfg = _cfg_from_name(problem.name, _b.BalancedCutConfig)
-    return _b.gen_balanced_cut(cfg)[1]
-
-
-def _cfg_from_name(name, cls):
-    inner = name[name.index("(") + 1:-1]
-    kwargs = {}
-    for part in inner.split(","):
-        key, val = part.split("=")
-        kwargs[key] = float(val) if "." in val else int(val)
-    return cls(**kwargs)
-
-
 def cmd_solve(args) -> int:
-    problem = _load_from_args(args)
-    x0 = _initial_point(problem, args)
+    problem, x0 = _load_from_args(args)
     opts = solver.AlmOptions(time_budget=args.budget)
     if args.pipeline == "cdp":
         res = solver.alm_solve_cdp(_default_instance(problem, args), x0, opts)
@@ -192,8 +176,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    problem = _load_from_args(args)
-    x0 = _initial_point(problem, args)
+    problem, x0 = _load_from_args(args)
     x_ref = dissolve.a_infinity(problem.manifold, x0)
     est = diagnostics.estimate_constants(problem, x_ref, radius=0.05,
                                          samples=args.probes, seed=args.seed)
@@ -313,9 +296,14 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CdpkitError as exc:
+    except (DimensionError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CdpkitError as exc:
+        # Solver-side failures: rank loss, leaving the neighbourhood,
+        # non-finite evaluations, degenerate finite-difference steps.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -284,6 +284,16 @@ class ValidationReport:
     notes: list[str] = field(default_factory=list)
 
 
+def _dense_columns(apply_comb: Callable[[Vector, Vector], Vector], x: Vector,
+                   count: int, n: int) -> Vector:
+    """n x count matrix whose k-th column is ``apply_comb(x, e_k)``."""
+    cols = np.empty((n, count))
+    eye = np.eye(count)
+    for k in range(count):
+        cols[:, k] = apply_comb(x, eye[k])
+    return cols
+
+
 def _project_feasible(handle: ManifoldHandle, y: Vector,
                       tol: float = FEASIBILITY_TOL, max_iter: int = 50) -> Vector:
     # Small local projection loop; the public iterated-map operator with the
@@ -318,7 +328,6 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
     max_prod = 0.0
     notes: list[str] = []
     used = 0
-    eye_p = np.eye(handle.p)
     for k, probe in enumerate(probes):
         x = np.asarray(probe, dtype=float).ravel()
         if x.size != handle.n:
@@ -336,12 +345,11 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
         if not np.all(np.isfinite(ax)):
             raise EvaluatorFaultError(f"eval_A non-finite at probe {k}")
         max_fix = max(max_fix, float(np.max(np.abs(ax - x), initial=0.0)))
-        cols = np.empty((handle.n, handle.p))
-        for l in range(handle.p):
-            col = handle.apply_JAT(x, handle.apply_Jc(x, eye_p[l]))
-            if not np.all(np.isfinite(col)):
-                raise EvaluatorFaultError(f"Jacobian action non-finite at probe {k}")
-            cols[:, l] = col
+        cols = _dense_columns(
+            lambda z, e: handle.apply_JAT(z, handle.apply_Jc(z, e)),
+            x, handle.p, handle.n)
+        if not np.all(np.isfinite(cols)):
+            raise EvaluatorFaultError(f"Jacobian action non-finite at probe {k}")
         if handle.p > 0:
             max_prod = max(max_prod, float(np.linalg.norm(cols, 2)))
         used += 1
@@ -408,6 +416,11 @@ def load_problem(config) -> ProblemSpec:
     ``config`` may be a mapping, a YAML/JSON string, or a path to a YAML
     file.  Deterministic given identical seed.
     """
+    return _load_problem_and_point(config)[0]
+
+
+def _load_problem_and_point(config) -> tuple[ProblemSpec, Vector]:
+    """``load_problem`` together with the generator's suggested start."""
     doc = _ingest_config(config)
     family = doc.get("family")
     if family is None:
@@ -428,15 +441,13 @@ def load_problem(config) -> ProblemSpec:
             cfg = bench.CenterOfMassConfig(
                 m=int(doc["m"]), q=int(doc["q"]), N=int(doc["N"]),
                 r=float(doc["r"]), seed=int(doc["seed"]))
-            problem, _ = bench.gen_center_of_mass(cfg)
-        else:
-            cfg = bench.BalancedCutConfig(
-                m=int(doc["m"]), q=int(doc["q"]),
-                rho=float(doc["rho"]), seed=int(doc["seed"]))
-            problem, _ = bench.gen_balanced_cut(cfg)
+            return bench.gen_center_of_mass(cfg)
+        cfg = bench.BalancedCutConfig(
+            m=int(doc["m"]), q=int(doc["q"]),
+            rho=float(doc["rho"]), seed=int(doc["seed"]))
+        return bench.gen_balanced_cut(cfg)
     except (DimensionError, ParameterError, ValueError) as exc:
         raise ConfigurationError(f"family.{family}", str(exc)) from exc
-    return problem
 
 
 def _ingest_config(config) -> dict:

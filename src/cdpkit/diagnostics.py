@@ -19,6 +19,7 @@ from .core import (
     ProblemSpec,
     RankDeficiencyError,
     Vector,
+    _dense_columns,
 )
 from .manifolds import GenericManifoldSpec, make_handle
 
@@ -45,14 +46,6 @@ def feasibility(problem: ProblemSpec, x: Vector) -> float:
     v = problem.eval_v(x)
     return (float(np.linalg.norm(u)) + float(np.linalg.norm(c))
             + float(np.linalg.norm(np.maximum(v, 0.0))))
-
-
-def _dense_columns(apply_comb, x: Vector, count: int, n: int) -> Vector:
-    cols = np.empty((n, count))
-    eye = np.eye(count)
-    for k in range(count):
-        cols[:, k] = apply_comb(x, eye[k])
-    return cols
 
 
 def dense_jacobians(problem: ProblemSpec, x: Vector):
@@ -182,15 +175,6 @@ class ConstantEstimates:
     radius: float
 
 
-def _dense_jat(problem: ProblemSpec, x: Vector) -> Vector:
-    n = problem.n
-    J = np.empty((n, n))
-    eye = np.eye(n)
-    for k in range(n):
-        J[:, k] = problem.manifold.apply_JAT(x, eye[k])
-    return J
-
-
 def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
                        samples: int = 100, seed: int = 0) -> ConstantEstimates:
     """Estimate the neighborhood constants by sampling the ball of the given
@@ -222,7 +206,7 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
     prev = None
     for y in pts:
         Jc = _dense_columns(mani.apply_Jc, y, problem.p, n)
-        Ja = _dense_jat(problem, y)
+        Ja = _dense_columns(mani.apply_JAT, y, n, n)
         ay = mani.eval_A(y)
         JcA = _dense_columns(mani.apply_Jc, ay, problem.p, n)
         JaJcA = Ja @ JcA if problem.p else np.zeros((n, 0))

@@ -17,6 +17,7 @@ from .core import (
     ManifoldHandle,
     RankDeficiencyError,
     Vector,
+    _dense_columns,
 )
 
 __all__ = [
@@ -79,6 +80,10 @@ class GenericManifoldSpec:
     ``apply_dJc(x, d, w)`` is the optional second-order action
     ``(D_d Jc(x)) w = sum_l w_l Hess(c_l)(x) d``; when omitted it is
     approximated by central differences of ``apply_Jc``.
+
+    Every callable must be a pure function of its arguments: the handle
+    built from a spec computes ``Jc(x)``, the Gram matrix and ``c(x)`` once
+    per point and reuses them for ``eval_A`` and ``apply_JAT`` at that x.
     """
 
     n: int
@@ -89,14 +94,6 @@ class GenericManifoldSpec:
     apply_dJc: Callable[[Vector, Vector, Vector], Vector] | None = None
     name: str = "generic"
     shape: tuple[int, int] | None = None
-
-
-def _dense_jc(spec: GenericManifoldSpec, x: Vector) -> Vector:
-    J = np.empty((spec.n, spec.p))
-    eye = np.eye(spec.p)
-    for l in range(spec.p):
-        J[:, l] = spec.apply_Jc(x, eye[l])
-    return J
 
 
 def _djc_action(spec: GenericManifoldSpec, x: Vector, d: Vector, w: Vector) -> Vector:
@@ -110,22 +107,30 @@ def _djc_action(spec: GenericManifoldSpec, x: Vector, d: Vector, w: Vector) -> V
     return (spec.apply_Jc(x + step * d, w) - spec.apply_Jc(x - step * d, w)) / (2.0 * step)
 
 
-def _gram_solve(spec: GenericManifoldSpec, x: Vector, reg: float):
-    J = _dense_jc(spec, x)
+def _point_state(spec: GenericManifoldSpec, x: Vector, reg: float):
+    """Per-point state shared by ``A`` and ``J_A^T``: J = Jc(x), the Gram
+    matrix G = J^T J + reg I, w = G^{-1} c(x) and z = J w."""
+    J = _dense_columns(spec.apply_Jc, x, spec.p, spec.n)
     G = J.T @ J + reg * np.eye(spec.p)
     if np.linalg.cond(G) > 1e12:
         raise RankDeficiencyError(
             "Gram matrix condition number above 1e12; increase reg or use "
             "a different chart")
-    return J, G
+    w = np.linalg.solve(G, spec.eval_c(x))
+    return J, G, w, J @ w
+
+
+def _jat_at(spec: GenericManifoldSpec, x: Vector, g: Vector, state) -> Vector:
+    J, G, w, z = state
+    a = np.linalg.solve(G, J.T @ g)
+    pg = g - J @ a
+    return pg - _djc_action(spec, x, pg, w) + _djc_action(spec, x, z, a)
 
 
 def generic_A(spec: GenericManifoldSpec, x: Vector, reg: float = 0.0) -> Vector:
     """Gauss-Newton-style dissolving map x - Jc (Jc^T Jc + reg I)^{-1} c."""
     x = np.asarray(x, dtype=float).ravel()
-    J, G = _gram_solve(spec, x, reg)
-    w = np.linalg.solve(G, spec.eval_c(x))
-    return x - J @ w
+    return x - _point_state(spec, x, reg)[3]
 
 
 def generic_JAT(spec: GenericManifoldSpec, x: Vector, g: Vector,
@@ -141,13 +146,7 @@ def generic_JAT(spec: GenericManifoldSpec, x: Vector, g: Vector,
     """
     x = np.asarray(x, dtype=float).ravel()
     g = np.asarray(g, dtype=float).ravel()
-    J, G = _gram_solve(spec, x, reg)
-    c = spec.eval_c(x)
-    w = np.linalg.solve(G, c)
-    z = J @ w
-    a = np.linalg.solve(G, J.T @ g)
-    pg = g - J @ a
-    return pg - _djc_action(spec, x, pg, w) + _djc_action(spec, x, z, a)
+    return _jat_at(spec, x, g, _point_state(spec, x, reg))
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +253,34 @@ def _sphere_handle(n: int) -> ManifoldHandle:
 
 
 def _generic_handle(spec: GenericManifoldSpec, reg: float = 0.0) -> ManifoldHandle:
+    # One-entry cache of the point state, keyed by the bytes of x: the
+    # solver evaluates A and then J_A^T at the same x, and dense J_A^T
+    # assembly applies J_A^T n times at one x.  A point whose Gram check
+    # fails raises before it is stored, so it raises again on every call.
+    last = {}
+
+    def state_at(x):
+        key = x.tobytes()
+        if last.get("key") != key:
+            last.update(key=key, state=_point_state(spec, x, reg))
+        return last["state"]
+
+    def eval_A(x):
+        x = np.asarray(x, dtype=float).ravel()
+        return x - state_at(x)[3]
+
+    def apply_JAT(x, g):
+        x = np.asarray(x, dtype=float).ravel()
+        g = np.asarray(g, dtype=float).ravel()
+        return _jat_at(spec, x, g, state_at(x))
+
     return ManifoldHandle(
         name=spec.name, n=spec.n, p=spec.p,
         eval_c=spec.eval_c,
         apply_JcT=spec.apply_JcT,
         apply_Jc=spec.apply_Jc,
-        eval_A=lambda x: generic_A(spec, x, reg),
-        apply_JAT=lambda x, g: generic_JAT(spec, x, g, reg),
+        eval_A=eval_A,
+        apply_JAT=apply_JAT,
         shape=spec.shape)
 
 

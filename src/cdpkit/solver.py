@@ -338,8 +338,6 @@ def _alm_loop(problem: ProblemSpec, pipeline, x0: Vector, opts: AlmOptions,
             status = "max_time"
             break
 
-    if kkt is None:
-        x_post, kkt = pipeline["certify"](x)
     mult = MultiplierSet(rho=pipeline["rho"](lam), lam=pipeline["lam"](lam), mu=mu)
     return SolveResult(
         x_final=x, x_postprocessed=x_post, multipliers=mult, kkt=kkt,

@@ -3,7 +3,14 @@ import json
 
 import pytest
 
+from cdpkit import cli
 from cdpkit.cli import main
+from cdpkit.core import (
+    DegenerateStepError,
+    EvaluatorFaultError,
+    OutOfNeighborhoodError,
+    RankDeficiencyError,
+)
 
 
 def run(argv):
@@ -57,6 +64,16 @@ class TestSolve:
         rel = abs(values["cdp"] - values["nlp"]) / abs(values["nlp"])
         assert rel <= 1e-4
 
+    def test_rho_in_exponent_notation_solves(self, capsys):
+        # The start point used to be rebuilt by re-parsing the problem name,
+        # where int("1e-05") raised a bare ValueError.
+        code = run(["solve", "--family", "balanced_cut", "--m", "10",
+                    "--q", "2", "--rho", "1e-5", "--json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["status"] == "converged"
+
     def test_exhausted_budget_exits_nonzero(self, capsys):
         code = run(["solve", "--family", "balanced_cut", "--m", "40",
                     "--q", "2", "--rho", "0.2", "--seed", "1",
@@ -99,6 +116,31 @@ class TestBench:
 
     def test_missing_grid_file_is_usage_error(self, tmp_path):
         assert run(["bench", "--grid", str(tmp_path / "nope.yaml")]) == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", [
+        RankDeficiencyError("Gram matrix singular"),
+        OutOfNeighborhoodError("iterated map diverged"),
+        EvaluatorFaultError("eval_A non-finite"),
+        DegenerateStepError("step underflows"),
+    ])
+    def test_solver_side_error_is_a_failure(self, monkeypatch, capsys, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli.solver, "alm_solve_cdp", fail)
+        code = run(["solve", "--family", "balanced_cut", "--m", "10",
+                    "--q", "2", "--rho", "0.3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and str(error) in err
+
+    def test_negative_penalty_is_a_usage_error(self, capsys):
+        # PenaltyParams raises ParameterError for beta < 0.
+        assert run(["solve", "--family", "balanced_cut", "--m", "10",
+                    "--q", "2", "--rho", "0.3", "--beta", "-1"]) == 2
+        assert "non-negative" in capsys.readouterr().err
 
 
 class TestParser:

@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cdpkit.core import (
     DimensionError,
+    PenaltyParams,
     RankDeficiencyError,
     default_fd_step,
     finite_diff_check,
     validate_manifold,
 )
-from cdpkit.dissolve import a_infinity
+from cdpkit.dissolve import a_infinity, build_cdp
 from cdpkit.manifolds import (
     GenericManifoldSpec,
     generic_A,
@@ -25,6 +28,7 @@ from cdpkit.manifolds import (
 
 from conftest import (
     feasibility_decrease_slope,
+    linear_objective_sphere_problem,
     near_manifold_points,
     sphere_constraint_spec,
 )
@@ -135,6 +139,75 @@ class TestGenericOperator:
             lambda y, d: float(np.dot(generic_JAT(spec, y, g), d)),
             x, step=default_fd_step(x))
         assert err <= 1e-8
+
+
+class TestGenericHandleCache:
+    """The generic handle computes Jc, the Gram matrix and G^{-1} c once per
+    point and shares them between eval_A and apply_JAT."""
+
+    @staticmethod
+    def _counted(spec):
+        calls = [0]
+        inner = spec.apply_Jc
+
+        def apply_Jc(x, w):
+            calls[0] += 1
+            return inner(x, w)
+
+        return dataclasses.replace(spec, apply_Jc=apply_Jc), calls
+
+    def test_bitwise_equal_to_uncached_map(self):
+        spec = symplectic_spec(8, 4)
+        handle = make_handle("generic", spec=spec)
+        rng = np.random.default_rng(21)
+        E = symplectic_canonical_point(8, 4).ravel()
+        x1 = E + 0.1 * rng.standard_normal(spec.n)
+        x2 = E + 0.1 * rng.standard_normal(spec.n)
+        g = rng.standard_normal(spec.n)
+        for x in (x1, x2, x1, x1):
+            assert np.array_equal(handle.eval_A(x), generic_A(spec, x))
+            assert np.array_equal(handle.apply_JAT(x, g), generic_JAT(spec, x, g))
+        x = x1.copy()
+        handle.eval_A(x)
+        x[3] += 0.05  # changed in place: must not hit the entry for x1
+        assert np.array_equal(handle.apply_JAT(x, g), generic_JAT(spec, x, g))
+        assert np.array_equal(handle.eval_A(x), generic_A(spec, x))
+        assert not np.array_equal(handle.eval_A(x), generic_A(spec, x1))
+
+    def test_rank_deficient_point_raises_on_every_call(self):
+        # Jc(0) = 0 for c(x) = ||x||^2 - 1, so the Gram matrix is singular.
+        spec = sphere_constraint_spec(4)
+        handle = make_handle("generic", spec=spec)
+        x = np.array([2.0, 0.0, 0.0, 0.0])
+        good = handle.eval_A(x)
+        x[:] = 0.0
+        for _ in range(2):
+            with pytest.raises(RankDeficiencyError):
+                handle.eval_A(x)
+            with pytest.raises(RankDeficiencyError):
+                handle.apply_JAT(x, np.ones(4))
+        x[0] = 2.0
+        assert np.array_equal(handle.eval_A(x), good)
+
+    def test_jc_columns_built_once_per_point(self):
+        spec, calls = self._counted(symplectic_spec(8, 4))
+        handle = make_handle("generic", spec=spec)
+        rng = np.random.default_rng(22)
+        E = symplectic_canonical_point(8, 4).ravel()
+
+        x = E + 0.1 * rng.standard_normal(spec.n)
+        calls[0] = 0
+        for col in np.eye(spec.n):
+            handle.apply_JAT(x, col)
+        assert calls[0] == spec.p  # parent: n * p
+
+        # beta = 0, so the penalty term adds no Jc action of its own.
+        problem = linear_objective_sphere_problem(spec.n, handle=handle)
+        instance = build_cdp(problem, PenaltyParams(0.0))
+        x = E + 0.1 * rng.standard_normal(spec.n)
+        calls[0] = 0
+        instance.point_eval(x).weighted_grad()
+        assert calls[0] == spec.p  # parent: 2p, for A and again for J_A^T
 
 
 class TestSymplecticFamily:
