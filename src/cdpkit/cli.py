@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .core import (
     ParameterError,
     PenaltyParams,
     _load_problem_and_point,
+    _problem_config,
     default_fd_step,
     finite_diff_check,
     validate_manifold,
@@ -50,50 +50,36 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _make_family_handle(args):
-    family = args.family
-    if family == "oblique":
-        return manifolds.make_handle("oblique", m=args.m, q=args.q)
-    if family == "sphere":
-        return manifolds.make_handle("sphere", n=args.n or args.m)
-    if family == "symplectic_stiefel":
-        return manifolds.make_handle("symplectic_stiefel", m=args.m, q=args.q)
-    raise ConfigurationError("family", f"{family!r} not usable from the CLI "
+def _family(args):
+    """The handle named by ``--family`` and its canonical feasible point."""
+    if args.family == "oblique":
+        handle = manifolds.make_handle("oblique", m=args.m, q=args.q)
+        X = np.zeros(handle.shape)
+        X[:, 0] = 1.0
+        return handle, X.ravel()
+    if args.family == "sphere":
+        handle = manifolds.make_handle("sphere", n=args.n or args.m)
+        x = np.zeros(handle.n)
+        x[0] = 1.0
+        return handle, x
+    if args.family == "symplectic_stiefel":
+        handle = manifolds.make_handle("symplectic_stiefel", m=args.m, q=args.q)
+        return handle, manifolds.symplectic_canonical_point(args.m, args.q).ravel()
+    raise ConfigurationError("family", f"{args.family!r} not usable from the CLI "
                              "(custom constraint maps are programmatic only)")
 
 
-def _feasible_probes(handle, count: int, seed: int):
+def _feasible_probes(base, count: int, seed: int):
     rng = np.random.default_rng(seed)
-    probes = []
-    for _ in range(count):
-        y = rng.standard_normal(handle.n) * 0.1
-        base = _canonical_point(handle)
-        probes.append(base + y)
-    return probes
-
-
-def _canonical_point(handle):
-    if handle.name.startswith("oblique"):
-        m, q = handle.shape
-        X = np.zeros((m, q))
-        X[:, 0] = 1.0
-        return X.ravel()
-    if handle.name.startswith("sphere"):
-        x = np.zeros(handle.n)
-        x[0] = 1.0
-        return x
-    if handle.name.startswith("symplectic"):
-        m, q = handle.shape
-        return manifolds.symplectic_canonical_point(m, q).ravel()
-    raise ConfigurationError("family", f"no canonical point for {handle.name}")
+    return [base + rng.standard_normal(base.size) * 0.1 for _ in range(count)]
 
 
 def cmd_validate(args) -> int:
-    handle = _make_family_handle(args)
-    probes = _feasible_probes(handle, args.probes, args.seed)
+    handle, point = _family(args)
+    probes = _feasible_probes(point, args.probes, args.seed)
     report = validate_manifold(handle, probes, tol=args.tol)
 
-    base = dissolve.a_infinity(handle, _canonical_point(handle))
+    base = dissolve.a_infinity(handle, point)
     fd_err = finite_diff_check(
         handle.eval_c, handle.apply_JcT, base + 0.05, default_fd_step(base))
     slope = _decrease_slope(handle, base, args.seed)
@@ -130,13 +116,9 @@ def _load_from_args(args):
     """The configured problem and the generator's suggested start."""
     if args.config:
         return _load_problem_and_point(Path(args.config))
-    doc = {"family": args.family, "seed": args.seed}
-    for key in ("m", "q", "n_samples", "r", "rho"):
-        val = getattr(args, key.replace("n_samples", "N"), None) \
-            if key == "n_samples" else getattr(args, key, None)
-        if val is not None:
-            doc["N" if key == "n_samples" else key] = val
-    return _load_problem_and_point(doc)
+    doc = {key: getattr(args, key) for key in ("m", "q", "N", "r", "rho")
+           if getattr(args, key) is not None}
+    return _load_problem_and_point({"family": args.family, "seed": args.seed, **doc})
 
 
 def _default_instance(problem, args):
@@ -209,17 +191,13 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     import yaml
 
-    doc = yaml.safe_load(grid_path.read_text())
-    grid = []
-    for entry in doc:
-        family = entry.pop("family")
-        if family == "center_of_mass":
-            grid.append(bench.CenterOfMassConfig(**entry))
-        elif family == "balanced_cut":
-            grid.append(bench.BalancedCutConfig(**entry))
-        else:
-            print(f"unknown family {family!r} in grid", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        doc = yaml.safe_load(grid_path.read_text())
+    except yaml.YAMLError as exc:
+        raise ConfigurationError("<grid>", f"unparseable grid: {exc}") from exc
+    if not isinstance(doc, list):
+        raise ConfigurationError("<grid>", "grid must be a list of configs")
+    grid = [_problem_config(entry) for entry in doc]
     records = bench.run_experiment(grid, budget=args.budget)
     csv_text = bench.records_to_csv(records)
     if args.out:
@@ -279,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--grid", required=True)
     p_bench.add_argument("--budget", type=float, default=1200.0)
     p_bench.add_argument("--out")
-    p_bench.add_argument("--workers", type=int,
-                         default=int(os.environ.get("CDPKIT_THREADS", "1")))
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -294,27 +294,6 @@ def _dense_columns(apply_comb: Callable[[Vector, Vector], Vector], x: Vector,
     return cols
 
 
-def _project_feasible(handle: ManifoldHandle, y: Vector,
-                      tol: float = FEASIBILITY_TOL, max_iter: int = 50) -> Vector:
-    # Small local projection loop; the public iterated-map operator with the
-    # full error contract lives in cdpkit.dissolve.
-    z = np.asarray(y, dtype=float).ravel()
-    viol = float(np.linalg.norm(handle.eval_c(z)))
-    for _ in range(max_iter):
-        if viol <= tol:
-            return z
-        z_next = handle.eval_A(z)
-        viol_next = float(np.linalg.norm(handle.eval_c(z_next)))
-        if not np.isfinite(viol_next) or viol_next > 10.0 * max(viol, tol):
-            raise OutOfNeighborhoodError(
-                f"projection diverged (||c|| = {viol_next:.3e})", viol_next)
-        z, viol = z_next, viol_next
-    if viol <= tol:
-        return z
-    raise OutOfNeighborhoodError(
-        f"projection stalled at ||c|| = {viol:.3e}", viol)
-
-
 def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
                       tol: float) -> ValidationReport:
     """Check the dissolving-map axioms at (projections of) the given probes.
@@ -322,8 +301,11 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
     At each feasible probe x the report records ``||A(x) - x||_inf`` and an
     estimate of the operator norm of the product of the transposed Jacobian
     of A with the constraint Jacobian, obtained by pushing each of the p
-    constraint-gradient columns through ``apply_JAT``.
+    constraint-gradient columns through ``apply_JAT``.  A probe that
+    ``a_infinity`` cannot project is skipped with a note.
     """
+    from .dissolve import a_infinity  # local import: dissolve builds on core
+
     max_fix = 0.0
     max_prod = 0.0
     notes: list[str] = []
@@ -337,7 +319,7 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
             raise EvaluatorFaultError(f"eval_c non-finite at probe {k}")
         if viol > FEASIBILITY_TOL:
             try:
-                x = _project_feasible(handle, x)
+                x = a_infinity(handle, x, tol=FEASIBILITY_TOL)
             except OutOfNeighborhoodError as exc:
                 notes.append(f"probe {k} skipped: {exc}")
                 continue
@@ -421,7 +403,19 @@ def load_problem(config) -> ProblemSpec:
 
 def _load_problem_and_point(config) -> tuple[ProblemSpec, Vector]:
     """``load_problem`` together with the generator's suggested start."""
-    doc = _ingest_config(config)
+    from . import bench  # local import: bench builds on core
+
+    cfg = _problem_config(_ingest_config(config))
+    if isinstance(cfg, bench.CenterOfMassConfig):
+        return bench.gen_center_of_mass(cfg)
+    return bench.gen_balanced_cut(cfg)
+
+
+def _problem_config(doc):
+    """A validated ``CenterOfMassConfig`` or ``BalancedCutConfig`` from one
+    mapping: family, required fields cast to their types, optional beta."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError("<document>", "config must be a key-value tree")
     family = doc.get("family")
     if family is None:
         raise ConfigurationError("family", "missing required field")
@@ -436,17 +430,15 @@ def _load_problem_and_point(config) -> tuple[ProblemSpec, Vector]:
 
     from . import bench  # local import: bench builds on core
 
+    types = {"m": int, "q": int, "N": int, "seed": int, "r": float,
+             "rho": float, "beta": float}
+    fields = _REQUIRED_FIELDS[family] + (("beta",) if "beta" in doc else ())
     try:
+        kwargs = {key: types[key](doc[key]) for key in fields}
         if family == "center_of_mass":
-            cfg = bench.CenterOfMassConfig(
-                m=int(doc["m"]), q=int(doc["q"]), N=int(doc["N"]),
-                r=float(doc["r"]), seed=int(doc["seed"]))
-            return bench.gen_center_of_mass(cfg)
-        cfg = bench.BalancedCutConfig(
-            m=int(doc["m"]), q=int(doc["q"]),
-            rho=float(doc["rho"]), seed=int(doc["seed"]))
-        return bench.gen_balanced_cut(cfg)
-    except (DimensionError, ParameterError, ValueError) as exc:
+            return bench.CenterOfMassConfig(**kwargs)
+        return bench.BalancedCutConfig(**kwargs)
+    except (DimensionError, ParameterError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"family.{family}", str(exc)) from exc
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,14 +145,7 @@ def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
             slope = -gnorm ** 2
 
         last = {}
-
-        def phi(a, d=d, x=x, last=last):
-            xt = x + a * d
-            ft, gt = value_and_grad(xt)
-            last["x"], last["f"], last["g"] = xt, ft, gt
-            return ft, float(np.dot(gt, d))
-
-        alpha = _strong_wolfe(phi, f, slope)
+        alpha = _strong_wolfe(_line(value_and_grad, x, d, last), f, slope)
         if alpha is None or not np.isfinite(last.get("f", np.nan)):
             if s_hist:
                 # restart with steepest descent once
@@ -161,15 +154,8 @@ def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
                 gamma = 1.0
                 d = -g
                 last.clear()
-
-                def phi_sd(a, d=d, x=x, last=last):
-                    xt = x + a * d
-                    ft, gt = value_and_grad(xt)
-                    last["x"], last["f"], last["g"] = xt, ft, gt
-                    return ft, float(np.dot(gt, d))
-
-                alpha = _strong_wolfe(phi_sd, f, -gnorm ** 2,
-                                      alpha0=min(1.0, 1.0 / gnorm))
+                alpha = _strong_wolfe(_line(value_and_grad, x, d, last), f,
+                                      -gnorm ** 2, alpha0=min(1.0, 1.0 / gnorm))
             if alpha is None:
                 status = "line_search_failure"
                 break
@@ -189,6 +175,19 @@ def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
         x, f, g = x_new, f_new, g_new
     return LbfgsResult(x=x, f=f, grad_norm=float(np.linalg.norm(g)),
                        iterations=it, status=status)
+
+
+def _line(value_and_grad, x: Vector, d: Vector, last: dict):
+    """phi(a) = (value, slope along d) at x + a*d, keeping the last trial
+    point, value and gradient in ``last``."""
+
+    def phi(a):
+        xt = x + a * d
+        ft, gt = value_and_grad(xt)
+        last["x"], last["f"], last["g"] = xt, ft, gt
+        return ft, float(np.dot(gt, d))
+
+    return phi
 
 
 def _two_loop(g: Vector, s_hist, y_hist, gamma: float) -> Vector:
@@ -218,12 +217,12 @@ class SolveResult:
     wall_time: float = np.nan
 
 
-def _augmented(value_grad_weighted, lam, mu, sigma):
+def _augmented(evaluate, lam, mu, sigma):
     """Closure computing the augmented Lagrangian value and gradient from a
-    pipeline's primitives (one shared evaluation per point)."""
+    formulation's ``evaluate`` (one shared evaluation per point)."""
 
     def val_grad(x):
-        f, e, iv, grad_from = value_grad_weighted(x)
+        f, e, iv, grad_from = evaluate(x)
         val = f
         a = None
         b = None
@@ -241,12 +240,110 @@ def _augmented(value_grad_weighted, lam, mu, sigma):
     return val_grad
 
 
-def _alm_loop(problem: ProblemSpec, pipeline, x0: Vector, opts: AlmOptions,
-              n_eq: int, n_ineq: int) -> SolveResult:
-    """Shared outer loop.  ``pipeline`` bundles the closures that differ
-    between the transformed and the direct formulation."""
+def _certify(problem: ProblemSpec, x: Vector) -> tuple[Vector, KktReport]:
+    """Post-process x by ``a_infinity`` (x itself outside the neighborhood)
+    and take the original problem's KKT residual there."""
+    try:
+        xp = a_infinity(problem.manifold, x)
+    except OutOfNeighborhoodError:
+        xp = x
+    return xp, kkt_residual(problem, xp)
+
+
+class _Dissolved:
+    """The transformed problem h, u~, v~ with the beta safeguard of
+    ``alm_solve_cdp``."""
+
+    split = 0  # no multipliers for c: it is dissolved into h
+
+    def __init__(self, instance: CdpInstance, x0: Vector, opts: AlmOptions):
+        self.instance = instance
+        self.x0 = x0
+        self.opts = opts
+        self.estimates = None
+
+    @property
+    def beta(self) -> float:
+        return self.instance.params.beta
+
+    def evaluate(self, x):
+        pe = self.instance.point_eval(x)
+        return pe.h, pe.u_tilde, pe.v_tilde, \
+            lambda a, b: pe.weighted_grad(1.0, a, b)
+
+    def adapt(self, lam, mu, trace: SolveTrace) -> None:
+        if not self.opts.beta_adapt:
+            return
+        problem = self.instance.problem
+        params = self.instance.params
+        if self.estimates is None:
+            try:
+                x_ref = a_infinity(problem.manifold, self.x0)
+                self.estimates = estimate_constants(
+                    problem, x_ref, radius=0.1, samples=30, seed=0)
+            except Exception:
+                self.estimates = False
+                return
+        est = self.estimates
+        if est is False:
+            return
+        M = (est.L_fx + float(np.linalg.norm(lam, 1)) * est.M_ux
+             + float(np.linalg.norm(mu, 1)) * est.M_vx)
+        beta_req = (32.0 * est.L_Ax * (est.M_Ax + 1.0) * M / est.sigma1x ** 2
+                    - float(np.dot(lam, params.tau))
+                    - float(np.dot(mu, params.gamma)))
+        if params.beta < beta_req:
+            new_beta = self.opts.beta_growth * beta_req
+            self.instance = build_cdp(
+                problem, PenaltyParams(new_beta, params.tau, params.gamma))
+            if trace.rows:
+                trace.rows[-1].note = (trace.rows[-1].note + " "
+                                       if trace.rows[-1].note else "") \
+                    + f"beta_adapted:{float(new_beta)!r}"
+
+
+class _Direct:
+    """The original problem with c(x) = 0 kept as the first p equalities."""
+
+    beta = 0.0
+
+    def __init__(self, problem: ProblemSpec):
+        self.problem = problem
+        self.split = problem.p
+
+    def evaluate(self, x):
+        problem, p = self.problem, self.split
+        mani = problem.manifold
+        x = np.asarray(x, dtype=float).ravel()
+        f = float(problem.eval_f(x))
+        e = np.concatenate([mani.eval_c(x), problem.eval_u(x)])
+        iv = problem.eval_v(x)
+
+        def grad_from(a, b):
+            g = problem.grad_f(x)
+            if a is not None and a.size:
+                if p:
+                    g = g + mani.apply_Jc(x, a[:p])
+                if problem.n_eq:
+                    g = g + problem.apply_Ju(x, a[p:])
+            if b is not None and b.size:
+                g = g + problem.apply_Jv(x, b)
+            return g
+
+        return f, e, iv, grad_from
+
+    def adapt(self, lam, mu, trace: SolveTrace) -> None:
+        pass
+
+
+def _alm_loop(problem: ProblemSpec, form, x0: Vector,
+              opts: AlmOptions) -> SolveResult:
+    """Shared outer loop.  ``form`` is the formulation, ``_Dissolved`` or
+    ``_Direct``: the only part that differs between the pipelines.  The
+    first ``form.split`` equality multipliers belong to c."""
     t0 = time.perf_counter()
     x = np.asarray(x0, dtype=float).ravel().copy()
+    n_eq, n_ineq = form.split + problem.n_eq, problem.n_ineq
     lam = np.zeros(n_eq)
     mu = np.zeros(n_ineq)
     sigma = opts.alm_penalty_init
@@ -255,63 +352,52 @@ def _alm_loop(problem: ProblemSpec, pipeline, x0: Vector, opts: AlmOptions,
     prev_resid = np.inf
     stalled_inner = 0
     status = "max_iter"
+    note = "initial_point_stationary"
 
-    # An already-certified starting point needs no inner solves at all.
-    x_post, kkt = pipeline["certify"](x)
-    if (kkt.feasibility <= opts.outer_tol_feasibility
-            and kkt.stationarity <= opts.outer_tol_stationarity):
+    # Pass 0 only certifies the start: one already certified needs no
+    # inner solves at all, and is reported as iteration 1.
+    for k in range(opts.max_outer + 1):
+        if k:
+            # Without extra constraints there is no multiplier loop to warm
+            # up, so the inner solve can target the final tolerance directly.
+            inner_tol = opts.outer_tol_stationarity if n_eq + n_ineq == 0 \
+                else max(opts.outer_tol_stationarity, 0.1 ** k)
+            aug = _augmented(form.evaluate, lam, mu, sigma)
+            inner = lbfgs_minimize(aug, x, tol=inner_tol,
+                                   max_iter=opts.max_inner,
+                                   memory=opts.lbfgs_memory)
+            x = inner.x
+            if not np.all(np.isfinite(x)) or not np.isfinite(inner.f):
+                status = "diverged"
+                break
+
+            _, e, iv, _ = form.evaluate(x)
+            ineq_viol = np.maximum(iv, -mu / sigma) if n_ineq else iv
+            viol_vec = np.concatenate([e, ineq_viol])
+            viol = float(np.linalg.norm(viol_vec)) if viol_vec.size else 0.0
+
+            note = ""
+            clip = opts.multiplier_clip
+            lam_new = lam + sigma * e
+            mu_new = np.maximum(mu + sigma * iv, 0.0)
+            if np.any(np.abs(lam_new) > clip) or np.any(mu_new > clip):
+                note = "multiplier_clipped"
+            lam = np.clip(lam_new, -clip, clip)
+            mu = np.minimum(mu_new, clip)
+
+        x_post, kkt = _certify(problem, x)
+        certified = (kkt.feasibility <= opts.outer_tol_feasibility
+                     and kkt.stationarity <= opts.outer_tol_stationarity)
+        if not k and not certified:
+            continue
         trace.append(TraceRow(
-            iteration=1, objective=float(problem.eval_f(x_post)),
+            iteration=max(k, 1), objective=float(problem.eval_f(x_post)),
             feasibility=kkt.feasibility, stationarity=kkt.stationarity,
-            beta=pipeline["beta"](), sigma=sigma, multiplier_norm=0.0,
-            wall_time=time.perf_counter() - t0, note="initial_point_stationary"))
-        return SolveResult(
-            x_final=x, x_postprocessed=x_post,
-            multipliers=MultiplierSet(rho=pipeline["rho"](lam),
-                                      lam=pipeline["lam"](lam), mu=mu),
-            kkt=kkt, trace=trace, status="converged",
-            objective=float(problem.eval_f(x_post)),
-            wall_time=time.perf_counter() - t0)
-
-    for k in range(1, opts.max_outer + 1):
-        # Without extra constraints there is no multiplier loop to warm up,
-        # so the inner solve can target the final tolerance directly.
-        inner_tol = opts.outer_tol_stationarity if n_eq + n_ineq == 0 \
-            else max(opts.outer_tol_stationarity, 0.1 ** k)
-        aug = _augmented(pipeline["value_grad_weighted"], lam, mu, sigma)
-        inner = lbfgs_minimize(aug, x, tol=inner_tol,
-                               max_iter=opts.max_inner,
-                               memory=opts.lbfgs_memory)
-        x = inner.x
-        if not np.all(np.isfinite(x)) or not np.isfinite(inner.f):
-            status = "diverged"
-            break
-
-        e, iv = pipeline["constraints"](x)
-        ineq_viol = np.maximum(iv, -mu / sigma) if n_ineq else iv
-        viol_vec = np.concatenate([e, ineq_viol])
-        viol = float(np.linalg.norm(viol_vec)) if viol_vec.size else 0.0
-
-        note = ""
-        clip = opts.multiplier_clip
-        lam_new = lam + sigma * e
-        mu_new = np.maximum(mu + sigma * iv, 0.0)
-        if np.any(np.abs(lam_new) > clip) or np.any(mu_new > clip):
-            note = "multiplier_clipped"
-        lam = np.clip(lam_new, -clip, clip)
-        mu = np.minimum(mu_new, clip)
-
-        x_post, kkt = pipeline["certify"](x)
-        obj = float(problem.eval_f(x_post))
-        trace.append(TraceRow(
-            iteration=k, objective=obj, feasibility=kkt.feasibility,
-            stationarity=kkt.stationarity, beta=pipeline["beta"](),
-            sigma=sigma,
+            beta=form.beta, sigma=sigma,
             multiplier_norm=float(np.linalg.norm(np.concatenate([lam, mu]))),
             wall_time=time.perf_counter() - t0, note=note))
 
-        if (kkt.feasibility <= opts.outer_tol_feasibility
-                and kkt.stationarity <= opts.outer_tol_stationarity):
+        if certified:
             status = "converged"
             break
         # A failed inner line search is only fatal when the outer residual
@@ -331,14 +417,14 @@ def _alm_loop(problem: ProblemSpec, pipeline, x0: Vector, opts: AlmOptions,
             sigma *= opts.alm_penalty_growth
         prev_viol = min(prev_viol, viol) if np.isfinite(prev_viol) else viol
 
-        pipeline["adapt"](lam, mu, trace)
+        form.adapt(lam, mu, trace)
 
         if opts.time_budget is not None \
                 and time.perf_counter() - t0 > opts.time_budget:
             status = "max_time"
             break
 
-    mult = MultiplierSet(rho=pipeline["rho"](lam), lam=pipeline["lam"](lam), mu=mu)
+    mult = MultiplierSet(rho=lam[:form.split], lam=lam[form.split:], mu=mu)
     return SolveResult(
         x_final=x, x_postprocessed=x_post, multipliers=mult, kkt=kkt,
         trace=trace, status=status,
@@ -357,114 +443,11 @@ def alm_solve_cdp(instance: CdpInstance, x0: Vector,
     ``beta_adapted:<repr(beta)>``, which ``float`` parses back to exactly
     the beta used from the next row on.
     """
-    problem = instance.problem
-    state = {"instance": instance, "estimates": None}
-
-    def value_grad_weighted(x):
-        pe = state["instance"].point_eval(x)
-        return pe.h, pe.u_tilde, pe.v_tilde, \
-            lambda a, b: pe.weighted_grad(1.0, a, b)
-
-    def constraints(x):
-        pe = state["instance"].point_eval(x)
-        return pe.u_tilde, pe.v_tilde
-
-    def certify(x):
-        try:
-            xp = a_infinity(problem.manifold, x)
-        except OutOfNeighborhoodError:
-            xp = x
-        return xp, kkt_residual(problem, xp)
-
-    def adapt(lam, mu, trace):
-        if not opts.beta_adapt:
-            return
-        params = state["instance"].params
-        if state["estimates"] is None:
-            try:
-                x_ref = a_infinity(problem.manifold, np.asarray(x0, dtype=float).ravel())
-                state["estimates"] = estimate_constants(
-                    problem, x_ref, radius=0.1, samples=30, seed=0)
-            except Exception:
-                state["estimates"] = False
-                return
-        est = state["estimates"]
-        if est is False:
-            return
-        M = (est.L_fx + float(np.linalg.norm(lam, 1)) * est.M_ux
-             + float(np.linalg.norm(mu, 1)) * est.M_vx)
-        beta_req = (32.0 * est.L_Ax * (est.M_Ax + 1.0) * M / est.sigma1x ** 2
-                    - float(np.dot(lam, params.tau))
-                    - float(np.dot(mu, params.gamma)))
-        if params.beta < beta_req:
-            new_beta = opts.beta_growth * beta_req
-            state["instance"] = build_cdp(
-                problem, PenaltyParams(new_beta, params.tau, params.gamma))
-            if trace.rows:
-                trace.rows[-1].note = (trace.rows[-1].note + " "
-                                       if trace.rows[-1].note else "") \
-                    + f"beta_adapted:{float(new_beta)!r}"
-
-    pipeline = {
-        "value_grad_weighted": value_grad_weighted,
-        "constraints": constraints,
-        "certify": certify,
-        "adapt": adapt,
-        "beta": lambda: state["instance"].params.beta,
-        "rho": lambda lam: np.zeros(0),
-        "lam": lambda lam: lam,
-    }
-    return _alm_loop(problem, pipeline, x0, opts,
-                     problem.n_eq, problem.n_ineq)
+    return _alm_loop(instance.problem, _Dissolved(instance, x0, opts), x0, opts)
 
 
 def alm_solve_nlp_direct(problem: ProblemSpec, x0: Vector,
                          opts: AlmOptions = AlmOptions()) -> SolveResult:
     """Baseline: identical ALM machinery on the raw constraints
     [c; u] = 0, v <= 0 with objective f (no dissolving)."""
-    p = problem.p
-    mani = problem.manifold
-
-    def value_grad_weighted(x):
-        x = np.asarray(x, dtype=float).ravel()
-        f = float(problem.eval_f(x))
-        e = np.concatenate([mani.eval_c(x), problem.eval_u(x)])
-        iv = problem.eval_v(x)
-
-        def grad_from(a, b):
-            g = problem.grad_f(x)
-            if a is not None and a.size:
-                if p:
-                    g = g + mani.apply_Jc(x, a[:p])
-                if problem.n_eq:
-                    g = g + problem.apply_Ju(x, a[p:])
-            if b is not None and b.size:
-                g = g + problem.apply_Jv(x, b)
-            return g
-
-        return f, e, iv, grad_from
-
-    def constraints(x):
-        x = np.asarray(x, dtype=float).ravel()
-        return np.concatenate([mani.eval_c(x), problem.eval_u(x)]), problem.eval_v(x)
-
-    def certify(x):
-        xp = x
-        if p:
-            try:
-                xp = a_infinity(mani, x)
-            except OutOfNeighborhoodError:
-                xp = x
-        return xp, kkt_residual(problem, xp)
-
-    pipeline = {
-        "value_grad_weighted": value_grad_weighted,
-        "constraints": constraints,
-        "certify": certify,
-        "adapt": lambda lam, mu, trace: None,
-        "beta": lambda: 0.0,
-        "rho": lambda lam: lam[:p],
-        "lam": lambda lam: lam[p:],
-    }
-    return _alm_loop(problem, pipeline, x0, opts, p + problem.n_eq,
-                     problem.n_ineq)
+    return _alm_loop(problem, _Direct(problem), x0, opts)

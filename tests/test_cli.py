@@ -117,6 +117,31 @@ class TestBench:
     def test_missing_grid_file_is_usage_error(self, tmp_path):
         assert run(["bench", "--grid", str(tmp_path / "nope.yaml")]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "- {m: 8, q: 2, rho: 0.3, seed: 1}\n",
+        "- {family: balanced_cut, m: 8, q: 2, rho: 0.3}\n",
+        "family: balanced_cut\nm: 8\nq: 2\nrho: 0.3\nseed: 1\n",
+        "- {family: balanced_cut, m: 8, q: 2, rho: dense, seed: 1}\n",
+        "- {family: balanced_cut, m: 8\n",
+    ], ids=["no-family", "no-seed", "mapping", "non-numeric-rho", "not-yaml"])
+    def test_malformed_grid_is_usage_error(self, tmp_path, capsys, text):
+        grid = tmp_path / "grid.yaml"
+        grid.write_text(text)
+        assert run(["bench", "--grid", str(grid)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_exponent_rho_read_as_string_is_cast(self, tmp_path):
+        # YAML reads 1e-1 (no decimal point) as a string; the grid casts it
+        # to 0.1, as load_problem does.
+        grid = tmp_path / "grid.yaml"
+        grid.write_text("- {family: balanced_cut, m: 8, q: 2, rho: 1e-1, seed: 1}\n")
+        out = tmp_path / "records.csv"
+        assert run(["bench", "--grid", str(grid), "--out", str(out),
+                    "--budget", "60"]) == 0
+        with out.open() as fh:
+            assert {row["problem"] for row in csv.DictReader(fh)} \
+                == {"balanced_cut(m=8,q=2,rho=0.1,seed=1)"}
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("error", [

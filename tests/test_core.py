@@ -71,6 +71,20 @@ class TestValidateManifold:
         report = validate_manifold(handle, [e1], tol=1e-10)
         assert report.passed
 
+    def test_probe_that_cannot_be_projected_is_skipped_with_a_note(self):
+        # A maps an all-zero oblique row to itself, so ||c|| stalls at 1.
+        handle = make_handle("oblique", m=4, q=2)
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((4, 2))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        stuck = X + 0.05 * rng.standard_normal((4, 2))
+        stuck[2] = 0.0
+        report = validate_manifold(handle, [X.ravel(), stuck.ravel()], tol=1e-10)
+        assert report.probes_used == 1
+        assert report.passed
+        assert len(report.notes) == 1
+        assert report.notes[0].startswith("probe 1 skipped")
+
     def test_generic_gauss_newton_on_sphere_constraint(self):
         handle = make_handle("generic", spec=sphere_constraint_spec(8))
         base = np.zeros(8)

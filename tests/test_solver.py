@@ -144,6 +144,24 @@ class TestAlmCdp:
             == [r.key_fields() for r in b.trace.rows]
 
 
+@pytest.mark.parametrize("pipeline, n_rho", [("cdp", 0), ("nlp", 20)])
+def test_multipliers_split_into_manifold_and_problem_blocks(pipeline, n_rho):
+    # Only the direct pipeline carries multipliers for c (p = m of them);
+    # both carry one per balancing equality u (q of them).
+    from cdpkit.bench import (BalancedCutConfig, build_balanced_cut_cdp,
+                              gen_balanced_cut)
+    problem, x0 = gen_balanced_cut(BalancedCutConfig(m=20, q=2, rho=0.2,
+                                                     seed=3))
+    if pipeline == "cdp":
+        res = alm_solve_cdp(build_balanced_cut_cdp(problem), x0)
+    else:
+        res = alm_solve_nlp_direct(problem, x0)
+    assert res.status == "converged"
+    assert res.multipliers.rho.shape == (n_rho,)
+    assert res.multipliers.lam.shape == (2,)
+    assert res.multipliers.mu.shape == (0,)
+
+
 class TestAlmDirect:
     def test_quadratic_with_single_linear_equality_matches_closed_form(self):
         # min 1/2 x^T H x - b^T x  s.t.  a^T x = 1, no manifold block
