@@ -269,20 +269,22 @@ def records_to_csv(records: list[RunRecord]) -> str:
 
 def records_to_markdown(records: list[RunRecord]) -> str:
     """Aligned markdown table with one row per problem and the four
-    reported metrics for each pipeline side by side."""
+    reported metrics and the status of each pipeline side by side, so a
+    failed run cannot read as a slow success."""
     by_problem: dict[str, dict[str, RunRecord]] = {}
     for rec in records:
         by_problem.setdefault(rec.problem_id, {})[rec.pipeline] = rec
     header = ["problem", "fval (cdp)", "fval (nlp)", "stat (cdp)",
               "stat (nlp)", "feas (cdp)", "feas (nlp)", "time (cdp)",
-              "time (nlp)"]
+              "time (nlp)", "status (cdp)", "status (nlp)"]
     rows = [header]
     for pid, pair in by_problem.items():
         row = [pid]
-        for key in ("objective", "stationarity", "feasibility", "cpu_time"):
+        for key in ("objective", "stationarity", "feasibility", "cpu_time",
+                    "status"):
             for pipe in ("cdp", "nlp"):
-                rec = pair.get(pipe)
-                row.append("-" if rec is None else f"{getattr(rec, key):.3e}")
+                val = "-" if pipe not in pair else getattr(pair[pipe], key)
+                row.append(val if isinstance(val, str) else f"{val:.3e}")
         rows.append(row)
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = []

@@ -8,6 +8,7 @@ at probe scale, not solver scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -175,11 +176,27 @@ class ConstantEstimates:
     radius: float
 
 
-def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
-                       samples: int = 100, seed: int = 0) -> ConstantEstimates:
-    """Estimate the neighborhood constants by sampling the ball of the given
-    radius around a feasible x: suprema as maxima over samples, Lipschitz
-    constants as maxima of difference quotients over consecutive pairs.
+class _BoundConstants(NamedTuple):
+    """The six constants of the multiplier-coupled beta bound."""
+
+    sigma1x: float
+    M_Ax: float
+    L_Ax: float
+    M_ux: float
+    M_vx: float
+    L_fx: float
+
+
+def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
+                     samples: int, seed: int
+                     ) -> tuple[_BoundConstants, list, np.random.Generator]:
+    """Sample ``samples`` points of the ball of the given radius around a
+    feasible x and estimate only what the multiplier-coupled beta bound
+    reads: sigma_min(Jc(x)), sup and Lipschitz constant of J_A^T, sups of
+    Ju and Jv, and sup of ||grad f(A(y))||.
+
+    Returns the constants, the points (x first) and the generator after
+    sampling, so ``estimate_constants`` continues from the same draws.
     """
     x = np.asarray(x, dtype=float).ravel()
     if radius > 1.0:
@@ -201,31 +218,56 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
         d *= radius * rng.random() ** (1.0 / n) / np.linalg.norm(d)
         pts.append(x + d)
 
-    M_c = M_A = M_u = M_v = L_f = 0.0
-    L_c = L_A = L_Ac = 0.0
+    M_A = M_u = M_v = L_f = L_A = 0.0
     prev = None
     for y in pts:
-        Jc = _dense_columns(mani.apply_Jc, y, problem.p, n)
         Ja = _dense_columns(mani.apply_JAT, y, n, n)
-        ay = mani.eval_A(y)
-        JcA = _dense_columns(mani.apply_Jc, ay, problem.p, n)
-        JaJcA = Ja @ JcA if problem.p else np.zeros((n, 0))
-        Ju = _dense_columns(problem.apply_Ju, y, problem.n_eq, n)
-        Jv = _dense_columns(problem.apply_Jv, y, problem.n_ineq, n)
-        M_c = max(M_c, _spec_norm(Jc))
         M_A = max(M_A, _spec_norm(Ja))
-        M_u = max(M_u, _spec_norm(Ju))
-        M_v = max(M_v, _spec_norm(Jv))
-        L_f = max(L_f, float(np.linalg.norm(problem.grad_f(ay))))
+        M_u = max(M_u, _spec_norm(
+            _dense_columns(problem.apply_Ju, y, problem.n_eq, n)))
+        M_v = max(M_v, _spec_norm(
+            _dense_columns(problem.apply_Jv, y, problem.n_ineq, n)))
+        L_f = max(L_f, float(np.linalg.norm(problem.grad_f(mani.eval_A(y)))))
         if prev is not None:
-            dist = float(np.linalg.norm(y - prev["y"]))
-            if dist > 1e-12:
-                L_c = max(L_c, _spec_norm(Jc - prev["Jc"]) / dist)
-                L_A = max(L_A, _spec_norm(Ja - prev["Ja"]) / dist)
-                L_Ac = max(L_Ac, _spec_norm(JaJcA - prev["JaJcA"]) / dist)
-        prev = {"y": y, "Jc": Jc, "Ja": Ja, "JaJcA": JaJcA}
+            L_A = max(L_A, _diff_quotient(Ja, prev[1], y, prev[0]))
+        prev = (y, Ja)
+    consts = _BoundConstants(sigma1x=sigma1, M_Ax=M_A, L_Ax=L_A, M_ux=M_u,
+                             M_vx=M_v, L_fx=L_f)
+    return consts, pts, rng
 
-    rho_x = _estimate_rho(problem, x, sigma1, radius, rng)
+
+def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
+                       samples: int = 100, seed: int = 0) -> ConstantEstimates:
+    """Estimate the neighborhood constants by sampling the ball of the given
+    radius around a feasible x: suprema as maxima over samples, Lipschitz
+    constants as maxima of difference quotients over consecutive pairs.
+
+    The six constants of the beta bound come from ``_bound_constants``; a
+    second pass over the same points adds the sup and Lipschitz constant of
+    Jc and the Lipschitz constant of J_A^T Jc(A(y)), whose p columns are
+    ``apply_JAT(y, apply_Jc(A(y), e_i))``.  It is a diagnostic for
+    ``probe`` and the condition checks; the solver's beta safeguard reads
+    only the six.
+    """
+    consts, pts, rng = _bound_constants(problem, x, radius, samples, seed)
+    mani = problem.manifold
+    n, p = problem.n, problem.p
+
+    M_c = L_c = L_Ac = 0.0
+    prev = None
+    for y in pts:
+        Jc = _dense_columns(mani.apply_Jc, y, p, n)
+        ay = mani.eval_A(y)
+        JaJcA = _dense_columns(
+            lambda z, e: mani.apply_JAT(z, mani.apply_Jc(ay, e)), y, p, n)
+        M_c = max(M_c, _spec_norm(Jc))
+        if prev is not None:
+            L_c = max(L_c, _diff_quotient(Jc, prev[1], y, prev[0]))
+            L_Ac = max(L_Ac, _diff_quotient(JaJcA, prev[2], y, prev[0]))
+        prev = (y, Jc, JaJcA)
+
+    sigma1, M_A = consts.sigma1x, consts.M_Ax
+    rho_x = _estimate_rho(problem, pts[0], sigma1, radius, rng)
     with np.errstate(divide="ignore"):
         eps = min(
             rho_x / 2.0,
@@ -234,10 +276,9 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
         )
     omega_bar = sigma1 * eps / (4.0 * M_c * (M_A + 1.0) + sigma1) if M_c > 0 else eps
     return ConstantEstimates(
-        sigma1x=sigma1, M_cx=M_c, M_Ax=M_A, M_ux=M_u, M_vx=M_v, L_fx=L_f,
-        L_cx=L_c, L_Ax=L_A, L_Acx=L_Ac, rho_x=rho_x, epsilon_x=float(eps),
-        omega_bar_radius=float(omega_bar), sample_count=len(pts) - 1,
-        radius=radius)
+        **consts._asdict(), M_cx=M_c, L_cx=L_c, L_Acx=L_Ac, rho_x=rho_x,
+        epsilon_x=float(eps), omega_bar_radius=float(omega_bar),
+        sample_count=len(pts) - 1, radius=radius)
 
 
 def _estimate_rho(problem, x, sigma1, radius, rng, probes_per_radius: int = 8):
@@ -265,6 +306,12 @@ def _spec_norm(M: Vector) -> float:
     if M.size == 0:
         return 0.0
     return float(np.linalg.norm(M, 2))
+
+
+def _diff_quotient(M: Vector, M_prev: Vector, y: Vector, y_prev: Vector) -> float:
+    """||M - M_prev||_2 / ||y - y_prev||, or 0 for coincident points."""
+    dist = float(np.linalg.norm(y - y_prev))
+    return _spec_norm(M - M_prev) / dist if dist > 1e-12 else 0.0
 
 
 @dataclass

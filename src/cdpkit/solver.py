@@ -20,11 +20,19 @@ from .core import (
     OutOfNeighborhoodError,
     PenaltyParams,
     ProblemSpec,
+    RankDeficiencyError,
     SolveTrace,
     TraceRow,
     Vector,
 )
-from .diagnostics import KktReport, estimate_constants, kkt_residual
+# ``estimate_constants`` stays a module attribute for callers and tracers
+# that look it up here; the safeguard itself reads ``_bound_constants``.
+from .diagnostics import (  # noqa: F401
+    KktReport,
+    _bound_constants,
+    estimate_constants,
+    kkt_residual,
+)
 from .dissolve import CdpInstance, a_infinity, build_cdp
 
 __all__ = [
@@ -126,8 +134,7 @@ def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
     """
     x = np.asarray(x0, dtype=float).ravel().copy()
     f, g = value_and_grad(x)
-    s_hist: deque = deque(maxlen=memory)
-    y_hist: deque = deque(maxlen=memory)
+    hist: deque = deque(maxlen=memory)  # (s, y, 1 / s^T y)
     gamma = 1.0
     status = "max_iter"
     it = 0
@@ -136,21 +143,19 @@ def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
         if gnorm <= tol:
             status = "converged"
             break
-        d = _two_loop(g, s_hist, y_hist, gamma)
+        d = _two_loop(g, hist, gamma)
         slope = float(np.dot(d, g))
         if slope >= -1e-14 * float(np.linalg.norm(d)) * gnorm:
-            s_hist.clear()
-            y_hist.clear()
+            hist.clear()
             d = -g
             slope = -gnorm ** 2
 
         last = {}
         alpha = _strong_wolfe(_line(value_and_grad, x, d, last), f, slope)
         if alpha is None or not np.isfinite(last.get("f", np.nan)):
-            if s_hist:
+            if hist:
                 # restart with steepest descent once
-                s_hist.clear()
-                y_hist.clear()
+                hist.clear()
                 gamma = 1.0
                 d = -g
                 last.clear()
@@ -161,16 +166,16 @@ def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
                 break
         x_new, f_new, g_new = last["x"], last["f"], last["g"]
         # Recompute at the exact accepted step if zoom returned a step the
-        # closure did not evaluate last.
-        if not np.allclose(x_new, x + alpha * d):
+        # closure did not evaluate last.  When it did, last["x"] is exactly
+        # x + alpha*d and the check is skipped.
+        if last["a"] != alpha and not np.allclose(x_new, x + alpha * d):
             x_new = x + alpha * d
             f_new, g_new = value_and_grad(x_new)
         s = x_new - x
         y = g_new - g
         sy = float(np.dot(s, y))
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_hist.append(s)
-            y_hist.append(y)
+            hist.append((s, y, 1.0 / sy))
             gamma = sy / float(np.dot(y, y))
         x, f, g = x_new, f_new, g_new
     return LbfgsResult(x=x, f=f, grad_norm=float(np.linalg.norm(g)),
@@ -179,22 +184,21 @@ def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
 
 def _line(value_and_grad, x: Vector, d: Vector, last: dict):
     """phi(a) = (value, slope along d) at x + a*d, keeping the last trial
-    point, value and gradient in ``last``."""
+    step, point, value and gradient in ``last``."""
 
     def phi(a):
         xt = x + a * d
         ft, gt = value_and_grad(xt)
-        last["x"], last["f"], last["g"] = xt, ft, gt
+        last["a"], last["x"], last["f"], last["g"] = a, xt, ft, gt
         return ft, float(np.dot(gt, d))
 
     return phi
 
 
-def _two_loop(g: Vector, s_hist, y_hist, gamma: float) -> Vector:
-    q = -g.copy()
+def _two_loop(g: Vector, hist, gamma: float) -> Vector:
+    q = -g
     alphas = []
-    for s, y in zip(reversed(s_hist), reversed(y_hist)):
-        rho = 1.0 / float(np.dot(s, y))
+    for s, y, rho in reversed(hist):
         a = rho * float(np.dot(s, q))
         q -= a * y
         alphas.append((a, rho, s, y))
@@ -279,10 +283,11 @@ class _Dissolved:
         if self.estimates is None:
             try:
                 x_ref = a_infinity(problem.manifold, self.x0)
-                self.estimates = estimate_constants(
-                    problem, x_ref, radius=0.1, samples=30, seed=0)
-            except Exception:
+                self.estimates = _bound_constants(
+                    problem, x_ref, radius=0.1, samples=30, seed=0)[0]
+            except (OutOfNeighborhoodError, RankDeficiencyError) as exc:
                 self.estimates = False
+                _add_note(trace, f"beta_adapt_off:{type(exc).__name__}")
                 return
         est = self.estimates
         if est is False:
@@ -296,10 +301,14 @@ class _Dissolved:
             new_beta = self.opts.beta_growth * beta_req
             self.instance = build_cdp(
                 problem, PenaltyParams(new_beta, params.tau, params.gamma))
-            if trace.rows:
-                trace.rows[-1].note = (trace.rows[-1].note + " "
-                                       if trace.rows[-1].note else "") \
-                    + f"beta_adapted:{float(new_beta)!r}"
+            _add_note(trace, f"beta_adapted:{float(new_beta)!r}")
+
+
+def _add_note(trace: SolveTrace, text: str) -> None:
+    """Append ``text`` to the note of the trace's last row."""
+    if trace.rows:
+        row = trace.rows[-1]
+        row.note = (row.note + " " if row.note else "") + text
 
 
 class _Direct:
@@ -437,11 +446,16 @@ def alm_solve_cdp(instance: CdpInstance, x0: Vector,
     """Solve the transformed problem by ALM on u~ = 0, v~ <= 0.
 
     When beta adaptation is on, the multiplier-coupled penalty lower bound
-    is recomputed from cached constant estimates after each outer
-    iteration; if the current beta falls short the instance is rebuilt
-    with beta = growth * bound.  The row's note then carries
+    is recomputed after each outer iteration from six constants sampled
+    once around ``a_infinity(x0)`` (sigma1, M_A, L_A, M_u, M_v, L_f; the
+    same values ``estimate_constants`` reports, without its other work);
+    if the current beta falls short the instance is rebuilt with
+    beta = growth * bound.  The row's note then carries
     ``beta_adapted:<repr(beta)>``, which ``float`` parses back to exactly
-    the beta used from the next row on.
+    the beta used from the next row on.  If the constants cannot be
+    sampled (``a_infinity(x0)`` fails, or Jc is rank deficient there) the
+    safeguard is off for the rest of the solve and the first row's note
+    says ``beta_adapt_off:<error type>``; any other error propagates.
     """
     return _alm_loop(instance.problem, _Dissolved(instance, x0, opts), x0, opts)
 

@@ -318,7 +318,13 @@ def test_criterion_10_timing_ratio_table(announce, capsys):
         by_problem.setdefault(rec.problem_id, {})[rec.pipeline] = rec
     ratios = {pid: pair["nlp"].cpu_time / pair["cdp"].cpu_time
               for pid, pair in by_problem.items()}
-    faster = sum(1 for v in ratios.values() if v >= 1.0)
+    # A run that did not converge is not a time to a solution, so cdp only
+    # counts as faster where both pipelines converged.
+    failed = [f"{pid} {pipe} {rec.status}"
+              for pid, pair in by_problem.items()
+              for pipe, rec in pair.items() if rec.status != "converged"]
+    faster = sum(1 for pid, v in ratios.items() if v >= 1.0
+                 and all(r.status == "converged" for r in by_problem[pid].values()))
     with capsys.disabled():
         print("\n" + records_to_markdown(records))
         print("speedup (nlp time / cdp time):",
@@ -326,4 +332,5 @@ def test_criterion_10_timing_ratio_table(announce, capsys):
     # informational: the table is reported, the ratio is not a gate
     announce(10, "timing ratio table (informational)", True,
              f"transformed pipeline faster on {faster}/{len(ratios)} "
-             "instances; see table above")
+             "instances, counting only those where both runs converged; "
+             f"not converged: {', '.join(failed) or 'none'}; see table above")

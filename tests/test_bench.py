@@ -181,6 +181,17 @@ class TestRunExperiment:
         assert all(r.status in ("max_time", "converged") for r in records)
         assert any(r.status == "max_time" for r in records)
 
+    def test_markdown_shows_status_of_each_pipeline(self):
+        grid = [BalancedCutConfig(m=40, q=2, rho=0.2, seed=2)]
+        records = run_experiment(grid, budget=1e-9)
+        header, _, row = records_to_markdown(records).splitlines()
+        names = [c.strip() for c in header.strip("|").split("|")]
+        cells = [c.strip() for c in row.strip("|").split("|")]
+        shown = {pipe: cells[names.index(f"status ({pipe})")]
+                 for pipe in ("cdp", "nlp")}
+        assert shown == {r.pipeline: r.status for r in records}
+        assert "max_time" in shown.values()
+
     def test_csv_and_markdown_emission(self):
         grid = [BalancedCutConfig(m=8, q=2, rho=0.3, seed=1)]
         sink = io.StringIO()

@@ -195,6 +195,27 @@ class TestEstimateConstants:
         for name in ("M_cx", "M_Ax", "L_fx", "L_cx", "L_Ax", "L_Acx"):
             assert getattr(large, name) >= getattr(small, name) - 1e-15
 
+    @pytest.mark.parametrize("family", ["balanced_cut", "center_of_mass"])
+    def test_bound_constants_equal_the_full_estimates(self, family):
+        # The beta safeguard's six constants come from the same samples,
+        # in the same order, as estimate_constants' fields.
+        from cdpkit.bench import CenterOfMassConfig, gen_center_of_mass
+        from cdpkit.diagnostics import _bound_constants
+        if family == "balanced_cut":
+            problem, x0 = gen_balanced_cut(BalancedCutConfig(m=20, q=2,
+                                                             rho=0.2, seed=3))
+        else:
+            problem, x0 = gen_center_of_mass(
+                CenterOfMassConfig(m=6, q=2, N=8, r=0.5, seed=3))
+        x = a_infinity(problem.manifold, x0)
+        six, points, _ = _bound_constants(problem, x, radius=0.1, samples=30,
+                                          seed=0)
+        full = estimate_constants(problem, x, radius=0.1, samples=30, seed=0)
+        assert len(points) == full.sample_count + 1 == 31
+        for name, value in six._asdict().items():
+            assert value == getattr(full, name), name
+        assert six.sigma1x > 0.0 and six.L_Ax > 0.0 and six.L_fx > 0.0
+
     def test_rank_deficient_constraint_raises(self):
         spec = GenericManifoldSpec(
             n=3, p=1,

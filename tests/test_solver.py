@@ -130,6 +130,55 @@ class TestAlmCdp:
             recorded = float(rows[i].note.split("beta_adapted:")[1].split()[0])
             assert recorded == rows[i + 1].beta
 
+    def test_safeguard_reads_only_the_bound_constants(self, monkeypatch):
+        # The safeguard no longer runs the full estimate_constants; with it
+        # raising, adaptation fires exactly as before.
+        import cdpkit.solver as solver_mod
+        from cdpkit.bench import (BalancedCutConfig, build_balanced_cut_cdp,
+                                  gen_balanced_cut)
+        problem, x0 = gen_balanced_cut(BalancedCutConfig(m=20, q=2, rho=0.2,
+                                                         seed=3))
+        reference = alm_solve_cdp(build_balanced_cut_cdp(problem), x0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimate_constants called on the solve path")
+
+        monkeypatch.setattr(solver_mod, "estimate_constants", refuse)
+        res = alm_solve_cdp(build_balanced_cut_cdp(problem), x0)
+        notes = [row.note for row in res.trace.rows]
+        assert any("beta_adapted:" in note for note in notes)
+        assert notes == [row.note for row in reference.trace.rows]
+        assert [row.beta for row in res.trace.rows] \
+            == [row.beta for row in reference.trace.rows]
+
+    def test_safeguard_switched_off_is_recorded(self):
+        # Two zero rows leave the oblique map no way to reach the manifold,
+        # so the reference point for the constants cannot be computed.
+        from cdpkit.bench import (BalancedCutConfig, build_balanced_cut_cdp,
+                                  gen_balanced_cut)
+        problem, x0 = gen_balanced_cut(BalancedCutConfig(m=20, q=2, rho=0.2,
+                                                         seed=3))
+        x = x0.reshape(20, 2).copy()
+        x[:2] = 0.0
+        res = alm_solve_cdp(build_balanced_cut_cdp(problem), x.ravel())
+        assert res.status == "converged"
+        assert res.trace.rows[0].note == "beta_adapt_off:OutOfNeighborhoodError"
+        assert all(row.beta == 0.1 for row in res.trace.rows)
+
+    def test_unexpected_safeguard_error_propagates(self, monkeypatch):
+        import cdpkit.solver as solver_mod
+        from cdpkit.bench import (BalancedCutConfig, build_balanced_cut_cdp,
+                                  gen_balanced_cut)
+        problem, x0 = gen_balanced_cut(BalancedCutConfig(m=20, q=2, rho=0.2,
+                                                         seed=3))
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("defect in the constant sampling")
+
+        monkeypatch.setattr(solver_mod, "_bound_constants", broken)
+        with pytest.raises(ZeroDivisionError):
+            alm_solve_cdp(build_balanced_cut_cdp(problem), x0)
+
     def test_deterministic_reruns_produce_identical_traces(self):
         problem = linear_objective_sphere_problem(8, seed=5)
         inst = build_cdp(problem, PenaltyParams(beta=10.0))
