@@ -22,7 +22,7 @@ from .core import (
     MultiplierSet,
     ParameterError,
     PenaltyParams,
-    _load_problem_and_point,
+    _ingest_config,
     _problem_config,
     default_fd_step,
     finite_diff_check,
@@ -113,27 +113,30 @@ def _decrease_slope(handle, base, seed: int):
 
 
 def _load_from_args(args):
-    """The configured problem and the generator's suggested start."""
+    """The configured problem, its transformed instance and the generator's
+    suggested start.  The penalty comes from the config (or the family's
+    default); ``--beta``, ``--tau`` and ``--gamma`` override it."""
     if args.config:
-        return _load_problem_and_point(Path(args.config))
-    doc = {key: getattr(args, key) for key in ("m", "q", "N", "r", "rho")
-           if getattr(args, key) is not None}
-    return _load_problem_and_point({"family": args.family, "seed": args.seed, **doc})
-
-
-def _default_instance(problem, args):
-    beta = args.beta if args.beta is not None else (
-        0.1 if problem.name.startswith("balanced_cut") else 1.0)
-    tau = np.full(problem.n_eq, args.tau) if args.tau else np.zeros(problem.n_eq)
-    gamma = np.full(problem.n_ineq, args.gamma) if args.gamma else np.zeros(problem.n_ineq)
-    return dissolve.build_cdp(problem, PenaltyParams(beta, tau, gamma))
+        doc = _ingest_config(Path(args.config))
+    else:
+        doc = {key: getattr(args, key) for key in
+               ("family", "seed", "m", "q", "N", "r", "rho")
+               if getattr(args, key) is not None}
+    if args.beta is not None:
+        doc = {**doc, "beta": args.beta}
+    problem, instance, x0 = bench._build_instance(_problem_config(doc))
+    if args.tau or args.gamma:
+        instance = dissolve.build_cdp(problem, PenaltyParams(
+            instance.params.beta, np.full(problem.n_eq, args.tau or 0.0),
+            np.full(problem.n_ineq, args.gamma or 0.0)))
+    return problem, instance, x0
 
 
 def cmd_solve(args) -> int:
-    problem, x0 = _load_from_args(args)
+    problem, instance, x0 = _load_from_args(args)
     opts = solver.AlmOptions(time_budget=args.budget)
     if args.pipeline == "cdp":
-        res = solver.alm_solve_cdp(_default_instance(problem, args), x0, opts)
+        res = solver.alm_solve_cdp(instance, x0, opts)
     else:
         res = solver.alm_solve_nlp_direct(problem, x0, opts)
     payload = {
@@ -148,21 +151,17 @@ def cmd_solve(args) -> int:
         import csv as _csv
 
         with open(args.out, "w", newline="") as fh:
-            rows = res.trace.to_csv_rows()
-            writer = _csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else
-                                     ["iter", "f", "feas", "stat", "beta",
-                                      "sigma", "time"])
+            writer = _csv.DictWriter(fh, fieldnames=list(res.trace.CSV_COLUMNS))
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows(res.trace.to_csv_rows())
     return EXIT_OK if res.status == "converged" else EXIT_FAIL
 
 
 def cmd_probe(args) -> int:
-    problem, x0 = _load_from_args(args)
+    problem, instance, x0 = _load_from_args(args)
     x_ref = dissolve.a_infinity(problem.manifold, x0)
     est = diagnostics.estimate_constants(problem, x_ref, radius=0.05,
                                          samples=args.probes, seed=args.seed)
-    instance = _default_instance(problem, args)
     cond = diagnostics.check_condition(est, instance.params)
     slope = _decrease_slope(problem.manifold, x_ref, args.seed)
     mult = MultiplierSet(lam=np.zeros(problem.n_eq),

@@ -232,6 +232,8 @@ class TraceRow:
     multiplier_norm: float
     wall_time: float
     note: str = ""
+    inner_iterations: int = 0  # L-BFGS steps of this row's inner solve
+    inner_status: str = ""  # its status; "" when the row certifies the start
 
     def key_fields(self) -> tuple:
         """All fields except wall time, for determinism comparisons."""
@@ -243,6 +245,8 @@ class TraceRow:
             self.beta,
             self.sigma,
             self.multiplier_norm,
+            self.inner_iterations,
+            self.inner_status,
             self.note,
         )
 
@@ -259,19 +263,15 @@ class SolveTrace:
                 raise ParameterError("trace wall times must be nondecreasing")
         self.rows.append(row)
 
+    # CSV column -> TraceRow field, in column order
+    CSV_COLUMNS = {"iter": "iteration", "f": "objective", "feas": "feasibility",
+                   "stat": "stationarity", "beta": "beta", "sigma": "sigma",
+                   "inner_iter": "inner_iterations",
+                   "inner_status": "inner_status", "time": "wall_time"}
+
     def to_csv_rows(self) -> list[dict]:
-        return [
-            {
-                "iter": r.iteration,
-                "f": r.objective,
-                "feas": r.feasibility,
-                "stat": r.stationarity,
-                "beta": r.beta,
-                "sigma": r.sigma,
-                "time": r.wall_time,
-            }
-            for r in self.rows
-        ]
+        return [{col: getattr(r, name) for col, name in self.CSV_COLUMNS.items()}
+                for r in self.rows]
 
 
 @dataclass
@@ -398,17 +398,9 @@ def load_problem(config) -> ProblemSpec:
     ``config`` may be a mapping, a YAML/JSON string, or a path to a YAML
     file.  Deterministic given identical seed.
     """
-    return _load_problem_and_point(config)[0]
-
-
-def _load_problem_and_point(config) -> tuple[ProblemSpec, Vector]:
-    """``load_problem`` together with the generator's suggested start."""
     from . import bench  # local import: bench builds on core
 
-    cfg = _problem_config(_ingest_config(config))
-    if isinstance(cfg, bench.CenterOfMassConfig):
-        return bench.gen_center_of_mass(cfg)
-    return bench.gen_balanced_cut(cfg)
+    return bench._build_instance(_problem_config(_ingest_config(config)))[0]
 
 
 def _problem_config(doc):

@@ -131,6 +131,19 @@ def build_cdp(problem: ProblemSpec, params: PenaltyParams) -> CdpInstance:
     return CdpInstance(problem, PenaltyParams(params.beta, tau, gamma))
 
 
+def _map_step(handle: ManifoldHandle, z: Vector,
+              viol: float) -> tuple[Vector, float]:
+    """One application of the dissolving map to z, where ||c(z)|| = viol,
+    and the new ||c||.  Raises ``OutOfNeighborhoodError`` when ||c|| is
+    non-finite or grew more than 10x."""
+    z = handle.eval_A(z)
+    viol_next = float(np.linalg.norm(handle.eval_c(z)))
+    if not np.isfinite(viol_next) or viol_next > 10.0 * max(viol, 1e-300):
+        raise OutOfNeighborhoodError(
+            f"iterated map diverged (||c|| = {viol_next:.3e})", viol_next)
+    return z, viol_next
+
+
 def apply_A_k(handle: ManifoldHandle, y: Vector, k: int) -> Vector:
     """k-fold composition of the dissolving map; k = 0 returns y."""
     if k < 0:
@@ -138,12 +151,7 @@ def apply_A_k(handle: ManifoldHandle, y: Vector, k: int) -> Vector:
     z = np.asarray(y, dtype=float).ravel()
     viol = float(np.linalg.norm(handle.eval_c(z)))
     for _ in range(k):
-        z = handle.eval_A(z)
-        viol_next = float(np.linalg.norm(handle.eval_c(z)))
-        if not np.isfinite(viol_next) or viol_next > 10.0 * max(viol, 1e-300):
-            raise OutOfNeighborhoodError(
-                f"iterated map diverged (||c|| = {viol_next:.3e})", viol_next)
-        viol = viol_next
+        z, viol = _map_step(handle, z, viol)
     return z
 
 
@@ -162,11 +170,7 @@ def a_infinity(handle: ManifoldHandle, y: Vector, tol: float = 1e-12,
     for _ in range(max_iter):
         if viol <= tol:
             return z
-        z_next = handle.eval_A(z)
-        viol_next = float(np.linalg.norm(handle.eval_c(z_next)))
-        if not np.isfinite(viol_next) or viol_next > 10.0 * viol:
-            raise OutOfNeighborhoodError(
-                f"iterated map diverged (||c|| = {viol_next:.3e})", viol_next)
+        z_next, viol_next = _map_step(handle, z, viol)
         if viol_next >= viol:
             raise OutOfNeighborhoodError(
                 f"iterated map stalled (||c|| = {viol_next:.3e})", viol_next)

@@ -77,9 +77,11 @@ class LbfgsResult:
 
 def _strong_wolfe(phi, f0: float, slope0: float, alpha0: float = 1.0,
                   c1: float = 1e-4, c2: float = 0.9,
-                  max_iter: int = 25) -> float | None:
-    """Strong Wolfe line search (bracket + zoom).  ``phi(a)`` returns
-    (value, directional slope) at step a.  Returns the step or None.
+                  max_iter: int = 25) -> tuple | None:
+    """Strong Wolfe line search (bracket + zoom; Nocedal & Wright,
+    Alg. 3.5/3.6).  ``phi(a)`` evaluates step a and returns the trial
+    ``(a, x, f, g, slope)``.  Returns the trial the search accepts, as
+    ``phi`` evaluated it, or None.
 
     Near a minimizer the Armijo decrease can fall below the floating-point
     resolution of the objective.  In that regime a step is also accepted
@@ -88,41 +90,46 @@ def _strong_wolfe(phi, f0: float, slope0: float, alpha0: float = 1.0,
     comparisons are pure noise.
     """
     eps_f = 1e-12 * (1.0 + abs(f0))
-    a_prev, f_prev = 0.0, f0
+
+    def approx_wolfe(f, slope):
+        return f <= f0 + eps_f and (2.0 * c1 - 1.0) * slope0 >= slope >= c2 * slope0
+
+    def zoom(lo, a_lo, f_lo, hi):
+        """Bisect between the best trial ``lo`` (None for the start, a_lo = 0)
+        at step a_lo with value f_lo, and step hi."""
+        for _ in range(30):
+            trial = phi(0.5 * (a_lo + hi))
+            a, _, f, _, slope = trial
+            if approx_wolfe(f, slope):
+                return trial
+            if f > f0 + c1 * a * slope0 or f >= f_lo:
+                hi = a
+            else:
+                if abs(slope) <= -c2 * slope0:
+                    return trial
+                if slope * (hi - a_lo) >= 0:
+                    hi = a_lo
+                lo, a_lo, f_lo = trial, a, f
+            if abs(hi - a_lo) < 1e-16 * (1.0 + abs(a_lo)):
+                break
+        return lo
+
+    prev, a_prev, f_prev = None, 0.0, f0
     a = alpha0
     for i in range(max_iter):
-        f, slope = phi(a)
-        if f <= f0 + eps_f and (2.0 * c1 - 1.0) * slope0 >= slope >= c2 * slope0:
-            return a
+        trial = phi(a)
+        _, _, f, _, slope = trial
+        if approx_wolfe(f, slope):
+            return trial
         if f > f0 + c1 * a * slope0 or (i > 0 and f >= f_prev):
-            return _zoom(phi, a_prev, a, f_prev, f0, slope0, c1, c2, eps_f=eps_f)
+            return zoom(prev, a_prev, f_prev, a)
         if abs(slope) <= -c2 * slope0:
-            return a
+            return trial
         if slope >= 0:
-            return _zoom(phi, a, a_prev, f, f0, slope0, c1, c2, eps_f=eps_f)
-        a_prev, f_prev = a, f
+            return zoom(trial, a, f, a_prev)
+        prev, a_prev, f_prev = trial, a, f
         a = 2.0 * a
     return None
-
-
-def _zoom(phi, lo, hi, f_lo, f0, slope0, c1, c2, max_iter: int = 30,
-          eps_f: float = 0.0):
-    for _ in range(max_iter):
-        a = 0.5 * (lo + hi)
-        f, slope = phi(a)
-        if f <= f0 + eps_f and (2.0 * c1 - 1.0) * slope0 >= slope >= c2 * slope0:
-            return a
-        if f > f0 + c1 * a * slope0 or f >= f_lo:
-            hi = a
-        else:
-            if abs(slope) <= -c2 * slope0:
-                return a
-            if slope * (hi - lo) >= 0:
-                hi = lo
-            lo, f_lo = a, f
-        if abs(hi - lo) < 1e-16 * (1.0 + abs(lo)):
-            break
-    return lo if lo > 0 else None
 
 
 def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
@@ -131,6 +138,8 @@ def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
 
     Non-descent directions trigger a steepest-descent restart; repeated
     line-search failure ends with status ``line_search_failure``.
+    ``iterations`` counts the steps taken; a point that meets ``tol`` after
+    the last step of the budget is ``converged``.
     """
     x = np.asarray(x0, dtype=float).ravel().copy()
     f, g = value_and_grad(x)
@@ -138,10 +147,12 @@ def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
     gamma = 1.0
     status = "max_iter"
     it = 0
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             status = "converged"
+            break
+        if it == max_iter:
             break
         d = _two_loop(g, hist, gamma)
         slope = float(np.dot(d, g))
@@ -150,27 +161,17 @@ def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
             d = -g
             slope = -gnorm ** 2
 
-        last = {}
-        alpha = _strong_wolfe(_line(value_and_grad, x, d, last), f, slope)
-        if alpha is None or not np.isfinite(last.get("f", np.nan)):
-            if hist:
-                # restart with steepest descent once
-                hist.clear()
-                gamma = 1.0
-                d = -g
-                last.clear()
-                alpha = _strong_wolfe(_line(value_and_grad, x, d, last), f,
-                                      -gnorm ** 2, alpha0=min(1.0, 1.0 / gnorm))
-            if alpha is None:
-                status = "line_search_failure"
-                break
-        x_new, f_new, g_new = last["x"], last["f"], last["g"]
-        # Recompute at the exact accepted step if zoom returned a step the
-        # closure did not evaluate last.  When it did, last["x"] is exactly
-        # x + alpha*d and the check is skipped.
-        if last["a"] != alpha and not np.allclose(x_new, x + alpha * d):
-            x_new = x + alpha * d
-            f_new, g_new = value_and_grad(x_new)
+        trial = _strong_wolfe(_line(value_and_grad, x, d), f, slope)
+        if (trial is None or not np.isfinite(trial[2])) and hist:
+            # restart with steepest descent once
+            hist.clear()
+            gamma = 1.0
+            trial = _strong_wolfe(_line(value_and_grad, x, -g), f,
+                                  -gnorm ** 2, alpha0=min(1.0, 1.0 / gnorm))
+        if trial is None:
+            status = "line_search_failure"
+            break
+        _, x_new, f_new, g_new, _ = trial
         s = x_new - x
         y = g_new - g
         sy = float(np.dot(s, y))
@@ -182,15 +183,13 @@ def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
                        iterations=it, status=status)
 
 
-def _line(value_and_grad, x: Vector, d: Vector, last: dict):
-    """phi(a) = (value, slope along d) at x + a*d, keeping the last trial
-    step, point, value and gradient in ``last``."""
+def _line(value_and_grad, x: Vector, d: Vector):
+    """phi(a) = the trial (a, x + a*d, value, gradient, slope along d)."""
 
     def phi(a):
         xt = x + a * d
         ft, gt = value_and_grad(xt)
-        last["a"], last["x"], last["f"], last["g"] = a, xt, ft, gt
-        return ft, float(np.dot(gt, d))
+        return a, xt, ft, gt, float(np.dot(gt, d))
 
     return phi
 
@@ -404,7 +403,9 @@ def _alm_loop(problem: ProblemSpec, form, x0: Vector,
             feasibility=kkt.feasibility, stationarity=kkt.stationarity,
             beta=form.beta, sigma=sigma,
             multiplier_norm=float(np.linalg.norm(np.concatenate([lam, mu]))),
-            wall_time=time.perf_counter() - t0, note=note))
+            wall_time=time.perf_counter() - t0, note=note,
+            inner_iterations=inner.iterations if k else 0,
+            inner_status=inner.status if k else ""))
 
         if certified:
             status = "converged"

@@ -51,8 +51,20 @@ class TestSolve:
         with trace.open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) >= 1
-        assert {"iter", "f", "feas", "stat", "beta", "sigma", "time"} \
-            <= set(rows[0])
+        assert {"iter", "f", "feas", "stat", "beta", "sigma", "inner_iter",
+                "inner_status", "time"} <= set(rows[0])
+        assert int(rows[0]["inner_iter"]) > 0
+
+    def test_config_beta_is_used_and_flag_overrides_it(self, tmp_path):
+        config = tmp_path / "cut.yaml"
+        config.write_text("family: balanced_cut\nm: 10\nq: 2\nrho: 0.3\n"
+                          "seed: 1\nbeta: 50.0\n")
+        trace = tmp_path / "trace.csv"
+        for extra, beta in (([], "50.0"), (["--beta", "20"], "20.0")):
+            run(["solve", "--config", str(config), "--out", str(trace),
+                 "--json", *extra])
+            with trace.open() as fh:
+                assert next(csv.DictReader(fh))["beta"] == beta
 
     def test_pipelines_agree_on_objective(self, capsys):
         values = {}

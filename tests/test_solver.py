@@ -49,6 +49,63 @@ class TestLbfgs:
         assert res.iterations == 0
         assert np.array_equal(res.x, np.zeros(3))
 
+    def test_step_ends_at_a_point_the_search_accepted(self):
+        # Descent along x[0] up to a cliff at 2/3.  The zoom bisects toward
+        # the cliff and its last trial lies beyond it, within rounding of
+        # the accepted step; the iterate must be the accepted point.
+        def vg(x):
+            return (-x[0] if x[0] < 2.0 / 3.0 else 10.0), np.array([-1.0, 0.0])
+
+        res = lbfgs_minimize(vg, np.zeros(2), max_iter=1)
+        assert res.f <= 0.0
+        assert 0.0 < res.x[0] < 2.0 / 3.0
+        assert res.f == vg(res.x)[0]
+
+    def test_wrong_way_gradient_ends_in_line_search_failure(self):
+        def vg(x):
+            return 0.5 * float(x @ x), -x
+
+        x0 = np.array([1.0, -2.0])
+        res = lbfgs_minimize(vg, x0)
+        assert res.status == "line_search_failure"
+        assert res.iterations == 0
+        assert np.array_equal(res.x, x0) and res.f == 2.5
+
+    def test_nan_beyond_a_radius_restarts_with_steepest_descent(self,
+                                                                 monkeypatch):
+        # After the first step the quasi-Newton step overshoots into the
+        # region where the value is NaN, so that search fails and the
+        # steepest-descent restart (the call given ``alpha0``) takes over.
+        import cdpkit.solver as solver_mod
+
+        searches = []
+        search = solver_mod._strong_wolfe
+
+        def recorded(*args, **kwargs):
+            searches.append("alpha0" in kwargs)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "_strong_wolfe", recorded)
+
+        def vg(x):
+            if abs(x[0]) > 5.0:
+                return np.nan, np.full(1, np.nan)
+            r = float(np.sqrt(1.0 + x[0] ** 2))
+            return r, x / r
+
+        res = lbfgs_minimize(vg, np.array([3.0]), tol=1e-8)
+        assert any(searches)
+        assert res.status == "converged"
+        assert np.all(np.isfinite(res.x)) and np.isfinite(res.f)
+        assert abs(res.x[0]) <= 1e-8
+
+    def test_point_meeting_tol_after_the_last_step_is_converged(self):
+        res = lbfgs_minimize(lambda x: (0.5 * float(x @ x), x.copy()),
+                             np.array([3.0]), tol=1e-12, max_iter=1)
+        assert res.status == "converged"
+        assert res.iterations == 1
+        assert res.grad_norm == 0.0
+
 
 class TestAlmOptions:
     def test_nonpositive_tolerances_rejected(self):
@@ -178,6 +235,22 @@ class TestAlmCdp:
         monkeypatch.setattr(solver_mod, "_bound_constants", broken)
         with pytest.raises(ZeroDivisionError):
             alm_solve_cdp(build_balanced_cut_cdp(problem), x0)
+
+    def test_trace_rows_record_their_inner_solve(self):
+        problem = linear_objective_sphere_problem(6, seed=1)
+        inst = build_cdp(problem, PenaltyParams(beta=10.0))
+        x0 = np.zeros(6)
+        x0[0] = 1.0
+        res = alm_solve_cdp(inst, x0)
+        row = res.trace.rows[0]
+        assert row.inner_status == "converged"
+        assert row.inner_iterations > 0
+        # A start that is already certified takes no inner solve.
+        again = alm_solve_cdp(inst, res.x_postprocessed)
+        assert again.status == "converged"
+        assert len(again.trace.rows) == 1
+        assert again.trace.rows[0].inner_iterations == 0
+        assert again.trace.rows[0].inner_status == ""
 
     def test_deterministic_reruns_produce_identical_traces(self):
         problem = linear_objective_sphere_problem(8, seed=5)
