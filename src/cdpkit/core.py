@@ -131,6 +131,14 @@ class ManifoldHandle:
     * ``apply_JAT(x, g) -> (n,)``      transposed-Jacobian action of A,
                                        i.e. the chain-rule factor in
                                        grad (f o A)(x)
+
+    ``row_blocks`` declares structure, not a formula: ``shape == (m, q)``,
+    ``p == m``, and ``c_i`` and row i of ``A`` depend only on row i of X.
+    Then ``Jc`` and ``J_A^T`` are block diagonal with one block per row,
+    and the constant estimates in ``diagnostics`` read them as stacks of
+    those blocks, through the handle's own actions, instead of assembling
+    dense n x n matrices.  A declaration without ``shape``, or with
+    ``p != shape[0]``, raises ``DimensionError``.
     """
 
     name: str
@@ -142,6 +150,13 @@ class ManifoldHandle:
     eval_A: Callable[[Vector], Vector]
     apply_JAT: Callable[[Vector, Vector], Vector]
     shape: tuple[int, int] | None = None
+    row_blocks: bool = False
+
+    def __post_init__(self):
+        if self.row_blocks and (self.shape is None or self.p != self.shape[0]):
+            raise DimensionError(
+                f"row_blocks needs shape (p, q), got shape {self.shape} "
+                f"with p = {self.p}")
 
 
 def _empty_vec(x: Vector) -> Vector:

@@ -1,8 +1,12 @@
 """KKT residuals, feasibility metric, LICQ check, neighborhood-constant
 estimation and penalty-condition checkers.
 
-Dense assembly of constraint gradients is permitted here: diagnostics run
-at probe scale, not solver scale.
+The KKT and LICQ checks assemble the dense n x p constraint Jacobians.
+The constant estimates also run inside the solve, as the beta safeguard
+of ``alm_solve_cdp``.  For a handle that declares ``row_blocks`` they read
+``Jc`` and ``J_A^T`` as stacks of per-row blocks through the handle's own
+actions, O(n) work per sample point; for any other handle they assemble
+dense n x n ``J_A^T``, O(n^3) per point.
 """
 
 from __future__ import annotations
@@ -203,9 +207,9 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
         raise ValueError("radius must be <= 1")
     mani = problem.manifold
     n = problem.n
+    read = _reader(problem)
 
-    Jc0 = _dense_columns(mani.apply_Jc, x, problem.p, n)
-    sigma1 = float(np.linalg.svd(Jc0, compute_uv=False)[-1]) if problem.p else 0.0
+    sigma1 = read.sigma_min_jc(x) if problem.p else 0.0
     if problem.p and sigma1 <= 1e-10:
         raise RankDeficiencyError(
             f"sigma_min(Jc) = {sigma1:.3e} at the base point; full-rank "
@@ -221,15 +225,15 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
     M_A = M_u = M_v = L_f = L_A = 0.0
     prev = None
     for y in pts:
-        Ja = _dense_columns(mani.apply_JAT, y, n, n)
-        M_A = max(M_A, _spec_norm(Ja))
+        Ja = read.jat(y)
+        M_A = max(M_A, read.norm(Ja))
         M_u = max(M_u, _spec_norm(
             _dense_columns(problem.apply_Ju, y, problem.n_eq, n)))
         M_v = max(M_v, _spec_norm(
             _dense_columns(problem.apply_Jv, y, problem.n_ineq, n)))
         L_f = max(L_f, float(np.linalg.norm(problem.grad_f(mani.eval_A(y)))))
         if prev is not None:
-            L_A = max(L_A, _diff_quotient(Ja, prev[1], y, prev[0]))
+            L_A = max(L_A, _diff_quotient(Ja, prev[1], y, prev[0], read.norm))
         prev = (y, Ja)
     consts = _BoundConstants(sigma1x=sigma1, M_Ax=M_A, L_Ax=L_A, M_ux=M_u,
                              M_vx=M_v, L_fx=L_f)
@@ -250,20 +254,18 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
     only the six.
     """
     consts, pts, rng = _bound_constants(problem, x, radius, samples, seed)
-    mani = problem.manifold
-    n, p = problem.n, problem.p
+    read = _reader(problem)
 
     M_c = L_c = L_Ac = 0.0
     prev = None
     for y in pts:
-        Jc = _dense_columns(mani.apply_Jc, y, p, n)
-        ay = mani.eval_A(y)
-        JaJcA = _dense_columns(
-            lambda z, e: mani.apply_JAT(z, mani.apply_Jc(ay, e)), y, p, n)
-        M_c = max(M_c, _spec_norm(Jc))
+        Jc = read.jc(y)
+        JaJcA = read.jat_jc_a(y)
+        M_c = max(M_c, read.norm(Jc))
         if prev is not None:
-            L_c = max(L_c, _diff_quotient(Jc, prev[1], y, prev[0]))
-            L_Ac = max(L_Ac, _diff_quotient(JaJcA, prev[2], y, prev[0]))
+            L_c = max(L_c, _diff_quotient(Jc, prev[1], y, prev[0], read.norm))
+            L_Ac = max(L_Ac, _diff_quotient(JaJcA, prev[2], y, prev[0],
+                                            read.norm))
         prev = (y, Jc, JaJcA)
 
     sigma1, M_A = consts.sigma1x, consts.M_Ax
@@ -285,14 +287,14 @@ def _estimate_rho(problem, x, sigma1, radius, rng, probes_per_radius: int = 8):
     """Largest tested radius keeping sigma_min(Jc) >= sigma1 / 2."""
     if problem.p == 0:
         return 1.0
+    read = _reader(problem)
     best = 0.0
     for r in np.geomspace(max(radius, 1e-3), 1.0, 6):
         ok = True
         for _ in range(probes_per_radius):
             d = rng.standard_normal(problem.n)
             d *= r / np.linalg.norm(d)
-            Jc = _dense_columns(problem.manifold.apply_Jc, x + d, problem.p, problem.n)
-            if np.linalg.svd(Jc, compute_uv=False)[-1] < 0.5 * sigma1:
+            if read.sigma_min_jc(x + d) < 0.5 * sigma1:
                 ok = False
                 break
         if ok:
@@ -308,10 +310,83 @@ def _spec_norm(M: Vector) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def _diff_quotient(M: Vector, M_prev: Vector, y: Vector, y_prev: Vector) -> float:
-    """||M - M_prev||_2 / ||y - y_prev||, or 0 for coincident points."""
+def _diff_quotient(M: Vector, M_prev: Vector, y: Vector, y_prev: Vector,
+                   norm) -> float:
+    """norm(M - M_prev) / ||y - y_prev||, or 0 for coincident points;
+    ``norm`` is the reader's spectral norm."""
     dist = float(np.linalg.norm(y - y_prev))
-    return _spec_norm(M - M_prev) / dist if dist > 1e-12 else 0.0
+    return norm(M - M_prev) / dist if dist > 1e-12 else 0.0
+
+
+class _Dense:
+    """Reads Jc, J_A^T and J_A^T Jc(A(y)) of any handle as dense matrices
+    (n x p, n x n and n x p), one action per column."""
+
+    norm = staticmethod(_spec_norm)
+
+    def __init__(self, problem: ProblemSpec):
+        self.mani, self.n, self.p = problem.manifold, problem.n, problem.p
+
+    def jc(self, y: Vector) -> Vector:
+        return _dense_columns(self.mani.apply_Jc, y, self.p, self.n)
+
+    def sigma_min_jc(self, y: Vector) -> float:
+        return float(np.linalg.svd(self.jc(y), compute_uv=False)[-1])
+
+    def jat(self, y: Vector) -> Vector:
+        return _dense_columns(self.mani.apply_JAT, y, self.n, self.n)
+
+    def jat_jc_a(self, y: Vector) -> Vector:
+        mani = self.mani
+        ay = mani.eval_A(y)
+        return _dense_columns(
+            lambda z, e: mani.apply_JAT(z, mani.apply_Jc(ay, e)), y, self.p,
+            self.n)
+
+
+class _RowBlocks:
+    """Reads the same matrices of a ``row_blocks`` handle (shape (m, q))
+    as (m, q, k) stacks of their diagonal blocks, one per row of X: q x 1
+    for Jc and J_A^T Jc(A(y)), q x q for J_A^T.  Row i of an action depends
+    only on row i of its direction, so directions that cover every row at
+    once give the blocks bitwise equal to the dense entries: Jc from one
+    ``apply_Jc(y, ones(m))``, J_A^T from q calls of ``apply_JAT`` with a
+    direction that is 1 in column j of every row.  A block-diagonal
+    matrix's spectral norm is its largest block norm, and its singular
+    values are those of its blocks."""
+
+    def __init__(self, problem: ProblemSpec):
+        self.mani = problem.manifold
+        self.m, self.q = self.mani.shape
+        self.ones = np.ones(self.m)
+        self.columns = [np.tile(e, self.m) for e in np.eye(self.q)]
+
+    @staticmethod
+    def norm(S: Vector) -> float:
+        if S.shape[-1] == 1:
+            return float(np.max(np.linalg.norm(S[..., 0], axis=1)))
+        return float(np.max(np.linalg.svd(S, compute_uv=False)[:, 0]))
+
+    def jc(self, y: Vector) -> Vector:
+        return self.mani.apply_Jc(y, self.ones).reshape(self.m, self.q, 1)
+
+    def sigma_min_jc(self, y: Vector) -> float:
+        return float(np.min(np.linalg.norm(self.jc(y)[..., 0], axis=1)))
+
+    def jat(self, y: Vector) -> Vector:
+        S = np.empty((self.m, self.q, self.q))
+        for j, e in enumerate(self.columns):
+            S[:, :, j] = self.mani.apply_JAT(y, e).reshape(self.m, self.q)
+        return S
+
+    def jat_jc_a(self, y: Vector) -> Vector:
+        mani = self.mani
+        w = mani.apply_Jc(mani.eval_A(y), self.ones)
+        return mani.apply_JAT(y, w).reshape(self.m, self.q, 1)
+
+
+def _reader(problem: ProblemSpec):
+    return (_RowBlocks if problem.manifold.row_blocks else _Dense)(problem)
 
 
 @dataclass

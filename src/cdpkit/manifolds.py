@@ -237,7 +237,7 @@ def _oblique_handle(m: int, q: int) -> ManifoldHandle:
         apply_Jc=lambda x, w: (2.0 * np.asarray(w)[:, None] * as_mat(x)).ravel(),
         eval_A=lambda x: oblique_A(as_mat(x)).ravel(),
         apply_JAT=lambda x, d: oblique_JAT(as_mat(x), as_mat(d)).ravel(),
-        shape=(m, q))
+        shape=(m, q), row_blocks=True)
 
 
 def _sphere_handle(n: int) -> ManifoldHandle:

@@ -88,8 +88,16 @@ def _strong_wolfe(phi, f0: float, slope0: float, alpha0: float = 1.0,
     under the approximate Wolfe conditions (slope bracketed, value within
     roundoff of f0), which keeps gradient reduction possible when value
     comparisons are pure noise.
+
+    A trial passes the sufficient-decrease test only when
+    ``f <= f0 + c1*a*slope0`` holds, so a NaN value counts as a failed
+    decrease: the bracket phase hands it to the zoom, and the zoom shrinks
+    its interval past it.
     """
     eps_f = 1e-12 * (1.0 + abs(f0))
+
+    def armijo(a, f):
+        return f <= f0 + c1 * a * slope0
 
     def approx_wolfe(f, slope):
         return f <= f0 + eps_f and (2.0 * c1 - 1.0) * slope0 >= slope >= c2 * slope0
@@ -102,7 +110,7 @@ def _strong_wolfe(phi, f0: float, slope0: float, alpha0: float = 1.0,
             a, _, f, _, slope = trial
             if approx_wolfe(f, slope):
                 return trial
-            if f > f0 + c1 * a * slope0 or f >= f_lo:
+            if not armijo(a, f) or f >= f_lo:
                 hi = a
             else:
                 if abs(slope) <= -c2 * slope0:
@@ -121,7 +129,7 @@ def _strong_wolfe(phi, f0: float, slope0: float, alpha0: float = 1.0,
         _, _, f, _, slope = trial
         if approx_wolfe(f, slope):
             return trial
-        if f > f0 + c1 * a * slope0 or (i > 0 and f >= f_prev):
+        if not armijo(a, f) or (i > 0 and f >= f_prev):
             return zoom(prev, a_prev, f_prev, a)
         if abs(slope) <= -c2 * slope0:
             return trial
@@ -136,8 +144,10 @@ def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
                    max_iter: int = 500, memory: int = 10) -> LbfgsResult:
     """Limited-memory BFGS with strong-Wolfe line search (c1=1e-4, c2=0.9).
 
-    Non-descent directions trigger a steepest-descent restart; repeated
-    line-search failure ends with status ``line_search_failure``.
+    Non-descent directions trigger a steepest-descent restart, and so does
+    a quasi-Newton search that fails or meets a non-finite value: its
+    curvature pairs then extrapolate past where the objective is defined.
+    Repeated line-search failure ends with status ``line_search_failure``.
     ``iterations`` counts the steps taken; a point that meets ``tol`` after
     the last step of the budget is ``converged``.
     """
@@ -161,8 +171,9 @@ def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
             d = -g
             slope = -gnorm ** 2
 
-        trial = _strong_wolfe(_line(value_and_grad, x, d), f, slope)
-        if (trial is None or not np.isfinite(trial[2])) and hist:
+        phi = _line(value_and_grad, x, d)
+        trial = _strong_wolfe(phi, f, slope)
+        if (trial is None or not phi.finite) and hist:
             # restart with steepest descent once
             hist.clear()
             gamma = 1.0
@@ -184,13 +195,17 @@ def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
 
 
 def _line(value_and_grad, x: Vector, d: Vector):
-    """phi(a) = the trial (a, x + a*d, value, gradient, slope along d)."""
+    """phi(a) = the trial (a, x + a*d, value, gradient, slope along d).
+    ``phi.finite`` stays True while every value phi returned was finite."""
 
     def phi(a):
         xt = x + a * d
         ft, gt = value_and_grad(xt)
+        if not np.isfinite(ft):
+            phi.finite = False
         return a, xt, ft, gt, float(np.dot(gt, d))
 
+    phi.finite = True
     return phi
 
 
@@ -449,9 +464,14 @@ def alm_solve_cdp(instance: CdpInstance, x0: Vector,
     When beta adaptation is on, the multiplier-coupled penalty lower bound
     is recomputed after each outer iteration from six constants sampled
     once around ``a_infinity(x0)`` (sigma1, M_A, L_A, M_u, M_v, L_f; the
-    same values ``estimate_constants`` reports, without its other work);
-    if the current beta falls short the instance is rebuilt with
-    beta = growth * bound.  The row's note then carries
+    same values ``estimate_constants`` reports, without its other work).
+    The pass runs inside the solve: on a handle that declares
+    ``row_blocks`` (the oblique manifold) it reads ``Jc`` and ``J_A^T`` as
+    stacks of per-row blocks, q applications of ``J_A^T`` per sample point;
+    on any other handle it assembles a dense n x n ``J_A^T`` from n
+    applications per point and takes its SVD, O(n^3).  If the current beta
+    falls short the instance is rebuilt with beta = growth * bound.  The
+    row's note then carries
     ``beta_adapted:<repr(beta)>``, which ``float`` parses back to exactly
     the beta used from the next row on.  If the constants cannot be
     sampled (``a_infinity(x0)`` fails, or Jc is rank deficient there) the

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,18 @@ class TestDomainTypes:
         trace.append(TraceRow(1, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0))
         with pytest.raises(ParameterError):
             trace.append(TraceRow(1, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0))
+
+    def test_row_blocks_without_shape_rejected(self):
+        handle = make_handle("oblique", m=3, q=2)
+        with pytest.raises(DimensionError):
+            dataclasses.replace(handle, shape=None)
+
+    def test_row_blocks_with_one_constraint_per_row_only(self):
+        handle = make_handle("oblique", m=3, q=2)
+        with pytest.raises(DimensionError):
+            dataclasses.replace(handle, p=2)
+        with pytest.raises(DimensionError):
+            dataclasses.replace(handle, shape=(2, 3))
 
     def test_trace_key_fields_exclude_wall_time(self):
         a = TraceRow(1, -1.0, 1e-7, 1e-7, 1.0, 10.0, 0.1, 0.5)

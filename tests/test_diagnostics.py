@@ -2,10 +2,27 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from cdpkit.core import MultiplierSet, PenaltyParams, ProblemSpec, RankDeficiencyError
-from cdpkit.bench import BalancedCutConfig, gen_balanced_cut
+from cdpkit.core import (
+    MultiplierSet,
+    PenaltyParams,
+    ProblemSpec,
+    RankDeficiencyError,
+    _dense_columns,
+)
+from cdpkit.bench import (
+    BalancedCutConfig,
+    CenterOfMassConfig,
+    gen_balanced_cut,
+    gen_center_of_mass,
+)
 from cdpkit.diagnostics import (
+    _RowBlocks,
+    _bound_constants,
     check_condition,
     check_licq,
     estimate_constants,
@@ -231,6 +248,127 @@ class TestEstimateConstants:
                               name="degenerate")
         with pytest.raises(RankDeficiencyError):
             estimate_constants(problem, np.zeros(3), radius=0.1, samples=10)
+
+
+def _counting_jat(problem):
+    """The problem with its handle's ``apply_JAT`` counted in ``calls``."""
+    calls = []
+    mani = problem.manifold
+
+    def apply_JAT(x, g):
+        calls.append(1)
+        return mani.apply_JAT(x, g)
+
+    counted = dataclasses.replace(mani, apply_JAT=apply_JAT)
+    return dataclasses.replace(problem, manifold=counted), calls
+
+
+def _dense_bound_constants(problem, points):
+    """The six bound constants at the given points (x first) from dense
+    matrices: the reference for the block path."""
+    n = problem.n
+    mani = problem.manifold
+    Jc = _dense_columns(mani.apply_Jc, points[0], problem.p, n)
+    M_A = M_u = M_v = L_f = L_A = 0.0
+    prev = None
+    for y in points:
+        Ja = _dense_columns(mani.apply_JAT, y, n, n)
+        M_A = max(M_A, float(np.linalg.norm(Ja, 2)))
+        Ju = _dense_columns(problem.apply_Ju, y, problem.n_eq, n)
+        M_u = max(M_u, float(np.linalg.norm(Ju, 2)) if Ju.size else 0.0)
+        Jv = _dense_columns(problem.apply_Jv, y, problem.n_ineq, n)
+        M_v = max(M_v, float(np.linalg.norm(Jv, 2)) if Jv.size else 0.0)
+        L_f = max(L_f, float(np.linalg.norm(problem.grad_f(mani.eval_A(y)))))
+        if prev is not None:
+            L_A = max(L_A, float(np.linalg.norm(Ja - prev[1], 2))
+                      / float(np.linalg.norm(y - prev[0])))
+        prev = (y, Ja)
+    return dict(sigma1x=float(np.linalg.svd(Jc, compute_uv=False)[-1]),
+                M_Ax=M_A, L_Ax=L_A, M_ux=M_u, M_vx=M_v, L_fx=L_f)
+
+
+def _cut_reference_point(m, rho, seed):
+    problem, x0 = gen_balanced_cut(BalancedCutConfig(m=m, q=2, rho=rho,
+                                                     seed=seed))
+    return problem, a_infinity(problem.manifold, x0)
+
+
+def _within_ulps(a, b, ulps):
+    return abs(a - b) <= ulps * np.spacing(max(abs(a), abs(b)))
+
+
+class TestRowBlockConstants:
+    """The oblique handle declares ``row_blocks``: the constant estimates
+    read J_A^T and Jc as stacks of per-row blocks."""
+
+    def test_block_path_applies_jat_q_times_per_point(self):
+        problem, x = _cut_reference_point(20, 0.2, 3)
+        counted, calls = _counting_jat(problem)
+        _bound_constants(counted, x, radius=0.1, samples=30, seed=0)
+        assert len(calls) == 31 * 2
+
+    def test_dense_path_kept_for_handles_without_blocks(self):
+        problem, x0 = gen_center_of_mass(
+            CenterOfMassConfig(m=6, q=2, N=8, r=0.5, seed=3))
+        x = a_infinity(problem.manifold, x0)
+        counted, calls = _counting_jat(problem)
+        _bound_constants(counted, x, radius=0.1, samples=30, seed=0)
+        assert len(calls) == 31 * problem.n == 31 * 12
+
+    @pytest.mark.parametrize("m, rho, seed", [(50, 0.1, 20), (20, 0.2, 3)])
+    def test_bound_constants_match_dense_reference(self, m, rho, seed):
+        problem, x = _cut_reference_point(m, rho, seed)
+        six, points, _ = _bound_constants(problem, x, radius=0.1, samples=30,
+                                          seed=0)
+        reference = _dense_bound_constants(problem, points)
+        for name, value in six._asdict().items():
+            assert _within_ulps(value, reference[name], 4), name
+
+    def test_full_estimates_match_the_dense_path(self):
+        # The same handle with the declaration dropped takes the dense path.
+        problem, x = _cut_reference_point(20, 0.2, 3)
+        dense = dataclasses.replace(
+            problem, manifold=dataclasses.replace(problem.manifold,
+                                                  row_blocks=False))
+        blocks = estimate_constants(problem, x, radius=0.1, samples=30, seed=0)
+        reference = estimate_constants(dense, x, radius=0.1, samples=30,
+                                       seed=0)
+        for name, value in dataclasses.asdict(blocks).items():
+            assert _within_ulps(value, getattr(reference, name), 8), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 8), q=st.integers(1, 4))
+    def test_stacks_match_the_dense_matrices(self, data, m, q):
+        X = data.draw(hnp.arrays(float, (m, q), elements=st.floats(
+            -2.0, 2.0, allow_nan=False, allow_infinity=False)))
+        handle = make_handle("oblique", m=m, q=q)
+        problem = ProblemSpec(manifold=handle, eval_f=lambda x: 0.0,
+                              grad_f=lambda x: np.zeros(m * q))
+        blocks = _RowBlocks(problem)
+        x = X.ravel()
+        stack = blocks.jat(x)
+        dense = _dense_columns(handle.apply_JAT, x, handle.n, handle.n)
+        assert np.array_equal(dense, scipy.linalg.block_diag(*stack))
+
+        # Rows of norm near 0 make every block nearly 2I, and there the
+        # n x n SVD is off by up to ~90 ulps while the q x q ones stay
+        # within 1 ulp of the exact norm; the bound pass samples rows of
+        # norm near 1.
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        assume(np.all(norms >= 0.1))
+        assert _within_ulps(blocks.norm(stack), float(np.linalg.norm(dense, 2)),
+                            8)
+        Jc = _dense_columns(handle.apply_Jc, x, handle.p, handle.n)
+        s = np.linalg.svd(Jc, compute_uv=False)
+        assert _within_ulps(blocks.norm(blocks.jc(x)), float(s[0]), 8)
+        # An SVD resolves its smallest singular value to within rounding of
+        # its largest.
+        assert abs(blocks.sigma_min_jc(x) - s[-1]) <= 8 * np.spacing(s[0])
+
+        xf = (X / norms).ravel()
+        Jc = _dense_columns(handle.apply_Jc, xf, handle.p, handle.n)
+        JaT = _dense_columns(handle.apply_JAT, xf, handle.n, handle.n)
+        assert np.max(np.abs(Jc.T @ JaT)) <= 1e-14
 
 
 @pytest.fixture(scope="module")

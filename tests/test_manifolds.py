@@ -256,6 +256,12 @@ class TestMakeHandle:
         E = symplectic_canonical_point(50, 10).ravel()
         assert validate_manifold(handle, [E], tol=1e-8).passed
 
+    def test_only_the_oblique_handle_declares_row_blocks(self):
+        assert make_handle("oblique", m=4, q=3).row_blocks
+        assert not make_handle("sphere", n=3).row_blocks
+        assert not make_handle("symplectic_stiefel", m=6, q=2).row_blocks
+        assert not make_handle("generic", spec=sphere_constraint_spec(3)).row_blocks
+
     def test_odd_dimensions_rejected(self):
         with pytest.raises(DimensionError):
             make_handle("symplectic_stiefel", m=7, q=2)

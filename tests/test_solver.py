@@ -61,6 +61,24 @@ class TestLbfgs:
         assert 0.0 < res.x[0] < 2.0 / 3.0
         assert res.f == vg(res.x)[0]
 
+    def test_nan_trial_counts_as_a_failed_decrease(self):
+        # Descent along x up to a NaN band [0.7, 0.9) and a cliff above it.
+        # The zoom lands in the band; it must shrink past it, not accept it.
+        evals = []
+
+        def vg(x):
+            evals.append(x[0])
+            if x[0] < 0.7:
+                return -x[0], np.array([-1.0])
+            if x[0] < 0.9:
+                return np.nan, np.array([np.nan])
+            return 10.0, np.array([0.0])
+
+        res = lbfgs_minimize(vg, np.zeros(1), max_iter=1)
+        assert np.isfinite(res.f) and res.f <= -0.5
+        assert res.f == vg(res.x)[0]
+        assert any(0.7 <= e < 0.9 for e in evals)
+
     def test_wrong_way_gradient_ends_in_line_search_failure(self):
         def vg(x):
             return 0.5 * float(x @ x), -x
