@@ -2,11 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cdpkit.core import (
     DimensionError,
     PenaltyParams,
     RankDeficiencyError,
+    _dense_columns,
     default_fd_step,
     finite_diff_check,
     validate_manifold,
@@ -341,3 +345,52 @@ class TestNeighborhoodLemmas:
             M_c = 2.0 * (np.linalg.norm(y) + 0.1)  # sup ||Jc|| nearby
             sigma = 2.0 * (np.linalg.norm(y) - 0.2)  # inf singular value
             assert c / M_c <= dist <= 2.0 * c / sigma
+
+
+def _start_near(data, family):
+    """Draw a small handle of the family and a start that ``a_infinity``
+    projects: rows (or the vector) of norm >= 0.1 in [-2, 2], or the
+    canonical symplectic point moved by at most 0.1 per entry."""
+    if family == "symplectic_stiefel":
+        m, q = data.draw(st.sampled_from([(2, 2), (4, 2), (6, 2), (4, 4),
+                                          (6, 4)]))
+        w = data.draw(hnp.arrays(float, m * q, elements=st.floats(-0.1, 0.1)))
+        return (make_handle(family, m=m, q=q),
+                symplectic_canonical_point(m, q).ravel() + w)
+    if family == "oblique":
+        m, q = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+        y = data.draw(hnp.arrays(float, m * q, elements=st.floats(-2.0, 2.0)))
+        assume(np.all(np.linalg.norm(y.reshape(m, q), axis=1) >= 0.1))
+        return make_handle(family, m=m, q=q), y
+    n = data.draw(st.integers(1, 12))
+    y = data.draw(hnp.arrays(float, n, elements=st.floats(-2.0, 2.0)))
+    assume(np.linalg.norm(y) >= 0.1)
+    return make_handle(family, n=n), y
+
+
+class TestProjectedPointProperties:
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(
+        ["oblique", "sphere", "symplectic_stiefel"]))
+    def test_projected_point_is_fixed(self, data, family):
+        handle, y = _start_near(data, family)
+        # A moves x by O(||c(x)||), so project to a residual at rounding
+        # level: at the default tolerance of 1e-12 the move is ~3000 ulps.
+        x = a_infinity(handle, y, tol=1e-15)
+        move = np.max(np.abs(handle.eval_A(x) - x))
+        assert move <= 8 * np.spacing(np.max(np.abs(x)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(
+        ["sphere", "symplectic_stiefel"]))
+    def test_jc_annihilates_jat_at_projected_point(self, data, family):
+        handle, y = _start_near(data, family)
+        x = a_infinity(handle, y)
+        Jc = _dense_columns(handle.apply_Jc, x, handle.p, handle.n)
+        JaT = _dense_columns(handle.apply_JAT, x, handle.n, handle.n)
+        # Jc^T J_A^T vanishes on the manifold and grows like ||c(x)|| off
+        # it; n eps covers the rounding of the product.
+        c = float(np.linalg.norm(handle.eval_c(x)))
+        tol = 4.0 * (c + handle.n * np.finfo(float).eps)
+        assert np.max(np.abs(Jc.T @ JaT)) <= tol

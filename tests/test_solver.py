@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,18 @@ class TestAlmOptions:
         with pytest.raises(ValueError):
             AlmOptions(alm_penalty_growth=1.0)
 
+    def test_negative_outer_budget_rejected(self):
+        with pytest.raises(ValueError):
+            AlmOptions(max_outer=-1)
+
+    def test_negative_inner_budget_rejected(self):
+        with pytest.raises(ValueError):
+            AlmOptions(max_inner=-1)
+
+    def test_nonpositive_multiplier_clip_rejected(self):
+        with pytest.raises(ValueError):
+            AlmOptions(multiplier_clip=0.0)
+
 
 class TestAlmCdp:
     def test_pure_manifold_problem_is_single_inner_solve(self):
@@ -204,6 +218,49 @@ class TestAlmCdp:
             assert i + 1 < len(rows)
             recorded = float(rows[i].note.split("beta_adapted:")[1].split()[0])
             assert recorded == rows[i + 1].beta
+
+    def test_beta_steps_by_at_most_the_growth_factor(self):
+        from cdpkit.bench import (BalancedCutConfig, build_balanced_cut_cdp,
+                                  gen_balanced_cut)
+        problem, x0 = gen_balanced_cut(BalancedCutConfig(m=20, q=2, rho=0.2,
+                                                         seed=3))
+        opts = AlmOptions()
+        res = alm_solve_cdp(build_balanced_cut_cdp(problem), x0, opts)
+        assert res.status == "converged"
+        steps = [(row.beta, float(row.note.split("beta_adapted:")[1].split()[0]))
+                 for row in res.trace.rows if "beta_adapted:" in row.note]
+        assert len(steps) > 1
+        assert all(new <= opts.beta_growth * beta for beta, new in steps)
+
+    def test_continuation_converges_on_cut_m200_seed_7(self):
+        # A jump to growth * bound (beta 6364, then 2.5e5) left every inner
+        # solve at max_inner and ended in inner_failure here.
+        from cdpkit.bench import (BalancedCutConfig, build_balanced_cut_cdp,
+                                  gen_balanced_cut)
+        problem, x0 = gen_balanced_cut(BalancedCutConfig(m=200, q=2, rho=0.1,
+                                                         seed=7))
+        res = alm_solve_cdp(build_balanced_cut_cdp(problem), x0, AlmOptions())
+        assert res.status == "converged"
+
+    def test_adaptation_changes_nothing_before_it_acts(self):
+        # Off, every row keeps the start beta; on, the trace is the same
+        # through the first adapted row, whose note alone differs.
+        from cdpkit.bench import (BalancedCutConfig, build_balanced_cut_cdp,
+                                  gen_balanced_cut)
+        problem, x0 = gen_balanced_cut(BalancedCutConfig(m=20, q=2, rho=0.2,
+                                                         seed=3))
+        off = alm_solve_cdp(build_balanced_cut_cdp(problem), x0,
+                            AlmOptions(beta_adapt=False))
+        on = alm_solve_cdp(build_balanced_cut_cdp(problem), x0)
+        assert off.status == "converged"
+        assert all(row.beta == 0.1 and row.note == ""
+                   for row in off.trace.rows)
+        first = next(i for i, row in enumerate(on.trace.rows)
+                     if "beta_adapted:" in row.note)
+        head = on.trace.rows[:first + 1]
+        head[-1] = dataclasses.replace(head[-1], note="")
+        assert [r.key_fields() for r in head] \
+            == [r.key_fields() for r in off.trace.rows[:first + 1]]
 
     def test_safeguard_reads_only_the_bound_constants(self, monkeypatch):
         # The safeguard no longer runs the full estimate_constants; with it
