@@ -137,7 +137,8 @@ class ManifoldHandle:
     Then ``Jc`` and ``J_A^T`` are block diagonal with one block per row,
     and the constant estimates in ``diagnostics`` read them as stacks of
     those blocks, through the handle's own actions, instead of assembling
-    dense n x n matrices.  A declaration without ``shape``, or with
+    dense n x n matrices.  A handle without the declaration is read as one
+    dense block.  A declaration without ``shape``, or with
     ``p != shape[0]``, raises ``DimensionError``.
     """
 

@@ -1,12 +1,14 @@
 """KKT residuals, feasibility metric, LICQ check, neighborhood-constant
 estimation and penalty-condition checkers.
 
-The KKT and LICQ checks assemble the dense n x p constraint Jacobians.
-The constant estimates also run inside the solve, as the beta safeguard
-of ``alm_solve_cdp``.  For a handle that declares ``row_blocks`` they read
-``Jc`` and ``J_A^T`` as stacks of per-row blocks through the handle's own
-actions, O(n) work per sample point; for any other handle they assemble
-dense n x n ``J_A^T``, O(n^3) per point.
+The KKT and LICQ checks assemble the dense n x p constraint Jacobians; the
+KKT check factors [Jc Ju] once, by a pivoted QR, and reads its projector,
+rank and free multipliers from that one factorization.  The constant
+estimates also run inside the solve, as the beta safeguard of
+``alm_solve_cdp``.  They read ``Jc`` and ``J_A^T`` through the handle's
+own actions as stacks of diagonal blocks: one block per row of X for a
+handle that declares ``row_blocks``, O(n) work per sample point; one dense
+block for any other handle, with an n x n ``J_A^T``, O(n^3) per point.
 """
 
 from __future__ import annotations
@@ -85,57 +87,50 @@ def kkt_residual(problem: ProblemSpec, x: Vector) -> KktReport:
     """Stationarity of the original NLP at x.
 
     Solves min_{rho, lambda, mu >= 0} ||grad f + Jc rho + Ju lambda + Jv mu||
-    by eliminating the free multipliers with a least-squares projector and
-    running non-negative least squares on the inequality block.
+    from one pivoted QR of B = [Jc Ju]: its leading ``rank`` columns Q_r,
+    with rank the count of |R_ii| > 1e-12 max(1, max_j |R_jj|), give the
+    projector P = I - Q_r Q_r^T onto the complement of range(B).
+    Non-negative least squares on P Jv gives mu, the stationarity is
+    ||P(grad f + Jv mu)||, and (rho, lambda) come from a triangular solve
+    with the leading rank x rank block of R.  When B is rank deficient
+    that is a basic solution, zero on the columns the pivoting put last,
+    not the minimum-norm one; the residual it reaches is the same.
     """
     x = np.asarray(x, dtype=float).ravel()
     g = problem.grad_f(x)
     Jc, Ju, Jv = dense_jacobians(problem, x)
     B = np.hstack([Jc, Ju])
-    n_free = B.shape[1]
+    Q, R, piv = scipy.linalg.qr(B, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > 1e-12 * np.max(diag, initial=1.0)))
+    # Only the first `rank` columns of Q span range(B); the rest are
+    # numerical noise directions and must not enter the projector.
+    Qr = Q[:, :rank]
 
-    rank_deficient = False
-    if n_free:
-        Q, R, _ = scipy.linalg.qr(B, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        rank = int(np.sum(diag > 1e-12 * max(diag.max(), 1.0))) if diag.size else 0
-        if rank < n_free:
-            rank_deficient = True
-        # Only the first `rank` columns of Q span range(B); the rest are
-        # numerical noise directions and must not enter the projector.
-        Qr = Q[:, :rank]
-        proj = lambda vec: vec - Qr @ (Qr.T @ vec)
-    else:
-        proj = lambda vec: vec
+    def proj(M):
+        return M - Qr @ (Qr.T @ M)
 
-    if problem.n_ineq:
-        PC = np.column_stack([proj(Jv[:, j]) for j in range(problem.n_ineq)])
-        mu, _ = scipy.optimize.nnls(PC, -proj(g))
-    else:
-        mu = np.zeros(0)
-
-    rhs = g + (Jv @ mu if mu.size else 0.0)
-    if n_free:
-        xi, _, rank, _ = np.linalg.lstsq(B, -rhs, rcond=None)
-        if rank < n_free:
-            rank_deficient = True
-        resid = rhs + B @ xi
-    else:
-        xi = np.zeros(0)
-        resid = rhs
-    rho, lam = xi[: problem.p], xi[problem.p:]
-
+    mu = (scipy.optimize.nnls(proj(Jv), -proj(g))[0] if problem.n_ineq
+          else np.zeros(0))
+    rhs = g + Jv @ mu
+    coef = Qr.T @ rhs
+    xi = np.zeros(B.shape[1])
+    xi[piv[:rank]] = scipy.linalg.solve_triangular(R[:rank, :rank], -coef)
     v = problem.eval_v(x)
-    active = [j for j in range(problem.n_ineq)
-              if abs(v[j]) <= ACTIVE_TOL * (1.0 + abs(v[j]))]
-    comp = float(abs(np.dot(mu, v))) if mu.size else 0.0
     return KktReport(
-        stationarity=float(np.linalg.norm(resid)),
+        stationarity=float(np.linalg.norm(rhs - Qr @ coef)),
         feasibility=feasibility(problem, x),
-        multipliers=MultiplierSet(rho=rho, lam=lam, mu=mu),
-        active_set=active,
-        complementarity=comp,
-        rank_deficient=rank_deficient)
+        multipliers=MultiplierSet(rho=xi[:problem.p], lam=xi[problem.p:],
+                                  mu=mu),
+        active_set=_active_set(v),
+        complementarity=float(abs(np.dot(mu, v))) if mu.size else 0.0,
+        rank_deficient=rank < B.shape[1])
+
+
+def _active_set(v: Vector) -> list[int]:
+    """Indices of the inequalities active at tolerance ``ACTIVE_TOL``."""
+    return [j for j, vj in enumerate(v)
+            if abs(vj) <= ACTIVE_TOL * (1.0 + abs(vj))]
 
 
 def check_licq(problem: ProblemSpec, x: Vector, tol: float = 1e-8) -> bool:
@@ -143,12 +138,7 @@ def check_licq(problem: ProblemSpec, x: Vector, tol: float = 1e-8) -> bool:
     (smallest singular value above ``tol`` times the largest)."""
     x = np.asarray(x, dtype=float).ravel()
     Jc, Ju, Jv = dense_jacobians(problem, x)
-    v = problem.eval_v(x)
-    active = [j for j in range(problem.n_ineq)
-              if abs(v[j]) <= ACTIVE_TOL * (1.0 + abs(v[j]))]
-    cols = [Jc, Ju] + ([Jv[:, active]] if active else [])
-    M = np.hstack([c for c in cols if c.shape[1]]) if any(
-        c.shape[1] for c in cols) else np.zeros((problem.n, 0))
+    M = np.hstack([Jc, Ju, Jv[:, _active_set(problem.eval_v(x))]])
     if M.shape[1] == 0:
         return True
     if M.shape[1] > problem.n:
@@ -207,7 +197,7 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
         raise ValueError("radius must be <= 1")
     mani = problem.manifold
     n = problem.n
-    read = _reader(problem)
+    read = _Blocks(problem)
 
     sigma1 = read.sigma_min_jc(x) if problem.p else 0.0
     if problem.p and sigma1 <= 1e-10:
@@ -233,7 +223,7 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
             _dense_columns(problem.apply_Jv, y, problem.n_ineq, n)))
         L_f = max(L_f, float(np.linalg.norm(problem.grad_f(mani.eval_A(y)))))
         if prev is not None:
-            L_A = max(L_A, _diff_quotient(Ja, prev[1], y, prev[0], read.norm))
+            L_A = max(L_A, _diff_quotient(Ja, prev[1], y, prev[0]))
         prev = (y, Ja)
     consts = _BoundConstants(sigma1x=sigma1, M_Ax=M_A, L_Ax=L_A, M_ux=M_u,
                              M_vx=M_v, L_fx=L_f)
@@ -254,7 +244,7 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
     only the six.
     """
     consts, pts, rng = _bound_constants(problem, x, radius, samples, seed)
-    read = _reader(problem)
+    read = _Blocks(problem)
 
     M_c = L_c = L_Ac = 0.0
     prev = None
@@ -263,9 +253,8 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
         JaJcA = read.jat_jc_a(y)
         M_c = max(M_c, read.norm(Jc))
         if prev is not None:
-            L_c = max(L_c, _diff_quotient(Jc, prev[1], y, prev[0], read.norm))
-            L_Ac = max(L_Ac, _diff_quotient(JaJcA, prev[2], y, prev[0],
-                                            read.norm))
+            L_c = max(L_c, _diff_quotient(Jc, prev[1], y, prev[0]))
+            L_Ac = max(L_Ac, _diff_quotient(JaJcA, prev[2], y, prev[0]))
         prev = (y, Jc, JaJcA)
 
     sigma1, M_A = consts.sigma1x, consts.M_Ax
@@ -287,7 +276,7 @@ def _estimate_rho(problem, x, sigma1, radius, rng, probes_per_radius: int = 8):
     """Largest tested radius keeping sigma_min(Jc) >= sigma1 / 2."""
     if problem.p == 0:
         return 1.0
-    read = _reader(problem)
+    read = _Blocks(problem)
     best = 0.0
     for r in np.geomspace(max(radius, 1e-3), 1.0, 6):
         ok = True
@@ -310,83 +299,71 @@ def _spec_norm(M: Vector) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def _diff_quotient(M: Vector, M_prev: Vector, y: Vector, y_prev: Vector,
-                   norm) -> float:
-    """norm(M - M_prev) / ||y - y_prev||, or 0 for coincident points;
-    ``norm`` is the reader's spectral norm."""
+def _diff_quotient(S: Vector, S_prev: Vector, y: Vector,
+                   y_prev: Vector) -> float:
+    """Spectral norm of the block stack S - S_prev over ||y - y_prev||, or
+    0 for coincident points."""
     dist = float(np.linalg.norm(y - y_prev))
-    return norm(M - M_prev) / dist if dist > 1e-12 else 0.0
+    return _Blocks.norm(S - S_prev) / dist if dist > 1e-12 else 0.0
 
 
-class _Dense:
-    """Reads Jc, J_A^T and J_A^T Jc(A(y)) of any handle as dense matrices
-    (n x p, n x n and n x p), one action per column."""
+class _Blocks:
+    """Reads Jc, J_A^T and J_A^T Jc(A(y)) of a handle as (m, q, k) stacks of
+    their diagonal blocks: q x k for Jc and J_A^T Jc(A(y)), q x q for J_A^T.
 
-    norm = staticmethod(_spec_norm)
+    A ``row_blocks`` handle (shape (m, q)) has one block per row of X, with
+    k = 1.  Any other handle is one block, m = 1, q = n, k = p: the dense
+    matrices.  Row i of a row-block action depends only on row i of its
+    direction, so the direction ``tile(e_j, m)``, which is e_j in every row,
+    gives column j of every block at once, bitwise equal to the dense
+    entries: k actions for Jc and J_A^T Jc(A(y)), q for J_A^T.  A
+    block-diagonal matrix's spectral norm is its largest block norm, and
+    its singular values are those of its blocks.
+    """
 
     def __init__(self, problem: ProblemSpec):
-        self.mani, self.n, self.p = problem.manifold, problem.n, problem.p
+        mani = self.mani = problem.manifold
+        if mani.row_blocks:
+            (self.m, self.q), self.k = mani.shape, 1
+        else:
+            self.m, self.q, self.k = 1, problem.n, problem.p
+
+    @staticmethod
+    def singular_values(S: Vector) -> Vector:
+        """(m, min(q, k)) singular values of each block, largest first; a
+        q x 1 block's one singular value is its column norm."""
+        if S.shape[-1] == 1:
+            return np.linalg.norm(S[..., 0], axis=1)[:, None]
+        return np.linalg.svd(S, compute_uv=False)
+
+    @staticmethod
+    def norm(S: Vector) -> float:
+        if S.size == 0:
+            return 0.0
+        return float(np.max(_Blocks.singular_values(S)[:, 0]))
+
+    def _stack(self, action, count: int) -> Vector:
+        """(m, q, count) stack whose column j is ``action(tile(e_j, m))``."""
+        directions = np.tile(np.eye(count), self.m)
+        S = np.empty((self.m, self.q, count))
+        for j, d in enumerate(directions):
+            S[:, :, j] = action(d).reshape(self.m, self.q)
+        return S
 
     def jc(self, y: Vector) -> Vector:
-        return _dense_columns(self.mani.apply_Jc, y, self.p, self.n)
+        return self._stack(lambda w: self.mani.apply_Jc(y, w), self.k)
 
     def sigma_min_jc(self, y: Vector) -> float:
-        return float(np.linalg.svd(self.jc(y), compute_uv=False)[-1])
+        return float(np.min(self.singular_values(self.jc(y))[:, -1]))
 
     def jat(self, y: Vector) -> Vector:
-        return _dense_columns(self.mani.apply_JAT, y, self.n, self.n)
+        return self._stack(lambda g: self.mani.apply_JAT(y, g), self.q)
 
     def jat_jc_a(self, y: Vector) -> Vector:
         mani = self.mani
         ay = mani.eval_A(y)
-        return _dense_columns(
-            lambda z, e: mani.apply_JAT(z, mani.apply_Jc(ay, e)), y, self.p,
-            self.n)
-
-
-class _RowBlocks:
-    """Reads the same matrices of a ``row_blocks`` handle (shape (m, q))
-    as (m, q, k) stacks of their diagonal blocks, one per row of X: q x 1
-    for Jc and J_A^T Jc(A(y)), q x q for J_A^T.  Row i of an action depends
-    only on row i of its direction, so directions that cover every row at
-    once give the blocks bitwise equal to the dense entries: Jc from one
-    ``apply_Jc(y, ones(m))``, J_A^T from q calls of ``apply_JAT`` with a
-    direction that is 1 in column j of every row.  A block-diagonal
-    matrix's spectral norm is its largest block norm, and its singular
-    values are those of its blocks."""
-
-    def __init__(self, problem: ProblemSpec):
-        self.mani = problem.manifold
-        self.m, self.q = self.mani.shape
-        self.ones = np.ones(self.m)
-        self.columns = [np.tile(e, self.m) for e in np.eye(self.q)]
-
-    @staticmethod
-    def norm(S: Vector) -> float:
-        if S.shape[-1] == 1:
-            return float(np.max(np.linalg.norm(S[..., 0], axis=1)))
-        return float(np.max(np.linalg.svd(S, compute_uv=False)[:, 0]))
-
-    def jc(self, y: Vector) -> Vector:
-        return self.mani.apply_Jc(y, self.ones).reshape(self.m, self.q, 1)
-
-    def sigma_min_jc(self, y: Vector) -> float:
-        return float(np.min(np.linalg.norm(self.jc(y)[..., 0], axis=1)))
-
-    def jat(self, y: Vector) -> Vector:
-        S = np.empty((self.m, self.q, self.q))
-        for j, e in enumerate(self.columns):
-            S[:, :, j] = self.mani.apply_JAT(y, e).reshape(self.m, self.q)
-        return S
-
-    def jat_jc_a(self, y: Vector) -> Vector:
-        mani = self.mani
-        w = mani.apply_Jc(mani.eval_A(y), self.ones)
-        return mani.apply_JAT(y, w).reshape(self.m, self.q, 1)
-
-
-def _reader(problem: ProblemSpec):
-    return (_RowBlocks if problem.manifold.row_blocks else _Dense)(problem)
+        return self._stack(lambda w: mani.apply_JAT(y, mani.apply_Jc(ay, w)),
+                           self.k)
 
 
 @dataclass

@@ -40,7 +40,6 @@ class CdpPointEval:
     x: Vector
     ax: Vector
     cx: Vector
-    half_c_sq: float
     h: float
     u_tilde: Vector
     v_tilde: Vector
@@ -93,7 +92,7 @@ class CdpInstance:
         h = float(self.problem.eval_f(ax)) + self.params.beta * half
         u_t = self.problem.eval_u(ax) + self.params.tau * half
         v_t = self.problem.eval_v(ax) + self.params.gamma * half
-        return CdpPointEval(x, ax, cx, half, h, u_t, v_t, self)
+        return CdpPointEval(x, ax, cx, h, u_t, v_t, self)
 
     def eval_h(self, x: Vector) -> float:
         return self.point_eval(x).h

@@ -50,7 +50,6 @@ class AlmOptions:
     outer_tol_stationarity: float = 1e-6
     outer_tol_feasibility: float = 1e-6
     max_outer: int = 100
-    lbfgs_memory: int = 10
     max_inner: int = 500
     alm_penalty_init: float = 10.0
     alm_penalty_growth: float = 10.0
@@ -318,7 +317,7 @@ class _Dissolved:
         if params.beta < beta_req:
             # Continuation: the bound is sufficient, not a target, and a
             # beta far above what is needed stiffens every later inner solve.
-            new_beta = self.opts.beta_growth * min(beta_req, params.beta)
+            new_beta = self.opts.beta_growth * params.beta
             self.instance = build_cdp(
                 problem, PenaltyParams(new_beta, params.tau, params.gamma))
             _add_note(trace, f"beta_adapted:{float(new_beta)!r}")
@@ -393,8 +392,7 @@ def _alm_loop(problem: ProblemSpec, form, x0: Vector,
                 else max(opts.outer_tol_stationarity, 0.1 ** k)
             aug = _augmented(form.evaluate, lam, mu, sigma)
             inner = lbfgs_minimize(aug, x, tol=inner_tol,
-                                   max_iter=opts.max_inner,
-                                   memory=opts.lbfgs_memory)
+                                   max_iter=opts.max_inner)
             x = inner.x
             if not np.all(np.isfinite(x)) or not np.isfinite(inner.f):
                 status = "diverged"
@@ -475,12 +473,10 @@ def alm_solve_cdp(instance: CdpInstance, x0: Vector,
     ``row_blocks`` (the oblique manifold) it reads ``Jc`` and ``J_A^T`` as
     stacks of per-row blocks, q applications of ``J_A^T`` per sample point;
     on any other handle it assembles a dense n x n ``J_A^T`` from n
-    applications per point and takes its SVD, O(n^3).  If the current beta
-    falls short of the bound, the instance is rebuilt with
-    beta = growth * min(bound, beta): beta steps towards the bound by at
-    most ``beta_growth`` per adaptation (a continuation), and overshoots it
-    by at most that factor.  Beta may therefore sit below the sampled bound
-    for some rows.  The bound is a sufficient condition for the
+    applications per point and takes its SVD, O(n^3).  While beta is below
+    the sampled bound, each adaptation rebuilds the instance with beta
+    multiplied by ``beta_growth`` (a continuation), so beta may sit below
+    the bound for some rows.  The bound is a sufficient condition for the
     equivalence, not a target, and ``converged`` is still certified by the
     original problem's KKT residual.  The row's note then carries
     ``beta_adapted:<repr(beta)>``, which ``float`` parses back to exactly

@@ -21,10 +21,11 @@ from cdpkit.bench import (
     gen_center_of_mass,
 )
 from cdpkit.diagnostics import (
-    _RowBlocks,
+    _Blocks,
     _bound_constants,
     check_condition,
     check_licq,
+    dense_jacobians,
     estimate_constants,
     feasibility,
     kkt_residual,
@@ -111,23 +112,46 @@ class TestKktResidual:
         rng = np.random.default_rng(9)
         x = x_star + 0.3 * rng.standard_normal(problem.n)
         base = kkt_residual(problem, x).stationarity
-        dup = dataclasses.replace(
-            problem,
-            n_eq=problem.n_eq + 1,
-            eval_u=lambda y: np.concatenate(
-                [problem.eval_u(y), problem.eval_u(y)[:1]]),
-            apply_JuT=lambda y, d: np.concatenate(
-                [problem.apply_JuT(y, d), problem.apply_JuT(y, d)[:1]]),
-            apply_Ju=lambda y, w: problem.apply_Ju(
-                y, np.asarray(w).ravel()[:-1]
-                + np.concatenate([[np.asarray(w).ravel()[-1]],
-                                  np.zeros(problem.n_eq - 1)])))
-        assert kkt_residual(dup, x).stationarity == pytest.approx(base, abs=1e-8)
+        assert kkt_residual(_with_first_equality_twice(problem), x) \
+            .stationarity == pytest.approx(base, abs=1e-8)
+
+    def test_rank_deficiency_flag_and_multipliers_reach_the_residual(self):
+        # The free multipliers come from a triangular solve on the pivoted
+        # QR; on a rank-deficient [Jc Ju] they are a basic solution, which
+        # must still reach the reported stationarity.
+        problem, x_star, _ = make_synthetic_kkt(seed=5)
+        rng = np.random.default_rng(9)
+        x = x_star + 0.3 * rng.standard_normal(problem.n)
+        for prob, y, deficient in [
+                (problem, x_star, False),
+                (_with_first_equality_twice(problem), x, True)]:
+            report = kkt_residual(prob, y)
+            assert report.rank_deficient is deficient
+            Jc, Ju, Jv = dense_jacobians(prob, y)
+            m = report.multipliers
+            resid = prob.grad_f(y) + Jc @ m.rho + Ju @ m.lam + Jv @ m.mu
+            assert abs(float(np.linalg.norm(resid))
+                       - report.stationarity) <= 1e-10
 
     def test_complementarity_zero_at_planted_point(self):
         problem, x_star, _ = make_synthetic_kkt(seed=7)
         report = kkt_residual(problem, x_star)
         assert report.complementarity <= 1e-10
+
+
+def _with_first_equality_twice(problem):
+    """The problem with its first equality u_0 repeated as a last one."""
+    return dataclasses.replace(
+        problem,
+        n_eq=problem.n_eq + 1,
+        eval_u=lambda y: np.concatenate(
+            [problem.eval_u(y), problem.eval_u(y)[:1]]),
+        apply_JuT=lambda y, d: np.concatenate(
+            [problem.apply_JuT(y, d), problem.apply_JuT(y, d)[:1]]),
+        apply_Ju=lambda y, w: problem.apply_Ju(
+            y, np.asarray(w).ravel()[:-1]
+            + np.concatenate([[np.asarray(w).ravel()[-1]],
+                              np.zeros(problem.n_eq - 1)])))
 
 
 class TestMakeSyntheticKkt:
@@ -315,14 +339,26 @@ class TestRowBlockConstants:
         _bound_constants(counted, x, radius=0.1, samples=30, seed=0)
         assert len(calls) == 31 * problem.n == 31 * 12
 
-    @pytest.mark.parametrize("m, rho, seed", [(50, 0.1, 20), (20, 0.2, 3)])
-    def test_bound_constants_match_dense_reference(self, m, rho, seed):
-        problem, x = _cut_reference_point(m, rho, seed)
+    @pytest.mark.parametrize("family, args, ulps", [
+        ("balanced_cut", (50, 0.1, 20), 4),
+        ("balanced_cut", (20, 0.2, 3), 4),
+        # A handle without row blocks is read as one dense block, so its
+        # constants are the dense ones bit for bit.
+        ("center_of_mass", (6, 2), 0)],
+        ids=["50-0.1-20", "20-0.2-3", "center_of_mass-6-2"])
+    def test_bound_constants_match_dense_reference(self, family, args, ulps):
+        if family == "balanced_cut":
+            problem, x = _cut_reference_point(*args)
+        else:
+            m, q = args
+            problem, x0 = gen_center_of_mass(
+                CenterOfMassConfig(m=m, q=q, N=8, r=0.5, seed=3))
+            x = a_infinity(problem.manifold, x0)
         six, points, _ = _bound_constants(problem, x, radius=0.1, samples=30,
                                           seed=0)
         reference = _dense_bound_constants(problem, points)
         for name, value in six._asdict().items():
-            assert _within_ulps(value, reference[name], 4), name
+            assert _within_ulps(value, reference[name], ulps), name
 
     def test_full_estimates_match_the_dense_path(self):
         # The same handle with the declaration dropped takes the dense path.
@@ -344,7 +380,7 @@ class TestRowBlockConstants:
         handle = make_handle("oblique", m=m, q=q)
         problem = ProblemSpec(manifold=handle, eval_f=lambda x: 0.0,
                               grad_f=lambda x: np.zeros(m * q))
-        blocks = _RowBlocks(problem)
+        blocks = _Blocks(problem)
         x = X.ravel()
         stack = blocks.jat(x)
         dense = _dense_columns(handle.apply_JAT, x, handle.n, handle.n)

@@ -230,7 +230,7 @@ class TestAlmCdp:
         steps = [(row.beta, float(row.note.split("beta_adapted:")[1].split()[0]))
                  for row in res.trace.rows if "beta_adapted:" in row.note]
         assert len(steps) > 1
-        assert all(new <= opts.beta_growth * beta for beta, new in steps)
+        assert all(new == opts.beta_growth * beta for beta, new in steps)
 
     def test_continuation_converges_on_cut_m200_seed_7(self):
         # A jump to growth * bound (beta 6364, then 2.5e5) left every inner
