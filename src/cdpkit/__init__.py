@@ -1,6 +1,7 @@
 """Constraint dissolving toolkit for manifold-constrained nonlinear
 programs: transform, solve, diagnose, benchmark."""
 
+from .bench import load_problem
 from .core import (
     ManifoldHandle,
     MultiplierSet,
@@ -8,7 +9,6 @@ from .core import (
     Point,
     ProblemSpec,
     finite_diff_check,
-    load_problem,
     validate_manifold,
 )
 from .diagnostics import (

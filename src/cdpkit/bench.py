@@ -1,18 +1,27 @@
 """Benchmark generators and grid runner: center-of-mass on the symplectic
 Stiefel manifold and minimum balanced cut on the oblique manifold, with
 CSV / markdown emission comparing the dissolved and direct pipelines.
+
+Every configuration document (a mapping, YAML text or file, a grid entry or
+the CLI's instance flags) goes through ``problem_config``, whose schema is
+the config dataclasses.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import yaml
 
 from .core import (
+    ConfigurationError,
     DimensionError,
     OutOfNeighborhoodError,
     ParameterError,
@@ -31,6 +40,8 @@ __all__ = [
     "build_balanced_cut_cdp",
     "gen_balanced_cut",
     "gen_center_of_mass",
+    "load_problem",
+    "problem_config",
     "records_to_csv",
     "records_to_markdown",
     "run_experiment",
@@ -87,7 +98,6 @@ class RunRecord:
     feasibility: float
     cpu_time: float
     status: str
-    extra: dict = field(default_factory=dict)
 
     def as_row(self) -> dict:
         return {
@@ -187,16 +197,11 @@ def gen_balanced_cut(cfg: BalancedCutConfig) -> tuple[ProblemSpec, Vector]:
         apply_Ju=lambda x, w: np.outer(e, np.asarray(w, dtype=float)).ravel(),
         name=cfg.label(),
         description="minimum balanced cut relaxation, oblique manifold")
-    problem = _attach_laplacian(problem, L)
+    object.__setattr__(problem, "_laplacian", L)
 
     X0 = rng.standard_normal((m, q))
     X0 /= np.linalg.norm(X0, axis=1, keepdims=True)
     return problem, X0.ravel()
-
-
-def _attach_laplacian(problem: ProblemSpec, L: Vector) -> ProblemSpec:
-    object.__setattr__(problem, "_laplacian", L)
-    return problem
 
 
 def build_balanced_cut_cdp(problem: ProblemSpec,
@@ -204,6 +209,64 @@ def build_balanced_cut_cdp(problem: ProblemSpec,
     """Transformed balanced-cut problem with the default quadratic-penalty
     weight (equivalent to 0.05 under the quartic Frobenius convention)."""
     return build_cdp(problem, PenaltyParams(beta=beta, tau=np.zeros(problem.n_eq)))
+
+
+_FAMILIES = {"center_of_mass": CenterOfMassConfig,
+             "balanced_cut": BalancedCutConfig}
+
+
+def problem_config(doc) -> CenterOfMassConfig | BalancedCutConfig:
+    """A validated ``CenterOfMassConfig`` or ``BalancedCutConfig`` from one
+    mapping: ``family`` picks the class, the class's fields without a default
+    are required, each value is cast by its field's annotation, and a key that
+    names no field raises ``ConfigurationError("family.<key>", ...)``."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError("<document>", "config must be a key-value tree")
+    family = doc.get("family")
+    if family is None:
+        raise ConfigurationError("family", "missing required field")
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ConfigurationError("family", f"unknown family {family!r}")
+    cls = _FAMILIES[family]
+    casts = typing.get_type_hints(cls)
+    for key in doc:
+        if key != "family" and key not in casts:
+            raise ConfigurationError(f"family.{key}", "unknown field")
+    for f in dataclasses.fields(cls):
+        if f.default is dataclasses.MISSING and f.name not in doc:
+            raise ConfigurationError(f"family.{f.name}", "missing required field")
+    try:
+        return cls(**{key: casts[key](val) for key, val in doc.items()
+                      if key != "family"})
+    except (DimensionError, ParameterError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"family.{family}", str(exc)) from exc
+
+
+def _ingest_config(config):
+    """The document of a config given as a path to a YAML file or as a
+    YAML/JSON string; any other value is returned as it is."""
+    if not isinstance(config, (str, Path)):
+        return config
+    path = Path(config)
+    if isinstance(config, Path) or (len(config) < 4096 and path.is_file()):
+        try:
+            config = path.read_text()
+        except OSError as exc:
+            raise ConfigurationError("<document>",
+                                     f"unreadable config: {exc}") from exc
+    try:
+        return yaml.safe_load(config)
+    except yaml.YAMLError as exc:
+        raise ConfigurationError("<document>", f"unparseable config: {exc}") from exc
+
+
+def load_problem(config) -> ProblemSpec:
+    """Build a registered benchmark problem from a configuration document.
+
+    ``config`` may be a mapping, a YAML/JSON string, or a path to a YAML
+    file.  Deterministic given identical seed.
+    """
+    return _build_instance(problem_config(_ingest_config(config)))[0]
 
 
 def _build_instance(cfg):
@@ -218,32 +281,30 @@ def _build_instance(cfg):
     return problem, inst, x0
 
 
-def run_experiment(grid, opts: AlmOptions = AlmOptions(),
-                   out=None, budget: float = 1200.0,
-                   pipelines: tuple[str, ...] = ("cdp", "nlp")) -> list[RunRecord]:
+def run_experiment(grid, out=None, budget: float = 1200.0) -> list[RunRecord]:
     """Run both pipelines from the same initial point on every config.
 
     Per-run failures are recorded in the status column and never abort the
     grid.  ``out`` may be a writable text sink receiving CSV rows.
     """
     records: list[RunRecord] = []
-    run_opts = AlmOptions(**{**opts.__dict__, "time_budget": budget})
+    opts = AlmOptions(time_budget=budget)
     for cfg in grid:
         try:
             problem, inst, x0 = _build_instance(cfg)
         except Exception as exc:
-            for pipe in pipelines:
+            for pipe in ("cdp", "nlp"):
                 records.append(RunRecord(getattr(cfg, "label", lambda: str(cfg))(),
                                          pipe, np.nan, np.nan, np.nan, 0.0,
                                          f"generation_error: {exc}"))
             continue
-        for pipe in pipelines:
+        for pipe in ("cdp", "nlp"):
             t0 = time.perf_counter()
             try:
                 if pipe == "cdp":
-                    res = alm_solve_cdp(inst, x0, run_opts)
+                    res = alm_solve_cdp(inst, x0, opts)
                 else:
-                    res = alm_solve_nlp_direct(problem, x0, run_opts)
+                    res = alm_solve_nlp_direct(problem, x0, opts)
                 rec = RunRecord(cfg.label(), pipe, res.objective,
                                 res.kkt.stationarity, res.kkt.feasibility,
                                 time.perf_counter() - t0, res.status)

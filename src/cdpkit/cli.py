@@ -1,6 +1,10 @@
 """Command-line entry point: validate manifolds, solve single instances,
 probe penalty-theory properties, and run benchmark grids.
 
+Each subcommand takes only the flags it reads.  ``solve`` and ``probe``
+read their instance from ``--config`` or from instance flags, not both;
+``--beta``, ``--tau`` and ``--gamma`` override either.
+
 Exit codes: 0 ok, 1 check, convergence or solver failure, 2 usage/config
 error.
 """
@@ -22,8 +26,6 @@ from .core import (
     MultiplierSet,
     ParameterError,
     PenaltyParams,
-    _ingest_config,
-    _problem_config,
     default_fd_step,
     finite_diff_check,
     validate_manifold,
@@ -35,7 +37,7 @@ EXIT_USAGE = 2
 
 
 def _emit(args, payload: dict) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, default=_jsonable))
     else:
         for key, val in payload.items():
@@ -62,11 +64,8 @@ def _family(args):
         x = np.zeros(handle.n)
         x[0] = 1.0
         return handle, x
-    if args.family == "symplectic_stiefel":
-        handle = manifolds.make_handle("symplectic_stiefel", m=args.m, q=args.q)
-        return handle, manifolds.symplectic_canonical_point(args.m, args.q).ravel()
-    raise ConfigurationError("family", f"{args.family!r} not usable from the CLI "
-                             "(custom constraint maps are programmatic only)")
+    handle = manifolds.make_handle("symplectic_stiefel", m=args.m, q=args.q)
+    return handle, manifolds.symplectic_canonical_point(args.m, args.q).ravel()
 
 
 def _feasible_probes(base, count: int, seed: int):
@@ -112,19 +111,26 @@ def _decrease_slope(handle, base, seed: int):
     return float(slope)
 
 
+# The instance flags that --config replaces; beta, tau and gamma override it.
+_INSTANCE_FLAGS = ("family", "m", "q", "N", "r", "rho", "seed")
+
+
 def _load_from_args(args):
     """The configured problem, its transformed instance and the generator's
     suggested start.  The penalty comes from the config (or the family's
     default); ``--beta``, ``--tau`` and ``--gamma`` override it."""
+    given = {key: getattr(args, key) for key in _INSTANCE_FLAGS
+             if getattr(args, key) is not None}
     if args.config:
-        doc = _ingest_config(Path(args.config))
+        if given:
+            raise ConfigurationError(f"--{next(iter(given))}",
+                                     "cannot be combined with --config")
+        doc = bench._ingest_config(Path(args.config))
     else:
-        doc = {key: getattr(args, key) for key in
-               ("family", "seed", "m", "q", "N", "r", "rho")
-               if getattr(args, key) is not None}
+        doc = {"seed": 0, **given}
     if args.beta is not None:
         doc = {**doc, "beta": args.beta}
-    problem, instance, x0 = bench._build_instance(_problem_config(doc))
+    problem, instance, x0 = bench._build_instance(bench.problem_config(doc))
     if args.tau or args.gamma:
         instance = dissolve.build_cdp(problem, PenaltyParams(
             instance.params.beta, np.full(problem.n_eq, args.tau or 0.0),
@@ -159,15 +165,16 @@ def cmd_solve(args) -> int:
 
 def cmd_probe(args) -> int:
     problem, instance, x0 = _load_from_args(args)
+    seed = args.seed or 0
     x_ref = dissolve.a_infinity(problem.manifold, x0)
     est = diagnostics.estimate_constants(problem, x_ref, radius=0.05,
-                                         samples=args.probes, seed=args.seed)
+                                         samples=args.probes, seed=seed)
     cond = diagnostics.check_condition(est, instance.params)
-    slope = _decrease_slope(problem.manifold, x_ref, args.seed)
+    slope = _decrease_slope(problem.manifold, x_ref, seed)
     mult = MultiplierSet(lam=np.zeros(problem.n_eq),
                          mu=np.zeros(problem.n_ineq))
     probe = dissolve.lagrangian_decrease_probe(
-        instance, x_ref, mult, offsets=[1e-2, 1e-3], seed=args.seed)
+        instance, x_ref, mult, offsets=[1e-2, 1e-3], seed=seed)
     payload = {
         "sigma1x": est.sigma1x,
         "epsilon_x": est.epsilon_x,
@@ -184,19 +191,10 @@ def cmd_probe(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    grid_path = Path(args.grid)
-    if not grid_path.is_file():
-        print(f"grid file not found: {grid_path}", file=sys.stderr)
-        return EXIT_USAGE
-    import yaml
-
-    try:
-        doc = yaml.safe_load(grid_path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigurationError("<grid>", f"unparseable grid: {exc}") from exc
+    doc = bench._ingest_config(Path(args.grid))
     if not isinstance(doc, list):
         raise ConfigurationError("<grid>", "grid must be a list of configs")
-    grid = [_problem_config(entry) for entry in doc]
+    grid = [bench.problem_config(entry) for entry in doc]
     records = bench.run_experiment(grid, budget=args.budget)
     csv_text = bench.records_to_csv(records)
     if args.out:
@@ -209,24 +207,19 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--family", choices=["oblique", "sphere",
-                                        "symplectic_stiefel", "generic",
-                                        "center_of_mass", "balanced_cut"])
+def _add_instance(p):
+    """The instance flags of ``solve`` and ``probe``."""
+    p.add_argument("--family", choices=["center_of_mass", "balanced_cut"])
     p.add_argument("--m", type=int)
     p.add_argument("--q", type=int)
-    p.add_argument("--n", type=int)
     p.add_argument("--N", type=int, dest="N")
     p.add_argument("--r", type=float)
     p.add_argument("--rho", type=float)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--beta", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--config")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--probes", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-8)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,22 +230,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_val = sub.add_parser("validate", help="check dissolving-map axioms")
-    _add_common(p_val)
+    p_val.add_argument("--family", required=True,
+                       choices=["oblique", "sphere", "symplectic_stiefel"])
+    p_val.add_argument("--m", type=int)
+    p_val.add_argument("--q", type=int)
+    p_val.add_argument("--n", type=int)
+    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--probes", type=int, default=50)
+    p_val.add_argument("--tol", type=float, default=1e-8)
+    p_val.add_argument("--json", action="store_true")
     p_val.set_defaults(func=cmd_validate)
 
     p_solve = sub.add_parser("solve", help="solve one instance")
-    _add_common(p_solve)
+    _add_instance(p_solve)
     p_solve.add_argument("--pipeline", choices=["cdp", "nlp"], default="cdp")
     p_solve.add_argument("--budget", type=float, default=1200.0)
     p_solve.add_argument("--out")
+    p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
     p_probe = sub.add_parser("probe", help="probe penalty-theory properties")
-    _add_common(p_probe)
+    _add_instance(p_probe)
+    p_probe.add_argument("--probes", type=int, default=50)
+    p_probe.add_argument("--json", action="store_true")
     p_probe.set_defaults(func=cmd_probe)
 
     p_bench = sub.add_parser("bench", help="run a benchmark grid")
-    _add_common(p_bench)
     p_bench.add_argument("--grid", required=True)
     p_bench.add_argument("--budget", type=float, default=1200.0)
     p_bench.add_argument("--out")

@@ -1,5 +1,6 @@
 """Problem model: NLP / penalized-problem data types, evaluator contracts,
-finite-difference utilities and configuration ingestion.
+the error types and finite-difference utilities.  Configuration documents
+are read in ``bench``, next to the instance generators they describe.
 
 All evaluators work on flat float64 vectors of length ``n``.  Matrix
 variables are flattened row-major; the owning handle carries the
@@ -8,13 +9,10 @@ variables are flattened row-major; the owning handle carries the
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-import yaml
 
 Vector = np.ndarray
 
@@ -38,7 +36,6 @@ __all__ = [
     "default_fd_step",
     "finite_diff_check",
     "gradient_action",
-    "load_problem",
     "validate_manifold",
 ]
 
@@ -399,71 +396,3 @@ def finite_diff_check(value_fn: Callable[[Vector], float | Vector],
         worst = max(worst, err / scale)
     return worst
 
-
-_KNOWN_FAMILIES = ("center_of_mass", "balanced_cut", "custom")
-
-_REQUIRED_FIELDS = {
-    "center_of_mass": ("m", "q", "N", "r", "seed"),
-    "balanced_cut": ("m", "q", "rho", "seed"),
-}
-
-
-def load_problem(config) -> ProblemSpec:
-    """Build a registered benchmark problem from a configuration document.
-
-    ``config`` may be a mapping, a YAML/JSON string, or a path to a YAML
-    file.  Deterministic given identical seed.
-    """
-    from . import bench  # local import: bench builds on core
-
-    return bench._build_instance(_problem_config(_ingest_config(config)))[0]
-
-
-def _problem_config(doc):
-    """A validated ``CenterOfMassConfig`` or ``BalancedCutConfig`` from one
-    mapping: family, required fields cast to their types, optional beta."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError("<document>", "config must be a key-value tree")
-    family = doc.get("family")
-    if family is None:
-        raise ConfigurationError("family", "missing required field")
-    if family not in _KNOWN_FAMILIES:
-        raise ConfigurationError("family", f"unknown family {family!r}")
-    if family == "custom":
-        raise ConfigurationError(
-            "family", "custom problems are supplied programmatically, not via config")
-    for key in _REQUIRED_FIELDS[family]:
-        if key not in doc:
-            raise ConfigurationError(f"family.{key}", "missing required field")
-
-    from . import bench  # local import: bench builds on core
-
-    types = {"m": int, "q": int, "N": int, "seed": int, "r": float,
-             "rho": float, "beta": float}
-    fields = _REQUIRED_FIELDS[family] + (("beta",) if "beta" in doc else ())
-    try:
-        kwargs = {key: types[key](doc[key]) for key in fields}
-        if family == "center_of_mass":
-            return bench.CenterOfMassConfig(**kwargs)
-        return bench.BalancedCutConfig(**kwargs)
-    except (DimensionError, ParameterError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"family.{family}", str(exc)) from exc
-
-
-def _ingest_config(config) -> dict:
-    if isinstance(config, dict):
-        return config
-    if isinstance(config, (str, Path)):
-        path = Path(config)
-        if isinstance(config, Path) or (len(str(config)) < 4096 and path.is_file()):
-            text = path.read_text()
-        else:
-            text = str(config)
-        try:
-            doc = yaml.safe_load(io.StringIO(text))
-        except yaml.YAMLError as exc:
-            raise ConfigurationError("<document>", f"unparseable config: {exc}")
-        if not isinstance(doc, dict):
-            raise ConfigurationError("<document>", "config must be a key-value tree")
-        return doc
-    raise ConfigurationError("<document>", f"unsupported config type {type(config)!r}")

@@ -396,6 +396,15 @@ class ConditionReport:
 SAFETY = 2.0
 
 
+def _coupled_threshold(estimates: ConstantEstimates, lam: Vector, mu: Vector):
+    """The multiplier-coupled beta bound ``(M, 32 L_A (M_A + 1) M / sigma^2)``
+    with ``M = L_f + ||lambda||_1 M_u + ||mu||_1 M_v``."""
+    M = (estimates.L_fx + float(np.linalg.norm(lam, 1)) * estimates.M_ux
+         + float(np.linalg.norm(mu, 1)) * estimates.M_vx)
+    return M, (32.0 * estimates.L_Ax * (estimates.M_Ax + 1.0) * M
+               / estimates.sigma1x ** 2)
+
+
 def check_condition(estimates: ConstantEstimates, params: PenaltyParams,
                     mult: MultiplierSet | None = None) -> ConditionReport:
     """Evaluate the multiplier-free penalty lower bounds
@@ -428,10 +437,7 @@ def check_condition(estimates: ConstantEstimates, params: PenaltyParams,
         report.gamma_met = gmin >= SAFETY * gamma_thr
 
     if mult is not None:
-        M = (estimates.L_fx
-             + float(np.linalg.norm(mult.lam, 1)) * estimates.M_ux
-             + float(np.linalg.norm(mult.mu, 1)) * estimates.M_vx)
-        thr = 32.0 * estimates.L_Ax * (estimates.M_Ax + 1.0) * M / s ** 2
+        M, thr = _coupled_threshold(estimates, mult.lam, mult.mu)
         lhs = params.beta
         if mult.lam.size and params.tau.size:
             lhs += float(np.dot(mult.lam, params.tau))

@@ -107,15 +107,15 @@ def _djc_action(spec: GenericManifoldSpec, x: Vector, d: Vector, w: Vector) -> V
     return (spec.apply_Jc(x + step * d, w) - spec.apply_Jc(x - step * d, w)) / (2.0 * step)
 
 
-def _point_state(spec: GenericManifoldSpec, x: Vector, reg: float):
+def _point_state(spec: GenericManifoldSpec, x: Vector):
     """Per-point state shared by ``A`` and ``J_A^T``: J = Jc(x), the Gram
-    matrix G = J^T J + reg I, w = G^{-1} c(x) and z = J w."""
+    matrix G = J^T J, w = G^{-1} c(x) and z = J w."""
     J = _dense_columns(spec.apply_Jc, x, spec.p, spec.n)
-    G = J.T @ J + reg * np.eye(spec.p)
+    G = J.T @ J
     if np.linalg.cond(G) > 1e12:
         raise RankDeficiencyError(
-            "Gram matrix condition number above 1e12; increase reg or use "
-            "a different chart")
+            "Gram matrix condition number above 1e12: the constraint "
+            "Jacobian is (nearly) rank deficient at this point")
     w = np.linalg.solve(G, spec.eval_c(x))
     return J, G, w, J @ w
 
@@ -127,14 +127,13 @@ def _jat_at(spec: GenericManifoldSpec, x: Vector, g: Vector, state) -> Vector:
     return pg - _djc_action(spec, x, pg, w) + _djc_action(spec, x, z, a)
 
 
-def generic_A(spec: GenericManifoldSpec, x: Vector, reg: float = 0.0) -> Vector:
-    """Gauss-Newton-style dissolving map x - Jc (Jc^T Jc + reg I)^{-1} c."""
+def generic_A(spec: GenericManifoldSpec, x: Vector) -> Vector:
+    """Gauss-Newton-style dissolving map x - Jc (Jc^T Jc)^{-1} c."""
     x = np.asarray(x, dtype=float).ravel()
-    return x - _point_state(spec, x, reg)[3]
+    return x - _point_state(spec, x)[3]
 
 
-def generic_JAT(spec: GenericManifoldSpec, x: Vector, g: Vector,
-                reg: float = 0.0) -> Vector:
+def generic_JAT(spec: GenericManifoldSpec, x: Vector, g: Vector) -> Vector:
     """Exact transposed-Jacobian action of ``generic_A``.
 
     With w = G^{-1} c, z = Jc w and P the projector complement
@@ -146,7 +145,7 @@ def generic_JAT(spec: GenericManifoldSpec, x: Vector, g: Vector,
     """
     x = np.asarray(x, dtype=float).ravel()
     g = np.asarray(g, dtype=float).ravel()
-    return _jat_at(spec, x, g, _point_state(spec, x, reg))
+    return _jat_at(spec, x, g, _point_state(spec, x))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +251,7 @@ def _sphere_handle(n: int) -> ManifoldHandle:
         apply_JAT=sphere_JAT)
 
 
-def _generic_handle(spec: GenericManifoldSpec, reg: float = 0.0) -> ManifoldHandle:
+def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
     # One-entry cache of the point state, keyed by the bytes of x: the
     # solver evaluates A and then J_A^T at the same x, and dense J_A^T
     # assembly applies J_A^T n times at one x.  A point whose Gram check
@@ -262,7 +261,7 @@ def _generic_handle(spec: GenericManifoldSpec, reg: float = 0.0) -> ManifoldHand
     def state_at(x):
         key = x.tobytes()
         if last.get("key") != key:
-            last.update(key=key, state=_point_state(spec, x, reg))
+            last.update(key=key, state=_point_state(spec, x))
         return last["state"]
 
     def eval_A(x):
@@ -299,8 +298,8 @@ def euclidean_handle(n: int) -> ManifoldHandle:
 
 
 def make_handle(family: str, *, m: int | None = None, q: int | None = None,
-                n: int | None = None, spec: GenericManifoldSpec | None = None,
-                reg: float = 0.0) -> ManifoldHandle:
+                n: int | None = None,
+                spec: GenericManifoldSpec | None = None) -> ManifoldHandle:
     """Wire a family's evaluators into a ManifoldHandle.
 
     Families: ``oblique`` (m, q), ``sphere`` (n), ``symplectic_stiefel``
@@ -317,11 +316,11 @@ def make_handle(family: str, *, m: int | None = None, q: int | None = None,
     if family == "symplectic_stiefel":
         if m is None or q is None:
             raise DimensionError("symplectic_stiefel requires m and q")
-        return _generic_handle(symplectic_spec(m, q), reg)
+        return _generic_handle(symplectic_spec(m, q))
     if family == "generic":
         if spec is None:
             raise DimensionError("generic requires a GenericManifoldSpec")
-        return _generic_handle(spec, reg)
+        return _generic_handle(spec)
     if family == "euclidean":
         if n is None:
             raise DimensionError("euclidean requires n")

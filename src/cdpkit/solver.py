@@ -30,6 +30,7 @@ from .core import (
 from .diagnostics import (  # noqa: F401
     KktReport,
     _bound_constants,
+    _coupled_threshold,
     estimate_constants,
     kkt_residual,
 )
@@ -309,9 +310,7 @@ class _Dissolved:
         est = self.estimates
         if est is False:
             return
-        M = (est.L_fx + float(np.linalg.norm(lam, 1)) * est.M_ux
-             + float(np.linalg.norm(mu, 1)) * est.M_vx)
-        beta_req = (32.0 * est.L_Ax * (est.M_Ax + 1.0) * M / est.sigma1x ** 2
+        beta_req = (_coupled_threshold(est, lam, mu)[1]
                     - float(np.dot(lam, params.tau))
                     - float(np.dot(mu, params.gamma)))
         if params.beta < beta_req:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -86,6 +87,22 @@ class TestSolve:
         assert "Traceback" not in captured.err
         assert json.loads(captured.out)["status"] == "converged"
 
+    def test_config_with_an_instance_flag_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "cut.yaml"
+        config.write_text("family: balanced_cut\nm: 10\nq: 2\nrho: 0.3\n"
+                          "seed: 1\n")
+        assert run(["solve", "--config", str(config), "--m", "40"]) == 2
+        assert "--m" in capsys.readouterr().err
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        assert run(["solve", "--config", str(tmp_path / "nope.yaml")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_flag_of_the_other_family_is_usage_error(self, capsys):
+        assert run(["solve", "--family", "balanced_cut", "--m", "10",
+                    "--q", "2", "--rho", "0.3", "--N", "5"]) == 2
+        assert "family.N" in capsys.readouterr().err
+
     def test_exhausted_budget_exits_nonzero(self, capsys):
         code = run(["solve", "--family", "balanced_cut", "--m", "40",
                     "--q", "2", "--rho", "0.2", "--seed", "1",
@@ -135,7 +152,9 @@ class TestBench:
         "family: balanced_cut\nm: 8\nq: 2\nrho: 0.3\nseed: 1\n",
         "- {family: balanced_cut, m: 8, q: 2, rho: dense, seed: 1}\n",
         "- {family: balanced_cut, m: 8\n",
-    ], ids=["no-family", "no-seed", "mapping", "non-numeric-rho", "not-yaml"])
+        "- {family: balanced_cut, m: 8, q: 2, rho: 0.3, seed: 1, bta: 50}\n",
+    ], ids=["no-family", "no-seed", "mapping", "non-numeric-rho", "not-yaml",
+            "unknown-key"])
     def test_malformed_grid_is_usage_error(self, tmp_path, capsys, text):
         grid = tmp_path / "grid.yaml"
         grid.write_text(text)
@@ -186,3 +205,34 @@ class TestParser:
 
     def test_missing_subcommand_is_usage_error(self):
         assert run([]) == 2
+
+    def test_each_subcommand_takes_only_its_flags(self):
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        instance = {"--family", "--m", "--q", "--N", "--r", "--rho", "--seed",
+                    "--beta", "--tau", "--gamma", "--config"}
+        expected = {
+            "validate": {"--family", "--m", "--q", "--n", "--seed", "--probes",
+                         "--tol", "--json"},
+            "solve": instance | {"--pipeline", "--budget", "--out", "--json"},
+            "probe": instance | {"--probes", "--json"},
+            "bench": {"--grid", "--budget", "--out"},
+        }
+        flags = {name: {opt for action in p._actions
+                        if not isinstance(action, argparse._HelpAction)
+                        for opt in action.option_strings}
+                 for name, p in subparsers.choices.items()}
+        assert flags == expected
+        assert [len(flags[name]) for name in expected] == [8, 15, 13, 3]
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--grid", "g.yaml", "--json"],
+        ["validate", "--family", "oblique", "--m", "5", "--q", "2",
+         "--config", "x.yaml"],
+        ["validate", "--family", "balanced_cut", "--m", "5", "--q", "2"],
+        ["probe", "--family", "balanced_cut", "--m", "10", "--q", "2",
+         "--rho", "0.3", "--tol", "1"],
+    ], ids=["bench-json", "validate-config", "validate-instance-family",
+            "probe-tol"])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, argv):
+        assert run(argv) == 2

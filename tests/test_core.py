@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cdpkit import load_problem
 from cdpkit.core import (
     ConfigurationError,
     DegenerateStepError,
@@ -17,7 +18,6 @@ from cdpkit.core import (
     default_fd_step,
     finite_diff_check,
     gradient_action,
-    load_problem,
     validate_manifold,
 )
 from cdpkit.dissolve import build_cdp
@@ -163,6 +163,12 @@ class TestLoadProblem:
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigurationError):
             load_problem({"family": "does_not_exist"})
+
+    def test_unknown_field_reports_dotted_path(self):
+        with pytest.raises(ConfigurationError) as exc:
+            load_problem({"family": "balanced_cut", "m": 10, "q": 2,
+                          "rho": 0.3, "seed": 1, "bta": 50.0})
+        assert exc.value.path == "family.bta"
 
     def test_yaml_string_accepted(self):
         p = load_problem("family: balanced_cut\nm: 10\nq: 2\nrho: 0.3\nseed: 1\n")
