@@ -6,7 +6,6 @@ from .core import (
     ManifoldHandle,
     MultiplierSet,
     PenaltyParams,
-    Point,
     ProblemSpec,
     finite_diff_check,
     validate_manifold,
@@ -31,7 +30,6 @@ __all__ = [
     "ManifoldHandle",
     "MultiplierSet",
     "PenaltyParams",
-    "Point",
     "ProblemSpec",
     "a_infinity",
     "alm_solve_cdp",

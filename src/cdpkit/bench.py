@@ -219,7 +219,8 @@ def problem_config(doc) -> CenterOfMassConfig | BalancedCutConfig:
     """A validated ``CenterOfMassConfig`` or ``BalancedCutConfig`` from one
     mapping: ``family`` picks the class, the class's fields without a default
     are required, each value is cast by its field's annotation, and a key that
-    names no field raises ``ConfigurationError("family.<key>", ...)``."""
+    names no field raises ``ConfigurationError("family.<key>", ...)``, as
+    does a bool or a non-integral number for an ``int`` field."""
     if not isinstance(doc, dict):
         raise ConfigurationError("<document>", "config must be a key-value tree")
     family = doc.get("family")
@@ -235,6 +236,11 @@ def problem_config(doc) -> CenterOfMassConfig | BalancedCutConfig:
     for f in dataclasses.fields(cls):
         if f.default is dataclasses.MISSING and f.name not in doc:
             raise ConfigurationError(f"family.{f.name}", "missing required field")
+    for key, val in doc.items():
+        if casts.get(key) is int and (isinstance(val, bool) or (
+                isinstance(val, float) and not val.is_integer())):
+            raise ConfigurationError(f"family.{key}",
+                                     f"expected an integer, got {val!r}")
     try:
         return cls(**{key: casts[key](val) for key, val in doc.items()
                       if key != "family"})

@@ -86,6 +86,7 @@ def cmd_validate(args) -> int:
         "family": handle.name,
         "max_fixed_point_error": report.max_fixed_point_error,
         "max_jacobian_product_norm": report.max_jacobian_product_norm,
+        "max_adjoint_error": report.max_adjoint_error,
         "probes_used": report.probes_used,
         "constraint_fd_error": fd_err,
         "quadratic_decrease_slope": slope,

@@ -28,7 +28,6 @@ __all__ = [
     "ManifoldHandle",
     "MultiplierSet",
     "PenaltyParams",
-    "Point",
     "ProblemSpec",
     "SolveTrace",
     "TraceRow",
@@ -86,37 +85,6 @@ class ParameterError(CdpkitError):
 
 
 @dataclass(frozen=True)
-class Point:
-    """A point in the ambient space, flattened row-major.
-
-    ``shape`` is ``(rows, cols)`` when the natural variable is a matrix,
-    else ``None``.
-    """
-
-    coords: Vector
-    shape: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float).ravel()
-        object.__setattr__(self, "coords", coords)
-        if not np.all(np.isfinite(coords)):
-            raise EvaluatorFaultError("point has non-finite coordinates")
-        if self.shape is not None and self.shape[0] * self.shape[1] != coords.size:
-            raise DimensionError(
-                f"shape {self.shape} inconsistent with {coords.size} coordinates"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.coords.size
-
-    def as_matrix(self) -> Vector:
-        if self.shape is None:
-            raise DimensionError("point carries no matrix shape")
-        return self.coords.reshape(self.shape)
-
-
-@dataclass(frozen=True)
 class ManifoldHandle:
     """Evaluators for the manifold constraints c and the dissolving map A.
 
@@ -128,15 +96,21 @@ class ManifoldHandle:
     * ``apply_JAT(x, g) -> (n,)``      transposed-Jacobian action of A,
                                        i.e. the chain-rule factor in
                                        grad (f o A)(x)
+    * ``apply_JA(x, d) -> (n,)``       forward Jacobian action of A, the
+                                       derivative of ``eval_A`` along d;
+                                       keyword-only and required.  A map
+                                       with a symmetric Jacobian (oblique,
+                                       sphere, identity) passes its
+                                       ``apply_JAT``.
 
     ``row_blocks`` declares structure, not a formula: ``shape == (m, q)``,
     ``p == m``, and ``c_i`` and row i of ``A`` depend only on row i of X.
     Then ``Jc`` and ``J_A^T`` are block diagonal with one block per row,
     and the constant estimates in ``diagnostics`` read them as stacks of
-    those blocks, through the handle's own actions, instead of assembling
-    dense n x n matrices.  A handle without the declaration is read as one
-    dense block.  A declaration without ``shape``, or with
-    ``p != shape[0]``, raises ``DimensionError``.
+    those blocks, through the handle's own actions.  For a handle without
+    the declaration they bound the norms of ``J_A^T`` matrix-free, from
+    ``apply_JAT`` and ``apply_JA``.  A declaration without ``shape``, or
+    with ``p != shape[0]``, raises ``DimensionError``.
     """
 
     name: str
@@ -149,6 +123,7 @@ class ManifoldHandle:
     apply_JAT: Callable[[Vector, Vector], Vector]
     shape: tuple[int, int] | None = None
     row_blocks: bool = False
+    apply_JA: Callable[[Vector, Vector], Vector] = field(kw_only=True)
 
     def __post_init__(self):
         if self.row_blocks and (self.shape is None or self.p != self.shape[0]):
@@ -291,6 +266,7 @@ class SolveTrace:
 class ValidationReport:
     max_fixed_point_error: float
     max_jacobian_product_norm: float
+    max_adjoint_error: float
     tol: float
     probes_used: int
     passed: bool
@@ -311,18 +287,23 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
                       tol: float) -> ValidationReport:
     """Check the dissolving-map axioms at (projections of) the given probes.
 
-    At each feasible probe x the report records ``||A(x) - x||_inf`` and an
+    At each feasible probe x the report records ``||A(x) - x||_inf``, an
     estimate of the operator norm of the product of the transposed Jacobian
     of A with the constraint Jacobian, obtained by pushing each of the p
-    constraint-gradient columns through ``apply_JAT``.  A probe that
-    ``a_infinity`` cannot project is skipped with a note.
+    constraint-gradient columns through ``apply_JAT``, and the adjointness
+    error ``|<J_A d, g> - <d, J_A^T g>| / (||d|| ||g||)`` of ``apply_JA``
+    and ``apply_JAT`` for random d, g.  Each of the three must be within
+    ``tol`` for the report to pass.  A probe that ``a_infinity`` cannot
+    project is skipped with a note.
     """
     from .dissolve import a_infinity  # local import: dissolve builds on core
 
     max_fix = 0.0
     max_prod = 0.0
+    max_adj = 0.0
     notes: list[str] = []
     used = 0
+    rng = np.random.default_rng((handle.n, handle.p))  # d and g, per probe
     for k, probe in enumerate(probes):
         x = np.asarray(probe, dtype=float).ravel()
         if x.size != handle.n:
@@ -347,9 +328,18 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
             raise EvaluatorFaultError(f"Jacobian action non-finite at probe {k}")
         if handle.p > 0:
             max_prod = max(max_prod, float(np.linalg.norm(cols, 2)))
+        d, g = rng.standard_normal((2, handle.n))
+        gap = (float(np.dot(handle.apply_JA(x, d), g))
+               - float(np.dot(d, handle.apply_JAT(x, g))))
+        if not np.isfinite(gap):
+            raise EvaluatorFaultError(f"Jacobian action non-finite at probe {k}")
+        max_adj = max(max_adj, abs(gap) / float(np.linalg.norm(d)
+                                                * np.linalg.norm(g)))
         used += 1
-    passed = used > 0 and max_fix <= tol and max_prod <= tol
-    return ValidationReport(max_fix, max_prod, tol, used, passed, notes)
+    passed = (used > 0 and max_fix <= tol and max_prod <= tol
+              and max_adj <= tol)
+    return ValidationReport(max_fix, max_prod, max_adj, tol, used, passed,
+                            notes)
 
 
 def default_fd_step(x: Vector) -> float:

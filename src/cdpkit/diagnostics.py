@@ -6,15 +6,17 @@ KKT check factors [Jc Ju] once, by a pivoted QR, and reads its projector,
 rank and free multipliers from that one factorization.  The constant
 estimates also run inside the solve, as the beta safeguard of
 ``alm_solve_cdp``.  They read ``Jc`` and ``J_A^T`` through the handle's
-own actions as stacks of diagonal blocks: one block per row of X for a
-handle that declares ``row_blocks``, O(n) work per sample point; one dense
-block for any other handle, with an n x n ``J_A^T``, O(n^3) per point.
+own actions.  A handle that declares ``row_blocks`` gives stacks of one
+block per row of X, O(n) work per sample point.  Any other handle gives
+``Jc`` as one dense n x p block, and the norms of ``J_A^T`` come
+matrix-free, by Golub-Kahan-Lanczos on ``apply_JAT`` and ``apply_JA``: at
+most 20 applications of each per norm, and no n x n matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -189,6 +191,15 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
     reads: sigma_min(Jc(x)), sup and Lipschitz constant of J_A^T, sups of
     Ju and Jv, and sup of ||grad f(A(y))||.
 
+    On a handle without ``row_blocks`` each norm of J_A^T, or of a
+    difference of two, is a Golub-Kahan-Lanczos lower bound (``_Blocks``)
+    that stops when its top Ritz value moves by at most ``GK_RTOL``
+    relative, or after min(``GK_MAX_STEPS``, n) steps.  At center of mass
+    (40, 10), seed 1, the sampled sup of ||J_A^T|| is 1.0201901 against
+    1.0202000 from dense SVDs at the same points (1e-5 relative below),
+    and its Lipschitz quotient 0.47537066 against 0.47537069 (5e-8): lower
+    bounds, as sampled suprema already are.
+
     Returns the constants, the points (x first) and the generator after
     sampling, so ``estimate_constants`` continues from the same draws.
     """
@@ -197,7 +208,7 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
         raise ValueError("radius must be <= 1")
     mani = problem.manifold
     n = problem.n
-    read = _Blocks(problem)
+    read = _Blocks(problem, seed)
 
     sigma1 = read.sigma_min_jc(x) if problem.p else 0.0
     if problem.p and sigma1 <= 1e-10:
@@ -301,32 +312,102 @@ def _spec_norm(M: Vector) -> float:
 
 def _diff_quotient(S: Vector, S_prev: Vector, y: Vector,
                    y_prev: Vector) -> float:
-    """Spectral norm of the block stack S - S_prev over ||y - y_prev||, or
-    0 for coincident points."""
+    """Spectral norm of S - S_prev, block stacks or ``_JatOperator``s, over
+    ||y - y_prev||, or 0 for coincident points."""
     dist = float(np.linalg.norm(y - y_prev))
     return _Blocks.norm(S - S_prev) / dist if dist > 1e-12 else 0.0
 
 
-class _Blocks:
-    """Reads Jc, J_A^T and J_A^T Jc(A(y)) of a handle as (m, q, k) stacks of
-    their diagonal blocks: q x k for Jc and J_A^T Jc(A(y)), q x q for J_A^T.
+# Stop rule of the Golub-Kahan-Lanczos norm of a matrix-free J_A^T: the
+# top Ritz value has moved by at most GK_RTOL relative to the last step, or
+# min(GK_MAX_STEPS, n) steps have run.
+GK_RTOL = 1e-6
+GK_MAX_STEPS = 20
 
-    A ``row_blocks`` handle (shape (m, q)) has one block per row of X, with
-    k = 1.  Any other handle is one block, m = 1, q = n, k = p: the dense
-    matrices.  Row i of a row-block action depends only on row i of its
-    direction, so the direction ``tile(e_j, m)``, which is e_j in every row,
-    gives column j of every block at once, bitwise equal to the dense
-    entries: k actions for Jc and J_A^T Jc(A(y)), q for J_A^T.  A
-    block-diagonal matrix's spectral norm is its largest block norm, and
-    its singular values are those of its blocks.
+
+class _JatOperator(NamedTuple):
+    """J_A^T(y), or a difference of two, as its actions: ``mv`` applies
+    J_A^T and ``rmv`` its transpose J_A.  ``start`` is the first right
+    Lanczos vector, a unit vector."""
+
+    mv: Callable[[Vector], Vector]
+    rmv: Callable[[Vector], Vector]
+    start: Vector
+
+    def __sub__(self, other: "_JatOperator") -> "_JatOperator":
+        return _JatOperator(lambda v: self.mv(v) - other.mv(v),
+                            lambda u: self.rmv(u) - other.rmv(u), self.start)
+
+    def norm(self) -> float:
+        """Largest singular value of the bidiagonal matrix U_k^T B V_{k+1}
+        from k steps of Golub-Kahan-Lanczos bidiagonalisation of B with
+        full reorthogonalisation: a lower bound on ||B||_2 that grows with
+        k.  It stops on the module's stop rule, or when a new direction
+        vanishes, where the Ritz value is exact."""
+        n = self.start.size
+        steps = min(GK_MAX_STEPS, n)
+        V = np.empty((steps + 1, n))
+        U = np.empty((steps, n))
+        alpha, beta = [], []
+        V[0] = self.start
+        top = 0.0
+        for k in range(steps):
+            u = self.mv(V[k])
+            if k:
+                u -= beta[-1] * U[k - 1]
+            u -= U[:k].T @ (U[:k] @ u)
+            alpha.append(float(np.linalg.norm(u)))
+            if alpha[-1] <= 1e-12 * top:
+                break
+            U[k] = u / alpha[-1]
+            v = self.rmv(U[k]) - alpha[-1] * V[k]
+            v -= V[:k + 1].T @ (V[:k + 1] @ v)
+            beta.append(float(np.linalg.norm(v)))
+            # U_{k+1}^T B V_{k+2}: alpha on the diagonal, beta above it.
+            ritz = float(np.linalg.svd((np.diag(alpha + [0.0])
+                                        + np.diag(beta, 1))[:-1],
+                                       compute_uv=False)[0])
+            done = ritz - top <= GK_RTOL * ritz or beta[-1] <= 1e-12 * ritz
+            top = ritz
+            if done:
+                break
+            V[k + 1] = v / beta[-1]
+        return top
+
+
+class _Blocks:
+    """Reads Jc, J_A^T and J_A^T Jc(A(y)) of a handle.
+
+    Jc and J_A^T Jc(A(y)) come as (m, q, k) stacks of their q x k diagonal
+    blocks.  A ``row_blocks`` handle (shape (m, q)) has one block per row
+    of X, with k = 1; any other handle is one block, m = 1, q = n, k = p:
+    the dense n x p matrices.  Row i of a row-block action depends only on
+    row i of its direction, so the direction ``tile(e_j, m)``, which is e_j
+    in every row, gives column j of every block at once, bitwise equal to
+    the dense entries: k actions per stack.  A block-diagonal matrix's
+    spectral norm is its largest block norm, and its singular values are
+    those of its blocks.
+
+    J_A^T of a ``row_blocks`` handle is the (m, q, q) stack of its blocks,
+    q actions per point.  Of any other handle it is a matrix-free
+    ``_JatOperator``, whose norm is a Golub-Kahan-Lanczos lower bound from
+    ``apply_JAT`` and ``apply_JA``, started at a unit vector fixed by
+    ``(n, seed)``, so it is a deterministic function of the point.  It
+    stops when the top Ritz value moves by at most ``GK_RTOL`` relative, or
+    after min(``GK_MAX_STEPS``, n) steps, so a norm or a difference quotient
+    costs at most 20 applications of J_A^T (or of each of the two J_A^T in
+    a difference) and as many of J_A.
     """
 
-    def __init__(self, problem: ProblemSpec):
+    def __init__(self, problem: ProblemSpec, seed: int = 0):
         mani = self.mani = problem.manifold
         if mani.row_blocks:
             (self.m, self.q), self.k = mani.shape, 1
         else:
             self.m, self.q, self.k = 1, problem.n, problem.p
+            start = np.random.default_rng((problem.n, seed)).standard_normal(
+                problem.n)
+            self.start = start / np.linalg.norm(start)
 
     @staticmethod
     def singular_values(S: Vector) -> Vector:
@@ -337,7 +418,9 @@ class _Blocks:
         return np.linalg.svd(S, compute_uv=False)
 
     @staticmethod
-    def norm(S: Vector) -> float:
+    def norm(S: Vector | _JatOperator) -> float:
+        if isinstance(S, _JatOperator):
+            return S.norm()
         if S.size == 0:
             return 0.0
         return float(np.max(_Blocks.singular_values(S)[:, 0]))
@@ -356,8 +439,12 @@ class _Blocks:
     def sigma_min_jc(self, y: Vector) -> float:
         return float(np.min(self.singular_values(self.jc(y))[:, -1]))
 
-    def jat(self, y: Vector) -> Vector:
-        return self._stack(lambda g: self.mani.apply_JAT(y, g), self.q)
+    def jat(self, y: Vector) -> Vector | _JatOperator:
+        mani = self.mani
+        if mani.row_blocks:
+            return self._stack(lambda g: mani.apply_JAT(y, g), self.q)
+        return _JatOperator(lambda g: mani.apply_JAT(y, g),
+                            lambda d: mani.apply_JA(y, d), self.start)
 
     def jat_jc_a(self, y: Vector) -> Vector:
         mani = self.mani

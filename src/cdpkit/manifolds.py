@@ -83,7 +83,8 @@ class GenericManifoldSpec:
 
     Every callable must be a pure function of its arguments: the handle
     built from a spec computes ``Jc(x)``, the Gram matrix and ``c(x)`` once
-    per point and reuses them for ``eval_A`` and ``apply_JAT`` at that x.
+    per point and reuses them for ``eval_A``, ``apply_JAT`` and
+    ``apply_JA`` at that x.
     """
 
     n: int
@@ -125,6 +126,24 @@ def _jat_at(spec: GenericManifoldSpec, x: Vector, g: Vector, state) -> Vector:
     a = np.linalg.solve(G, J.T @ g)
     pg = g - J @ a
     return pg - _djc_action(spec, x, pg, w) + _djc_action(spec, x, z, a)
+
+
+def _hess_z_columns(spec: GenericManifoldSpec, x: Vector, z: Vector) -> Vector:
+    """E = [(D Jc)[z] e_l]_l, the n x p matrix with E^T d = (D Jc)[d]^T z:
+    column l is Hess(c_l) z, and each Hessian is symmetric."""
+    return _dense_columns(lambda y, e: _djc_action(spec, y, z, e), x,
+                          spec.p, spec.n)
+
+
+def _ja_at(spec: GenericManifoldSpec, x: Vector, d: Vector, state,
+           E: Vector) -> Vector:
+    """Forward Jacobian action of ``generic_A``, the adjoint of ``_jat_at``:
+
+        P (d - (D Jc)[d] w) + Jc G^{-1} E^T d.
+    """
+    J, G, w, z = state
+    u = d - _djc_action(spec, x, d, w)
+    return u - J @ np.linalg.solve(G, J.T @ u - E.T @ d)
 
 
 def generic_A(spec: GenericManifoldSpec, x: Vector) -> Vector:
@@ -229,13 +248,16 @@ def _oblique_handle(m: int, q: int) -> ManifoldHandle:
     def as_mat(x):
         return np.asarray(x, dtype=float).reshape(m, q)
 
+    def apply_JAT(x, d):
+        return oblique_JAT(as_mat(x), as_mat(d)).ravel()
+
     return ManifoldHandle(
         name=f"oblique({m},{q})", n=n, p=m,
         eval_c=lambda x: np.sum(as_mat(x) ** 2, axis=1) - 1.0,
         apply_JcT=lambda x, d: 2.0 * np.sum(as_mat(x) * as_mat(d), axis=1),
         apply_Jc=lambda x, w: (2.0 * np.asarray(w)[:, None] * as_mat(x)).ravel(),
         eval_A=lambda x: oblique_A(as_mat(x)).ravel(),
-        apply_JAT=lambda x, d: oblique_JAT(as_mat(x), as_mat(d)).ravel(),
+        apply_JAT=apply_JAT, apply_JA=apply_JAT,
         shape=(m, q), row_blocks=True)
 
 
@@ -248,30 +270,45 @@ def _sphere_handle(n: int) -> ManifoldHandle:
         apply_JcT=lambda x, d: np.array([2.0 * float(np.dot(x, d))]),
         apply_Jc=lambda x, w: 2.0 * float(np.asarray(w).ravel()[0]) * np.asarray(x, dtype=float),
         eval_A=sphere_A,
-        apply_JAT=sphere_JAT)
+        apply_JAT=sphere_JAT, apply_JA=sphere_JAT)
 
 
 def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
-    # One-entry cache of the point state, keyed by the bytes of x: the
-    # solver evaluates A and then J_A^T at the same x, and dense J_A^T
-    # assembly applies J_A^T n times at one x.  A point whose Gram check
-    # fails raises before it is stored, so it raises again on every call.
-    last = {}
+    # The point states of the last two points, keyed by the bytes of x, each
+    # with its E matrix once ``apply_JA`` needs it.  The solver evaluates A
+    # and then J_A^T at one x; the Lipschitz estimate of J_A^T in
+    # ``diagnostics`` applies J_A^T(y) - J_A^T(y') and its transpose, so it
+    # alternates between two consecutive sample points at every Krylov
+    # step, and one entry would rebuild both states each time.  A point
+    # whose Gram check fails raises before it is stored, so it raises again
+    # on every call.
+    cache = {}
 
-    def state_at(x):
+    def entry(x):
         key = x.tobytes()
-        if last.get("key") != key:
-            last.update(key=key, state=_point_state(spec, x))
-        return last["state"]
+        if key not in cache:
+            state = _point_state(spec, x)
+            if len(cache) == 2:
+                del cache[next(iter(cache))]  # the older point
+            cache[key] = [state, None]
+        return cache[key]
 
     def eval_A(x):
         x = np.asarray(x, dtype=float).ravel()
-        return x - state_at(x)[3]
+        return x - entry(x)[0][3]
 
     def apply_JAT(x, g):
         x = np.asarray(x, dtype=float).ravel()
         g = np.asarray(g, dtype=float).ravel()
-        return _jat_at(spec, x, g, state_at(x))
+        return _jat_at(spec, x, g, entry(x)[0])
+
+    def apply_JA(x, d):
+        x = np.asarray(x, dtype=float).ravel()
+        d = np.asarray(d, dtype=float).ravel()
+        ent = entry(x)
+        if ent[1] is None:
+            ent[1] = _hess_z_columns(spec, x, ent[0][3])
+        return _ja_at(spec, x, d, *ent)
 
     return ManifoldHandle(
         name=spec.name, n=spec.n, p=spec.p,
@@ -280,6 +317,7 @@ def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
         apply_Jc=spec.apply_Jc,
         eval_A=eval_A,
         apply_JAT=apply_JAT,
+        apply_JA=apply_JA,
         shape=spec.shape)
 
 
@@ -288,13 +326,16 @@ def euclidean_handle(n: int) -> ManifoldHandle:
 
     Accepted by the direct-NLP solver only, for oracle problems.
     """
+    def identity(x, d):
+        return np.asarray(d, dtype=float).ravel()
+
     return ManifoldHandle(
         name=f"euclidean({n})", n=n, p=0,
         eval_c=lambda x: np.zeros(0),
         apply_JcT=lambda x, d: np.zeros(0),
         apply_Jc=lambda x, w: np.zeros(n),
         eval_A=lambda x: np.asarray(x, dtype=float).ravel(),
-        apply_JAT=lambda x, g: np.asarray(g, dtype=float).ravel())
+        apply_JAT=identity, apply_JA=identity)
 
 
 def make_handle(family: str, *, m: int | None = None, q: int | None = None,

@@ -471,8 +471,9 @@ def alm_solve_cdp(instance: CdpInstance, x0: Vector,
     The pass runs inside the solve: on a handle that declares
     ``row_blocks`` (the oblique manifold) it reads ``Jc`` and ``J_A^T`` as
     stacks of per-row blocks, q applications of ``J_A^T`` per sample point;
-    on any other handle it assembles a dense n x n ``J_A^T`` from n
-    applications per point and takes its SVD, O(n^3).  While beta is below
+    on any other handle it bounds ``||J_A^T||`` and its Lipschitz quotient
+    from below by Golub-Kahan-Lanczos on ``apply_JAT`` and ``apply_JA``, at
+    most 20 steps per norm, without forming ``J_A^T``.  While beta is below
     the sampled bound, each adaptation rebuilds the instance with beta
     multiplied by ``beta_growth`` (a continuation), so beta may sit below
     the bound for some rows.  The bound is a sufficient condition for the

@@ -2,8 +2,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdpkit.core import (
+    ConfigurationError,
     DimensionError,
     MultiplierSet,
     ParameterError,
@@ -17,6 +20,7 @@ from cdpkit.bench import (
     build_balanced_cut_cdp,
     gen_balanced_cut,
     gen_center_of_mass,
+    problem_config,
     records_to_csv,
     records_to_markdown,
     run_experiment,
@@ -45,6 +49,51 @@ class TestConfigs:
             BalancedCutConfig(m=10, q=2, rho=0.0, seed=0)
         with pytest.raises(ParameterError):
             BalancedCutConfig(m=10, q=2, rho=1.0, seed=0)
+
+
+_VALID_DOCS = {
+    "center_of_mass": {"family": "center_of_mass", "m": 8, "q": 4, "N": 10,
+                       "r": 0.1, "seed": 0},
+    "balanced_cut": {"family": "balanced_cut", "m": 10, "q": 2, "rho": 0.3,
+                     "seed": 0},
+}
+_INT_FIELDS = [(family, key) for family, fields in
+               [("center_of_mass", ("m", "q", "N", "seed")),
+                ("balanced_cut", ("m", "q", "seed"))] for key in fields]
+
+
+class TestConfigIngestion:
+    @settings(max_examples=200, deadline=None)
+    @given(target=st.sampled_from(_INT_FIELDS),
+           value=st.one_of(st.booleans(), st.integers(-10 ** 6, 10 ** 6),
+                           st.floats(allow_nan=True, allow_infinity=True)))
+    def test_int_fields_take_integers_only(self, target, value):
+        # A value reaches an int field unchanged or is refused: a bool or a
+        # non-integral number names its field, an integral one may fail
+        # only the family's own checks.
+        family, key = target
+        doc = dict(_VALID_DOCS[family], **{key: value})
+        integral = (not isinstance(value, bool)
+                    and float(value).is_integer())
+        try:
+            cfg = problem_config(doc)
+        except ConfigurationError as exc:
+            if not integral:
+                assert exc.path == f"family.{key}"
+            return
+        assert integral
+        assert getattr(cfg, key) == value
+        assert type(getattr(cfg, key)) is int
+
+    @pytest.mark.parametrize("value", [8.7, True, False, float("inf")])
+    def test_named_values_are_refused(self, value):
+        doc = dict(_VALID_DOCS["center_of_mass"], m=value)
+        with pytest.raises(ConfigurationError) as exc:
+            problem_config(doc)
+        assert exc.value.path == "family.m"
+
+    def test_integral_float_is_accepted(self):
+        assert problem_config(dict(_VALID_DOCS["balanced_cut"], m=12.0)).m == 12
 
 
 class TestCenterOfMass:

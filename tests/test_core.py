@@ -12,7 +12,6 @@ from cdpkit.core import (
     MultiplierSet,
     ParameterError,
     PenaltyParams,
-    Point,
     SolveTrace,
     TraceRow,
     default_fd_step,
@@ -27,14 +26,6 @@ from conftest import near_manifold_points, sphere_constraint_spec
 
 
 class TestDomainTypes:
-    def test_point_rejects_non_finite_coordinates(self):
-        with pytest.raises(EvaluatorFaultError):
-            Point(coords=np.array([1.0, np.nan]))
-
-    def test_point_shape_must_match_length(self):
-        with pytest.raises(DimensionError):
-            Point(coords=np.zeros(5), shape=(2, 2))
-
     def test_penalty_params_reject_negative_entries(self):
         with pytest.raises(ParameterError):
             PenaltyParams(beta=-1.0)
@@ -99,6 +90,19 @@ class TestValidateManifold:
         assert len(report.notes) == 1
         assert report.notes[0].startswith("probe 1 skipped")
 
+    def test_forward_action_that_is_not_the_adjoint_fails(self):
+        handle = make_handle("oblique", m=5, q=3)
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((5, 3))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        assert validate_manifold(handle, [X.ravel()], tol=1e-10).passed
+        scaled = dataclasses.replace(
+            handle, apply_JA=lambda x, d: 1.01 * handle.apply_JA(x, d))
+        report = validate_manifold(scaled, [X.ravel()], tol=1e-10)
+        assert not report.passed
+        assert report.max_adjoint_error > 1e-4
+        assert report.max_fixed_point_error == 0.0
+
     def test_generic_gauss_newton_on_sphere_constraint(self):
         handle = make_handle("generic", spec=sphere_constraint_spec(8))
         base = np.zeros(8)
@@ -108,6 +112,7 @@ class TestValidateManifold:
         assert report.passed
         assert report.max_fixed_point_error <= 1e-9
         assert report.max_jacobian_product_norm <= 1e-9
+        assert report.max_adjoint_error <= 1e-14
 
 
 class TestFiniteDiffCheck:

@@ -21,6 +21,7 @@ from cdpkit.bench import (
     gen_center_of_mass,
 )
 from cdpkit.diagnostics import (
+    GK_MAX_STEPS,
     _Blocks,
     _bound_constants,
     check_condition,
@@ -289,7 +290,7 @@ def _counting_jat(problem):
 
 def _dense_bound_constants(problem, points):
     """The six bound constants at the given points (x first) from dense
-    matrices: the reference for the block path."""
+    matrices: the reference for the block and matrix-free paths."""
     n = problem.n
     mani = problem.manifold
     Jc = _dense_columns(mani.apply_Jc, points[0], problem.p, n)
@@ -317,6 +318,18 @@ def _cut_reference_point(m, rho, seed):
     return problem, a_infinity(problem.manifold, x0)
 
 
+def _unblocked(problem, x):
+    """The problem with its handle's ``row_blocks`` declaration dropped."""
+    return dataclasses.replace(
+        problem, manifold=dataclasses.replace(problem.manifold,
+                                              row_blocks=False)), x
+
+
+# Largest relative gap of a matrix-free norm of J_A^T below the dense one
+# that the tests accept; the largest measured on these instances is 2e-7.
+MATRIX_FREE_RTOL = 1e-5
+
+
 def _within_ulps(a, b, ulps):
     return abs(a - b) <= ulps * np.spacing(max(abs(a), abs(b)))
 
@@ -331,29 +344,12 @@ class TestRowBlockConstants:
         _bound_constants(counted, x, radius=0.1, samples=30, seed=0)
         assert len(calls) == 31 * 2
 
-    def test_dense_path_kept_for_handles_without_blocks(self):
-        problem, x0 = gen_center_of_mass(
-            CenterOfMassConfig(m=6, q=2, N=8, r=0.5, seed=3))
-        x = a_infinity(problem.manifold, x0)
-        counted, calls = _counting_jat(problem)
-        _bound_constants(counted, x, radius=0.1, samples=30, seed=0)
-        assert len(calls) == 31 * problem.n == 31 * 12
-
     @pytest.mark.parametrize("family, args, ulps", [
         ("balanced_cut", (50, 0.1, 20), 4),
-        ("balanced_cut", (20, 0.2, 3), 4),
-        # A handle without row blocks is read as one dense block, so its
-        # constants are the dense ones bit for bit.
-        ("center_of_mass", (6, 2), 0)],
-        ids=["50-0.1-20", "20-0.2-3", "center_of_mass-6-2"])
+        ("balanced_cut", (20, 0.2, 3), 4)],
+        ids=["50-0.1-20", "20-0.2-3"])
     def test_bound_constants_match_dense_reference(self, family, args, ulps):
-        if family == "balanced_cut":
-            problem, x = _cut_reference_point(*args)
-        else:
-            m, q = args
-            problem, x0 = gen_center_of_mass(
-                CenterOfMassConfig(m=m, q=q, N=8, r=0.5, seed=3))
-            x = a_infinity(problem.manifold, x0)
+        problem, x = _cut_reference_point(*args)
         six, points, _ = _bound_constants(problem, x, radius=0.1, samples=30,
                                           seed=0)
         reference = _dense_bound_constants(problem, points)
@@ -361,14 +357,24 @@ class TestRowBlockConstants:
             assert _within_ulps(value, reference[name], ulps), name
 
     def test_full_estimates_match_the_dense_path(self):
-        # The same handle with the declaration dropped takes the dense path.
+        # The same handle with the declaration dropped reads Jc as one dense
+        # block; M_Ax, L_Ax and the radii derived from M_Ax come from dense
+        # J_A^T at the same points.
         problem, x = _cut_reference_point(20, 0.2, 3)
-        dense = dataclasses.replace(
-            problem, manifold=dataclasses.replace(problem.manifold,
-                                                  row_blocks=False))
         blocks = estimate_constants(problem, x, radius=0.1, samples=30, seed=0)
-        reference = estimate_constants(dense, x, radius=0.1, samples=30,
-                                       seed=0)
+        one_block = estimate_constants(*_unblocked(problem, x), radius=0.1,
+                                       samples=30, seed=0)
+        _, points, _ = _bound_constants(problem, x, radius=0.1, samples=30,
+                                        seed=0)
+        dense = _dense_bound_constants(problem, points)
+        r, M_A = one_block, dense["M_Ax"]
+        eps = min(r.rho_x / 2.0,
+                  r.sigma1x / (32.0 * r.L_cx * (M_A + 1.0)),
+                  r.sigma1x ** 2 / (8.0 * r.L_Acx * r.M_cx))
+        reference = dataclasses.replace(
+            one_block, M_Ax=M_A, L_Ax=dense["L_Ax"], epsilon_x=eps,
+            omega_bar_radius=r.sigma1x * eps
+            / (4.0 * r.M_cx * (M_A + 1.0) + r.sigma1x))
         for name, value in dataclasses.asdict(blocks).items():
             assert _within_ulps(value, getattr(reference, name), 8), name
 
@@ -405,6 +411,47 @@ class TestRowBlockConstants:
         Jc = _dense_columns(handle.apply_Jc, xf, handle.p, handle.n)
         JaT = _dense_columns(handle.apply_JAT, xf, handle.n, handle.n)
         assert np.max(np.abs(Jc.T @ JaT)) <= 1e-14
+
+
+class TestMatrixFreeConstants:
+    """A handle without ``row_blocks`` has the norms of J_A^T bounded
+    matrix-free, from ``apply_JAT`` and ``apply_JA``."""
+
+    def test_jat_calls_below_dense(self):
+        # At most GK_MAX_STEPS applications per norm at each of the 31
+        # points, and twice that per quotient over the 30 consecutive
+        # pairs: below the 31 n of assembling J_A^T at every point.
+        problem, x0 = gen_center_of_mass(
+            CenterOfMassConfig(m=20, q=4, N=8, r=0.5, seed=3))
+        x = a_infinity(problem.manifold, x0)
+        counted, calls = _counting_jat(problem)
+        _bound_constants(counted, x, radius=0.1, samples=30, seed=0)
+        assert len(calls) <= (31 + 2 * 30) * GK_MAX_STEPS < 31 * problem.n
+
+    @pytest.mark.parametrize("case", ["symplectic-6-2", "symplectic-20-4",
+                                      "oblique-unblocked"])
+    def test_norms_bound_dense_from_below(self, case):
+        # Golub-Kahan-Lanczos gives lower bounds on ||J_A^T|| and on the
+        # Lipschitz quotients, at most MATRIX_FREE_RTOL below the dense
+        # SVDs at the same points.  The other four constants do not read
+        # J_A^T and stay the dense ones bit for bit.
+        if case == "oblique-unblocked":
+            problem, x = _unblocked(*_cut_reference_point(20, 0.2, 3))
+        else:
+            m, q = map(int, case.split("-")[1:])
+            problem, x0 = gen_center_of_mass(
+                CenterOfMassConfig(m=m, q=q, N=8, r=0.5, seed=3))
+            x = a_infinity(problem.manifold, x0)
+        six, points, _ = _bound_constants(problem, x, radius=0.1, samples=30,
+                                          seed=0)
+        reference = _dense_bound_constants(problem, points)
+        for name, value in six._asdict().items():
+            exact = reference[name]
+            if name in ("M_Ax", "L_Ax"):
+                assert value <= exact + 8 * np.spacing(exact), name
+                assert value >= exact * (1.0 - MATRIX_FREE_RTOL), name
+            else:
+                assert value == exact, name
 
 
 @pytest.fixture(scope="module")

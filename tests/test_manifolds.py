@@ -15,6 +15,7 @@ from cdpkit.core import (
     finite_diff_check,
     validate_manifold,
 )
+from cdpkit.diagnostics import _bound_constants, make_synthetic_kkt
 from cdpkit.dissolve import a_infinity, build_cdp
 from cdpkit.manifolds import (
     GenericManifoldSpec,
@@ -213,6 +214,22 @@ class TestGenericHandleCache:
         instance.point_eval(x).weighted_grad()
         assert calls[0] == spec.p  # parent: 2p, for A and again for J_A^T
 
+    def test_bound_pass_builds_each_point_once(self):
+        # The Lipschitz quotient alternates between consecutive sample
+        # points at every Krylov step; the two-entry cache keeps both.
+        spec, calls = self._counted(symplectic_spec(8, 4))
+        rng = np.random.default_rng(23)
+        E = symplectic_canonical_point(8, 4).ravel()
+        x = a_infinity(make_handle("symplectic_stiefel", m=8, q=4),
+                       E + 0.05 * rng.standard_normal(spec.n))
+        problem = linear_objective_sphere_problem(
+            spec.n, handle=make_handle("generic", spec=spec))
+        calls[0] = 0
+        _, points, _ = _bound_constants(problem, x, radius=0.1, samples=30,
+                                        seed=0)
+        # p columns for sigma_min(Jc(x)), then one state per sample point.
+        assert calls[0] == (1 + len(points)) * spec.p
+
 
 class TestSymplecticFamily:
     def test_form_is_standard_skew_block(self):
@@ -394,3 +411,37 @@ class TestProjectedPointProperties:
         c = float(np.linalg.norm(handle.eval_c(x)))
         tol = 4.0 * (c + handle.n * np.finfo(float).eps)
         assert np.max(np.abs(Jc.T @ JaT)) <= tol
+
+
+def _forward_case(data, family):
+    """A handle of the family and a point to differentiate its map at."""
+    if family == "affine":
+        problem, x_star, _ = make_synthetic_kkt(
+            seed=data.draw(st.integers(0, 1000)))
+        w = data.draw(hnp.arrays(float, problem.n,
+                                 elements=st.floats(-1.0, 1.0)))
+        return problem.manifold, x_star + w
+    if family == "euclidean":
+        n = data.draw(st.integers(1, 12))
+        return make_handle("euclidean", n=n), data.draw(
+            hnp.arrays(float, n, elements=st.floats(-2.0, 2.0)))
+    return _start_near(data, family)
+
+
+class TestForwardJacobian:
+    """``apply_JA`` is the derivative of ``eval_A`` and the adjoint of
+    ``apply_JAT``: the matrix-free norms of J_A^T rely on both."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), family=st.sampled_from(
+        ["oblique", "sphere", "symplectic_stiefel", "affine", "euclidean"]))
+    def test_forward_action_is_the_derivative_and_the_adjoint(self, data,
+                                                               family):
+        handle, y = _forward_case(data, family)
+        assert finite_diff_check(handle.eval_A, handle.apply_JA, y,
+                                 default_fd_step(y)) <= 1e-7
+        rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
+        d, g = rng.standard_normal((2, handle.n))
+        gap = (np.dot(handle.apply_JA(y, d), g)
+               - np.dot(d, handle.apply_JAT(y, g)))
+        assert abs(gap) <= 1e-12 * np.linalg.norm(d) * np.linalg.norm(g)
