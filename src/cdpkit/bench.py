@@ -151,8 +151,7 @@ def gen_center_of_mass(cfg: CenterOfMassConfig) -> tuple[ProblemSpec, Vector]:
             [2.0 * float(np.dot(np.asarray(x).ravel() - s_star, d))]),
         apply_Jv=lambda x, w: 2.0 * float(np.asarray(w).ravel()[0])
         * (np.asarray(x, dtype=float).ravel() - s_star),
-        name=cfg.label(),
-        description="Riemannian center of mass, symplectic Stiefel manifold")
+        name=cfg.label())
     return problem, s_star.copy()
 
 
@@ -195,8 +194,7 @@ def gen_balanced_cut(cfg: BalancedCutConfig) -> tuple[ProblemSpec, Vector]:
         eval_u=lambda x: as_mat(x).T @ e,
         apply_JuT=lambda x, d: as_mat(d).T @ e,
         apply_Ju=lambda x, w: np.outer(e, np.asarray(w, dtype=float)).ravel(),
-        name=cfg.label(),
-        description="minimum balanced cut relaxation, oblique manifold")
+        name=cfg.label())
     object.__setattr__(problem, "_laplacian", L)
 
     X0 = rng.standard_normal((m, q))

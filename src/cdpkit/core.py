@@ -167,7 +167,6 @@ class ProblemSpec:
     apply_JvT: Callable[[Vector, Vector], Vector] = _empty_dir
     apply_Jv: Callable[[Vector, Vector], Vector] = _empty_comb
     name: str = "problem"
-    description: str = ""
 
     @property
     def n(self) -> int:

@@ -1,21 +1,23 @@
 """KKT residuals, feasibility metric, LICQ check, neighborhood-constant
 estimation and penalty-condition checkers.
 
-The KKT and LICQ checks assemble the dense n x p constraint Jacobians; the
-KKT check factors [Jc Ju] once, by a pivoted QR, and reads its projector,
-rank and free multipliers from that one factorization.  The constant
-estimates also run inside the solve, as the beta safeguard of
-``alm_solve_cdp``.  They read ``Jc`` and ``J_A^T`` through the handle's
-own actions.  A handle that declares ``row_blocks`` gives stacks of one
-block per row of X, O(n) work per sample point.  Any other handle gives
-``Jc`` as one dense n x p block, and the norms of ``J_A^T`` come
+The KKT and LICQ checks assemble the dense constraint Jacobians, Jc from
+the block reader ``_Blocks`` (one ``apply_Jc`` on a ``row_blocks``
+handle); the KKT check factors [Jc Ju] once, by a pivoted QR, and reads
+its projector, rank and free multipliers from that one factorization.
+The constant estimates also run inside the solve, as the beta safeguard
+of ``alm_solve_cdp``.  They read ``Jc`` and ``J_A^T`` through the
+handle's own actions.  A handle that declares ``row_blocks`` gives stacks
+of one block per row of X, O(n) work per sample point.  Any other handle
+gives ``Jc`` as one dense n x p block, and the norms of ``J_A^T`` come
 matrix-free, by Golub-Kahan-Lanczos on ``apply_JAT`` and ``apply_JA``: at
 most 20 applications of each per norm, and no n x n matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -58,9 +60,14 @@ def feasibility(problem: ProblemSpec, x: Vector) -> float:
 
 
 def dense_jacobians(problem: ProblemSpec, x: Vector):
-    """Dense (n x p), (n x N_E), (n x N_I) constraint-gradient matrices."""
+    """Dense (n x p), (n x N_E), (n x N_I) constraint-gradient matrices.
+    Jc is the block-diagonal matrix of ``_Blocks.jc``'s stack."""
     n = problem.n
-    Jc = _dense_columns(problem.manifold.apply_Jc, x, problem.p, n)
+    read = _Blocks(problem)
+    blocks = np.arange(read.m)
+    Jc = np.zeros((read.m, read.q, read.m, read.k))
+    Jc[blocks, :, blocks, :] = read.jc(x)
+    Jc = Jc.reshape(n, problem.p)
     Ju = _dense_columns(problem.apply_Ju, x, problem.n_eq, n)
     Jv = _dense_columns(problem.apply_Jv, x, problem.n_ineq, n)
     return Jc, Ju, Jv
@@ -74,15 +81,6 @@ class KktReport:
     active_set: list[int]
     complementarity: float
     rank_deficient: bool = False
-
-    def as_record(self) -> dict:
-        return {
-            "stationarity": self.stationarity,
-            "feasibility": self.feasibility,
-            "complementarity": self.complementarity,
-            "n_active": len(self.active_set),
-            "rank_deficient": self.rank_deficient,
-        }
 
 
 def kkt_residual(problem: ProblemSpec, x: Vector) -> KktReport:
@@ -283,15 +281,16 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
         sample_count=len(pts) - 1, radius=radius)
 
 
-def _estimate_rho(problem, x, sigma1, radius, rng, probes_per_radius: int = 8):
-    """Largest tested radius keeping sigma_min(Jc) >= sigma1 / 2."""
+def _estimate_rho(problem, x, sigma1, radius, rng):
+    """Largest of six radii keeping sigma_min(Jc) >= sigma1 / 2 at 8
+    random points that far from x."""
     if problem.p == 0:
         return 1.0
     read = _Blocks(problem)
     best = 0.0
     for r in np.geomspace(max(radius, 1e-3), 1.0, 6):
         ok = True
-        for _ in range(probes_per_radius):
+        for _ in range(8):
             d = rng.standard_normal(problem.n)
             d *= r / np.linalg.norm(d)
             if read.sigma_min_jc(x + d) < 0.5 * sigma1:
@@ -401,13 +400,18 @@ class _Blocks:
 
     def __init__(self, problem: ProblemSpec, seed: int = 0):
         mani = self.mani = problem.manifold
+        self.seed = seed
         if mani.row_blocks:
             (self.m, self.q), self.k = mani.shape, 1
         else:
             self.m, self.q, self.k = 1, problem.n, problem.p
-            start = np.random.default_rng((problem.n, seed)).standard_normal(
-                problem.n)
-            self.start = start / np.linalg.norm(start)
+
+    @functools.cached_property
+    def start(self) -> Vector:
+        """``jat``'s first Lanczos vector, fixed by ``(n, seed)``."""
+        start = np.random.default_rng((self.q, self.seed)).standard_normal(
+            self.q)
+        return start / np.linalg.norm(start)
 
     @staticmethod
     def singular_values(S: Vector) -> Vector:
@@ -425,16 +429,14 @@ class _Blocks:
             return 0.0
         return float(np.max(_Blocks.singular_values(S)[:, 0]))
 
-    def _stack(self, action, count: int) -> Vector:
-        """(m, q, count) stack whose column j is ``action(tile(e_j, m))``."""
-        directions = np.tile(np.eye(count), self.m)
-        S = np.empty((self.m, self.q, count))
-        for j, d in enumerate(directions):
-            S[:, :, j] = action(d).reshape(self.m, self.q)
-        return S
+    def _stack(self, action, y: Vector, count: int) -> Vector:
+        """(m, q, count) stack; column j is ``action(y, tile(e_j, m))``."""
+        m, q = self.m, self.q
+        tiled = action if m == 1 else lambda y, e: action(y, np.tile(e, m))
+        return _dense_columns(tiled, y, count, m * q).reshape(m, q, count)
 
     def jc(self, y: Vector) -> Vector:
-        return self._stack(lambda w: self.mani.apply_Jc(y, w), self.k)
+        return self._stack(self.mani.apply_Jc, y, self.k)
 
     def sigma_min_jc(self, y: Vector) -> float:
         return float(np.min(self.singular_values(self.jc(y))[:, -1]))
@@ -442,15 +444,15 @@ class _Blocks:
     def jat(self, y: Vector) -> Vector | _JatOperator:
         mani = self.mani
         if mani.row_blocks:
-            return self._stack(lambda g: mani.apply_JAT(y, g), self.q)
+            return self._stack(mani.apply_JAT, y, self.q)
         return _JatOperator(lambda g: mani.apply_JAT(y, g),
                             lambda d: mani.apply_JA(y, d), self.start)
 
     def jat_jc_a(self, y: Vector) -> Vector:
         mani = self.mani
         ay = mani.eval_A(y)
-        return self._stack(lambda w: mani.apply_JAT(y, mani.apply_Jc(ay, w)),
-                           self.k)
+        return self._stack(
+            lambda y, w: mani.apply_JAT(y, mani.apply_Jc(ay, w)), y, self.k)
 
 
 @dataclass
@@ -474,10 +476,6 @@ class ConditionReport:
     coupled_lhs: float | None = None
     coupled_slack: float | None = None
     coupled_met: bool | None = None
-    notes: list[str] = field(default_factory=list)
-
-    def as_record(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "notes"}
 
 
 SAFETY = 2.0

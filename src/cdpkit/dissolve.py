@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    CdpkitError,
     DimensionError,
     ManifoldHandle,
     MultiplierSet,
@@ -209,11 +210,11 @@ class DecreaseProbeReport:
 
 def lagrangian_decrease_probe(instance: CdpInstance, x_feasible: Vector,
                               mult: MultiplierSet, offsets: Sequence[float],
-                              direction: Vector | None = None,
-                              seed: int = 0,
-                              slack: float = 1e-10) -> DecreaseProbeReport:
+                              seed: int = 0) -> DecreaseProbeReport:
     """Probe monotone Lagrangian decrease under single and iterated
-    applications of the dissolving map at points x + t*w.
+    applications of the dissolving map at points x + t*w, for a random
+    unit direction w drawn from ``seed``.  A decrease passes when it is at
+    least -1e-10.
 
     For equality-free problems additionally records the quadratic
     h-decrease bound (beta/4)||c(y)||^2.  When the penalty lower bound is
@@ -228,11 +229,9 @@ def lagrangian_decrease_probe(instance: CdpInstance, x_feasible: Vector,
 
     x = np.asarray(x_feasible, dtype=float).ravel()
     mani = instance.manifold
-    if direction is None:
-        rng = np.random.default_rng(seed)
-        direction = rng.standard_normal(x.size)
-    w = np.asarray(direction, dtype=float).ravel()
+    w = np.random.default_rng(seed).standard_normal(x.size)
     w = w / np.linalg.norm(w)
+    slack = 1e-10
 
     report = DecreaseProbeReport()
     try:
@@ -241,7 +240,7 @@ def lagrangian_decrease_probe(instance: CdpInstance, x_feasible: Vector,
         cond = check_condition(est, instance.params, mult)
         report.condition_met = cond.coupled_met if cond.coupled_met is not None \
             else cond.beta_met
-    except Exception as exc:  # advisory only; probe still runs
+    except CdpkitError as exc:  # advisory only; probe still runs
         report.skipped.append(f"condition check unavailable: {exc}")
 
     pure_h_case = instance.problem.n_eq == 0

@@ -18,6 +18,7 @@ from .core import (
     RankDeficiencyError,
     Vector,
     _dense_columns,
+    default_fd_step,
 )
 
 __all__ = [
@@ -100,11 +101,10 @@ class GenericManifoldSpec:
 def _djc_action(spec: GenericManifoldSpec, x: Vector, d: Vector, w: Vector) -> Vector:
     if spec.apply_dJc is not None:
         return spec.apply_dJc(x, d, w)
-    h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
     nd = float(np.linalg.norm(d))
     if nd == 0.0:
         return np.zeros_like(x)
-    step = h / nd
+    step = default_fd_step(x) / nd
     return (spec.apply_Jc(x + step * d, w) - spec.apply_Jc(x - step * d, w)) / (2.0 * step)
 
 

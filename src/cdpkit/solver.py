@@ -46,17 +46,21 @@ __all__ = [
 ]
 
 
+# ALM penalty sigma: its start, and its factor after an outer iteration
+# whose violation did not fall fourfold.
+PENALTY_INIT = 10.0
+PENALTY_GROWTH = 10.0
+MULTIPLIER_CLIP = 1e8  # bound on each multiplier's magnitude
+BETA_GROWTH = 10.0  # factor of one beta adaptation
+
+
 @dataclass(frozen=True)
 class AlmOptions:
     outer_tol_stationarity: float = 1e-6
     outer_tol_feasibility: float = 1e-6
     max_outer: int = 100
     max_inner: int = 500
-    alm_penalty_init: float = 10.0
-    alm_penalty_growth: float = 10.0
-    multiplier_clip: float = 1e8
     beta_adapt: bool = True
-    beta_growth: float = 10.0
     time_budget: float | None = None
 
     def __post_init__(self):
@@ -64,10 +68,6 @@ class AlmOptions:
             raise ValueError("tolerances must be positive")
         if self.max_outer < 0 or self.max_inner < 0:
             raise ValueError("iteration budgets must be non-negative")
-        if self.multiplier_clip <= 0:
-            raise ValueError("multiplier_clip must be positive")
-        if self.alm_penalty_growth <= 1 or self.beta_growth <= 1:
-            raise ValueError("growth factors must exceed 1")
 
 
 @dataclass
@@ -79,13 +79,13 @@ class LbfgsResult:
     status: str  # converged | max_iter | line_search_failure
 
 
-def _strong_wolfe(phi, f0: float, slope0: float, alpha0: float = 1.0,
-                  c1: float = 1e-4, c2: float = 0.9,
-                  max_iter: int = 25) -> tuple | None:
+def _strong_wolfe(phi, f0: float, slope0: float,
+                  alpha0: float = 1.0) -> tuple | None:
     """Strong Wolfe line search (bracket + zoom; Nocedal & Wright,
-    Alg. 3.5/3.6).  ``phi(a)`` evaluates step a and returns the trial
-    ``(a, x, f, g, slope)``.  Returns the trial the search accepts, as
-    ``phi`` evaluated it, or None.
+    Alg. 3.5/3.6) with c1 = 1e-4, c2 = 0.9 and at most 25 bracket trials.
+    ``phi(a)`` evaluates step a and returns the trial ``(a, x, f, g,
+    slope)``.  Returns the trial the search accepts, as ``phi`` evaluated
+    it, or None.
 
     Near a minimizer the Armijo decrease can fall below the floating-point
     resolution of the objective.  In that regime a step is also accepted
@@ -98,6 +98,7 @@ def _strong_wolfe(phi, f0: float, slope0: float, alpha0: float = 1.0,
     decrease: the bracket phase hands it to the zoom, and the zoom shrinks
     its interval past it.
     """
+    c1, c2 = 1e-4, 0.9
     eps_f = 1e-12 * (1.0 + abs(f0))
 
     def armijo(a, f):
@@ -128,7 +129,7 @@ def _strong_wolfe(phi, f0: float, slope0: float, alpha0: float = 1.0,
 
     prev, a_prev, f_prev = None, 0.0, f0
     a = alpha0
-    for i in range(max_iter):
+    for i in range(25):
         trial = phi(a)
         _, _, f, _, slope = trial
         if approx_wolfe(f, slope):
@@ -145,8 +146,9 @@ def _strong_wolfe(phi, f0: float, slope0: float, alpha0: float = 1.0,
 
 
 def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
-                   max_iter: int = 500, memory: int = 10) -> LbfgsResult:
-    """Limited-memory BFGS with strong-Wolfe line search (c1=1e-4, c2=0.9).
+                   max_iter: int = 500) -> LbfgsResult:
+    """Limited-memory BFGS, with the last 10 curvature pairs, and a
+    strong-Wolfe line search (c1=1e-4, c2=0.9).
 
     Non-descent directions trigger a steepest-descent restart, and so does
     a quasi-Newton search that fails or meets a non-finite value: its
@@ -157,7 +159,7 @@ def lbfgs_minimize(value_and_grad, x0: Vector, tol: float = 1e-6,
     """
     x = np.asarray(x0, dtype=float).ravel().copy()
     f, g = value_and_grad(x)
-    hist: deque = deque(maxlen=memory)  # (s, y, 1 / s^T y)
+    hist: deque = deque(maxlen=10)  # (s, y, 1 / s^T y)
     gamma = 1.0
     status = "max_iter"
     it = 0
@@ -316,7 +318,7 @@ class _Dissolved:
         if params.beta < beta_req:
             # Continuation: the bound is sufficient, not a target, and a
             # beta far above what is needed stiffens every later inner solve.
-            new_beta = self.opts.beta_growth * params.beta
+            new_beta = BETA_GROWTH * params.beta
             self.instance = build_cdp(
                 problem, PenaltyParams(new_beta, params.tau, params.gamma))
             _add_note(trace, f"beta_adapted:{float(new_beta)!r}")
@@ -373,7 +375,7 @@ def _alm_loop(problem: ProblemSpec, form, x0: Vector,
     n_eq, n_ineq = form.split + problem.n_eq, problem.n_ineq
     lam = np.zeros(n_eq)
     mu = np.zeros(n_ineq)
-    sigma = opts.alm_penalty_init
+    sigma = PENALTY_INIT
     trace = SolveTrace()
     prev_viol = np.inf
     prev_resid = np.inf
@@ -403,7 +405,7 @@ def _alm_loop(problem: ProblemSpec, form, x0: Vector,
             viol = float(np.linalg.norm(viol_vec)) if viol_vec.size else 0.0
 
             note = ""
-            clip = opts.multiplier_clip
+            clip = MULTIPLIER_CLIP
             lam_new = lam + sigma * e
             mu_new = np.maximum(mu + sigma * iv, 0.0)
             if np.any(np.abs(lam_new) > clip) or np.any(mu_new > clip):
@@ -442,7 +444,7 @@ def _alm_loop(problem: ProblemSpec, form, x0: Vector,
             break
         prev_resid = min(prev_resid, resid)
         if viol > prev_viol / 4.0 and viol > opts.outer_tol_feasibility:
-            sigma *= opts.alm_penalty_growth
+            sigma *= PENALTY_GROWTH
         prev_viol = min(prev_viol, viol) if np.isfinite(prev_viol) else viol
 
         form.adapt(lam, mu, trace)
@@ -475,10 +477,11 @@ def alm_solve_cdp(instance: CdpInstance, x0: Vector,
     from below by Golub-Kahan-Lanczos on ``apply_JAT`` and ``apply_JA``, at
     most 20 steps per norm, without forming ``J_A^T``.  While beta is below
     the sampled bound, each adaptation rebuilds the instance with beta
-    multiplied by ``beta_growth`` (a continuation), so beta may sit below
-    the bound for some rows.  The bound is a sufficient condition for the
-    equivalence, not a target, and ``converged`` is still certified by the
-    original problem's KKT residual.  The row's note then carries
+    multiplied by the constant factor ``BETA_GROWTH`` = 10 (a
+    continuation), so beta may sit below the bound for some rows.  The
+    bound is a sufficient condition for the equivalence, not a target, and
+    ``converged`` is still certified by the original problem's KKT
+    residual.  The row's note then carries
     ``beta_adapted:<repr(beta)>``, which ``float`` parses back to exactly
     the beta used from the next row on.  If the constants cannot be
     sampled (``a_infinity(x0)`` fails, or Jc is rank deficient there) the

@@ -139,6 +139,26 @@ class TestKktResidual:
         report = kkt_residual(problem, x_star)
         assert report.complementarity <= 1e-10
 
+    def test_row_block_jc_takes_one_action(self):
+        # A row_blocks handle gives every block of Jc from one apply_Jc.
+        problem, x = _cut_reference_point(20, 0.2, 3)
+        mani = problem.manifold
+        calls = []
+
+        def apply_Jc(y, w):
+            calls.append(1)
+            return mani.apply_Jc(y, w)
+
+        counted = dataclasses.replace(
+            problem, manifold=dataclasses.replace(mani, apply_Jc=apply_Jc))
+        report = kkt_residual(counted, x)
+        assert len(calls) == 1
+        assert report.stationarity == kkt_residual(problem, x).stationarity
+        check_licq(counted, x)
+        assert len(calls) == 2
+        assert np.array_equal(dense_jacobians(problem, x)[0], _dense_columns(
+            mani.apply_Jc, x, problem.p, problem.n))
+
 
 def _with_first_equality_twice(problem):
     """The problem with its first equality u_0 repeated as a last one."""

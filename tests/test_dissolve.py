@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import cdpkit.diagnostics
 from cdpkit.core import (
     DimensionError,
     MultiplierSet,
     OutOfNeighborhoodError,
     ParameterError,
     PenaltyParams,
+    RankDeficiencyError,
     default_fd_step,
     finite_diff_check,
     gradient_action,
@@ -300,3 +302,30 @@ class TestDecreaseProbe:
         # equality-free problem: the quadratic decrease bound is recorded
         for dec, bound in zip(report.h_decrease, report.quarter_beta_c_sq):
             assert dec >= bound - 1e-10
+
+    @staticmethod
+    def _probe_with_condition_check_raising(monkeypatch, exc):
+        def raising(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cdpkit.diagnostics, "estimate_constants", raising)
+        problem = linear_objective_sphere_problem(5, seed=2)
+        inst = build_cdp(problem, PenaltyParams(beta=500.0))
+        x = np.zeros(5)
+        x[0] = 1.0
+        mult = MultiplierSet(rho=np.zeros(1), lam=np.zeros(0), mu=np.zeros(0))
+        return lagrangian_decrease_probe(inst, x, mult, offsets=[1e-2, 1e-3])
+
+    def test_programming_error_in_condition_check_propagates(self,
+                                                             monkeypatch):
+        with pytest.raises(ZeroDivisionError):
+            self._probe_with_condition_check_raising(monkeypatch,
+                                                     ZeroDivisionError())
+
+    def test_typed_error_in_condition_check_is_recorded(self, monkeypatch):
+        report = self._probe_with_condition_check_raising(
+            monkeypatch, RankDeficiencyError("sigma_min(Jc) = 0"))
+        assert report.skipped == [
+            "condition check unavailable: sigma_min(Jc) = 0"]
+        assert report.offsets == [1e-2, 1e-3]
+        assert report.passed

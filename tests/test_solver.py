@@ -1,13 +1,15 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from cdpkit.core import PenaltyParams, ProblemSpec
 from cdpkit.diagnostics import make_synthetic_kkt
-from cdpkit.dissolve import build_cdp
+from cdpkit.dissolve import build_cdp, lagrangian_decrease_probe
 from cdpkit.manifolds import make_handle
 from cdpkit.solver import (
+    BETA_GROWTH,
     AlmOptions,
     alm_solve_cdp,
     alm_solve_nlp_direct,
@@ -132,10 +134,6 @@ class TestAlmOptions:
         with pytest.raises(ValueError):
             AlmOptions(outer_tol_stationarity=0.0)
 
-    def test_growth_factors_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            AlmOptions(alm_penalty_growth=1.0)
-
     def test_negative_outer_budget_rejected(self):
         with pytest.raises(ValueError):
             AlmOptions(max_outer=-1)
@@ -144,9 +142,18 @@ class TestAlmOptions:
         with pytest.raises(ValueError):
             AlmOptions(max_inner=-1)
 
-    def test_nonpositive_multiplier_clip_rejected(self):
-        with pytest.raises(ValueError):
-            AlmOptions(multiplier_clip=0.0)
+    def test_option_surface_is_pinned(self):
+        # Values no caller sets are module constants, not options.
+        assert [f.name for f in dataclasses.fields(AlmOptions)] == [
+            "outer_tol_stationarity", "outer_tol_feasibility", "max_outer",
+            "max_inner", "beta_adapt", "time_budget"]
+
+        def keywords(fn):
+            return [name for name, p in inspect.signature(fn).parameters.items()
+                    if p.default is not inspect.Parameter.empty]
+
+        assert keywords(lbfgs_minimize) == ["tol", "max_iter"]
+        assert keywords(lagrangian_decrease_probe) == ["seed"]
 
 
 class TestAlmCdp:
@@ -224,13 +231,12 @@ class TestAlmCdp:
                                   gen_balanced_cut)
         problem, x0 = gen_balanced_cut(BalancedCutConfig(m=20, q=2, rho=0.2,
                                                          seed=3))
-        opts = AlmOptions()
-        res = alm_solve_cdp(build_balanced_cut_cdp(problem), x0, opts)
+        res = alm_solve_cdp(build_balanced_cut_cdp(problem), x0)
         assert res.status == "converged"
         steps = [(row.beta, float(row.note.split("beta_adapted:")[1].split()[0]))
                  for row in res.trace.rows if "beta_adapted:" in row.note]
         assert len(steps) > 1
-        assert all(new == opts.beta_growth * beta for beta, new in steps)
+        assert all(new == BETA_GROWTH * beta for beta, new in steps)
 
     def test_continuation_converges_on_cut_m200_seed_7(self):
         # A jump to growth * bound (beta 6364, then 2.5e5) left every inner
