@@ -347,30 +347,29 @@ class _JatOperator(NamedTuple):
         steps = min(GK_MAX_STEPS, n)
         V = np.empty((steps + 1, n))
         U = np.empty((steps, n))
-        alpha, beta = [], []
+        # U^T B V: alpha_k on the diagonal, beta_k above it.
+        bidiag = np.zeros((steps, steps + 1))
         V[0] = self.start
         top = 0.0
         for k in range(steps):
             u = self.mv(V[k])
             if k:
-                u -= beta[-1] * U[k - 1]
+                u -= beta * U[k - 1]
             u -= U[:k].T @ (U[:k] @ u)
-            alpha.append(float(np.linalg.norm(u)))
-            if alpha[-1] <= 1e-12 * top:
+            alpha = bidiag[k, k] = float(np.linalg.norm(u))
+            if alpha <= 1e-12 * top:
                 break
-            U[k] = u / alpha[-1]
-            v = self.rmv(U[k]) - alpha[-1] * V[k]
+            U[k] = u / alpha
+            v = self.rmv(U[k]) - alpha * V[k]
             v -= V[:k + 1].T @ (V[:k + 1] @ v)
-            beta.append(float(np.linalg.norm(v)))
-            # U_{k+1}^T B V_{k+2}: alpha on the diagonal, beta above it.
-            ritz = float(np.linalg.svd((np.diag(alpha + [0.0])
-                                        + np.diag(beta, 1))[:-1],
+            beta = bidiag[k, k + 1] = float(np.linalg.norm(v))
+            ritz = float(np.linalg.svd(bidiag[:k + 1, :k + 2],
                                        compute_uv=False)[0])
-            done = ritz - top <= GK_RTOL * ritz or beta[-1] <= 1e-12 * ritz
+            done = ritz - top <= GK_RTOL * ritz or beta <= 1e-12 * ritz
             top = ritz
             if done:
                 break
-            V[k + 1] = v / beta[-1]
+            V[k + 1] = v / beta
         return top
 
 

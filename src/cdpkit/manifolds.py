@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import (
     DimensionError,
+    EvaluatorFaultError,
     ManifoldHandle,
     RankDeficiencyError,
     Vector,
@@ -83,9 +84,11 @@ class GenericManifoldSpec:
     approximated by central differences of ``apply_Jc``.
 
     Every callable must be a pure function of its arguments: the handle
-    built from a spec computes ``Jc(x)``, the Gram matrix and ``c(x)`` once
-    per point and reuses them for ``eval_A``, ``apply_JAT`` and
-    ``apply_JA`` at that x.
+    built from a spec computes ``Jc(x)``, the Gram matrix G, ``c(x)`` and
+    G^{-1} c(x) once per point and reuses them for ``eval_A``,
+    ``apply_JAT`` and ``apply_JA`` at that x.  The first Jacobian action at
+    a point forms G^{-1} once, so every later action costs matrix products
+    instead of a solve; points that only see ``eval_A`` never form it.
     """
 
     n: int
@@ -96,6 +99,12 @@ class GenericManifoldSpec:
     apply_dJc: Callable[[Vector, Vector, Vector], Vector] | None = None
     name: str = "generic"
     shape: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        if self.p <= 0 or self.n <= 0:
+            raise DimensionError(
+                f"generic spec needs n, p > 0, got ({self.n}, {self.p}); "
+                "a map without constraints is the euclidean handle")
 
 
 def _djc_action(spec: GenericManifoldSpec, x: Vector, d: Vector, w: Vector) -> Vector:
@@ -110,20 +119,36 @@ def _djc_action(spec: GenericManifoldSpec, x: Vector, d: Vector, w: Vector) -> V
 
 def _point_state(spec: GenericManifoldSpec, x: Vector):
     """Per-point state shared by ``A`` and ``J_A^T``: J = Jc(x), the Gram
-    matrix G = J^T J, w = G^{-1} c(x) and z = J w."""
+    matrix G = J^T J, w = G^{-1} c(x) and z = J w.
+
+    G is symmetric, so its eigenvalues give the 2-norm condition number
+    that the rank test bounds by 1e12."""
     J = _dense_columns(spec.apply_Jc, x, spec.p, spec.n)
     G = J.T @ J
-    if np.linalg.cond(G) > 1e12:
+    if not np.all(np.isfinite(G)):
+        raise EvaluatorFaultError("Gram matrix of the constraint Jacobian "
+                                  "non-finite")
+    lam = np.linalg.eigvalsh(G)
+    if lam[0] <= 0.0 or lam[-1] > 1e12 * lam[0]:
         raise RankDeficiencyError(
             "Gram matrix condition number above 1e12: the constraint "
             "Jacobian is (nearly) rank deficient at this point")
-    w = np.linalg.solve(G, spec.eval_c(x))
+    c = spec.eval_c(x)
+    if not np.all(np.isfinite(c)):
+        raise EvaluatorFaultError("constraint value non-finite")
+    w = np.linalg.solve(G, c)
     return J, G, w, J @ w
 
 
-def _jat_at(spec: GenericManifoldSpec, x: Vector, g: Vector, state) -> Vector:
-    J, G, w, z = state
-    a = np.linalg.solve(G, J.T @ g)
+def _gram_inverse(G: Vector) -> Vector:
+    """G^{-1}, formed once per point and shared by its Jacobian actions."""
+    return np.linalg.inv(G)
+
+
+def _jat_at(spec: GenericManifoldSpec, x: Vector, g: Vector, state,
+            G_inv: Vector) -> Vector:
+    J, _, w, z = state
+    a = G_inv @ (J.T @ g)
     pg = g - J @ a
     return pg - _djc_action(spec, x, pg, w) + _djc_action(spec, x, z, a)
 
@@ -136,14 +161,14 @@ def _hess_z_columns(spec: GenericManifoldSpec, x: Vector, z: Vector) -> Vector:
 
 
 def _ja_at(spec: GenericManifoldSpec, x: Vector, d: Vector, state,
-           E: Vector) -> Vector:
+           G_inv: Vector, E: Vector) -> Vector:
     """Forward Jacobian action of ``generic_A``, the adjoint of ``_jat_at``:
 
         P (d - (D Jc)[d] w) + Jc G^{-1} E^T d.
     """
-    J, G, w, z = state
+    J, _, w, _ = state
     u = d - _djc_action(spec, x, d, w)
-    return u - J @ np.linalg.solve(G, J.T @ u - E.T @ d)
+    return u - J @ (G_inv @ (J.T @ u - E.T @ d))
 
 
 def generic_A(spec: GenericManifoldSpec, x: Vector) -> Vector:
@@ -164,7 +189,8 @@ def generic_JAT(spec: GenericManifoldSpec, x: Vector, g: Vector) -> Vector:
     """
     x = np.asarray(x, dtype=float).ravel()
     g = np.asarray(g, dtype=float).ravel()
-    return _jat_at(spec, x, g, _point_state(spec, x))
+    state = _point_state(spec, x)
+    return _jat_at(spec, x, g, state, _gram_inverse(state[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +228,11 @@ def symplectic_spec(m: int, q: int) -> GenericManifoldSpec:
     Qm = symplectic_form(m)
     Qq = symplectic_form(q)
     iu = np.triu_indices(q, 1)
+    # Flat indices of the strict upper triangle of a q x q matrix and of
+    # its mirror image below the diagonal.
+    upper = np.ravel_multi_index(iu, (q, q))
+    lower = np.ravel_multi_index(iu[::-1], (q, q))
+    h = m // 2
     p = q * (q - 1) // 2
     n = m * q
 
@@ -209,9 +240,17 @@ def symplectic_spec(m: int, q: int) -> GenericManifoldSpec:
         return np.asarray(x, dtype=float).reshape(m, q)
 
     def skew_from(w):
-        S = np.zeros((q, q))
-        S[iu] = w
-        return S - S.T
+        S = np.zeros(q * q)
+        S[upper] = w
+        S[lower] = -np.asarray(w)
+        return S.reshape(q, q)
+
+    def minus_qm(X):
+        """-Q_m X: the two row halves of X swapped, the lower one negated."""
+        Y = np.empty((m, q))
+        np.negative(X[h:], out=Y[:h])
+        Y[h:] = X[:h]
+        return Y
 
     def eval_c(x):
         X = as_mat(x)
@@ -223,13 +262,11 @@ def symplectic_spec(m: int, q: int) -> GenericManifoldSpec:
         return B[iu]
 
     def apply_Jc(x, w):
-        X = as_mat(x)
-        return (-Qm @ X @ skew_from(w)).ravel()
+        return (minus_qm(as_mat(x)) @ skew_from(w)).ravel()
 
     def apply_dJc(x, d, w):
         # Jc is linear in X, so the second-order action is apply_Jc at D.
-        D = as_mat(d)
-        return (-Qm @ D @ skew_from(w)).ravel()
+        return apply_Jc(d, w)
 
     return GenericManifoldSpec(
         n=n, p=p, eval_c=eval_c, apply_JcT=apply_JcT, apply_Jc=apply_Jc,
@@ -275,13 +312,14 @@ def _sphere_handle(n: int) -> ManifoldHandle:
 
 def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
     # The point states of the last two points, keyed by the bytes of x, each
-    # with its E matrix once ``apply_JA`` needs it.  The solver evaluates A
-    # and then J_A^T at one x; the Lipschitz estimate of J_A^T in
-    # ``diagnostics`` applies J_A^T(y) - J_A^T(y') and its transpose, so it
-    # alternates between two consecutive sample points at every Krylov
-    # step, and one entry would rebuild both states each time.  A point
-    # whose Gram check fails raises before it is stored, so it raises again
-    # on every call.
+    # with G^{-1} once a Jacobian action needs it and its E matrix once
+    # ``apply_JA`` needs it.  The solver evaluates A and then J_A^T at one
+    # x; the Lipschitz estimate of J_A^T in ``diagnostics`` applies
+    # J_A^T(y) - J_A^T(y') and its transpose, so it alternates between two
+    # consecutive sample points at every Krylov step, and one entry would
+    # rebuild both states each time.  A point whose finiteness or Gram
+    # check fails raises before it is stored, so it raises again on every
+    # call.
     cache = {}
 
     def entry(x):
@@ -290,8 +328,14 @@ def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
             state = _point_state(spec, x)
             if len(cache) == 2:
                 del cache[next(iter(cache))]  # the older point
-            cache[key] = [state, None]
+            cache[key] = [state, None, None]
         return cache[key]
+
+    def action_entry(x):
+        ent = entry(x)
+        if ent[1] is None:
+            ent[1] = _gram_inverse(ent[0][1])
+        return ent
 
     def eval_A(x):
         x = np.asarray(x, dtype=float).ravel()
@@ -300,14 +344,15 @@ def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
     def apply_JAT(x, g):
         x = np.asarray(x, dtype=float).ravel()
         g = np.asarray(g, dtype=float).ravel()
-        return _jat_at(spec, x, g, entry(x)[0])
+        state, G_inv, _ = action_entry(x)
+        return _jat_at(spec, x, g, state, G_inv)
 
     def apply_JA(x, d):
         x = np.asarray(x, dtype=float).ravel()
         d = np.asarray(d, dtype=float).ravel()
-        ent = entry(x)
-        if ent[1] is None:
-            ent[1] = _hess_z_columns(spec, x, ent[0][3])
+        ent = action_entry(x)
+        if ent[2] is None:
+            ent[2] = _hess_z_columns(spec, x, ent[0][3])
         return _ja_at(spec, x, d, *ent)
 
     return ManifoldHandle(

@@ -6,8 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cdpkit import manifolds
 from cdpkit.core import (
     DimensionError,
+    EvaluatorFaultError,
     PenaltyParams,
     RankDeficiencyError,
     _dense_columns,
@@ -132,6 +134,69 @@ class TestGenericOperator:
         with pytest.raises(RankDeficiencyError):
             generic_A(spec, np.array([2.0, 0.0, 0.0]))
 
+    @staticmethod
+    def _affine_spec(gram_cond):
+        """c(x) = B^T x - 1 with n = 5, p = 3, and a Gram matrix B^T B whose
+        2-norm condition number is ``gram_cond``, in a rotated basis so
+        that it is not diagonal."""
+        rng = np.random.default_rng(4)
+        U = np.linalg.qr(rng.standard_normal((5, 3)))[0]
+        R = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        B = U @ np.diag([1.0, 0.5, gram_cond ** -0.5]) @ R.T
+        return GenericManifoldSpec(
+            n=5, p=3,
+            eval_c=lambda x: B.T @ x - 1.0,
+            apply_JcT=lambda x, d: B.T @ d,
+            apply_Jc=lambda x, w: B @ w,
+            apply_dJc=lambda x, d, w: np.zeros(5),
+            name="affine"), B
+
+    def test_rank_threshold_is_a_condition_number_of_1e12(self):
+        x = np.linspace(-1.0, 1.0, 5)
+        g = np.ones(5)
+        # Above the bound but still positive definite in floating point:
+        # a Cholesky factorisation succeeds, and the check must not rely on
+        # one failing.
+        spec, B = self._affine_spec(1e14)
+        np.linalg.cholesky(B.T @ B)
+        handle = make_handle("generic", spec=spec)
+        for call in (lambda: handle.eval_A(x),
+                     lambda: handle.apply_JAT(x, g),
+                     lambda: generic_A(spec, x),
+                     lambda: generic_JAT(spec, x, g)):
+            with pytest.raises(RankDeficiencyError):
+                call()
+        spec, _ = self._affine_spec(1e10)
+        handle = make_handle("generic", spec=spec)
+        # One Gauss-Newton step solves an affine constraint, to rounding of
+        # a step of size ~1/sigma_min(B) = 1e5.
+        ax = handle.eval_A(x)
+        assert np.linalg.norm(spec.eval_c(ax)) <= 1e-10 * np.linalg.norm(ax)
+        assert np.all(np.isfinite(handle.apply_JAT(x, g)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_raises_evaluator_fault(self, bad):
+        handle = make_handle("symplectic_stiefel", m=6, q=2)
+        d = np.ones(12)
+        x = np.full(12, bad)
+        one = symplectic_canonical_point(6, 2).ravel()
+        one[5] = bad
+        for y in (x, one):
+            for call in (lambda: handle.eval_A(y),
+                         lambda: handle.apply_JAT(y, d),
+                         lambda: handle.apply_JA(y, d)):
+                # inf times a zero entry of the skew matrix is NaN.
+                with pytest.raises(EvaluatorFaultError), \
+                        np.errstate(invalid="ignore"):
+                    call()
+
+    def test_spec_without_constraints_rejected(self):
+        with pytest.raises(DimensionError):
+            GenericManifoldSpec(
+                n=3, p=0, eval_c=lambda x: np.zeros(0),
+                apply_JcT=lambda x, d: np.zeros(0),
+                apply_Jc=lambda x, w: np.zeros(3))
+
     def test_jacobian_action_matches_finite_differences(self):
         spec = sphere_constraint_spec(5)
         rng = np.random.default_rng(3)
@@ -147,8 +212,10 @@ class TestGenericOperator:
 
 
 class TestGenericHandleCache:
-    """The generic handle computes Jc, the Gram matrix and G^{-1} c once per
-    point and shares them between eval_A and apply_JAT."""
+    """The generic handle computes Jc, the Gram matrix G and G^{-1} c once
+    per point and shares them between eval_A, apply_JAT and apply_JA; the
+    first Jacobian action at a point forms G^{-1}, which every later action
+    there reuses."""
 
     @staticmethod
     def _counted(spec):
@@ -230,6 +297,33 @@ class TestGenericHandleCache:
         # p columns for sigma_min(Jc(x)), then one state per sample point.
         assert calls[0] == (1 + len(points)) * spec.p
 
+    def test_gram_inverse_formed_once_per_acted_point(self, monkeypatch):
+        formed = [0]
+        inverse = manifolds._gram_inverse
+
+        def counted(G):
+            formed[0] += 1
+            return inverse(G)
+
+        monkeypatch.setattr(manifolds, "_gram_inverse", counted)
+        spec = symplectic_spec(8, 4)
+        handle = make_handle("generic", spec=spec)
+        rng = np.random.default_rng(24)
+        E = symplectic_canonical_point(8, 4).ravel()
+
+        # The generator and a_infinity only evaluate A: no inverse.
+        y = E + 0.05 * rng.standard_normal(spec.n)
+        for _ in range(5):
+            y = handle.eval_A(y)
+        assert formed[0] == 0
+
+        x = E + 0.1 * rng.standard_normal(spec.n)
+        handle.eval_A(x)
+        for col in np.eye(spec.n):
+            handle.apply_JAT(x, col)
+            handle.apply_JA(x, col)
+        assert formed[0] == 1
+
 
 class TestSymplecticFamily:
     def test_form_is_standard_skew_block(self):
@@ -251,6 +345,26 @@ class TestSymplecticFamily:
     def test_constraint_counts_independent_entries_only(self):
         spec = symplectic_spec(10, 4)
         assert spec.p == 6  # strict upper triangle of a 4x4 skew residual
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_jacobian_actions_bitwise_equal_to_dense_form(self, data):
+        # apply_Jc and apply_dJc take -Q_m X as a row swap and fill the
+        # skew matrix directly; pin them to the matrix products they stand
+        # for.
+        m = data.draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+        q = data.draw(st.sampled_from([k for k in (2, 4, 6) if k <= m]))
+        spec = symplectic_spec(m, q)
+        finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+        x = data.draw(hnp.arrays(float, spec.n, elements=finite))
+        d = data.draw(hnp.arrays(float, spec.n, elements=finite))
+        w = data.draw(hnp.arrays(float, spec.p, elements=finite))
+        Qm = symplectic_form(m)
+        S = np.zeros((q, q))
+        S[np.triu_indices(q, 1)] = w
+        for X, got in ((x.reshape(m, q), spec.apply_Jc(x, w)),
+                       (d.reshape(m, q), spec.apply_dJc(x, d, w))):
+            assert np.array_equal(got, (-Qm @ X @ (S - S.T)).ravel())
 
     def test_jacobian_adjoint_consistency(self):
         spec = symplectic_spec(8, 4)
