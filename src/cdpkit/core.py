@@ -103,6 +103,17 @@ class ManifoldHandle:
                                        sphere, identity) passes its
                                        ``apply_JAT``.
 
+    * ``jacobian(x) -> (n, p)``        optional dense ``Jc(x)``, read in
+                                       one call; column l must equal
+                                       ``apply_Jc(x, e_l)``.  Without
+                                       it, readers take p ``apply_Jc``
+                                       columns.
+
+    A handle rebuilt with ``dataclasses.replace(..., apply_Jc=...)`` must
+    replace ``jacobian`` too, or set it to None.  ``shape``, when given, is
+    the ``(rows, cols)`` of the matrix variable; ``rows * cols != n``
+    raises ``DimensionError``.
+
     ``row_blocks`` declares structure, not a formula: ``shape == (m, q)``,
     ``p == m``, and ``c_i`` and row i of ``A`` depend only on row i of X.
     Then ``Jc`` and ``J_A^T`` are block diagonal with one block per row,
@@ -124,12 +135,21 @@ class ManifoldHandle:
     shape: tuple[int, int] | None = None
     row_blocks: bool = False
     apply_JA: Callable[[Vector, Vector], Vector] = field(kw_only=True)
+    jacobian: Callable[[Vector], Vector] | None = field(default=None,
+                                                        kw_only=True)
 
     def __post_init__(self):
+        _check_shape(self.shape, self.n)
         if self.row_blocks and (self.shape is None or self.p != self.shape[0]):
             raise DimensionError(
                 f"row_blocks needs shape (p, q), got shape {self.shape} "
                 f"with p = {self.p}")
+
+
+def _check_shape(shape: tuple[int, int] | None, n: int) -> None:
+    """``DimensionError`` unless ``shape`` is None or has n entries."""
+    if shape is not None and shape[0] * shape[1] != n:
+        raise DimensionError(f"shape {shape} does not hold n = {n} entries")
 
 
 def _empty_vec(x: Vector) -> Vector:
@@ -280,6 +300,14 @@ def _dense_columns(apply_comb: Callable[[Vector, Vector], Vector], x: Vector,
     for k in range(count):
         cols[:, k] = apply_comb(x, eye[k])
     return cols
+
+
+def _jacobian(owner, x: Vector) -> Vector:
+    """Dense n x p ``Jc(x)`` of a handle or generic spec: its ``jacobian``
+    when it has one, else its p columns ``apply_Jc(x, e_l)``."""
+    if owner.jacobian is not None:
+        return owner.jacobian(x)
+    return _dense_columns(owner.apply_Jc, x, owner.p, owner.n)
 
 
 def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],

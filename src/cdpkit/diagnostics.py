@@ -2,9 +2,11 @@
 estimation and penalty-condition checkers.
 
 The KKT and LICQ checks assemble the dense constraint Jacobians, Jc from
-the block reader ``_Blocks`` (one ``apply_Jc`` on a ``row_blocks``
-handle); the KKT check factors [Jc Ju] once, by a pivoted QR, and reads
-its projector, rank and free multipliers from that one factorization.
+the block reader ``_Blocks``: one ``apply_Jc`` on a ``row_blocks``
+handle, and on any other handle one read of its dense ``jacobian``, or p
+``apply_Jc`` columns when it has none.  The KKT check factors [Jc Ju]
+once, by a pivoted QR, and reads its projector, rank and free
+multipliers from that one factorization.
 The constant estimates also run inside the solve, as the beta safeguard
 of ``alm_solve_cdp``.  They read ``Jc`` and ``J_A^T`` through the
 handle's own actions.  A handle that declares ``row_blocks`` gives stacks
@@ -31,6 +33,7 @@ from .core import (
     RankDeficiencyError,
     Vector,
     _dense_columns,
+    _jacobian,
 )
 from .manifolds import GenericManifoldSpec, make_handle
 
@@ -61,13 +64,17 @@ def feasibility(problem: ProblemSpec, x: Vector) -> float:
 
 def dense_jacobians(problem: ProblemSpec, x: Vector):
     """Dense (n x p), (n x N_E), (n x N_I) constraint-gradient matrices.
-    Jc is the block-diagonal matrix of ``_Blocks.jc``'s stack."""
+    Jc is the block-diagonal matrix of ``_Blocks.jc``'s stack, which for a
+    one-block stack is that block as it is."""
     n = problem.n
     read = _Blocks(problem)
-    blocks = np.arange(read.m)
-    Jc = np.zeros((read.m, read.q, read.m, read.k))
-    Jc[blocks, :, blocks, :] = read.jc(x)
-    Jc = Jc.reshape(n, problem.p)
+    if read.m == 1:
+        Jc = read.jc(x)[0]
+    else:
+        blocks = np.arange(read.m)
+        Jc = np.zeros((read.m, read.q, read.m, read.k))
+        Jc[blocks, :, blocks, :] = read.jc(x)
+        Jc = Jc.reshape(n, problem.p)
     Ju = _dense_columns(problem.apply_Ju, x, problem.n_eq, n)
     Jv = _dense_columns(problem.apply_Jv, x, problem.n_ineq, n)
     return Jc, Ju, Jv
@@ -379,7 +386,8 @@ class _Blocks:
     Jc and J_A^T Jc(A(y)) come as (m, q, k) stacks of their q x k diagonal
     blocks.  A ``row_blocks`` handle (shape (m, q)) has one block per row
     of X, with k = 1; any other handle is one block, m = 1, q = n, k = p:
-    the dense n x p matrices.  Row i of a row-block action depends only on
+    the dense n x p matrices, and Jc comes from the handle's ``jacobian``
+    when it has one.  Row i of a row-block action depends only on
     row i of its direction, so the direction ``tile(e_j, m)``, which is e_j
     in every row, gives column j of every block at once, bitwise equal to
     the dense entries: k actions per stack.  A block-diagonal matrix's
@@ -435,6 +443,10 @@ class _Blocks:
         return _dense_columns(tiled, y, count, m * q).reshape(m, q, count)
 
     def jc(self, y: Vector) -> Vector:
+        """Jc(y) as its stack: on a one-block handle the handle's dense
+        ``jacobian`` read, or its p ``apply_Jc`` columns without one."""
+        if self.m == 1:
+            return _jacobian(self.mani, y)[None]
         return self._stack(self.mani.apply_Jc, y, self.k)
 
     def sigma_min_jc(self, y: Vector) -> float:

@@ -18,7 +18,9 @@ from .core import (
     ManifoldHandle,
     RankDeficiencyError,
     Vector,
+    _check_shape,
     _dense_columns,
+    _jacobian,
     default_fd_step,
 )
 
@@ -83,6 +85,12 @@ class GenericManifoldSpec:
     ``(D_d Jc(x)) w = sum_l w_l Hess(c_l)(x) d``; when omitted it is
     approximated by central differences of ``apply_Jc``.
 
+    ``jacobian(x)`` is the optional dense n x p ``Jc(x)``.  When given, its
+    column l must equal ``apply_Jc(x, e_l)``; without it, the handle builds
+    ``Jc(x)`` from p ``apply_Jc`` columns.  A spec rebuilt with
+    ``dataclasses.replace(..., apply_Jc=...)`` must replace ``jacobian``
+    too, or set it to None.  ``shape``, when given, must hold n entries.
+
     Every callable must be a pure function of its arguments: the handle
     built from a spec computes ``Jc(x)``, the Gram matrix G, ``c(x)`` and
     G^{-1} c(x) once per point and reuses them for ``eval_A``,
@@ -99,12 +107,14 @@ class GenericManifoldSpec:
     apply_dJc: Callable[[Vector, Vector, Vector], Vector] | None = None
     name: str = "generic"
     shape: tuple[int, int] | None = None
+    jacobian: Callable[[Vector], Vector] | None = None
 
     def __post_init__(self):
         if self.p <= 0 or self.n <= 0:
             raise DimensionError(
                 f"generic spec needs n, p > 0, got ({self.n}, {self.p}); "
                 "a map without constraints is the euclidean handle")
+        _check_shape(self.shape, self.n)
 
 
 def _djc_action(spec: GenericManifoldSpec, x: Vector, d: Vector, w: Vector) -> Vector:
@@ -123,7 +133,7 @@ def _point_state(spec: GenericManifoldSpec, x: Vector):
 
     G is symmetric, so its eigenvalues give the 2-norm condition number
     that the rank test bounds by 1e12."""
-    J = _dense_columns(spec.apply_Jc, x, spec.p, spec.n)
+    J = _jacobian(spec, x)
     G = J.T @ J
     if not np.all(np.isfinite(G)):
         raise EvaluatorFaultError("Gram matrix of the constraint Jacobian "
@@ -234,6 +244,7 @@ def symplectic_spec(m: int, q: int) -> GenericManifoldSpec:
     lower = np.ravel_multi_index(iu[::-1], (q, q))
     h = m // 2
     p = q * (q - 1) // 2
+    pairs = np.arange(p)
     n = m * q
 
     def as_mat(x):
@@ -264,13 +275,23 @@ def symplectic_spec(m: int, q: int) -> GenericManifoldSpec:
     def apply_Jc(x, w):
         return (minus_qm(as_mat(x)) @ skew_from(w)).ravel()
 
+    def jacobian(x):
+        # Column l = (i, j) of Jc is -Q_m X (E_ij - E_ji): column j of its
+        # m x q block is Y[:, i] and column i is -Y[:, j], with Y = -Q_m X.
+        Y = minus_qm(as_mat(x))
+        J = np.zeros((m, q, p))
+        J[:, iu[1], pairs] = Y[:, iu[0]]
+        J[:, iu[0], pairs] = -Y[:, iu[1]]
+        return J.reshape(n, p)
+
     def apply_dJc(x, d, w):
         # Jc is linear in X, so the second-order action is apply_Jc at D.
         return apply_Jc(d, w)
 
     return GenericManifoldSpec(
         n=n, p=p, eval_c=eval_c, apply_JcT=apply_JcT, apply_Jc=apply_Jc,
-        apply_dJc=apply_dJc, name=f"symplectic_stiefel({m},{q})", shape=(m, q))
+        apply_dJc=apply_dJc, name=f"symplectic_stiefel({m},{q})", shape=(m, q),
+        jacobian=jacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +384,8 @@ def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
         eval_A=eval_A,
         apply_JAT=apply_JAT,
         apply_JA=apply_JA,
-        shape=spec.shape)
+        shape=spec.shape,
+        jacobian=spec.jacobian)
 
 
 def euclidean_handle(n: int) -> ManifoldHandle:

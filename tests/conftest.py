@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,32 @@ def sphere_constraint_spec(n: int) -> GenericManifoldSpec:
         apply_Jc=lambda x, w: 2.0 * float(np.asarray(w).ravel()[0]) * np.asarray(x, dtype=float).ravel(),
         apply_dJc=lambda x, d, w: 2.0 * float(np.asarray(w).ravel()[0]) * np.asarray(d, dtype=float).ravel(),
         name=f"sphere_as_generic({n})")
+
+
+def counting_jc_reads(owner):
+    """``owner``, a handle or a generic spec, with its ``apply_Jc`` and, if
+    it has one, its ``jacobian`` counted; and a function that returns the
+    counts ``(jacobian, apply_Jc)`` since its last call."""
+    calls = {"jacobian": 0, "apply_Jc": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    jacobian = (None if owner.jacobian is None
+                else counted("jacobian", owner.jacobian))
+    owner = dataclasses.replace(
+        owner, apply_Jc=counted("apply_Jc", owner.apply_Jc),
+        jacobian=jacobian)
+
+    def taken():
+        counts = (calls["jacobian"], calls["apply_Jc"])
+        calls.update(jacobian=0, apply_Jc=0)
+        return counts
+
+    return owner, taken
 
 
 def linear_objective_sphere_problem(n: int, seed: int = 0,

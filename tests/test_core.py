@@ -20,7 +20,7 @@ from cdpkit.core import (
     validate_manifold,
 )
 from cdpkit.dissolve import build_cdp
-from cdpkit.manifolds import make_handle
+from cdpkit.manifolds import make_handle, symplectic_spec
 
 from conftest import near_manifold_points, sphere_constraint_spec
 
@@ -53,6 +53,15 @@ class TestDomainTypes:
             dataclasses.replace(handle, p=2)
         with pytest.raises(DimensionError):
             dataclasses.replace(handle, shape=(2, 3))
+
+    def test_shape_must_hold_n_entries(self):
+        # A handle whose shape disagrees with n would fail later, inside
+        # numpy, when a reader reshapes by it.
+        with pytest.raises(DimensionError):
+            dataclasses.replace(make_handle("oblique", m=4, q=3),
+                                shape=(4, 2))
+        with pytest.raises(DimensionError):
+            dataclasses.replace(symplectic_spec(8, 4), shape=(8, 2))
 
     def test_trace_key_fields_exclude_wall_time(self):
         a = TraceRow(1, -1.0, 1e-7, 1e-7, 1.0, 10.0, 0.1, 0.5)

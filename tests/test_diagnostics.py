@@ -35,7 +35,7 @@ from cdpkit.diagnostics import (
 from cdpkit.dissolve import a_infinity
 from cdpkit.manifolds import GenericManifoldSpec, make_handle
 
-from conftest import linear_objective_sphere_problem
+from conftest import counting_jc_reads, linear_objective_sphere_problem
 
 
 def _euclidean_quadratic(n=4, seed=0, with_v=False):
@@ -140,24 +140,25 @@ class TestKktResidual:
         assert report.complementarity <= 1e-10
 
     def test_row_block_jc_takes_one_action(self):
-        # A row_blocks handle gives every block of Jc from one apply_Jc.
-        problem, x = _cut_reference_point(20, 0.2, 3)
-        mani = problem.manifold
-        calls = []
-
-        def apply_Jc(y, w):
-            calls.append(1)
-            return mani.apply_Jc(y, w)
-
-        counted = dataclasses.replace(
-            problem, manifold=dataclasses.replace(mani, apply_Jc=apply_Jc))
-        report = kkt_residual(counted, x)
-        assert len(calls) == 1
-        assert report.stationarity == kkt_residual(problem, x).stationarity
-        check_licq(counted, x)
-        assert len(calls) == 2
-        assert np.array_equal(dense_jacobians(problem, x)[0], _dense_columns(
-            mani.apply_Jc, x, problem.p, problem.n))
+        # A row_blocks handle gives every block of Jc from one apply_Jc,
+        # and the symplectic Stiefel handle gives Jc from one jacobian
+        # read: (jacobian, apply_Jc) calls per check.
+        com, x0 = gen_center_of_mass(
+            CenterOfMassConfig(m=8, q=4, N=8, r=0.5, seed=3))
+        cases = ((_cut_reference_point(20, 0.2, 3), (0, 1)),
+                 ((com, a_infinity(com.manifold, x0)), (1, 0)))
+        for (problem, x), per_check in cases:
+            mani, taken = counting_jc_reads(problem.manifold)
+            counted = dataclasses.replace(problem, manifold=mani)
+            report = kkt_residual(counted, x)
+            assert taken() == per_check
+            assert report.stationarity == kkt_residual(problem,
+                                                       x).stationarity
+            check_licq(counted, x)
+            assert taken() == per_check
+            assert np.array_equal(dense_jacobians(problem, x)[0],
+                                  _dense_columns(mani.apply_Jc, x, problem.p,
+                                                 problem.n))
 
 
 def _with_first_equality_twice(problem):

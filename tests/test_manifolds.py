@@ -34,6 +34,7 @@ from cdpkit.manifolds import (
 )
 
 from conftest import (
+    counting_jc_reads,
     feasibility_decrease_slope,
     linear_objective_sphere_problem,
     near_manifold_points,
@@ -212,21 +213,22 @@ class TestGenericOperator:
 
 
 class TestGenericHandleCache:
-    """The generic handle computes Jc, the Gram matrix G and G^{-1} c once
-    per point and shares them between eval_A, apply_JAT and apply_JA; the
-    first Jacobian action at a point forms G^{-1}, which every later action
-    there reuses."""
+    """The generic handle reads Jc and computes the Gram matrix G and
+    G^{-1} c once per point, and shares them between eval_A, apply_JAT and
+    apply_JA; the first Jacobian action at a point forms G^{-1}, which
+    every later action there reuses."""
 
     @staticmethod
-    def _counted(spec):
-        calls = [0]
-        inner = spec.apply_Jc
-
-        def apply_Jc(x, w):
-            calls[0] += 1
-            return inner(x, w)
-
-        return dataclasses.replace(spec, apply_Jc=apply_Jc), calls
+    def _counted(batched):
+        """The (8, 4) symplectic spec, without its ``jacobian`` when not
+        ``batched``, with its Jc reads counted, and the
+        ``(jacobian, apply_Jc)`` counts of one Jc read: one ``jacobian``
+        call, or p ``apply_Jc`` columns without it."""
+        spec = symplectic_spec(8, 4)
+        if not batched:
+            spec = dataclasses.replace(spec, jacobian=None)
+        spec, taken = counting_jc_reads(spec)
+        return spec, taken, (1, 0) if batched else (0, spec.p)
 
     def test_bitwise_equal_to_uncached_map(self):
         spec = symplectic_spec(8, 4)
@@ -262,40 +264,42 @@ class TestGenericHandleCache:
         assert np.array_equal(handle.eval_A(x), good)
 
     def test_jc_columns_built_once_per_point(self):
-        spec, calls = self._counted(symplectic_spec(8, 4))
-        handle = make_handle("generic", spec=spec)
-        rng = np.random.default_rng(22)
-        E = symplectic_canonical_point(8, 4).ravel()
+        # One jacobian read per point state; a spec without jacobian takes
+        # p apply_Jc columns instead.
+        for batched in (True, False):
+            spec, taken, per_read = self._counted(batched)
+            handle = make_handle("generic", spec=spec)
+            rng = np.random.default_rng(22)
+            E = symplectic_canonical_point(8, 4).ravel()
 
-        x = E + 0.1 * rng.standard_normal(spec.n)
-        calls[0] = 0
-        for col in np.eye(spec.n):
-            handle.apply_JAT(x, col)
-        assert calls[0] == spec.p  # parent: n * p
+            x = E + 0.1 * rng.standard_normal(spec.n)
+            for col in np.eye(spec.n):
+                handle.apply_JAT(x, col)
+            assert taken() == per_read
 
-        # beta = 0, so the penalty term adds no Jc action of its own.
-        problem = linear_objective_sphere_problem(spec.n, handle=handle)
-        instance = build_cdp(problem, PenaltyParams(0.0))
-        x = E + 0.1 * rng.standard_normal(spec.n)
-        calls[0] = 0
-        instance.point_eval(x).weighted_grad()
-        assert calls[0] == spec.p  # parent: 2p, for A and again for J_A^T
+            # beta = 0, so the penalty term adds no Jc action of its own.
+            problem = linear_objective_sphere_problem(spec.n, handle=handle)
+            instance = build_cdp(problem, PenaltyParams(0.0))
+            x = E + 0.1 * rng.standard_normal(spec.n)
+            instance.point_eval(x).weighted_grad()
+            assert taken() == per_read
 
     def test_bound_pass_builds_each_point_once(self):
         # The Lipschitz quotient alternates between consecutive sample
         # points at every Krylov step; the two-entry cache keeps both.
-        spec, calls = self._counted(symplectic_spec(8, 4))
         rng = np.random.default_rng(23)
         E = symplectic_canonical_point(8, 4).ravel()
         x = a_infinity(make_handle("symplectic_stiefel", m=8, q=4),
-                       E + 0.05 * rng.standard_normal(spec.n))
-        problem = linear_objective_sphere_problem(
-            spec.n, handle=make_handle("generic", spec=spec))
-        calls[0] = 0
-        _, points, _ = _bound_constants(problem, x, radius=0.1, samples=30,
-                                        seed=0)
-        # p columns for sigma_min(Jc(x)), then one state per sample point.
-        assert calls[0] == (1 + len(points)) * spec.p
+                       E + 0.05 * rng.standard_normal(E.size))
+        for batched in (True, False):
+            spec, taken, per_read = self._counted(batched)
+            problem = linear_objective_sphere_problem(
+                spec.n, handle=make_handle("generic", spec=spec))
+            _, points, _ = _bound_constants(problem, x, radius=0.1,
+                                            samples=30, seed=0)
+            # One Jc read for sigma_min(Jc(x)), then one state per sample
+            # point.
+            assert taken() == tuple((1 + len(points)) * k for k in per_read)
 
     def test_gram_inverse_formed_once_per_acted_point(self, monkeypatch):
         formed = [0]
@@ -350,8 +354,8 @@ class TestSymplecticFamily:
     @given(data=st.data())
     def test_jacobian_actions_bitwise_equal_to_dense_form(self, data):
         # apply_Jc and apply_dJc take -Q_m X as a row swap and fill the
-        # skew matrix directly; pin them to the matrix products they stand
-        # for.
+        # skew matrix directly, and jacobian builds every column by
+        # indexing; pin them to the matrix products they stand for.
         m = data.draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
         q = data.draw(st.sampled_from([k for k in (2, 4, 6) if k <= m]))
         spec = symplectic_spec(m, q)
@@ -365,6 +369,11 @@ class TestSymplecticFamily:
         for X, got in ((x.reshape(m, q), spec.apply_Jc(x, w)),
                        (d.reshape(m, q), spec.apply_dJc(x, d, w))):
             assert np.array_equal(got, (-Qm @ X @ (S - S.T)).ravel())
+        # The batched Jc read is the column loop over apply_Jc.
+        handle = make_handle("symplectic_stiefel", m=m, q=q)
+        for owner in (spec, handle):
+            assert np.array_equal(owner.jacobian(x), _dense_columns(
+                owner.apply_Jc, x, owner.p, owner.n))
 
     def test_jacobian_adjoint_consistency(self):
         spec = symplectic_spec(8, 4)
