@@ -64,7 +64,7 @@ class CenterOfMassConfig:
             raise DimensionError(f"need q <= m, got ({self.m}, {self.q})")
         if self.N < 1:
             raise ParameterError(f"N must be >= 1, got {self.N}")
-        if self.r <= 0:
+        if not self.r > 0:
             raise ParameterError(f"r must be positive, got {self.r}")
 
     def label(self) -> str:

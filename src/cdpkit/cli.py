@@ -3,7 +3,7 @@ probe penalty-theory properties, and run benchmark grids.
 
 Each subcommand takes only the flags it reads.  ``solve`` and ``probe``
 read their instance from ``--config`` or from instance flags, not both;
-``--beta``, ``--tau`` and ``--gamma`` override either.
+``--beta``, ``--tau`` and ``--gamma`` (finite, >= 0) override either.
 
 Exit codes: 0 ok, 1 check, convergence or solver failure, 2 usage/config
 error.
@@ -12,6 +12,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -155,10 +156,8 @@ def cmd_solve(args) -> int:
     }
     _emit(args, payload)
     if args.out:
-        import csv as _csv
-
         with open(args.out, "w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=list(res.trace.CSV_COLUMNS))
+            writer = csv.DictWriter(fh, fieldnames=list(res.trace.CSV_COLUMNS))
             writer.writeheader()
             writer.writerows(res.trace.to_csv_rows())
     return EXIT_OK if res.status == "converged" else EXIT_FAIL
@@ -208,6 +207,21 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _number(ok, what: str):
+    """argparse type: a float for which ``ok`` holds (NaN never does)."""
+    def parse(text: str) -> float:
+        if not ok(value := float(text)):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    return parse
+
+
+_positive = _number(lambda v: v > 0, "positive")
+# Checked here as well as in PenaltyParams, which never sees a --gamma on
+# a family without inequalities.
+_penalty = _number(lambda v: 0 <= v < np.inf, "finite and non-negative")
+
+
 def _add_instance(p):
     """The instance flags of ``solve`` and ``probe``."""
     p.add_argument("--family", choices=["center_of_mass", "balanced_cut"])
@@ -217,9 +231,9 @@ def _add_instance(p):
     p.add_argument("--r", type=float)
     p.add_argument("--rho", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--beta", type=_penalty)
+    p.add_argument("--tau", type=_penalty)
+    p.add_argument("--gamma", type=_penalty)
     p.add_argument("--config")
 
 
@@ -245,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one instance")
     _add_instance(p_solve)
     p_solve.add_argument("--pipeline", choices=["cdp", "nlp"], default="cdp")
-    p_solve.add_argument("--budget", type=float, default=1200.0)
+    p_solve.add_argument("--budget", type=_positive, default=1200.0)
     p_solve.add_argument("--out")
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
@@ -258,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a benchmark grid")
     p_bench.add_argument("--grid", required=True)
-    p_bench.add_argument("--budget", type=float, default=1200.0)
+    p_bench.add_argument("--budget", type=_positive, default=1200.0)
     p_bench.add_argument("--out")
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -103,16 +103,14 @@ class ManifoldHandle:
                                        sphere, identity) passes its
                                        ``apply_JAT``.
 
-    * ``jacobian(x) -> (n, p)``        optional dense ``Jc(x)``, read in
-                                       one call; column l must equal
-                                       ``apply_Jc(x, e_l)``.  Without
-                                       it, readers take p ``apply_Jc``
-                                       columns.
+    * ``jacobian(x) -> (n, p)``        dense ``Jc(x)`` in one call, column
+                                       l equal to ``apply_Jc(x, e_l)``;
+                                       keyword-only and required.  A
+                                       handle rebuilt with a new
+                                       ``apply_Jc`` needs a new one.
 
-    A handle rebuilt with ``dataclasses.replace(..., apply_Jc=...)`` must
-    replace ``jacobian`` too, or set it to None.  ``shape``, when given, is
-    the ``(rows, cols)`` of the matrix variable; ``rows * cols != n``
-    raises ``DimensionError``.
+    ``shape``, when given, is the ``(rows, cols)`` of the matrix variable;
+    ``rows * cols != n`` raises ``DimensionError``.
 
     ``row_blocks`` declares structure, not a formula: ``shape == (m, q)``,
     ``p == m``, and ``c_i`` and row i of ``A`` depend only on row i of X.
@@ -135,8 +133,7 @@ class ManifoldHandle:
     shape: tuple[int, int] | None = None
     row_blocks: bool = False
     apply_JA: Callable[[Vector, Vector], Vector] = field(kw_only=True)
-    jacobian: Callable[[Vector], Vector] | None = field(default=None,
-                                                        kw_only=True)
+    jacobian: Callable[[Vector], Vector] = field(kw_only=True)
 
     def __post_init__(self):
         _check_shape(self.shape, self.n)
@@ -199,7 +196,7 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class PenaltyParams:
-    """Non-negative penalty parameters of the transformed problem."""
+    """Finite, non-negative penalty parameters of the transformed problem."""
 
     beta: float
     tau: Vector = field(default_factory=lambda: np.zeros(0))
@@ -208,8 +205,9 @@ class PenaltyParams:
     def __post_init__(self):
         object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float).ravel())
         object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float).ravel())
-        if self.beta < 0 or np.any(self.tau < 0) or np.any(self.gamma < 0):
-            raise ParameterError("penalty parameters must be non-negative")
+        values = np.concatenate([[self.beta], self.tau, self.gamma])
+        if not np.all((values >= 0) & (values < np.inf)):
+            raise ParameterError("penalty parameters must be finite, non-negative")
 
 
 @dataclass
@@ -300,14 +298,6 @@ def _dense_columns(apply_comb: Callable[[Vector, Vector], Vector], x: Vector,
     for k in range(count):
         cols[:, k] = apply_comb(x, eye[k])
     return cols
-
-
-def _jacobian(owner, x: Vector) -> Vector:
-    """Dense n x p ``Jc(x)`` of a handle or generic spec: its ``jacobian``
-    when it has one, else its p columns ``apply_Jc(x, e_l)``."""
-    if owner.jacobian is not None:
-        return owner.jacobian(x)
-    return _dense_columns(owner.apply_Jc, x, owner.p, owner.n)
 
 
 def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],

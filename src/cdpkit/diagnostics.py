@@ -1,11 +1,9 @@
 """KKT residuals, feasibility metric, LICQ check, neighborhood-constant
 estimation and penalty-condition checkers.
 
-The KKT and LICQ checks assemble the dense constraint Jacobians, Jc from
-the block reader ``_Blocks``: one ``apply_Jc`` on a ``row_blocks``
-handle, and on any other handle one read of its dense ``jacobian``, or p
-``apply_Jc`` columns when it has none.  The KKT check factors [Jc Ju]
-once, by a pivoted QR, and reads its projector, rank and free
+The KKT and LICQ checks assemble the dense constraint Jacobians, reading
+Jc in one call of the handle's ``jacobian``.  The KKT check factors
+[Jc Ju] once, by a pivoted QR, and reads its projector, rank and free
 multipliers from that one factorization.
 The constant estimates also run inside the solve, as the beta safeguard
 of ``alm_solve_cdp``.  They read ``Jc`` and ``J_A^T`` through the
@@ -33,7 +31,6 @@ from .core import (
     RankDeficiencyError,
     Vector,
     _dense_columns,
-    _jacobian,
 )
 from .manifolds import GenericManifoldSpec, make_handle
 
@@ -63,21 +60,12 @@ def feasibility(problem: ProblemSpec, x: Vector) -> float:
 
 
 def dense_jacobians(problem: ProblemSpec, x: Vector):
-    """Dense (n x p), (n x N_E), (n x N_I) constraint-gradient matrices.
-    Jc is the block-diagonal matrix of ``_Blocks.jc``'s stack, which for a
-    one-block stack is that block as it is."""
+    """Dense (n x p), (n x N_E), (n x N_I) constraint-gradient matrices;
+    Jc is the handle's ``jacobian`` read."""
     n = problem.n
-    read = _Blocks(problem)
-    if read.m == 1:
-        Jc = read.jc(x)[0]
-    else:
-        blocks = np.arange(read.m)
-        Jc = np.zeros((read.m, read.q, read.m, read.k))
-        Jc[blocks, :, blocks, :] = read.jc(x)
-        Jc = Jc.reshape(n, problem.p)
     Ju = _dense_columns(problem.apply_Ju, x, problem.n_eq, n)
     Jv = _dense_columns(problem.apply_Jv, x, problem.n_ineq, n)
-    return Jc, Ju, Jv
+    return problem.manifold.jacobian(x), Ju, Jv
 
 
 @dataclass
@@ -386,13 +374,12 @@ class _Blocks:
     Jc and J_A^T Jc(A(y)) come as (m, q, k) stacks of their q x k diagonal
     blocks.  A ``row_blocks`` handle (shape (m, q)) has one block per row
     of X, with k = 1; any other handle is one block, m = 1, q = n, k = p:
-    the dense n x p matrices, and Jc comes from the handle's ``jacobian``
-    when it has one.  Row i of a row-block action depends only on
-    row i of its direction, so the direction ``tile(e_j, m)``, which is e_j
-    in every row, gives column j of every block at once, bitwise equal to
-    the dense entries: k actions per stack.  A block-diagonal matrix's
-    spectral norm is its largest block norm, and its singular values are
-    those of its blocks.
+    the dense n x p matrices, and Jc is the handle's ``jacobian`` read.
+    Row i of a row-block action depends only on row i of its direction, so
+    the direction ``tile(e_j, m)``, which is e_j in every row, gives
+    column j of every block at once, bitwise equal to the dense entries: k
+    actions per stack.  A block-diagonal matrix's spectral norm is its
+    largest block norm, and its singular values are those of its blocks.
 
     J_A^T of a ``row_blocks`` handle is the (m, q, q) stack of its blocks,
     q actions per point.  Of any other handle it is a matrix-free
@@ -444,9 +431,9 @@ class _Blocks:
 
     def jc(self, y: Vector) -> Vector:
         """Jc(y) as its stack: on a one-block handle the handle's dense
-        ``jacobian`` read, or its p ``apply_Jc`` columns without one."""
+        ``jacobian`` read."""
         if self.m == 1:
-            return _jacobian(self.mani, y)[None]
+            return self.mani.jacobian(y)[None]
         return self._stack(self.mani.apply_Jc, y, self.k)
 
     def sigma_min_jc(self, y: Vector) -> float:

@@ -7,6 +7,7 @@ a symplectic Stiefel family built on the generic operator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,15 +21,12 @@ from .core import (
     Vector,
     _check_shape,
     _dense_columns,
-    _jacobian,
     default_fd_step,
 )
 
 __all__ = [
     "GenericManifoldSpec",
     "euclidean_handle",
-    "generic_A",
-    "generic_JAT",
     "make_handle",
     "oblique_A",
     "oblique_JAT",
@@ -85,18 +83,18 @@ class GenericManifoldSpec:
     ``(D_d Jc(x)) w = sum_l w_l Hess(c_l)(x) d``; when omitted it is
     approximated by central differences of ``apply_Jc``.
 
-    ``jacobian(x)`` is the optional dense n x p ``Jc(x)``.  When given, its
-    column l must equal ``apply_Jc(x, e_l)``; without it, the handle builds
-    ``Jc(x)`` from p ``apply_Jc`` columns.  A spec rebuilt with
-    ``dataclasses.replace(..., apply_Jc=...)`` must replace ``jacobian``
-    too, or set it to None.  ``shape``, when given, must hold n entries.
+    ``jacobian(x)`` is the optional dense n x p ``Jc(x)``, column l equal
+    to ``apply_Jc(x, e_l)``; without it, the handle's ``jacobian`` takes p
+    ``apply_Jc`` columns.  A spec rebuilt with ``dataclasses.replace(...,
+    apply_Jc=...)`` must replace ``jacobian`` too, or set it to None.
+    ``shape``, when given, must hold n entries.
 
     Every callable must be a pure function of its arguments: the handle
-    built from a spec computes ``Jc(x)``, the Gram matrix G, ``c(x)`` and
-    G^{-1} c(x) once per point and reuses them for ``eval_A``,
-    ``apply_JAT`` and ``apply_JA`` at that x.  The first Jacobian action at
-    a point forms G^{-1} once, so every later action costs matrix products
-    instead of a solve; points that only see ``eval_A`` never form it.
+    keeps the state of its last two points (a copy of x, ``Jc(x)``, the
+    Gram matrix G and G^{-1} c(x)) for ``eval_A``, ``apply_JAT`` and
+    ``apply_JA`` there.  A point's first Jacobian action forms G^{-1}, so
+    later actions cost products instead of solves; ``eval_A`` never forms
+    it.
     """
 
     n: int
@@ -127,80 +125,67 @@ def _djc_action(spec: GenericManifoldSpec, x: Vector, d: Vector, w: Vector) -> V
     return (spec.apply_Jc(x + step * d, w) - spec.apply_Jc(x - step * d, w)) / (2.0 * step)
 
 
-def _point_state(spec: GenericManifoldSpec, x: Vector):
-    """Per-point state shared by ``A`` and ``J_A^T``: J = Jc(x), the Gram
-    matrix G = J^T J, w = G^{-1} c(x) and z = J w.
+class _GenericPoint:
+    """The generic map's state at one point x: J = Jc(x), the Gram matrix
+    G = J^T J, w = G^{-1} c(x) and z = J w, with G^{-1} and E formed when
+    a Jacobian action first needs them.  It keeps its own copy of x.
 
     G is symmetric, so its eigenvalues give the 2-norm condition number
     that the rank test bounds by 1e12."""
-    J = _jacobian(spec, x)
-    G = J.T @ J
-    if not np.all(np.isfinite(G)):
-        raise EvaluatorFaultError("Gram matrix of the constraint Jacobian "
-                                  "non-finite")
-    lam = np.linalg.eigvalsh(G)
-    if lam[0] <= 0.0 or lam[-1] > 1e12 * lam[0]:
-        raise RankDeficiencyError(
-            "Gram matrix condition number above 1e12: the constraint "
-            "Jacobian is (nearly) rank deficient at this point")
-    c = spec.eval_c(x)
-    if not np.all(np.isfinite(c)):
-        raise EvaluatorFaultError("constraint value non-finite")
-    w = np.linalg.solve(G, c)
-    return J, G, w, J @ w
 
+    def __init__(self, spec: GenericManifoldSpec,
+                 jacobian: Callable[[Vector], Vector], x: Vector):
+        self.spec = spec
+        self.x = x = x.copy()
+        J = self.J = jacobian(x)
+        G = self.G = J.T @ J
+        if not np.all(np.isfinite(G)):
+            raise EvaluatorFaultError("Gram matrix of the constraint Jacobian "
+                                      "non-finite")
+        lam = np.linalg.eigvalsh(G)
+        if lam[0] <= 0.0 or lam[-1] > 1e12 * lam[0]:
+            raise RankDeficiencyError(
+                "Gram matrix condition number above 1e12: the constraint "
+                "Jacobian is (nearly) rank deficient at this point")
+        c = spec.eval_c(x)
+        if not np.all(np.isfinite(c)):
+            raise EvaluatorFaultError("constraint value non-finite")
+        self.w = np.linalg.solve(G, c)
+        self.z = J @ self.w
 
-def _gram_inverse(G: Vector) -> Vector:
-    """G^{-1}, formed once per point and shared by its Jacobian actions."""
-    return np.linalg.inv(G)
+    @functools.cached_property
+    def G_inv(self) -> Vector:
+        """G^{-1}, shared by the Jacobian actions at this point."""
+        return np.linalg.inv(self.G)
 
+    @functools.cached_property
+    def E(self) -> Vector:
+        """E = [(D Jc)[z] e_l]_l, the n x p matrix with E^T d = (D Jc)[d]^T z:
+        column l is Hess(c_l) z, and each Hessian is symmetric."""
+        spec, z = self.spec, self.z
+        return _dense_columns(lambda y, e: _djc_action(spec, y, z, e), self.x,
+                              spec.p, spec.n)
 
-def _jat_at(spec: GenericManifoldSpec, x: Vector, g: Vector, state,
-            G_inv: Vector) -> Vector:
-    J, _, w, z = state
-    a = G_inv @ (J.T @ g)
-    pg = g - J @ a
-    return pg - _djc_action(spec, x, pg, w) + _djc_action(spec, x, z, a)
+    def jat(self, g: Vector) -> Vector:
+        """Exact transposed-Jacobian action of A(x) = x - z.  With P the
+        projector complement I - J G^{-1} J^T, it is
 
+            P g - (D Jc)[P g] w + (D Jc)[z] (G^{-1} J^T g),
 
-def _hess_z_columns(spec: GenericManifoldSpec, x: Vector, z: Vector) -> Vector:
-    """E = [(D Jc)[z] e_l]_l, the n x p matrix with E^T d = (D Jc)[d]^T z:
-    column l is Hess(c_l) z, and each Hessian is symmetric."""
-    return _dense_columns(lambda y, e: _djc_action(spec, y, z, e), x,
-                          spec.p, spec.n)
+        which reduces to the tangent projector P at feasible points."""
+        spec, x, J, w, z = self.spec, self.x, self.J, self.w, self.z
+        a = self.G_inv @ (J.T @ g)
+        pg = g - J @ a
+        return pg - _djc_action(spec, x, pg, w) + _djc_action(spec, x, z, a)
 
+    def ja(self, d: Vector) -> Vector:
+        """Forward Jacobian action of A, the adjoint of ``jat``:
 
-def _ja_at(spec: GenericManifoldSpec, x: Vector, d: Vector, state,
-           G_inv: Vector, E: Vector) -> Vector:
-    """Forward Jacobian action of ``generic_A``, the adjoint of ``_jat_at``:
-
-        P (d - (D Jc)[d] w) + Jc G^{-1} E^T d.
-    """
-    J, _, w, _ = state
-    u = d - _djc_action(spec, x, d, w)
-    return u - J @ (G_inv @ (J.T @ u - E.T @ d))
-
-
-def generic_A(spec: GenericManifoldSpec, x: Vector) -> Vector:
-    """Gauss-Newton-style dissolving map x - Jc (Jc^T Jc)^{-1} c."""
-    x = np.asarray(x, dtype=float).ravel()
-    return x - _point_state(spec, x)[3]
-
-
-def generic_JAT(spec: GenericManifoldSpec, x: Vector, g: Vector) -> Vector:
-    """Exact transposed-Jacobian action of ``generic_A``.
-
-    With w = G^{-1} c, z = Jc w and P the projector complement
-    I - Jc G^{-1} Jc^T, the action is
-
-        P g - (D Jc)[P g] w + (D Jc)[z] (G^{-1} Jc^T g),
-
-    which reduces to the tangent projector P at feasible points.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    g = np.asarray(g, dtype=float).ravel()
-    state = _point_state(spec, x)
-    return _jat_at(spec, x, g, state, _gram_inverse(state[1]))
+            P (d - (D Jc)[d] w) + J G^{-1} E^T d.
+        """
+        J = self.J
+        u = d - _djc_action(self.spec, self.x, d, self.w)
+        return u - J @ (self.G_inv @ (J.T @ u - self.E.T @ d))
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +294,21 @@ def _oblique_handle(m: int, q: int) -> ManifoldHandle:
     def apply_JAT(x, d):
         return oblique_JAT(as_mat(x), as_mat(d)).ravel()
 
+    rows = np.arange(m)
+
+    def jacobian(x):
+        # Block diagonal: column i holds 2 x_i in the entries of row i.
+        J = np.zeros((m, q, m))
+        J[rows, :, rows] = 2.0 * as_mat(x)
+        return J.reshape(n, m)
+
     return ManifoldHandle(
         name=f"oblique({m},{q})", n=n, p=m,
         eval_c=lambda x: np.sum(as_mat(x) ** 2, axis=1) - 1.0,
         apply_JcT=lambda x, d: 2.0 * np.sum(as_mat(x) * as_mat(d), axis=1),
         apply_Jc=lambda x, w: (2.0 * np.asarray(w)[:, None] * as_mat(x)).ravel(),
         eval_A=lambda x: oblique_A(as_mat(x)).ravel(),
-        apply_JAT=apply_JAT, apply_JA=apply_JAT,
+        apply_JAT=apply_JAT, apply_JA=apply_JAT, jacobian=jacobian,
         shape=(m, q), row_blocks=True)
 
 
@@ -328,53 +321,33 @@ def _sphere_handle(n: int) -> ManifoldHandle:
         apply_JcT=lambda x, d: np.array([2.0 * float(np.dot(x, d))]),
         apply_Jc=lambda x, w: 2.0 * float(np.asarray(w).ravel()[0]) * np.asarray(x, dtype=float),
         eval_A=sphere_A,
-        apply_JAT=sphere_JAT, apply_JA=sphere_JAT)
+        apply_JAT=sphere_JAT, apply_JA=sphere_JAT,
+        jacobian=lambda x: 2.0 * np.asarray(x, dtype=float)[:, None])
 
 
 def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
-    # The point states of the last two points, keyed by the bytes of x, each
-    # with G^{-1} once a Jacobian action needs it and its E matrix once
-    # ``apply_JA`` needs it.  The solver evaluates A and then J_A^T at one
-    # x; the Lipschitz estimate of J_A^T in ``diagnostics`` applies
-    # J_A^T(y) - J_A^T(y') and its transpose, so it alternates between two
-    # consecutive sample points at every Krylov step, and one entry would
-    # rebuild both states each time.  A point whose finiteness or Gram
-    # check fails raises before it is stored, so it raises again on every
-    # call.
+    jacobian = spec.jacobian or (
+        lambda x: _dense_columns(spec.apply_Jc, x, spec.p, spec.n))
+
+    # The states of the last two points, keyed by the bytes of x: the
+    # Lipschitz estimate of J_A^T in ``diagnostics`` alternates between two
+    # sample points at every Krylov step.  A point whose finiteness or Gram
+    # check fails raises before it is stored, so it raises on every call.
     cache = {}
 
-    def entry(x):
+    def point(x) -> _GenericPoint:
+        x = np.asarray(x, dtype=float).ravel()
         key = x.tobytes()
         if key not in cache:
-            state = _point_state(spec, x)
+            state = _GenericPoint(spec, jacobian, x)
             if len(cache) == 2:
                 del cache[next(iter(cache))]  # the older point
-            cache[key] = [state, None, None]
+            cache[key] = state
         return cache[key]
 
-    def action_entry(x):
-        ent = entry(x)
-        if ent[1] is None:
-            ent[1] = _gram_inverse(ent[0][1])
-        return ent
-
     def eval_A(x):
-        x = np.asarray(x, dtype=float).ravel()
-        return x - entry(x)[0][3]
-
-    def apply_JAT(x, g):
-        x = np.asarray(x, dtype=float).ravel()
-        g = np.asarray(g, dtype=float).ravel()
-        state, G_inv, _ = action_entry(x)
-        return _jat_at(spec, x, g, state, G_inv)
-
-    def apply_JA(x, d):
-        x = np.asarray(x, dtype=float).ravel()
-        d = np.asarray(d, dtype=float).ravel()
-        ent = action_entry(x)
-        if ent[2] is None:
-            ent[2] = _hess_z_columns(spec, x, ent[0][3])
-        return _ja_at(spec, x, d, *ent)
+        state = point(x)
+        return state.x - state.z
 
     return ManifoldHandle(
         name=spec.name, n=spec.n, p=spec.p,
@@ -382,10 +355,10 @@ def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
         apply_JcT=spec.apply_JcT,
         apply_Jc=spec.apply_Jc,
         eval_A=eval_A,
-        apply_JAT=apply_JAT,
-        apply_JA=apply_JA,
+        apply_JAT=lambda x, g: point(x).jat(np.asarray(g, dtype=float).ravel()),
+        apply_JA=lambda x, d: point(x).ja(np.asarray(d, dtype=float).ravel()),
         shape=spec.shape,
-        jacobian=spec.jacobian)
+        jacobian=jacobian)
 
 
 def euclidean_handle(n: int) -> ManifoldHandle:
@@ -402,7 +375,8 @@ def euclidean_handle(n: int) -> ManifoldHandle:
         apply_JcT=lambda x, d: np.zeros(0),
         apply_Jc=lambda x, w: np.zeros(n),
         eval_A=lambda x: np.asarray(x, dtype=float).ravel(),
-        apply_JAT=identity, apply_JA=identity)
+        apply_JAT=identity, apply_JA=identity,
+        jacobian=lambda x: np.zeros((n, 0)))
 
 
 def make_handle(family: str, *, m: int | None = None, q: int | None = None,

@@ -64,8 +64,10 @@ class AlmOptions:
     time_budget: float | None = None
 
     def __post_init__(self):
-        if self.outer_tol_stationarity <= 0 or self.outer_tol_feasibility <= 0:
+        if not (self.outer_tol_stationarity > 0 and self.outer_tol_feasibility > 0):
             raise ValueError("tolerances must be positive")
+        if self.time_budget is not None and not self.time_budget > 0:
+            raise ValueError("time_budget must be None or positive")
         if self.max_outer < 0 or self.max_inner < 0:
             raise ValueError("iteration budgets must be non-negative")
 

@@ -193,10 +193,42 @@ class TestExitCodes:
         assert err.count("\n") == 1 and str(error) in err
 
     def test_negative_penalty_is_a_usage_error(self, capsys):
-        # PenaltyParams raises ParameterError for beta < 0.
+        # The penalty flags are parsed as finite non-negative numbers.
         assert run(["solve", "--family", "balanced_cut", "--m", "10",
                     "--q", "2", "--rho", "0.3", "--beta", "-1"]) == 2
         assert "non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "nan"), ("--tau", "nan"), ("--gamma", "nan"),
+        ("--budget", "nan"), ("--budget", "0"), ("--budget", "-1"),
+    ])
+    def test_bad_number_is_a_usage_error(self, flag, value):
+        # NaN compares false with everything, so each check must reject it
+        # explicitly; --gamma is checked although the cut has no
+        # inequalities for it to fill.
+        assert run(["solve", "--family", "balanced_cut", "--m", "10",
+                    "--q", "2", "--rho", "0.3", flag, value]) == 2
+
+    def test_bad_bench_budget_is_a_usage_error(self, tmp_path):
+        grid = tmp_path / "grid.yaml"
+        grid.write_text(
+            "- {family: balanced_cut, m: 8, q: 2, rho: 0.3, seed: 1}\n")
+        for value in ("nan", "0", "-1"):
+            assert run(["bench", "--grid", str(grid),
+                        "--budget", value]) == 2
+
+    def test_nan_radius_is_a_usage_error(self, capsys):
+        assert run(["solve", "--family", "center_of_mass", "--m", "6",
+                    "--q", "2", "--N", "5", "--r", "nan"]) == 2
+        assert "r must be positive" in capsys.readouterr().err
+
+    def test_nan_beta_from_a_config_is_a_usage_error(self, tmp_path, capsys):
+        # A config's beta reaches PenaltyParams without the flag's check.
+        config = tmp_path / "cut.yaml"
+        config.write_text("family: balanced_cut\nm: 10\nq: 2\nrho: 0.3\n"
+                          "seed: 0\nbeta: .nan\n")
+        assert run(["solve", "--config", str(config)]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestParser:

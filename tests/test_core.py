@@ -32,6 +32,16 @@ class TestDomainTypes:
         with pytest.raises(ParameterError):
             PenaltyParams(beta=1.0, gamma=np.array([-0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_penalty_params_reject_non_finite_entries(self, bad):
+        # NaN passes a "< 0" test and inf a ">= 0" one.
+        with pytest.raises(ParameterError):
+            PenaltyParams(beta=bad)
+        with pytest.raises(ParameterError):
+            PenaltyParams(beta=1.0, tau=np.array([0.5, bad]))
+        with pytest.raises(ParameterError):
+            PenaltyParams(beta=1.0, gamma=np.array([bad]))
+
     def test_multiplier_set_requires_nonnegative_mu(self):
         with pytest.raises(ParameterError):
             MultiplierSet(rho=np.zeros(1), lam=np.zeros(0), mu=np.array([-1.0]))

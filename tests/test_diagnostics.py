@@ -140,12 +140,12 @@ class TestKktResidual:
         assert report.complementarity <= 1e-10
 
     def test_row_block_jc_takes_one_action(self):
-        # A row_blocks handle gives every block of Jc from one apply_Jc,
-        # and the symplectic Stiefel handle gives Jc from one jacobian
-        # read: (jacobian, apply_Jc) calls per check.
+        # Every handle gives Jc from one jacobian read, the oblique
+        # (row_blocks) handle of the cut and the symplectic Stiefel one
+        # alike: (jacobian, apply_Jc) calls per check.
         com, x0 = gen_center_of_mass(
             CenterOfMassConfig(m=8, q=4, N=8, r=0.5, seed=3))
-        cases = ((_cut_reference_point(20, 0.2, 3), (0, 1)),
+        cases = ((_cut_reference_point(20, 0.2, 3), (1, 0)),
                  ((com, a_infinity(com.manifold, x0)), (1, 0)))
         for (problem, x), per_check in cases:
             mani, taken = counting_jc_reads(problem.manifold)

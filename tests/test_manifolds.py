@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cdpkit import manifolds
 from cdpkit.core import (
     DimensionError,
     EvaluatorFaultError,
@@ -21,8 +20,6 @@ from cdpkit.diagnostics import _bound_constants, make_synthetic_kkt
 from cdpkit.dissolve import a_infinity, build_cdp
 from cdpkit.manifolds import (
     GenericManifoldSpec,
-    generic_A,
-    generic_JAT,
     make_handle,
     oblique_A,
     oblique_JAT,
@@ -106,23 +103,33 @@ class TestSphereOperator:
         assert err <= 1e-8
 
 
+def _uncached_A(spec, x):
+    """A(x) from a new generic handle: no state cached from earlier calls."""
+    return make_handle("generic", spec=spec).eval_A(x)
+
+
+def _uncached_JAT(spec, x, g):
+    """J_A(x)^T g from a new generic handle."""
+    return make_handle("generic", spec=spec).apply_JAT(x, g)
+
+
 class TestGenericOperator:
     def test_feasible_point_is_fixed(self):
         spec = sphere_constraint_spec(4)
         x = np.array([0.0, 0.0, 1.0, 0.0])
-        assert np.allclose(generic_A(spec, x), x)
+        assert np.allclose(_uncached_A(spec, x), x)
 
     def test_hand_evaluated_correction_on_sphere_constraint(self):
         # c(x) = ||x||^2 - 1 at x = 2 e1: correction Jc (Jc^T Jc)^{-1} c
         # = (4 e1)(16)^{-1}(3) = 0.75 e1, so A(x) = 1.25 e1.
         spec = sphere_constraint_spec(3)
         x = np.array([2.0, 0.0, 0.0])
-        assert np.allclose(generic_A(spec, x), np.array([1.25, 0.0, 0.0]))
+        assert np.allclose(_uncached_A(spec, x), np.array([1.25, 0.0, 0.0]))
 
     def test_symplectic_canonical_point_is_fixed(self):
         spec = symplectic_spec(8, 4)
         E = symplectic_canonical_point(8, 4).ravel()
-        assert np.allclose(generic_A(spec, E), E, atol=1e-14)
+        assert np.allclose(_uncached_A(spec, E), E, atol=1e-14)
 
     def test_singular_gram_matrix_raises(self):
         # Two identical constraints make Jc^T Jc exactly singular.
@@ -133,7 +140,7 @@ class TestGenericOperator:
             apply_Jc=lambda x, w: 2.0 * (w[0] + w[1]) * np.asarray(x, dtype=float),
             name="duplicated")
         with pytest.raises(RankDeficiencyError):
-            generic_A(spec, np.array([2.0, 0.0, 0.0]))
+            _uncached_A(spec, np.array([2.0, 0.0, 0.0]))
 
     @staticmethod
     def _affine_spec(gram_cond):
@@ -162,9 +169,7 @@ class TestGenericOperator:
         np.linalg.cholesky(B.T @ B)
         handle = make_handle("generic", spec=spec)
         for call in (lambda: handle.eval_A(x),
-                     lambda: handle.apply_JAT(x, g),
-                     lambda: generic_A(spec, x),
-                     lambda: generic_JAT(spec, x, g)):
+                     lambda: handle.apply_JAT(x, g)):
             with pytest.raises(RankDeficiencyError):
                 call()
         spec, _ = self._affine_spec(1e10)
@@ -205,9 +210,10 @@ class TestGenericOperator:
         x /= np.linalg.norm(x)
         x += 0.05 * rng.standard_normal(5)
         g = rng.standard_normal(5)
+        handle = make_handle("generic", spec=spec)
         err = finite_diff_check(
-            lambda y: float(np.dot(g, generic_A(spec, y))),
-            lambda y, d: float(np.dot(generic_JAT(spec, y, g), d)),
+            lambda y: float(np.dot(g, handle.eval_A(y))),
+            lambda y, d: float(np.dot(handle.apply_JAT(y, g), d)),
             x, step=default_fd_step(x))
         assert err <= 1e-8
 
@@ -239,14 +245,14 @@ class TestGenericHandleCache:
         x2 = E + 0.1 * rng.standard_normal(spec.n)
         g = rng.standard_normal(spec.n)
         for x in (x1, x2, x1, x1):
-            assert np.array_equal(handle.eval_A(x), generic_A(spec, x))
-            assert np.array_equal(handle.apply_JAT(x, g), generic_JAT(spec, x, g))
+            assert np.array_equal(handle.eval_A(x), _uncached_A(spec, x))
+            assert np.array_equal(handle.apply_JAT(x, g), _uncached_JAT(spec, x, g))
         x = x1.copy()
         handle.eval_A(x)
         x[3] += 0.05  # changed in place: must not hit the entry for x1
-        assert np.array_equal(handle.apply_JAT(x, g), generic_JAT(spec, x, g))
-        assert np.array_equal(handle.eval_A(x), generic_A(spec, x))
-        assert not np.array_equal(handle.eval_A(x), generic_A(spec, x1))
+        assert np.array_equal(handle.apply_JAT(x, g), _uncached_JAT(spec, x, g))
+        assert np.array_equal(handle.eval_A(x), _uncached_A(spec, x))
+        assert not np.array_equal(handle.eval_A(x), _uncached_A(spec, x1))
 
     def test_rank_deficient_point_raises_on_every_call(self):
         # Jc(0) = 0 for c(x) = ||x||^2 - 1, so the Gram matrix is singular.
@@ -303,13 +309,13 @@ class TestGenericHandleCache:
 
     def test_gram_inverse_formed_once_per_acted_point(self, monkeypatch):
         formed = [0]
-        inverse = manifolds._gram_inverse
+        inverse = np.linalg.inv
 
         def counted(G):
             formed[0] += 1
             return inverse(G)
 
-        monkeypatch.setattr(manifolds, "_gram_inverse", counted)
+        monkeypatch.setattr(np.linalg, "inv", counted)
         spec = symplectic_spec(8, 4)
         handle = make_handle("generic", spec=spec)
         rng = np.random.default_rng(24)
@@ -327,6 +333,29 @@ class TestGenericHandleCache:
             handle.apply_JAT(x, col)
             handle.apply_JA(x, col)
         assert formed[0] == 1
+
+    def test_point_state_does_not_alias_the_callers_array(self):
+        # c(x) = sum x_i^3 - 1 with no apply_dJc: the finite-difference
+        # second-order action reads the state's x, and Jc is not linear in
+        # x, so a state holding a view of the caller's array would act at
+        # the changed point.
+        spec = GenericManifoldSpec(
+            n=4, p=1,
+            eval_c=lambda x: np.array([float(np.sum(x ** 3)) - 1.0]),
+            apply_JcT=lambda x, d: np.array([3.0 * float(np.dot(x ** 2, d))]),
+            apply_Jc=lambda x, w: 3.0 * float(np.asarray(w)[0]) * x ** 2,
+            name="cubic")
+        handle = make_handle("generic", spec=spec)
+        x0 = np.array([0.9, 0.3, -0.2, 0.4])
+        g = np.array([0.5, -1.0, 0.25, 2.0])
+        x = x0.copy()
+        handle.apply_JAT(x, g)
+        handle.apply_JA(x, g)
+        x *= 1.5
+        assert np.array_equal(handle.apply_JAT(x0, g), _uncached_JAT(spec, x0, g))
+        assert np.array_equal(handle.apply_JA(x0, g),
+                              make_handle("generic", spec=spec).apply_JA(x0, g))
+        assert np.array_equal(handle.eval_A(x0), _uncached_A(spec, x0))
 
 
 class TestSymplecticFamily:
@@ -563,6 +592,9 @@ class TestForwardJacobian:
         handle, y = _forward_case(data, family)
         assert finite_diff_check(handle.eval_A, handle.apply_JA, y,
                                  default_fd_step(y)) <= 1e-7
+        # The dense Jc read is the column loop over apply_Jc.
+        assert np.array_equal(handle.jacobian(y), _dense_columns(
+            handle.apply_Jc, y, handle.p, handle.n))
         rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
         d, g = rng.standard_normal((2, handle.n))
         gap = (np.dot(handle.apply_JA(y, d), g)

@@ -142,6 +142,18 @@ class TestAlmOptions:
         with pytest.raises(ValueError):
             AlmOptions(max_inner=-1)
 
+    def test_nan_tolerances_rejected(self):
+        for field in ("outer_tol_stationarity", "outer_tol_feasibility"):
+            with pytest.raises(ValueError):
+                AlmOptions(**{field: float("nan")})
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
+    def test_time_budget_must_be_none_or_positive(self, budget):
+        with pytest.raises(ValueError):
+            AlmOptions(time_budget=budget)
+        assert AlmOptions(time_budget=None).time_budget is None
+        assert AlmOptions(time_budget=0.5).time_budget == 0.5
+
     def test_option_surface_is_pinned(self):
         # Values no caller sets are module constants, not options.
         assert [f.name for f in dataclasses.fields(AlmOptions)] == [
