@@ -99,16 +99,14 @@ class RunRecord:
     cpu_time: float
     status: str
 
+    # CSV column -> RunRecord field, in column order
+    CSV_COLUMNS = {"problem": "problem_id", "pipeline": "pipeline",
+                   "fval": "objective", "stationarity": "stationarity",
+                   "feasibility": "feasibility", "time": "cpu_time",
+                   "status": "status"}
+
     def as_row(self) -> dict:
-        return {
-            "problem": self.problem_id,
-            "pipeline": self.pipeline,
-            "fval": self.objective,
-            "stationarity": self.stationarity,
-            "feasibility": self.feasibility,
-            "time": self.cpu_time,
-            "status": self.status,
-        }
+        return {col: getattr(self, name) for col, name in self.CSV_COLUMNS.items()}
 
 
 def gen_center_of_mass(cfg: CenterOfMassConfig) -> tuple[ProblemSpec, Vector]:
@@ -204,9 +202,9 @@ def gen_balanced_cut(cfg: BalancedCutConfig) -> tuple[ProblemSpec, Vector]:
 
 def build_balanced_cut_cdp(problem: ProblemSpec,
                            beta: float = 0.1) -> CdpInstance:
-    """Transformed balanced-cut problem with the default quadratic-penalty
-    weight (equivalent to 0.05 under the quartic Frobenius convention)."""
-    return build_cdp(problem, PenaltyParams(beta=beta, tau=np.zeros(problem.n_eq)))
+    """``build_cdp(problem, PenaltyParams(beta=beta))``; it stays because
+    the benchmark's perfbench/workloads.py and the tests import it."""
+    return build_cdp(problem, PenaltyParams(beta=beta))
 
 
 _FAMILIES = {"center_of_mass": CenterOfMassConfig,
@@ -276,13 +274,11 @@ def load_problem(config) -> ProblemSpec:
 def _build_instance(cfg):
     if isinstance(cfg, CenterOfMassConfig):
         problem, x0 = gen_center_of_mass(cfg)
-        inst = build_cdp(problem, PenaltyParams(beta=cfg.beta))
     elif isinstance(cfg, BalancedCutConfig):
         problem, x0 = gen_balanced_cut(cfg)
-        inst = build_balanced_cut_cdp(problem, beta=cfg.beta)
     else:
         raise ParameterError(f"unknown config type {type(cfg)!r}")
-    return problem, inst, x0
+    return problem, build_cdp(problem, PenaltyParams(beta=cfg.beta)), x0
 
 
 def run_experiment(grid, out=None, budget: float = 1200.0) -> list[RunRecord]:
@@ -323,9 +319,8 @@ def run_experiment(grid, out=None, budget: float = 1200.0) -> list[RunRecord]:
 
 def records_to_csv(records: list[RunRecord]) -> str:
     buf = io.StringIO()
-    fields = ["problem", "pipeline", "fval", "stationarity", "feasibility",
-              "time", "status"]
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(RunRecord.CSV_COLUMNS),
+                            lineterminator="\n")
     writer.writeheader()
     for rec in records:
         writer.writerow(rec.as_row())

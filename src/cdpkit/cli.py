@@ -224,7 +224,7 @@ _penalty = _number(lambda v: 0 <= v < np.inf, "finite and non-negative")
 
 def _add_instance(p):
     """The instance flags of ``solve`` and ``probe``."""
-    p.add_argument("--family", choices=["center_of_mass", "balanced_cut"])
+    p.add_argument("--family", choices=list(bench._FAMILIES))
     p.add_argument("--m", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--N", type=int, dest="N")

@@ -9,7 +9,7 @@ variables are flattened row-major; the owning handle carries the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -241,19 +241,9 @@ class TraceRow:
     inner_status: str = ""  # its status; "" when the row certifies the start
 
     def key_fields(self) -> tuple:
-        """All fields except wall time, for determinism comparisons."""
-        return (
-            self.iteration,
-            self.objective,
-            self.feasibility,
-            self.stationarity,
-            self.beta,
-            self.sigma,
-            self.multiplier_norm,
-            self.inner_iterations,
-            self.inner_status,
-            self.note,
-        )
+        """Every field except wall time, for determinism comparisons."""
+        return tuple(getattr(self, f.name) for f in fields(self)
+                     if f.name != "wall_time")
 
 
 @dataclass

@@ -73,7 +73,6 @@ class KktReport:
     stationarity: float
     feasibility: float
     multipliers: MultiplierSet
-    active_set: list[int]
     complementarity: float
     rank_deficient: bool = False
 
@@ -117,7 +116,6 @@ def kkt_residual(problem: ProblemSpec, x: Vector) -> KktReport:
         feasibility=feasibility(problem, x),
         multipliers=MultiplierSet(rho=xi[:problem.p], lam=xi[problem.p:],
                                   mu=mu),
-        active_set=_active_set(v),
         complementarity=float(abs(np.dot(mu, v))) if mu.size else 0.0,
         rank_deficient=rank < B.shape[1])
 
@@ -262,7 +260,7 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
         prev = (y, Jc, JaJcA)
 
     sigma1, M_A = consts.sigma1x, consts.M_Ax
-    rho_x = _estimate_rho(problem, pts[0], sigma1, radius, rng)
+    rho_x = _estimate_rho(read, pts[0], sigma1, radius, rng)
     with np.errstate(divide="ignore"):
         eps = min(
             rho_x / 2.0,
@@ -276,17 +274,16 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
         sample_count=len(pts) - 1, radius=radius)
 
 
-def _estimate_rho(problem, x, sigma1, radius, rng):
+def _estimate_rho(read, x, sigma1, radius, rng):
     """Largest of six radii keeping sigma_min(Jc) >= sigma1 / 2 at 8
-    random points that far from x."""
-    if problem.p == 0:
+    random points that far from x, with Jc from the caller's ``_Blocks``."""
+    if read.mani.p == 0:
         return 1.0
-    read = _Blocks(problem)
     best = 0.0
     for r in np.geomspace(max(radius, 1e-3), 1.0, 6):
         ok = True
         for _ in range(8):
-            d = rng.standard_normal(problem.n)
+            d = rng.standard_normal(read.mani.n)
             d *= r / np.linalg.norm(d)
             if read.sigma_min_jc(x + d) < 0.5 * sigma1:
                 ok = False

@@ -20,6 +20,7 @@ from .core import (
     ProblemSpec,
     Vector,
 )
+from .diagnostics import check_condition, estimate_constants
 
 __all__ = [
     "CdpInstance",
@@ -225,8 +226,6 @@ def lagrangian_decrease_probe(instance: CdpInstance, x_feasible: Vector,
     single-step difference is 0 only up to rounding there, and exactly 0
     only where ``c(x) == 0``, since then ``A(x) == x`` bit for bit.
     """
-    from .diagnostics import check_condition, estimate_constants
-
     x = np.asarray(x_feasible, dtype=float).ravel()
     mani = instance.manifold
     w = np.random.default_rng(seed).standard_normal(x.size)

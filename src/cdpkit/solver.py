@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     MultiplierSet,
     OutOfNeighborhoodError,
+    ParameterError,
     PenaltyParams,
     ProblemSpec,
     RankDeficiencyError,
@@ -25,8 +26,9 @@ from .core import (
     TraceRow,
     Vector,
 )
-# ``estimate_constants`` stays a module attribute for callers and tracers
-# that look it up here; the safeguard itself reads ``_bound_constants``.
+# ``estimate_constants`` stays a module attribute because the benchmark's
+# tracer (perfbench/tracing.py) rebinds it here; the safeguard itself reads
+# ``_bound_constants``.
 from .diagnostics import (  # noqa: F401
     KktReport,
     _bound_constants,
@@ -470,26 +472,25 @@ def alm_solve_cdp(instance: CdpInstance, x0: Vector,
 
     When beta adaptation is on, the multiplier-coupled penalty lower bound
     is recomputed after each outer iteration from six constants sampled
-    once around ``a_infinity(x0)`` (sigma1, M_A, L_A, M_u, M_v, L_f; the
-    same values ``estimate_constants`` reports, without its other work).
-    The pass runs inside the solve: on a handle that declares
-    ``row_blocks`` (the oblique manifold) it reads ``Jc`` and ``J_A^T`` as
-    stacks of per-row blocks, q applications of ``J_A^T`` per sample point;
-    on any other handle it bounds ``||J_A^T||`` and its Lipschitz quotient
-    from below by Golub-Kahan-Lanczos on ``apply_JAT`` and ``apply_JA``, at
-    most 20 steps per norm, without forming ``J_A^T``.  While beta is below
-    the sampled bound, each adaptation rebuilds the instance with beta
-    multiplied by the constant factor ``BETA_GROWTH`` = 10 (a
-    continuation), so beta may sit below the bound for some rows.  The
-    bound is a sufficient condition for the equivalence, not a target, and
-    ``converged`` is still certified by the original problem's KKT
-    residual.  The row's note then carries
-    ``beta_adapted:<repr(beta)>``, which ``float`` parses back to exactly
-    the beta used from the next row on.  If the constants cannot be
-    sampled (``a_infinity(x0)`` fails, or Jc is rank deficient there) the
-    safeguard is off for the rest of the solve and the first row's note
-    says ``beta_adapt_off:<error type>``; any other error propagates.
+    once around ``a_infinity(x0)`` (``diagnostics._bound_constants``).
+    While beta is below the sampled bound, each adaptation rebuilds the
+    instance with beta multiplied by the constant factor ``BETA_GROWTH`` =
+    10 (a continuation), so beta may sit below the bound for some rows.
+    The row's note then carries ``beta_adapted:<repr(beta)>``, which
+    ``float`` parses back to exactly the beta used from the next row on.
+    The bound is a sufficient condition for the equivalence, not a target,
+    and ``converged`` is still certified by the original problem's KKT
+    residual.  If the constants cannot be sampled (``a_infinity(x0)``
+    fails, or Jc is rank deficient there) the safeguard is off for the
+    rest of the solve and the first row's note says
+    ``beta_adapt_off:<error type>``; any other error propagates.
+
+    A beta of 0 never grows, so with adaptation on an instance at beta = 0
+    raises ``ParameterError`` before the solve starts.
     """
+    if opts.beta_adapt and instance.params.beta == 0:
+        raise ParameterError("beta = 0 cannot adapt: start from beta > 0 "
+                             "or turn beta_adapt off")
     return _alm_loop(instance.problem, _Dissolved(instance, x0, opts), x0, opts)
 
 

@@ -17,6 +17,7 @@ from cdpkit.core import (
 from cdpkit.bench import (
     BalancedCutConfig,
     CenterOfMassConfig,
+    RunRecord,
     build_balanced_cut_cdp,
     gen_balanced_cut,
     gen_center_of_mass,
@@ -253,3 +254,24 @@ class TestRunExperiment:
         table = records_to_markdown(records).splitlines()
         assert len({len(line) for line in table}) == 1  # aligned columns
         assert records_to_csv(records) == sink.getvalue()
+
+    def test_report_text_is_fixed_byte_for_byte(self):
+        records = [
+            RunRecord("cut(m=8)", "cdp", -1.25, 3e-7, 0.0, 0.5, "converged"),
+            RunRecord("cut(m=8)", "nlp", np.nan, np.nan, 2.5e-3, 12.0,
+                      "error: a, b"),
+        ]
+        assert records_to_csv(records) == (
+            "problem,pipeline,fval,stationarity,feasibility,time,status\n"
+            "cut(m=8),cdp,-1.25,3e-07,0.0,0.5,converged\n"
+            'cut(m=8),nlp,nan,nan,0.0025,12.0,"error: a, b"\n')
+        assert records_to_markdown(records) == (
+            "| problem  | fval (cdp) | fval (nlp) | stat (cdp) | stat (nlp) "
+            "| feas (cdp) | feas (nlp) | time (cdp) | time (nlp) "
+            "| status (cdp) | status (nlp) |\n"
+            "|----------|------------|------------|------------|------------"
+            "|------------|------------|------------|------------"
+            "|--------------|--------------|\n"
+            "| cut(m=8) | -1.250e+00 | nan        | 3.000e-07  | nan        "
+            "| 0.000e+00  | 2.500e-03  | 5.000e-01  | 1.200e+01  "
+            "| converged    | error: a, b  |\n")

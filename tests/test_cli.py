@@ -222,6 +222,16 @@ class TestExitCodes:
                     "--q", "2", "--N", "5", "--r", "nan"]) == 2
         assert "r must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pipeline, code", [("cdp", 2), ("nlp", 0)])
+    def test_zero_beta_is_refused_only_where_it_must_adapt(self, pipeline,
+                                                           code, capsys):
+        # An adapting cdp solve could never grow beta from 0; the direct
+        # pipeline has no beta and solves the same instance.
+        assert run(["solve", "--family", "balanced_cut", "--m", "10",
+                    "--q", "2", "--rho", "0.3", "--beta", "0",
+                    "--pipeline", pipeline]) == code
+        assert ("beta = 0" in capsys.readouterr().err) == (code == 2)
+
     def test_nan_beta_from_a_config_is_a_usage_error(self, tmp_path, capsys):
         # A config's beta reaches PenaltyParams without the flag's check.
         config = tmp_path / "cut.yaml"

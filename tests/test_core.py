@@ -77,6 +77,12 @@ class TestDomainTypes:
         a = TraceRow(1, -1.0, 1e-7, 1e-7, 1.0, 10.0, 0.1, 0.5)
         b = TraceRow(1, -1.0, 1e-7, 1e-7, 1.0, 10.0, 0.1, 99.0)
         assert a.key_fields() == b.key_fields()
+        # Every other field is in the key, once: a row whose fields all
+        # hold distinct values names each key entry's field.
+        names = [f.name for f in dataclasses.fields(TraceRow)]
+        row = TraceRow(**{name: f"value of {name}" for name in names})
+        keyed = [value.removeprefix("value of ") for value in row.key_fields()]
+        assert sorted(keyed) == sorted(set(names) - {"wall_time"})
 
 
 class TestValidateManifold:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import cdpkit.diagnostics
+import cdpkit.dissolve
 from cdpkit.core import (
     DimensionError,
     MultiplierSet,
@@ -308,7 +308,7 @@ class TestDecreaseProbe:
         def raising(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(cdpkit.diagnostics, "estimate_constants", raising)
+        monkeypatch.setattr(cdpkit.dissolve, "estimate_constants", raising)
         problem = linear_objective_sphere_problem(5, seed=2)
         inst = build_cdp(problem, PenaltyParams(beta=500.0))
         x = np.zeros(5)

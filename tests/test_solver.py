@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from cdpkit.core import PenaltyParams, ProblemSpec
+from cdpkit.core import ParameterError, PenaltyParams, ProblemSpec
 from cdpkit.diagnostics import make_synthetic_kkt
 from cdpkit.dissolve import build_cdp, lagrangian_decrease_probe
 from cdpkit.manifolds import make_handle
@@ -314,6 +314,18 @@ class TestAlmCdp:
         assert res.status == "converged"
         assert res.trace.rows[0].note == "beta_adapt_off:OutOfNeighborhoodError"
         assert all(row.beta == 0.1 for row in res.trace.rows)
+
+    def test_zero_beta_cannot_adapt(self):
+        # BETA_GROWTH * 0 is 0: the safeguard could never raise beta.
+        from cdpkit.bench import (BalancedCutConfig, build_balanced_cut_cdp,
+                                  gen_balanced_cut)
+        problem, x0 = gen_balanced_cut(BalancedCutConfig(m=10, q=2, rho=0.3,
+                                                         seed=0))
+        inst = build_balanced_cut_cdp(problem, beta=0.0)
+        with pytest.raises(ParameterError, match="beta = 0"):
+            alm_solve_cdp(inst, x0)
+        fixed = alm_solve_cdp(inst, x0, AlmOptions(beta_adapt=False))
+        assert all(row.beta == 0.0 for row in fixed.trace.rows)
 
     def test_unexpected_safeguard_error_propagates(self, monkeypatch):
         import cdpkit.solver as solver_mod
