@@ -207,16 +207,18 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _number(ok, what: str):
-    """argparse type: a float for which ``ok`` holds (NaN never does)."""
-    def parse(text: str) -> float:
-        if not ok(value := float(text)):
+def _number(ok, what: str, kind=float):
+    """argparse type: a ``kind`` for which ``ok`` holds (NaN never does)."""
+    def parse(text: str):
+        if not ok(value := kind(text)):
             raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
     return parse
 
 
 _positive = _number(lambda v: v > 0, "positive")
+_count = _number(lambda v: v > 0, "a positive integer", int)
 # Checked here as well as in PenaltyParams, which never sees a --gamma on
 # a family without inequalities.
 _penalty = _number(lambda v: 0 <= v < np.inf, "finite and non-negative")
@@ -251,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--q", type=int)
     p_val.add_argument("--n", type=int)
     p_val.add_argument("--seed", type=int, default=0)
-    p_val.add_argument("--probes", type=int, default=50)
-    p_val.add_argument("--tol", type=float, default=1e-8)
+    p_val.add_argument("--probes", type=_count, default=50)
+    p_val.add_argument("--tol", type=_positive, default=1e-8)
     p_val.add_argument("--json", action="store_true")
     p_val.set_defaults(func=cmd_validate)
 
@@ -266,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_probe = sub.add_parser("probe", help="probe penalty-theory properties")
     _add_instance(p_probe)
-    p_probe.add_argument("--probes", type=int, default=50)
+    p_probe.add_argument("--probes", type=_count, default=50)
     p_probe.add_argument("--json", action="store_true")
     p_probe.set_defaults(func=cmd_probe)
 

@@ -10,7 +10,7 @@ variables are flattened row-major; the owning handle carries the
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -98,16 +98,28 @@ class ManifoldHandle:
                                        grad (f o A)(x)
     * ``apply_JA(x, d) -> (n,)``       forward Jacobian action of A, the
                                        derivative of ``eval_A`` along d;
-                                       keyword-only and required.  A map
-                                       with a symmetric Jacobian (oblique,
-                                       sphere, identity) passes its
-                                       ``apply_JAT``.
+                                       keyword-only and required; equal
+                                       to ``apply_JAT`` for a symmetric
+                                       Jacobian (oblique, sphere,
+                                       identity).
 
     * ``jacobian(x) -> (n, p)``        dense ``Jc(x)`` in one call, column
                                        l equal to ``apply_Jc(x, e_l)``;
                                        keyword-only and required.  A
                                        handle rebuilt with a new
                                        ``apply_Jc`` needs a new one.
+    * ``point(x)``                     the state at x, keyword-only and
+                                       required: ``ax`` = A(x), ``cx`` =
+                                       c(x), and ``jat(g)``, ``ja(d)``,
+                                       ``jc(w)``, bit for bit the actions
+                                       above at x.
+
+    A reader of several of these at one point (the transformed evaluation,
+    the constant estimates, ``validate_manifold``) holds one state, so A,
+    c and what they share are evaluated once.  x must not change while its
+    state is in use.  The shipped handles' ``eval_A``, ``apply_JAT`` and
+    ``apply_JA`` read a new state per call; a handle rebuilt with new
+    actions needs a ``point`` that agrees with them.
 
     ``shape``, when given, is the ``(rows, cols)`` of the matrix variable;
     ``rows * cols != n`` raises ``DimensionError``.
@@ -134,6 +146,7 @@ class ManifoldHandle:
     row_blocks: bool = False
     apply_JA: Callable[[Vector, Vector], Vector] = field(kw_only=True)
     jacobian: Callable[[Vector], Vector] = field(kw_only=True)
+    point: Callable[[Vector], Any] = field(kw_only=True)
 
     def __post_init__(self):
         _check_shape(self.shape, self.n)
@@ -297,14 +310,17 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
     At each feasible probe x the report records ``||A(x) - x||_inf``, an
     estimate of the operator norm of the product of the transposed Jacobian
     of A with the constraint Jacobian, obtained by pushing each of the p
-    constraint-gradient columns through ``apply_JAT``, and the adjointness
-    error ``|<J_A d, g> - <d, J_A^T g>| / (||d|| ||g||)`` of ``apply_JA``
-    and ``apply_JAT`` for random d, g.  Each of the three must be within
-    ``tol`` for the report to pass.  A probe that ``a_infinity`` cannot
-    project is skipped with a note.
+    constraint-gradient columns through J_A^T, and the adjointness error
+    ``|<J_A d, g> - <d, J_A^T g>| / (||d|| ||g||)`` of the forward and
+    transposed actions for random d, g.  All three read one state
+    ``handle.point(x)`` per probe.  Each must be within ``tol`` (> 0, else
+    ``ParameterError``) for the report to pass.  A probe that
+    ``a_infinity`` cannot project is skipped with a note.
     """
     from .dissolve import a_infinity  # local import: dissolve builds on core
 
+    if not tol > 0:
+        raise ParameterError(f"tol must be positive, got {tol}")
     max_fix = 0.0
     max_prod = 0.0
     max_adj = 0.0
@@ -324,20 +340,18 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
             except OutOfNeighborhoodError as exc:
                 notes.append(f"probe {k} skipped: {exc}")
                 continue
-        ax = handle.eval_A(x)
-        if not np.all(np.isfinite(ax)):
+        pt = handle.point(x)
+        if not np.all(np.isfinite(pt.ax)):
             raise EvaluatorFaultError(f"eval_A non-finite at probe {k}")
-        max_fix = max(max_fix, float(np.max(np.abs(ax - x), initial=0.0)))
-        cols = _dense_columns(
-            lambda z, e: handle.apply_JAT(z, handle.apply_Jc(z, e)),
-            x, handle.p, handle.n)
+        max_fix = max(max_fix, float(np.max(np.abs(pt.ax - x), initial=0.0)))
+        cols = _dense_columns(lambda z, e: pt.jat(pt.jc(e)), x, handle.p,
+                              handle.n)
         if not np.all(np.isfinite(cols)):
             raise EvaluatorFaultError(f"Jacobian action non-finite at probe {k}")
         if handle.p > 0:
             max_prod = max(max_prod, float(np.linalg.norm(cols, 2)))
         d, g = rng.standard_normal((2, handle.n))
-        gap = (float(np.dot(handle.apply_JA(x, d), g))
-               - float(np.dot(d, handle.apply_JAT(x, g))))
+        gap = float(np.dot(pt.ja(d), g)) - float(np.dot(d, pt.jat(g)))
         if not np.isfinite(gap):
             raise EvaluatorFaultError(f"Jacobian action non-finite at probe {k}")
         max_adj = max(max_adj, abs(gap) / float(np.linalg.norm(d)

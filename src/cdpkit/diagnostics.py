@@ -7,11 +7,12 @@ Jc in one call of the handle's ``jacobian``.  The KKT check factors
 multipliers from that one factorization.
 The constant estimates also run inside the solve, as the beta safeguard
 of ``alm_solve_cdp``.  They read ``Jc`` and ``J_A^T`` through the
-handle's own actions.  A handle that declares ``row_blocks`` gives stacks
-of one block per row of X, O(n) work per sample point.  Any other handle
-gives ``Jc`` as one dense n x p block, and the norms of ``J_A^T`` come
-matrix-free, by Golub-Kahan-Lanczos on ``apply_JAT`` and ``apply_JA``: at
-most 20 applications of each per norm, and no n x n matrix.
+handle's own actions, holding one state ``point(y)`` per sample point.  A
+handle that declares ``row_blocks`` gives stacks of one block per row of
+X, O(n) work per sample point.  Any other handle gives ``Jc`` as one dense
+n x p block, and the norms of ``J_A^T`` come matrix-free, by
+Golub-Kahan-Lanczos on the state's ``jat`` and ``ja``: at most 20
+applications of each per norm, and no n x n matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import scipy.optimize
 
 from .core import (
     MultiplierSet,
+    ParameterError,
     PenaltyParams,
     ProblemSpec,
     RankDeficiencyError,
@@ -197,6 +199,8 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
     x = np.asarray(x, dtype=float).ravel()
     if radius > 1.0:
         raise ValueError("radius must be <= 1")
+    if samples < 1:
+        raise ParameterError(f"need at least one sample point, got {samples}")
     mani = problem.manifold
     n = problem.n
     read = _Blocks(problem, seed)
@@ -217,13 +221,14 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
     M_A = M_u = M_v = L_f = L_A = 0.0
     prev = None
     for y in pts:
-        Ja = read.jat(y)
+        pt = mani.point(y)
+        Ja = read.jat(pt)
         M_A = max(M_A, read.norm(Ja))
         M_u = max(M_u, _spec_norm(
             _dense_columns(problem.apply_Ju, y, problem.n_eq, n)))
         M_v = max(M_v, _spec_norm(
             _dense_columns(problem.apply_Jv, y, problem.n_ineq, n)))
-        L_f = max(L_f, float(np.linalg.norm(problem.grad_f(mani.eval_A(y)))))
+        L_f = max(L_f, float(np.linalg.norm(problem.grad_f(pt.ax))))
         if prev is not None:
             L_A = max(L_A, _diff_quotient(Ja, prev[1], y, prev[0]))
         prev = (y, Ja)
@@ -241,7 +246,7 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
     The six constants of the beta bound come from ``_bound_constants``; a
     second pass over the same points adds the sup and Lipschitz constant of
     Jc and the Lipschitz constant of J_A^T Jc(A(y)), whose p columns are
-    ``apply_JAT(y, apply_Jc(A(y), e_i))``.  It is a diagnostic for
+    ``jat(apply_Jc(A(y), e_i))`` of the state at y.  It is a diagnostic for
     ``probe`` and the condition checks; the solver's beta safeguard reads
     only the six.
     """
@@ -252,7 +257,7 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
     prev = None
     for y in pts:
         Jc = read.jc(y)
-        JaJcA = read.jat_jc_a(y)
+        JaJcA = read.jat_jc_a(read.mani.point(y))
         M_c = max(M_c, read.norm(Jc))
         if prev is not None:
             L_c = max(L_c, _diff_quotient(Jc, prev[1], y, prev[0]))
@@ -378,10 +383,11 @@ class _Blocks:
     actions per stack.  A block-diagonal matrix's spectral norm is its
     largest block norm, and its singular values are those of its blocks.
 
-    J_A^T of a ``row_blocks`` handle is the (m, q, q) stack of its blocks,
-    q actions per point.  Of any other handle it is a matrix-free
+    J_A^T and J_A^T Jc(A(y)) are read from one state ``point(y)`` of the
+    handle.  J_A^T of a ``row_blocks`` handle is the (m, q, q) stack of its
+    blocks, q actions per point.  Of any other handle it is a matrix-free
     ``_JatOperator``, whose norm is a Golub-Kahan-Lanczos lower bound from
-    ``apply_JAT`` and ``apply_JA``, started at a unit vector fixed by
+    the state's ``jat`` and ``ja``, started at a unit vector fixed by
     ``(n, seed)``, so it is a deterministic function of the point.  It
     stops when the top Ritz value moves by at most ``GK_RTOL`` relative, or
     after min(``GK_MAX_STEPS``, n) steps, so a norm or a difference quotient
@@ -420,34 +426,34 @@ class _Blocks:
             return 0.0
         return float(np.max(_Blocks.singular_values(S)[:, 0]))
 
-    def _stack(self, action, y: Vector, count: int) -> Vector:
-        """(m, q, count) stack; column j is ``action(y, tile(e_j, m))``."""
+    def _stack(self, action, count: int) -> Vector:
+        """(m, q, count) stack; column j is ``action(tile(e_j, m))``."""
         m, q = self.m, self.q
-        tiled = action if m == 1 else lambda y, e: action(y, np.tile(e, m))
-        return _dense_columns(tiled, y, count, m * q).reshape(m, q, count)
+        cols = np.empty((m * q, count))
+        for j, e in enumerate(np.eye(count)):
+            cols[:, j] = action(e if m == 1 else np.tile(e, m))
+        return cols.reshape(m, q, count)
 
     def jc(self, y: Vector) -> Vector:
         """Jc(y) as its stack: on a one-block handle the handle's dense
         ``jacobian`` read."""
         if self.m == 1:
             return self.mani.jacobian(y)[None]
-        return self._stack(self.mani.apply_Jc, y, self.k)
+        return self._stack(lambda w: self.mani.apply_Jc(y, w), self.k)
 
     def sigma_min_jc(self, y: Vector) -> float:
         return float(np.min(self.singular_values(self.jc(y))[:, -1]))
 
-    def jat(self, y: Vector) -> Vector | _JatOperator:
-        mani = self.mani
-        if mani.row_blocks:
-            return self._stack(mani.apply_JAT, y, self.q)
-        return _JatOperator(lambda g: mani.apply_JAT(y, g),
-                            lambda d: mani.apply_JA(y, d), self.start)
+    def jat(self, pt) -> Vector | _JatOperator:
+        """J_A^T at the state ``pt`` = ``ManifoldHandle.point(y)``."""
+        if self.mani.row_blocks:
+            return self._stack(pt.jat, self.q)
+        return _JatOperator(pt.jat, pt.ja, self.start)
 
-    def jat_jc_a(self, y: Vector) -> Vector:
-        mani = self.mani
-        ay = mani.eval_A(y)
-        return self._stack(
-            lambda y, w: mani.apply_JAT(y, mani.apply_Jc(ay, w)), y, self.k)
+    def jat_jc_a(self, pt) -> Vector:
+        """J_A^T(y) Jc(A(y)) at the state ``pt`` of y."""
+        mani, ay = self.mani, pt.ax
+        return self._stack(lambda w: pt.jat(mani.apply_Jc(ay, w)), self.k)
 
 
 @dataclass

@@ -6,7 +6,7 @@ post-processing operators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -36,12 +36,11 @@ __all__ = [
 
 @dataclass
 class CdpPointEval:
-    """All transformed quantities at one point, sharing a single evaluation
-    of A(x) and c(x)."""
+    """All transformed quantities at one point, read from one state
+    ``point`` = ``ManifoldHandle.point(x)``: A(x), c(x) and the Jacobian
+    actions there."""
 
-    x: Vector
-    ax: Vector
-    cx: Vector
+    point: Any
     h: float
     u_tilde: Vector
     v_tilde: Vector
@@ -55,17 +54,18 @@ class CdpPointEval:
         inst = self._instance
         prob = inst.problem
         params = inst.params
-        g = w_f * prob.grad_f(self.ax)
+        pt = self.point
+        g = w_f * prob.grad_f(pt.ax)
         pen = w_f * params.beta
         if a is not None and a.size:
-            g = g + prob.apply_Ju(self.ax, a)
+            g = g + prob.apply_Ju(pt.ax, a)
             pen += float(np.dot(a, params.tau))
         if b is not None and b.size:
-            g = g + prob.apply_Jv(self.ax, b)
+            g = g + prob.apply_Jv(pt.ax, b)
             pen += float(np.dot(b, params.gamma))
-        out = prob.manifold.apply_JAT(self.x, g)
+        out = pt.jat(g)
         if pen != 0.0:
-            out = out + pen * prob.manifold.apply_Jc(self.x, self.cx)
+            out = out + pen * pt.jc(pt.cx)
         return out
 
 
@@ -86,15 +86,13 @@ class CdpInstance:
         return self.problem.manifold
 
     def point_eval(self, x: Vector) -> CdpPointEval:
-        x = np.asarray(x, dtype=float).ravel()
-        mani = self.problem.manifold
-        ax = mani.eval_A(x)
-        cx = mani.eval_c(x)
+        pt = self.problem.manifold.point(np.asarray(x, dtype=float).ravel())
+        ax, cx = pt.ax, pt.cx
         half = 0.5 * float(np.dot(cx, cx))
         h = float(self.problem.eval_f(ax)) + self.params.beta * half
         u_t = self.problem.eval_u(ax) + self.params.tau * half
         v_t = self.problem.eval_v(ax) + self.params.gamma * half
-        return CdpPointEval(x, ax, cx, h, u_t, v_t, self)
+        return CdpPointEval(pt, h, u_t, v_t, self)
 
     def eval_h(self, x: Vector) -> float:
         return self.point_eval(x).h

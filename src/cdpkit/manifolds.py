@@ -42,33 +42,71 @@ __all__ = [
 # Oblique manifold: diag(X X^T) = 1, i.e. unit-norm rows.
 
 
+class _ObliquePoint:
+    """The oblique map's state at an m x q point X: the squared row norms
+    s_i = ||x_i||^2 and s + 1, computed once, give A, c and the Jacobian
+    actions there.  Row i of A is 2 x_i / (s_i + 1), and c_i = s_i - 1."""
+
+    def __init__(self, X: Vector):
+        self.X = X
+        s = np.sum(X * X, axis=1, keepdims=True)
+        self.s1 = s + 1.0
+        self.ax = (2.0 * X / self.s1).ravel()
+        self.cx = s.ravel() - 1.0
+
+    def jat(self, g: Vector) -> Vector:
+        """Transposed-Jacobian action, equal to the forward one: the
+        q x q block of row i is symmetric."""
+        X, s1 = self.X, self.s1
+        D = np.asarray(g, dtype=float).reshape(X.shape)
+        xd = np.sum(X * D, axis=1, keepdims=True)
+        return (2.0 * D / s1 - 4.0 * xd * X / s1 ** 2).ravel()
+
+    ja = jat
+
+    def jc(self, w: Vector) -> Vector:
+        return (2.0 * np.asarray(w)[:, None] * self.X).ravel()
+
+
 def oblique_A(X: Vector) -> Vector:
     """Row-wise dissolving map: row i maps to 2 x_i / (||x_i||^2 + 1)."""
     X = np.atleast_2d(X)
-    s = np.sum(X * X, axis=1, keepdims=True)
-    return 2.0 * X / (s + 1.0)
+    return _ObliquePoint(X).ax.reshape(X.shape)
 
 
 def oblique_JAT(X: Vector, D: Vector) -> Vector:
     """Transposed-Jacobian action of ``oblique_A`` (rows are decoupled)."""
     X = np.atleast_2d(X)
-    D = np.atleast_2d(D)
-    s = np.sum(X * X, axis=1, keepdims=True)
-    xd = np.sum(X * D, axis=1, keepdims=True)
-    return 2.0 * D / (s + 1.0) - 4.0 * xd * X / (s + 1.0) ** 2
+    return _ObliquePoint(X).jat(D).reshape(X.shape)
+
+
+class _SpherePoint:
+    """The sphere map's state at x: s = ||x||^2, computed once."""
+
+    def __init__(self, x: Vector):
+        self.x = x = np.asarray(x, dtype=float)
+        self.s = s = float(np.dot(x, x))
+        self.ax = 2.0 * x / (s + 1.0)
+        self.cx = np.array([s - 1.0])
+
+    def jat(self, d: Vector) -> Vector:
+        x, s = self.x, self.s
+        d = np.asarray(d, dtype=float)
+        return 2.0 * d / (s + 1.0) - 4.0 * float(np.dot(x, d)) * x / (s + 1.0) ** 2
+
+    ja = jat
+
+    def jc(self, w: Vector) -> Vector:
+        return 2.0 * float(np.asarray(w).ravel()[0]) * self.x
 
 
 def sphere_A(x: Vector) -> Vector:
     """Dissolving map for the unit sphere, 2x / (||x||^2 + 1)."""
-    x = np.asarray(x, dtype=float)
-    return 2.0 * x / (float(np.dot(x, x)) + 1.0)
+    return _SpherePoint(x).ax
 
 
 def sphere_JAT(x: Vector, d: Vector) -> Vector:
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    s = float(np.dot(x, x))
-    return 2.0 * d / (s + 1.0) - 4.0 * float(np.dot(x, d)) * x / (s + 1.0) ** 2
+    return _SpherePoint(x).jat(d)
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +127,14 @@ class GenericManifoldSpec:
     apply_Jc=...)`` must replace ``jacobian`` too, or set it to None.
     ``shape``, when given, must hold n entries.
 
-    Every callable must be a pure function of its arguments: the handle
-    keeps the state of its last two points (a copy of x, ``Jc(x)``, the
-    Gram matrix G and G^{-1} c(x)) for ``eval_A``, ``apply_JAT`` and
-    ``apply_JA`` there.  A point's first Jacobian action forms G^{-1}, so
-    later actions cost products instead of solves; ``eval_A`` never forms
-    it.
+    Every callable must be a pure function of its arguments.  The
+    handle's ``point(x)`` reads ``jacobian`` once and keeps the state at x
+    (a copy of x, ``Jc(x)``, the Gram matrix G, c(x), G^{-1} c(x) and
+    A(x)); its ``jat``, ``ja`` and ``jc`` share that state, and ``jc``
+    calls ``apply_Jc``.  A state's first Jacobian action of A forms
+    G^{-1}, so later actions there cost products instead of solves;
+    ``eval_A`` never forms it.  ``eval_A``, ``apply_JAT`` and ``apply_JA``
+    each read a new state.
     """
 
     n: int
@@ -127,8 +167,9 @@ def _djc_action(spec: GenericManifoldSpec, x: Vector, d: Vector, w: Vector) -> V
 
 class _GenericPoint:
     """The generic map's state at one point x: J = Jc(x), the Gram matrix
-    G = J^T J, w = G^{-1} c(x) and z = J w, with G^{-1} and E formed when
-    a Jacobian action first needs them.  It keeps its own copy of x.
+    G = J^T J, ``cx`` = c(x), w = G^{-1} c(x), z = J w and ``ax`` = A(x) =
+    x - z, with G^{-1} and E formed when a Jacobian action first needs
+    them.  It keeps its own copy of x.
 
     G is symmetric, so its eigenvalues give the 2-norm condition number
     that the rank test bounds by 1e12."""
@@ -136,7 +177,7 @@ class _GenericPoint:
     def __init__(self, spec: GenericManifoldSpec,
                  jacobian: Callable[[Vector], Vector], x: Vector):
         self.spec = spec
-        self.x = x = x.copy()
+        self.x = x = np.array(x, dtype=float).ravel()  # a copy
         J = self.J = jacobian(x)
         G = self.G = J.T @ J
         if not np.all(np.isfinite(G)):
@@ -147,11 +188,12 @@ class _GenericPoint:
             raise RankDeficiencyError(
                 "Gram matrix condition number above 1e12: the constraint "
                 "Jacobian is (nearly) rank deficient at this point")
-        c = spec.eval_c(x)
+        c = self.cx = spec.eval_c(x)
         if not np.all(np.isfinite(c)):
             raise EvaluatorFaultError("constraint value non-finite")
         self.w = np.linalg.solve(G, c)
         self.z = J @ self.w
+        self.ax = x - self.z
 
     @functools.cached_property
     def G_inv(self) -> Vector:
@@ -174,6 +216,7 @@ class _GenericPoint:
 
         which reduces to the tangent projector P at feasible points."""
         spec, x, J, w, z = self.spec, self.x, self.J, self.w, self.z
+        g = np.asarray(g, dtype=float).ravel()
         a = self.G_inv @ (J.T @ g)
         pg = g - J @ a
         return pg - _djc_action(spec, x, pg, w) + _djc_action(spec, x, z, a)
@@ -184,8 +227,14 @@ class _GenericPoint:
             P (d - (D Jc)[d] w) + J G^{-1} E^T d.
         """
         J = self.J
+        d = np.asarray(d, dtype=float).ravel()
         u = d - _djc_action(self.spec, self.x, d, self.w)
         return u - J @ (self.G_inv @ (J.T @ u - self.E.T @ d))
+
+    def jc(self, w: Vector) -> Vector:
+        """Jc(x) w through the spec's own action, not J @ w, which rounds
+        differently."""
+        return self.spec.apply_Jc(self.x, w)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +332,15 @@ def symplectic_spec(m: int, q: int) -> GenericManifoldSpec:
 # Handle factory.
 
 
+def _point_reads(point: Callable[[Vector], object]) -> dict:
+    """A handle's ``point`` with ``eval_A``, ``apply_JAT`` and ``apply_JA``
+    as one-line reads of a new state."""
+    return dict(point=point,
+                eval_A=lambda x: point(x).ax,
+                apply_JAT=lambda x, g: point(x).jat(g),
+                apply_JA=lambda x, d: point(x).ja(d))
+
+
 def _oblique_handle(m: int, q: int) -> ManifoldHandle:
     if m <= 0 or q <= 0:
         raise DimensionError(f"oblique needs positive dims, got ({m}, {q})")
@@ -290,9 +348,6 @@ def _oblique_handle(m: int, q: int) -> ManifoldHandle:
 
     def as_mat(x):
         return np.asarray(x, dtype=float).reshape(m, q)
-
-    def apply_JAT(x, d):
-        return oblique_JAT(as_mat(x), as_mat(d)).ravel()
 
     rows = np.arange(m)
 
@@ -307,9 +362,8 @@ def _oblique_handle(m: int, q: int) -> ManifoldHandle:
         eval_c=lambda x: np.sum(as_mat(x) ** 2, axis=1) - 1.0,
         apply_JcT=lambda x, d: 2.0 * np.sum(as_mat(x) * as_mat(d), axis=1),
         apply_Jc=lambda x, w: (2.0 * np.asarray(w)[:, None] * as_mat(x)).ravel(),
-        eval_A=lambda x: oblique_A(as_mat(x)).ravel(),
-        apply_JAT=apply_JAT, apply_JA=apply_JAT, jacobian=jacobian,
-        shape=(m, q), row_blocks=True)
+        **_point_reads(lambda x: _ObliquePoint(as_mat(x))),
+        jacobian=jacobian, shape=(m, q), row_blocks=True)
 
 
 def _sphere_handle(n: int) -> ManifoldHandle:
@@ -320,45 +374,39 @@ def _sphere_handle(n: int) -> ManifoldHandle:
         eval_c=lambda x: np.array([float(np.dot(x, x)) - 1.0]),
         apply_JcT=lambda x, d: np.array([2.0 * float(np.dot(x, d))]),
         apply_Jc=lambda x, w: 2.0 * float(np.asarray(w).ravel()[0]) * np.asarray(x, dtype=float),
-        eval_A=sphere_A,
-        apply_JAT=sphere_JAT, apply_JA=sphere_JAT,
+        **_point_reads(_SpherePoint),
         jacobian=lambda x: 2.0 * np.asarray(x, dtype=float)[:, None])
 
 
 def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
     jacobian = spec.jacobian or (
         lambda x: _dense_columns(spec.apply_Jc, x, spec.p, spec.n))
-
-    # The states of the last two points, keyed by the bytes of x: the
-    # Lipschitz estimate of J_A^T in ``diagnostics`` alternates between two
-    # sample points at every Krylov step.  A point whose finiteness or Gram
-    # check fails raises before it is stored, so it raises on every call.
-    cache = {}
-
-    def point(x) -> _GenericPoint:
-        x = np.asarray(x, dtype=float).ravel()
-        key = x.tobytes()
-        if key not in cache:
-            state = _GenericPoint(spec, jacobian, x)
-            if len(cache) == 2:
-                del cache[next(iter(cache))]  # the older point
-            cache[key] = state
-        return cache[key]
-
-    def eval_A(x):
-        state = point(x)
-        return state.x - state.z
-
     return ManifoldHandle(
         name=spec.name, n=spec.n, p=spec.p,
         eval_c=spec.eval_c,
         apply_JcT=spec.apply_JcT,
         apply_Jc=spec.apply_Jc,
-        eval_A=eval_A,
-        apply_JAT=lambda x, g: point(x).jat(np.asarray(g, dtype=float).ravel()),
-        apply_JA=lambda x, d: point(x).ja(np.asarray(d, dtype=float).ravel()),
+        **_point_reads(functools.partial(_GenericPoint, spec, jacobian)),
         shape=spec.shape,
         jacobian=jacobian)
+
+
+class _EuclideanPoint:
+    """The identity map's state at x: no constraints, so c is empty and
+    every Jacobian action of A returns its direction."""
+
+    def __init__(self, x: Vector):
+        self.ax = np.asarray(x, dtype=float).ravel()
+        self.cx = np.zeros(0)
+
+    @staticmethod
+    def jat(d: Vector) -> Vector:
+        return np.asarray(d, dtype=float).ravel()
+
+    ja = jat
+
+    def jc(self, w: Vector) -> Vector:
+        return np.zeros(self.ax.size)
 
 
 def euclidean_handle(n: int) -> ManifoldHandle:
@@ -366,16 +414,12 @@ def euclidean_handle(n: int) -> ManifoldHandle:
 
     Accepted by the direct-NLP solver only, for oracle problems.
     """
-    def identity(x, d):
-        return np.asarray(d, dtype=float).ravel()
-
     return ManifoldHandle(
         name=f"euclidean({n})", n=n, p=0,
         eval_c=lambda x: np.zeros(0),
         apply_JcT=lambda x, d: np.zeros(0),
         apply_Jc=lambda x, w: np.zeros(n),
-        eval_A=lambda x: np.asarray(x, dtype=float).ravel(),
-        apply_JAT=identity, apply_JA=identity,
+        **_point_reads(_EuclideanPoint),
         jacobian=lambda x: np.zeros((n, 0)))
 
 

@@ -232,6 +232,22 @@ class TestExitCodes:
                     "--pipeline", pipeline]) == code
         assert ("beta = 0" in capsys.readouterr().err) == (code == 2)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--probes", "0"), ("--probes", "-1"), ("--tol", "nan"),
+        ("--tol", "0"), ("--tol", "-1")])
+    def test_bad_validate_setting_is_a_usage_error(self, flag, value, capsys):
+        # Not a failed check: no probe ran, or no tolerance can be met.
+        assert run(["validate", "--family", "oblique", "--m", "4", "--q", "2",
+                    flag, value]) == 2
+        assert "passed" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_probe_without_samples_is_a_usage_error(self, value, capsys):
+        # No sampled constants, so no threshold to report as met.
+        assert run(["probe", "--family", "balanced_cut", "--m", "10",
+                    "--q", "2", "--rho", "0.3", "--probes", value]) == 2
+        assert "beta_met" not in capsys.readouterr().out
+
     def test_nan_beta_from_a_config_is_a_usage_error(self, tmp_path, capsys):
         # A config's beta reaches PenaltyParams without the flag's check.
         config = tmp_path / "cut.yaml"

@@ -121,12 +121,34 @@ class TestValidateManifold:
         X = rng.standard_normal((5, 3))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         assert validate_manifold(handle, [X.ravel()], tol=1e-10).passed
+
+        class ScaledPoint:
+            """The handle's state with its forward action scaled by 1.01."""
+
+            def __init__(self, x):
+                self.state = handle.point(x)
+
+            def __getattr__(self, name):
+                return getattr(self.state, name)
+
+            def ja(self, d):
+                return 1.01 * self.state.ja(d)
+
         scaled = dataclasses.replace(
-            handle, apply_JA=lambda x, d: 1.01 * handle.apply_JA(x, d))
+            handle, point=ScaledPoint,
+            apply_JA=lambda x, d: ScaledPoint(x).ja(d))
         report = validate_manifold(scaled, [X.ravel()], tol=1e-10)
         assert not report.passed
         assert report.max_adjoint_error > 1e-4
         assert report.max_fixed_point_error == 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tolerance_must_be_positive(self, tol):
+        # No report could pass, so a bad tol is a usage error, not a
+        # failed check.
+        handle = make_handle("sphere", n=4)
+        with pytest.raises(ParameterError):
+            validate_manifold(handle, [np.array([1.0, 0.0, 0.0, 0.0])], tol)
 
     def test_generic_gauss_newton_on_sphere_constraint(self):
         handle = make_handle("generic", spec=sphere_constraint_spec(8))

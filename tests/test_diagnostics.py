@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from cdpkit.core import (
     MultiplierSet,
+    ParameterError,
     PenaltyParams,
     ProblemSpec,
     RankDeficiencyError,
@@ -279,6 +280,17 @@ class TestEstimateConstants:
             assert value == getattr(full, name), name
         assert six.sigma1x > 0.0 and six.L_Ax > 0.0 and six.L_fx > 0.0
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_sample_points_raise(self, samples):
+        # Without samples every sampled constant would read 0, and a beta
+        # threshold of 0 would pass as met.
+        problem = linear_objective_sphere_problem(4)
+        x = np.array([1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ParameterError):
+            _bound_constants(problem, x, radius=0.1, samples=samples, seed=0)
+        with pytest.raises(ParameterError):
+            estimate_constants(problem, x, radius=0.1, samples=samples)
+
     def test_rank_deficient_constraint_raises(self):
         spec = GenericManifoldSpec(
             n=3, p=1,
@@ -297,15 +309,23 @@ class TestEstimateConstants:
 
 
 def _counting_jat(problem):
-    """The problem with its handle's ``apply_JAT`` counted in ``calls``."""
+    """The problem with the ``jat`` reads of its handle's states counted in
+    ``calls``."""
     calls = []
     mani = problem.manifold
 
-    def apply_JAT(x, g):
-        calls.append(1)
-        return mani.apply_JAT(x, g)
+    class CountedPoint:
+        def __init__(self, x):
+            self.state = mani.point(x)
 
-    counted = dataclasses.replace(mani, apply_JAT=apply_JAT)
+        def __getattr__(self, name):
+            return getattr(self.state, name)
+
+        def jat(self, g):
+            calls.append(1)
+            return self.state.jat(g)
+
+    counted = dataclasses.replace(mani, point=CountedPoint)
     return dataclasses.replace(problem, manifold=counted), calls
 
 
@@ -409,7 +429,7 @@ class TestRowBlockConstants:
                               grad_f=lambda x: np.zeros(m * q))
         blocks = _Blocks(problem)
         x = X.ravel()
-        stack = blocks.jat(x)
+        stack = blocks.jat(handle.point(x))
         dense = _dense_columns(handle.apply_JAT, x, handle.n, handle.n)
         assert np.array_equal(dense, scipy.linalg.block_diag(*stack))
 
@@ -447,7 +467,7 @@ class TestMatrixFreeConstants:
         x = a_infinity(problem.manifold, x0)
         counted, calls = _counting_jat(problem)
         _bound_constants(counted, x, radius=0.1, samples=30, seed=0)
-        assert len(calls) <= (31 + 2 * 30) * GK_MAX_STEPS < 31 * problem.n
+        assert 0 < len(calls) <= (31 + 2 * 30) * GK_MAX_STEPS < 31 * problem.n
 
     @pytest.mark.parametrize("case", ["symplectic-6-2", "symplectic-20-4",
                                       "oblique-unblocked"])

@@ -103,6 +103,53 @@ class TestSphereOperator:
         assert err <= 1e-8
 
 
+class TestPointState:
+    """The oblique and sphere states read A, c and the Jacobian actions
+    bit for bit as the handles' separate evaluators did, each recomputing
+    the squared norms: those formulas are written out here."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 8), q=st.integers(1, 4))
+    def test_oblique_state_is_bitwise_the_separate_formulas(self, data, m, q):
+        entries = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+        x, g = (data.draw(hnp.arrays(float, m * q, elements=entries))
+                for _ in range(2))
+        w = data.draw(hnp.arrays(float, m, elements=entries))
+        X, D = x.reshape(m, q), g.reshape(m, q)
+        s = np.sum(X * X, axis=1, keepdims=True)
+        xd = np.sum(X * D, axis=1, keepdims=True)
+        handle = make_handle("oblique", m=m, q=q)
+        pt = handle.point(x)
+        assert np.array_equal(pt.ax, (2.0 * X / (s + 1.0)).ravel())
+        assert np.array_equal(pt.cx, np.sum(X ** 2, axis=1) - 1.0)
+        jat = (2.0 * D / (s + 1.0) - 4.0 * xd * X / (s + 1.0) ** 2).ravel()
+        assert np.array_equal(pt.jat(g), jat)
+        assert np.array_equal(pt.ja(g), jat)
+        assert np.array_equal(pt.jc(w), (2.0 * w[:, None] * X).ravel())
+        assert np.array_equal(pt.cx, handle.eval_c(x))
+        assert np.array_equal(pt.jc(w), handle.apply_Jc(x, w))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 32))
+    def test_sphere_state_is_bitwise_the_separate_formulas(self, data, n):
+        entries = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+        x, d = (data.draw(hnp.arrays(float, n, elements=entries))
+                for _ in range(2))
+        w = data.draw(hnp.arrays(float, 1, elements=entries))
+        s = float(np.dot(x, x))
+        handle = make_handle("sphere", n=n)
+        pt = handle.point(x)
+        assert np.array_equal(pt.ax, 2.0 * x / (float(np.dot(x, x)) + 1.0))
+        assert np.array_equal(pt.cx, np.array([float(np.dot(x, x)) - 1.0]))
+        jat = (2.0 * d / (s + 1.0)
+               - 4.0 * float(np.dot(x, d)) * x / (s + 1.0) ** 2)
+        assert np.array_equal(pt.jat(d), jat)
+        assert np.array_equal(pt.ja(d), jat)
+        assert np.array_equal(pt.jc(w), 2.0 * float(w[0]) * x)
+        assert np.array_equal(pt.cx, handle.eval_c(x))
+        assert np.array_equal(pt.jc(w), handle.apply_Jc(x, w))
+
+
 def _uncached_A(spec, x):
     """A(x) from a new generic handle: no state cached from earlier calls."""
     return make_handle("generic", spec=spec).eval_A(x)
@@ -219,10 +266,10 @@ class TestGenericOperator:
 
 
 class TestGenericHandleCache:
-    """The generic handle reads Jc and computes the Gram matrix G and
-    G^{-1} c once per point, and shares them between eval_A, apply_JAT and
-    apply_JA; the first Jacobian action at a point forms G^{-1}, which
-    every later action there reuses."""
+    """The generic handle's state ``point(x)`` reads Jc and computes the
+    Gram matrix G and G^{-1} c once, and shares them between its reads
+    ``ax``, ``jat`` and ``ja``; the state's first Jacobian action forms
+    G^{-1}, which every later action there reuses."""
 
     @staticmethod
     def _counted(batched):
@@ -244,15 +291,20 @@ class TestGenericHandleCache:
         x1 = E + 0.1 * rng.standard_normal(spec.n)
         x2 = E + 0.1 * rng.standard_normal(spec.n)
         g = rng.standard_normal(spec.n)
+        w = rng.standard_normal(spec.p)
         for x in (x1, x2, x1, x1):
-            assert np.array_equal(handle.eval_A(x), _uncached_A(spec, x))
-            assert np.array_equal(handle.apply_JAT(x, g), _uncached_JAT(spec, x, g))
+            pt = handle.point(x)
+            assert np.array_equal(pt.ax, _uncached_A(spec, x))
+            assert np.array_equal(pt.jat(g), _uncached_JAT(spec, x, g))
+            assert np.array_equal(pt.ja(g), handle.apply_JA(x, g))
+            assert np.array_equal(pt.cx, spec.eval_c(x))
+            assert np.array_equal(pt.jc(w), spec.apply_Jc(x, w))
         x = x1.copy()
-        handle.eval_A(x)
-        x[3] += 0.05  # changed in place: must not hit the entry for x1
-        assert np.array_equal(handle.apply_JAT(x, g), _uncached_JAT(spec, x, g))
-        assert np.array_equal(handle.eval_A(x), _uncached_A(spec, x))
-        assert not np.array_equal(handle.eval_A(x), _uncached_A(spec, x1))
+        pt = handle.point(x)
+        x[3] += 0.05  # changed in place: the state stays the one at x1
+        assert np.array_equal(pt.jat(g), _uncached_JAT(spec, x1, g))
+        assert np.array_equal(handle.point(x).ax, _uncached_A(spec, x))
+        assert not np.array_equal(handle.point(x).ax, pt.ax)
 
     def test_rank_deficient_point_raises_on_every_call(self):
         # Jc(0) = 0 for c(x) = ||x||^2 - 1, so the Gram matrix is singular.
@@ -278,9 +330,9 @@ class TestGenericHandleCache:
             rng = np.random.default_rng(22)
             E = symplectic_canonical_point(8, 4).ravel()
 
-            x = E + 0.1 * rng.standard_normal(spec.n)
+            pt = handle.point(E + 0.1 * rng.standard_normal(spec.n))
             for col in np.eye(spec.n):
-                handle.apply_JAT(x, col)
+                pt.jat(col)
             assert taken() == per_read
 
             # beta = 0, so the penalty term adds no Jc action of its own.
@@ -292,7 +344,7 @@ class TestGenericHandleCache:
 
     def test_bound_pass_builds_each_point_once(self):
         # The Lipschitz quotient alternates between consecutive sample
-        # points at every Krylov step; the two-entry cache keeps both.
+        # points at every Krylov step; the pass holds the state of each.
         rng = np.random.default_rng(23)
         E = symplectic_canonical_point(8, 4).ravel()
         x = a_infinity(make_handle("symplectic_stiefel", m=8, q=4),
@@ -329,9 +381,10 @@ class TestGenericHandleCache:
 
         x = E + 0.1 * rng.standard_normal(spec.n)
         handle.eval_A(x)
+        pt = handle.point(x)
         for col in np.eye(spec.n):
-            handle.apply_JAT(x, col)
-            handle.apply_JA(x, col)
+            pt.jat(col)
+            pt.ja(col)
         assert formed[0] == 1
 
     def test_point_state_does_not_alias_the_callers_array(self):
@@ -349,13 +402,13 @@ class TestGenericHandleCache:
         x0 = np.array([0.9, 0.3, -0.2, 0.4])
         g = np.array([0.5, -1.0, 0.25, 2.0])
         x = x0.copy()
-        handle.apply_JAT(x, g)
-        handle.apply_JA(x, g)
+        pt = handle.point(x)
         x *= 1.5
-        assert np.array_equal(handle.apply_JAT(x0, g), _uncached_JAT(spec, x0, g))
-        assert np.array_equal(handle.apply_JA(x0, g),
+        assert np.array_equal(pt.jat(g), _uncached_JAT(spec, x0, g))
+        assert np.array_equal(pt.ja(g),
                               make_handle("generic", spec=spec).apply_JA(x0, g))
-        assert np.array_equal(handle.eval_A(x0), _uncached_A(spec, x0))
+        assert np.array_equal(pt.ax, _uncached_A(spec, x0))
+        assert np.array_equal(pt.jc(g[:1]), spec.apply_Jc(x0, g[:1]))
 
 
 class TestSymplecticFamily:

@@ -4,6 +4,12 @@ import inspect
 import numpy as np
 import pytest
 
+from cdpkit.bench import (
+    BalancedCutConfig,
+    CenterOfMassConfig,
+    gen_balanced_cut,
+    gen_center_of_mass,
+)
 from cdpkit.core import ParameterError, PenaltyParams, ProblemSpec
 from cdpkit.diagnostics import make_synthetic_kkt
 from cdpkit.dissolve import build_cdp, lagrangian_decrease_probe
@@ -11,6 +17,8 @@ from cdpkit.manifolds import make_handle
 from cdpkit.solver import (
     BETA_GROWTH,
     AlmOptions,
+    _augmented,
+    _Dissolved,
     alm_solve_cdp,
     alm_solve_nlp_direct,
     lbfgs_minimize,
@@ -166,6 +174,34 @@ class TestAlmOptions:
 
         assert keywords(lbfgs_minimize) == ["tol", "max_iter"]
         assert keywords(lagrangian_decrease_probe) == ["seed"]
+
+
+@pytest.mark.parametrize("family", ["balanced_cut", "center_of_mass"])
+def test_one_evaluation_builds_one_state(family):
+    # h, u~, v~ and the gradient of the augmented Lagrangian at one point
+    # all read one state of the handle there.
+    if family == "balanced_cut":
+        problem, x0 = gen_balanced_cut(BalancedCutConfig(m=10, q=2, rho=0.3,
+                                                         seed=1))
+    else:
+        problem, x0 = gen_center_of_mass(
+            CenterOfMassConfig(m=6, q=2, N=8, r=0.5, seed=3))
+    built = []
+    mani = problem.manifold
+
+    def point(x):
+        built.append(1)
+        return mani.point(x)
+
+    counted = dataclasses.replace(
+        problem, manifold=dataclasses.replace(mani, point=point))
+    form = _Dissolved(build_cdp(counted, PenaltyParams(beta=10.0)), x0,
+                      AlmOptions())
+    value_and_grad = _augmented(form.evaluate, np.ones(problem.n_eq),
+                                np.ones(problem.n_ineq), 10.0)
+    value, grad = value_and_grad(x0 + 0.01)
+    assert len(built) == 1
+    assert np.isfinite(value) and np.all(np.isfinite(grad))
 
 
 class TestAlmCdp:
