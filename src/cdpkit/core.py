@@ -96,13 +96,6 @@ class ManifoldHandle:
     * ``apply_JAT(x, g) -> (n,)``      transposed-Jacobian action of A,
                                        i.e. the chain-rule factor in
                                        grad (f o A)(x)
-    * ``apply_JA(x, d) -> (n,)``       forward Jacobian action of A, the
-                                       derivative of ``eval_A`` along d;
-                                       keyword-only and required; equal
-                                       to ``apply_JAT`` for a symmetric
-                                       Jacobian (oblique, sphere,
-                                       identity).
-
     * ``jacobian(x) -> (n, p)``        dense ``Jc(x)`` in one call, column
                                        l equal to ``apply_Jc(x, e_l)``;
                                        keyword-only and required.  A
@@ -110,16 +103,20 @@ class ManifoldHandle:
                                        ``apply_Jc`` needs a new one.
     * ``point(x)``                     the state at x, keyword-only and
                                        required: ``ax`` = A(x), ``cx`` =
-                                       c(x), and ``jat(g)``, ``ja(d)``,
-                                       ``jc(w)``, bit for bit the actions
-                                       above at x.
+                                       c(x), ``jat(g)`` and ``jc(w)``, bit
+                                       for bit the actions above at x,
+                                       and ``ja(d)``, the derivative of A
+                                       along d.
 
     A reader of several of these at one point (the transformed evaluation,
     the constant estimates, ``validate_manifold``) holds one state, so A,
     c and what they share are evaluated once.  x must not change while its
-    state is in use.  The shipped handles' ``eval_A``, ``apply_JAT`` and
-    ``apply_JA`` read a new state per call; a handle rebuilt with new
-    actions needs a ``point`` that agrees with them.
+    state is in use.  The five per-call fields serve readers of one value
+    (the direct pipeline, ``a_infinity``) and ``perfbench/tracing.py``,
+    whose ``traced_problem`` rebinds them with ``dataclasses.replace`` to
+    count calls and whose ``microbench`` times ``eval_A`` and
+    ``apply_JAT``.  The shipped handles' ``eval_A`` and ``apply_JAT`` read
+    a new state per call; a rebuilt handle needs a ``point`` that agrees.
 
     ``shape``, when given, is the ``(rows, cols)`` of the matrix variable;
     ``rows * cols != n`` raises ``DimensionError``.
@@ -130,7 +127,7 @@ class ManifoldHandle:
     and the constant estimates in ``diagnostics`` read them as stacks of
     those blocks, through the handle's own actions.  For a handle without
     the declaration they bound the norms of ``J_A^T`` matrix-free, from
-    ``apply_JAT`` and ``apply_JA``.  A declaration without ``shape``, or
+    the state's ``jat`` and ``ja``.  A declaration without ``shape``, or
     with ``p != shape[0]``, raises ``DimensionError``.
     """
 
@@ -144,7 +141,6 @@ class ManifoldHandle:
     apply_JAT: Callable[[Vector, Vector], Vector]
     shape: tuple[int, int] | None = None
     row_blocks: bool = False
-    apply_JA: Callable[[Vector, Vector], Vector] = field(kw_only=True)
     jacobian: Callable[[Vector], Vector] = field(kw_only=True)
     point: Callable[[Vector], Any] = field(kw_only=True)
 

@@ -197,8 +197,8 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
     sampling, so ``estimate_constants`` continues from the same draws.
     """
     x = np.asarray(x, dtype=float).ravel()
-    if radius > 1.0:
-        raise ValueError("radius must be <= 1")
+    if not 0.0 < radius <= 1.0:
+        raise ParameterError(f"radius must be in (0, 1], got {radius}")
     if samples < 1:
         raise ParameterError(f"need at least one sample point, got {samples}")
     mani = problem.manifold
@@ -246,7 +246,7 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
     The six constants of the beta bound come from ``_bound_constants``; a
     second pass over the same points adds the sup and Lipschitz constant of
     Jc and the Lipschitz constant of J_A^T Jc(A(y)), whose p columns are
-    ``jat(apply_Jc(A(y), e_i))`` of the state at y.  It is a diagnostic for
+    the state's ``jat`` of the columns of Jc(A(y)).  It is a diagnostic for
     ``probe`` and the condition checks; the solver's beta safeguard reads
     only the six.
     """
@@ -387,12 +387,9 @@ class _Blocks:
     handle.  J_A^T of a ``row_blocks`` handle is the (m, q, q) stack of its
     blocks, q actions per point.  Of any other handle it is a matrix-free
     ``_JatOperator``, whose norm is a Golub-Kahan-Lanczos lower bound from
-    the state's ``jat`` and ``ja``, started at a unit vector fixed by
-    ``(n, seed)``, so it is a deterministic function of the point.  It
-    stops when the top Ritz value moves by at most ``GK_RTOL`` relative, or
-    after min(``GK_MAX_STEPS``, n) steps, so a norm or a difference quotient
-    costs at most 20 applications of J_A^T (or of each of the two J_A^T in
-    a difference) and as many of J_A.
+    the state's ``jat`` and ``ja`` (at most ``GK_MAX_STEPS`` of each),
+    started at a unit vector fixed by ``(n, seed)``, so it is a
+    deterministic function of the point.
     """
 
     def __init__(self, problem: ProblemSpec, seed: int = 0):
@@ -429,10 +426,8 @@ class _Blocks:
     def _stack(self, action, count: int) -> Vector:
         """(m, q, count) stack; column j is ``action(tile(e_j, m))``."""
         m, q = self.m, self.q
-        cols = np.empty((m * q, count))
-        for j, e in enumerate(np.eye(count)):
-            cols[:, j] = action(e if m == 1 else np.tile(e, m))
-        return cols.reshape(m, q, count)
+        return _dense_columns(lambda _, e: action(np.tile(e, m)), None,
+                              count, m * q).reshape(m, q, count)
 
     def jc(self, y: Vector) -> Vector:
         """Jc(y) as its stack: on a one-block handle the handle's dense
@@ -451,9 +446,12 @@ class _Blocks:
         return _JatOperator(pt.jat, pt.ja, self.start)
 
     def jat_jc_a(self, pt) -> Vector:
-        """J_A^T(y) Jc(A(y)) at the state ``pt`` of y."""
-        mani, ay = self.mani, pt.ax
-        return self._stack(lambda w: pt.jat(mani.apply_Jc(ay, w)), self.k)
+        """J_A^T(y) Jc(A(y)) at the state ``pt`` of y: ``pt.jat`` of each
+        column of the stack ``jc(A(y))``, which the ``jacobian`` contract
+        makes bitwise the action ``apply_Jc(A(y), e_j)``."""
+        jc = self.jc(pt.ax).reshape(-1, self.k)
+        cols = np.array([pt.jat(col) for col in jc.T]).T
+        return cols.reshape(self.m, self.q, self.k)
 
 
 @dataclass

@@ -162,8 +162,8 @@ def a_infinity(handle: ManifoldHandle, y: Vector, tol: float = 1e-12,
     sufficient inside the operative neighborhood; outside it the 10x
     growth detector aborts early.
     """
-    if tol <= 0:
-        raise DimensionError("tol must be positive")
+    if not tol > 0:
+        raise DimensionError(f"tol must be positive, got {tol}")
     z = np.asarray(y, dtype=float).ravel()
     viol = float(np.linalg.norm(handle.eval_c(z)))
     for _ in range(max_iter):

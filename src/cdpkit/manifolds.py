@@ -28,10 +28,6 @@ __all__ = [
     "GenericManifoldSpec",
     "euclidean_handle",
     "make_handle",
-    "oblique_A",
-    "oblique_JAT",
-    "sphere_A",
-    "sphere_JAT",
     "symplectic_canonical_point",
     "symplectic_form",
     "symplectic_spec",
@@ -68,18 +64,6 @@ class _ObliquePoint:
         return (2.0 * np.asarray(w)[:, None] * self.X).ravel()
 
 
-def oblique_A(X: Vector) -> Vector:
-    """Row-wise dissolving map: row i maps to 2 x_i / (||x_i||^2 + 1)."""
-    X = np.atleast_2d(X)
-    return _ObliquePoint(X).ax.reshape(X.shape)
-
-
-def oblique_JAT(X: Vector, D: Vector) -> Vector:
-    """Transposed-Jacobian action of ``oblique_A`` (rows are decoupled)."""
-    X = np.atleast_2d(X)
-    return _ObliquePoint(X).jat(D).reshape(X.shape)
-
-
 class _SpherePoint:
     """The sphere map's state at x: s = ||x||^2, computed once."""
 
@@ -98,15 +82,6 @@ class _SpherePoint:
 
     def jc(self, w: Vector) -> Vector:
         return 2.0 * float(np.asarray(w).ravel()[0]) * self.x
-
-
-def sphere_A(x: Vector) -> Vector:
-    """Dissolving map for the unit sphere, 2x / (||x||^2 + 1)."""
-    return _SpherePoint(x).ax
-
-
-def sphere_JAT(x: Vector, d: Vector) -> Vector:
-    return _SpherePoint(x).jat(d)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +108,10 @@ class GenericManifoldSpec:
     A(x)); its ``jat``, ``ja`` and ``jc`` share that state, and ``jc``
     calls ``apply_Jc``.  A state's first Jacobian action of A forms
     G^{-1}, so later actions there cost products instead of solves;
-    ``eval_A`` never forms it.  ``eval_A``, ``apply_JAT`` and ``apply_JA``
-    each read a new state.
+    ``eval_A`` never forms it.  Of the handle's per-call fields, kept for
+    the reasons ``ManifoldHandle`` gives, ``eval_c``, ``apply_JcT`` and
+    ``apply_Jc`` are the spec's, and ``eval_A`` and ``apply_JAT`` each
+    read a new state.
     """
 
     n: int
@@ -333,12 +310,11 @@ def symplectic_spec(m: int, q: int) -> GenericManifoldSpec:
 
 
 def _point_reads(point: Callable[[Vector], object]) -> dict:
-    """A handle's ``point`` with ``eval_A``, ``apply_JAT`` and ``apply_JA``
-    as one-line reads of a new state."""
+    """A handle's ``point`` with ``eval_A`` and ``apply_JAT`` as one-line
+    reads of a new state."""
     return dict(point=point,
                 eval_A=lambda x: point(x).ax,
-                apply_JAT=lambda x, g: point(x).jat(g),
-                apply_JA=lambda x, d: point(x).ja(d))
+                apply_JAT=lambda x, g: point(x).jat(g))
 
 
 def _oblique_handle(m: int, q: int) -> ManifoldHandle:

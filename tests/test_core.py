@@ -1,8 +1,11 @@
 import dataclasses
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import cdpkit
 from cdpkit import load_problem
 from cdpkit.core import (
     ConfigurationError,
@@ -23,6 +26,19 @@ from cdpkit.dissolve import build_cdp
 from cdpkit.manifolds import make_handle, symplectic_spec
 
 from conftest import near_manifold_points, sphere_constraint_spec
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        # A name removed from a module but left in an __all__ would only
+        # fail at a star import.
+        modules = [cdpkit] + [
+            importlib.import_module(f"cdpkit.{info.name}")
+            for info in pkgutil.iter_modules(cdpkit.__path__)]
+        assert len(modules) > 1
+        for module in modules:
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 class TestDomainTypes:
@@ -134,9 +150,7 @@ class TestValidateManifold:
             def ja(self, d):
                 return 1.01 * self.state.ja(d)
 
-        scaled = dataclasses.replace(
-            handle, point=ScaledPoint,
-            apply_JA=lambda x, d: ScaledPoint(x).ja(d))
+        scaled = dataclasses.replace(handle, point=ScaledPoint)
         report = validate_manifold(scaled, [X.ravel()], tol=1e-10)
         assert not report.passed
         assert report.max_adjoint_error > 1e-4

@@ -291,6 +291,23 @@ class TestEstimateConstants:
         with pytest.raises(ParameterError):
             estimate_constants(problem, x, radius=0.1, samples=samples)
 
+    @pytest.mark.parametrize("radius", [0.0, -0.05, np.nan, 1.5])
+    def test_radius_outside_unit_interval_raises(self, radius):
+        # At radius 0 every sample is x itself: each Lipschitz quotient
+        # reads 0, and a beta threshold of 0 would pass as met.
+        problem = linear_objective_sphere_problem(4)
+        x = np.array([1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ParameterError):
+            _bound_constants(problem, x, radius=radius, samples=5, seed=0)
+        with pytest.raises(ParameterError):
+            estimate_constants(problem, x, radius=radius, samples=5)
+
+    def test_unit_radius_accepted(self):
+        problem = linear_objective_sphere_problem(4)
+        x = np.array([1.0, 0.0, 0.0, 0.0])
+        est = estimate_constants(problem, x, radius=1.0, samples=5)
+        assert est.radius == 1.0 and est.L_Ax > 0.0
+
     def test_rank_deficient_constraint_raises(self):
         spec = GenericManifoldSpec(
             n=3, p=1,
@@ -456,7 +473,7 @@ class TestRowBlockConstants:
 
 class TestMatrixFreeConstants:
     """A handle without ``row_blocks`` has the norms of J_A^T bounded
-    matrix-free, from ``apply_JAT`` and ``apply_JA``."""
+    matrix-free, from the state's ``jat`` and ``ja``."""
 
     def test_jat_calls_below_dense(self):
         # At most GK_MAX_STEPS applications per norm at each of the 31

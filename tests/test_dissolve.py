@@ -196,9 +196,12 @@ class TestIteratedMap:
             a_infinity(handle, y)
 
     def test_negative_tolerance_rejected(self):
+        # NaN fails every comparison: a tolerance no violation can meet
+        # would end in a stall report, not a usage error.
         handle = make_handle("sphere", n=3)
-        with pytest.raises(Exception):
-            a_infinity(handle, np.ones(3), tol=-1.0)
+        for tol in (-1.0, float("nan")):
+            with pytest.raises(DimensionError):
+                a_infinity(handle, np.ones(3), tol=tol)
 
 
 class TestLagrangian:

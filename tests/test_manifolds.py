@@ -16,15 +16,15 @@ from cdpkit.core import (
     finite_diff_check,
     validate_manifold,
 )
-from cdpkit.diagnostics import _bound_constants, make_synthetic_kkt
+from cdpkit.diagnostics import (
+    _bound_constants,
+    estimate_constants,
+    make_synthetic_kkt,
+)
 from cdpkit.dissolve import a_infinity, build_cdp
 from cdpkit.manifolds import (
     GenericManifoldSpec,
     make_handle,
-    oblique_A,
-    oblique_JAT,
-    sphere_A,
-    sphere_JAT,
     symplectic_canonical_point,
     symplectic_form,
     symplectic_spec,
@@ -40,41 +40,47 @@ from conftest import (
 
 
 class TestObliqueOperator:
+    """The oblique handle's map, read through ``eval_A`` and ``apply_JAT``
+    on the flattened m x q matrix."""
+
     def test_unit_rows_are_fixed(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((6, 3))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-        assert np.allclose(oblique_A(X), X, atol=1e-15)
+        handle = make_handle("oblique", m=6, q=3)
+        assert np.allclose(handle.eval_A(X.ravel()), X.ravel(), atol=1e-15)
 
     def test_row_of_norm_two_maps_to_norm_four_fifths(self):
         x = np.array([[2.0, 0.0, 0.0]])
-        out = oblique_A(x)
-        assert np.allclose(out, 2.0 * x / 5.0)
+        out = make_handle("oblique", m=1, q=3).eval_A(x.ravel())
+        assert np.allclose(out, 2.0 * x.ravel() / 5.0)
         assert np.linalg.norm(out) == pytest.approx(0.8)
 
     def test_zero_row_maps_to_zero(self):
-        assert np.all(oblique_A(np.zeros((2, 3))) == 0.0)
+        assert np.all(make_handle("oblique", m=2, q=3).eval_A(np.zeros(6))
+                      == 0.0)
 
     def test_tangent_directions_fixed_at_feasible_points(self):
-        x = np.array([[1.0, 0.0]])
-        d = np.array([[0.0, 0.7]])  # orthogonal to the row
-        assert np.allclose(oblique_JAT(x, d), d)
+        x = np.array([1.0, 0.0])
+        d = np.array([0.0, 0.7])  # orthogonal to the row
+        assert np.allclose(make_handle("oblique", m=1, q=2).apply_JAT(x, d), d)
 
     def test_normal_directions_annihilated_at_feasible_points(self):
-        x = np.array([[0.6, 0.8]])
-        assert np.allclose(oblique_JAT(x, x), 0.0, atol=1e-15)
+        x = np.array([0.6, 0.8])
+        assert np.allclose(make_handle("oblique", m=1, q=2).apply_JAT(x, x),
+                           0.0, atol=1e-15)
 
     def test_jacobian_at_origin_doubles_directions(self):
-        D = np.arange(6.0).reshape(2, 3)
-        assert np.allclose(oblique_JAT(np.zeros((2, 3)), D), 2.0 * D)
+        D = np.arange(6.0)
+        assert np.allclose(
+            make_handle("oblique", m=2, q=3).apply_JAT(np.zeros(6), D), 2.0 * D)
 
     def test_jacobian_action_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((4, 3))
-        err = finite_diff_check(
-            lambda x: oblique_A(x.reshape(4, 3)).ravel(),
-            lambda x, d: oblique_JAT(x.reshape(4, 3), d.reshape(4, 3)).ravel(),
-            X.ravel(), step=default_fd_step(X.ravel()))
+        handle = make_handle("oblique", m=4, q=3)
+        err = finite_diff_check(handle.eval_A, handle.apply_JAT, X.ravel(),
+                                step=default_fd_step(X.ravel()))
         # The transposed Jacobian is symmetric per row block, so the action
         # along d equals the directional derivative of A along d.
         assert err <= 1e-8
@@ -83,23 +89,23 @@ class TestObliqueOperator:
 class TestSphereOperator:
     def test_unit_vector_fixed(self):
         x = np.array([0.0, 1.0, 0.0])
-        assert np.allclose(sphere_A(x), x)
+        assert np.allclose(make_handle("sphere", n=3).eval_A(x), x)
 
     def test_zero_maps_to_zero(self):
-        assert np.all(sphere_A(np.zeros(3)) == 0.0)
+        assert np.all(make_handle("sphere", n=3).eval_A(np.zeros(3)) == 0.0)
 
     def test_norm_three_maps_to_norm_point_six(self):
         x = np.array([3.0, 0.0])
-        out = sphere_A(x)
+        out = make_handle("sphere", n=2).eval_A(x)
         assert np.allclose(out, 2.0 * x / 10.0)
         assert np.linalg.norm(out) == pytest.approx(0.6)
 
     def test_jacobian_action_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(5)
-        err = finite_diff_check(
-            lambda y: sphere_A(y), lambda y, d: sphere_JAT(y, d),
-            x, step=default_fd_step(x))
+        handle = make_handle("sphere", n=5)
+        err = finite_diff_check(handle.eval_A, handle.apply_JAT, x,
+                                step=default_fd_step(x))
         assert err <= 1e-8
 
 
@@ -237,7 +243,7 @@ class TestGenericOperator:
         for y in (x, one):
             for call in (lambda: handle.eval_A(y),
                          lambda: handle.apply_JAT(y, d),
-                         lambda: handle.apply_JA(y, d)):
+                         lambda: handle.point(y).ja(d)):
                 # inf times a zero entry of the skew matrix is NaN.
                 with pytest.raises(EvaluatorFaultError), \
                         np.errstate(invalid="ignore"):
@@ -296,7 +302,7 @@ class TestGenericHandleCache:
             pt = handle.point(x)
             assert np.array_equal(pt.ax, _uncached_A(spec, x))
             assert np.array_equal(pt.jat(g), _uncached_JAT(spec, x, g))
-            assert np.array_equal(pt.ja(g), handle.apply_JA(x, g))
+            assert np.array_equal(pt.ja(g), handle.point(x).ja(g))
             assert np.array_equal(pt.cx, spec.eval_c(x))
             assert np.array_equal(pt.jc(w), spec.apply_Jc(x, w))
         x = x1.copy()
@@ -359,6 +365,18 @@ class TestGenericHandleCache:
             # point.
             assert taken() == tuple((1 + len(points)) * k for k in per_read)
 
+    def test_constant_estimates_read_jc_through_jacobian(self):
+        # Jc(A(y)) is one jacobian read per sample point, like Jc(y): 12
+        # reads in the bound pass (Jc(x), then one state per point), 3 per
+        # point in the second (Jc(y), the state at y, Jc(A(y))) and 8 at
+        # each of the six radii of rho; no apply_Jc column.
+        spec, taken, _ = self._counted(True)
+        problem = linear_objective_sphere_problem(
+            spec.n, handle=make_handle("generic", spec=spec))
+        estimate_constants(problem, symplectic_canonical_point(8, 4).ravel(),
+                           0.05, samples=10)
+        assert taken() == (12 + 3 * 11 + 6 * 8, 0)
+
     def test_gram_inverse_formed_once_per_acted_point(self, monkeypatch):
         formed = [0]
         inverse = np.linalg.inv
@@ -406,7 +424,7 @@ class TestGenericHandleCache:
         x *= 1.5
         assert np.array_equal(pt.jat(g), _uncached_JAT(spec, x0, g))
         assert np.array_equal(pt.ja(g),
-                              make_handle("generic", spec=spec).apply_JA(x0, g))
+                              make_handle("generic", spec=spec).point(x0).ja(g))
         assert np.array_equal(pt.ax, _uncached_A(spec, x0))
         assert np.array_equal(pt.jc(g[:1]), spec.apply_Jc(x0, g[:1]))
 
@@ -634,8 +652,8 @@ def _forward_case(data, family):
 
 
 class TestForwardJacobian:
-    """``apply_JA`` is the derivative of ``eval_A`` and the adjoint of
-    ``apply_JAT``: the matrix-free norms of J_A^T rely on both."""
+    """The state's ``ja`` is the derivative of ``eval_A`` and the adjoint
+    of ``apply_JAT``: the matrix-free norms of J_A^T rely on both."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), family=st.sampled_from(
@@ -643,13 +661,14 @@ class TestForwardJacobian:
     def test_forward_action_is_the_derivative_and_the_adjoint(self, data,
                                                                family):
         handle, y = _forward_case(data, family)
-        assert finite_diff_check(handle.eval_A, handle.apply_JA, y,
+        assert finite_diff_check(handle.eval_A,
+                                 lambda z, d: handle.point(z).ja(d), y,
                                  default_fd_step(y)) <= 1e-7
         # The dense Jc read is the column loop over apply_Jc.
         assert np.array_equal(handle.jacobian(y), _dense_columns(
             handle.apply_Jc, y, handle.p, handle.n))
         rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
         d, g = rng.standard_normal((2, handle.n))
-        gap = (np.dot(handle.apply_JA(y, d), g)
+        gap = (np.dot(handle.point(y).ja(d), g)
                - np.dot(d, handle.apply_JAT(y, g)))
         assert abs(gap) <= 1e-12 * np.linalg.norm(d) * np.linalg.norm(g)
