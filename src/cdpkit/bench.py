@@ -58,6 +58,8 @@ class CenterOfMassConfig:
     beta: float = 1.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.m % 2 or self.q % 2 or self.m <= 0 or self.q <= 0:
             raise DimensionError(f"m, q must be positive even, got ({self.m}, {self.q})")
         if self.q > self.m:
@@ -80,6 +82,8 @@ class BalancedCutConfig:
     beta: float = 0.1  # (beta/2)||c||^2 convention; 0.05 in the quartic one
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.m < 2 or self.q <= 0:
             raise DimensionError(f"need m >= 2, q >= 1, got ({self.m}, {self.q})")
         if not 0.0 < self.rho < 1.0:
@@ -157,7 +161,7 @@ def _perturb_project(handle, base: Vector, delta: float, rng) -> Vector:
     for _ in range(12):
         cand = base + delta * rng.standard_normal(base.size)
         try:
-            return a_infinity(handle, cand, tol=1e-12, max_iter=80)
+            return a_infinity(handle, cand)
         except OutOfNeighborhoodError:
             delta *= 0.5
     raise OutOfNeighborhoodError("sample generation failed after retries")

@@ -219,6 +219,7 @@ def _number(ok, what: str, kind=float):
 
 _positive = _number(lambda v: v > 0, "positive")
 _count = _number(lambda v: v > 0, "a positive integer", int)
+_seed = _number(lambda v: v >= 0, "a non-negative integer", int)
 # Checked here as well as in PenaltyParams, which never sees a --gamma on
 # a family without inequalities.
 _penalty = _number(lambda v: 0 <= v < np.inf, "finite and non-negative")
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--m", type=int)
     p_val.add_argument("--q", type=int)
     p_val.add_argument("--n", type=int)
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--seed", type=_seed, default=0)
     p_val.add_argument("--probes", type=_count, default=50)
     p_val.add_argument("--tol", type=_positive, default=1e-8)
     p_val.add_argument("--json", action="store_true")

@@ -103,15 +103,16 @@ class ManifoldHandle:
                                        ``apply_Jc`` needs a new one.
     * ``point(x)``                     the state at x, keyword-only and
                                        required: ``ax`` = A(x), ``cx`` =
-                                       c(x), ``jat(g)`` and ``jc(w)``, bit
-                                       for bit the actions above at x,
-                                       and ``ja(d)``, the derivative of A
-                                       along d.
+                                       c(x) and ``jat(g)``, bit for bit
+                                       ``eval_A``, ``eval_c`` and
+                                       ``apply_JAT`` at x, and ``ja(d)``,
+                                       the derivative of A along d.
 
     A reader of several of these at one point (the transformed evaluation,
     the constant estimates, ``validate_manifold``) holds one state, so A,
     c and what they share are evaluated once.  x must not change while its
-    state is in use.  The five per-call fields serve readers of one value
+    state is in use.  Jc(x) w, which shares nothing with A, has one door:
+    ``apply_Jc``.  The five per-call fields serve readers of one value
     (the direct pipeline, ``a_infinity``) and ``perfbench/tracing.py``,
     whose ``traced_problem`` rebinds them with ``dataclasses.replace`` to
     count calls and whose ``microbench`` times ``eval_A`` and
@@ -158,16 +159,13 @@ def _check_shape(shape: tuple[int, int] | None, n: int) -> None:
         raise DimensionError(f"shape {shape} does not hold n = {n} entries")
 
 
-def _empty_vec(x: Vector) -> Vector:
+def _empty_vec(x: Vector, d: Vector | None = None) -> Vector:
+    """An absent constraint block's value, or its derivative along d."""
     return np.zeros(0)
 
 
 def _empty_comb(x: Vector, w: Vector) -> Vector:
     return np.zeros_like(x)
-
-
-def _empty_dir(x: Vector, d: Vector) -> Vector:
-    return np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -186,11 +184,11 @@ class ProblemSpec:
     grad_f: Callable[[Vector], Vector]
     n_eq: int = 0
     eval_u: Callable[[Vector], Vector] = _empty_vec
-    apply_JuT: Callable[[Vector, Vector], Vector] = _empty_dir
+    apply_JuT: Callable[[Vector, Vector], Vector] = _empty_vec
     apply_Ju: Callable[[Vector, Vector], Vector] = _empty_comb
     n_ineq: int = 0
     eval_v: Callable[[Vector], Vector] = _empty_vec
-    apply_JvT: Callable[[Vector, Vector], Vector] = _empty_dir
+    apply_JvT: Callable[[Vector, Vector], Vector] = _empty_vec
     apply_Jv: Callable[[Vector, Vector], Vector] = _empty_comb
     name: str = "problem"
 
@@ -317,9 +315,7 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
 
     if not tol > 0:
         raise ParameterError(f"tol must be positive, got {tol}")
-    max_fix = 0.0
-    max_prod = 0.0
-    max_adj = 0.0
+    max_fix = max_prod = max_adj = 0.0
     notes: list[str] = []
     used = 0
     rng = np.random.default_rng((handle.n, handle.p))  # d and g, per probe
@@ -340,8 +336,8 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
         if not np.all(np.isfinite(pt.ax)):
             raise EvaluatorFaultError(f"eval_A non-finite at probe {k}")
         max_fix = max(max_fix, float(np.max(np.abs(pt.ax - x), initial=0.0)))
-        cols = _dense_columns(lambda z, e: pt.jat(pt.jc(e)), x, handle.p,
-                              handle.n)
+        cols = _dense_columns(lambda z, e: pt.jat(handle.apply_Jc(z, e)), x,
+                              handle.p, handle.n)
         if not np.all(np.isfinite(cols)):
             raise EvaluatorFaultError(f"Jacobian action non-finite at probe {k}")
         if handle.p > 0:

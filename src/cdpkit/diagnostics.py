@@ -256,7 +256,7 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
     M_c = L_c = L_Ac = 0.0
     prev = None
     for y in pts:
-        Jc = read.jc(y)
+        Jc = read.stack_jc(y)
         JaJcA = read.jat_jc_a(read.mani.point(y))
         M_c = max(M_c, read.norm(Jc))
         if prev is not None:
@@ -429,7 +429,7 @@ class _Blocks:
         return _dense_columns(lambda _, e: action(np.tile(e, m)), None,
                               count, m * q).reshape(m, q, count)
 
-    def jc(self, y: Vector) -> Vector:
+    def stack_jc(self, y: Vector) -> Vector:
         """Jc(y) as its stack: on a one-block handle the handle's dense
         ``jacobian`` read."""
         if self.m == 1:
@@ -437,7 +437,7 @@ class _Blocks:
         return self._stack(lambda w: self.mani.apply_Jc(y, w), self.k)
 
     def sigma_min_jc(self, y: Vector) -> float:
-        return float(np.min(self.singular_values(self.jc(y))[:, -1]))
+        return float(np.min(self.singular_values(self.stack_jc(y))[:, -1]))
 
     def jat(self, pt) -> Vector | _JatOperator:
         """J_A^T at the state ``pt`` = ``ManifoldHandle.point(y)``."""
@@ -447,9 +447,9 @@ class _Blocks:
 
     def jat_jc_a(self, pt) -> Vector:
         """J_A^T(y) Jc(A(y)) at the state ``pt`` of y: ``pt.jat`` of each
-        column of the stack ``jc(A(y))``, which the ``jacobian`` contract
+        column of ``stack_jc(A(y))``, which the ``jacobian`` contract
         makes bitwise the action ``apply_Jc(A(y), e_j)``."""
-        jc = self.jc(pt.ax).reshape(-1, self.k)
+        jc = self.stack_jc(pt.ax).reshape(-1, self.k)
         cols = np.array([pt.jat(col) for col in jc.T]).T
         return cols.reshape(self.m, self.q, self.k)
 
@@ -480,13 +480,21 @@ class ConditionReport:
 SAFETY = 2.0
 
 
-def _coupled_threshold(estimates: ConstantEstimates, lam: Vector, mu: Vector):
-    """The multiplier-coupled beta bound ``(M, 32 L_A (M_A + 1) M / sigma^2)``
-    with ``M = L_f + ||lambda||_1 M_u + ||mu||_1 M_v``."""
+def _coupled_bound(estimates: ConstantEstimates, params: PenaltyParams,
+                   lam: Vector, mu: Vector) -> tuple[float, float, float]:
+    """The multiplier-coupled beta bound ``(M, threshold, lhs)``, met when
+    lhs = beta + lambda^T tau + mu^T gamma >= threshold = 32 L_A (M_A + 1)
+    M / sigma^2, with M = L_f + ||lambda||_1 M_u + ||mu||_1 M_v."""
     M = (estimates.L_fx + float(np.linalg.norm(lam, 1)) * estimates.M_ux
          + float(np.linalg.norm(mu, 1)) * estimates.M_vx)
-    return M, (32.0 * estimates.L_Ax * (estimates.M_Ax + 1.0) * M
-               / estimates.sigma1x ** 2)
+    threshold = (32.0 * estimates.L_Ax * (estimates.M_Ax + 1.0) * M
+                 / estimates.sigma1x ** 2)
+    lhs = params.beta
+    if lam.size and params.tau.size:
+        lhs += float(np.dot(lam, params.tau))
+    if mu.size and params.gamma.size:
+        lhs += float(np.dot(mu, params.gamma))
+    return M, threshold, lhs
 
 
 def check_condition(estimates: ConstantEstimates, params: PenaltyParams,
@@ -521,12 +529,7 @@ def check_condition(estimates: ConstantEstimates, params: PenaltyParams,
         report.gamma_met = gmin >= SAFETY * gamma_thr
 
     if mult is not None:
-        M, thr = _coupled_threshold(estimates, mult.lam, mult.mu)
-        lhs = params.beta
-        if mult.lam.size and params.tau.size:
-            lhs += float(np.dot(mult.lam, params.tau))
-        if mult.mu.size and params.gamma.size:
-            lhs += float(np.dot(mult.mu, params.gamma))
+        M, thr, lhs = _coupled_bound(estimates, params, mult.lam, mult.mu)
         report.M_x_lam_mu = M
         report.coupled_threshold = thr
         report.coupled_lhs = lhs

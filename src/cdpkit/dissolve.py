@@ -33,13 +33,17 @@ __all__ = [
     "lagrangian_decrease_probe",
 ]
 
+# Map steps of ``a_infinity``; the generators' projections take at most 4.
+A_INFINITY_MAX_ITER = 50
+
 
 @dataclass
 class CdpPointEval:
-    """All transformed quantities at one point, read from one state
-    ``point`` = ``ManifoldHandle.point(x)``: A(x), c(x) and the Jacobian
-    actions there."""
+    """All transformed quantities at one point x, read from one state
+    ``point`` = ``ManifoldHandle.point(x)`` and, for the penalty term
+    Jc(x) c(x), the handle's ``apply_Jc``; x must not change while in use."""
 
+    x: Vector
     point: Any
     h: float
     u_tilde: Vector
@@ -65,7 +69,7 @@ class CdpPointEval:
             pen += float(np.dot(b, params.gamma))
         out = pt.jat(g)
         if pen != 0.0:
-            out = out + pen * pt.jc(pt.cx)
+            out = out + pen * inst.manifold.apply_Jc(self.x, pt.cx)
         return out
 
 
@@ -86,13 +90,14 @@ class CdpInstance:
         return self.problem.manifold
 
     def point_eval(self, x: Vector) -> CdpPointEval:
-        pt = self.problem.manifold.point(np.asarray(x, dtype=float).ravel())
+        x = np.asarray(x, dtype=float).ravel()
+        pt = self.problem.manifold.point(x)
         ax, cx = pt.ax, pt.cx
         half = 0.5 * float(np.dot(cx, cx))
         h = float(self.problem.eval_f(ax)) + self.params.beta * half
         u_t = self.problem.eval_u(ax) + self.params.tau * half
         v_t = self.problem.eval_v(ax) + self.params.gamma * half
-        return CdpPointEval(pt, h, u_t, v_t, self)
+        return CdpPointEval(x, pt, h, u_t, v_t, self)
 
     def eval_h(self, x: Vector) -> float:
         return self.point_eval(x).h
@@ -154,11 +159,11 @@ def apply_A_k(handle: ManifoldHandle, y: Vector, k: int) -> Vector:
     return z
 
 
-def a_infinity(handle: ManifoldHandle, y: Vector, tol: float = 1e-12,
-               max_iter: int = 50) -> Vector:
+def a_infinity(handle: ManifoldHandle, y: Vector,
+               tol: float = 1e-12) -> Vector:
     """Iterate the dissolving map until ||c|| <= tol.
 
-    Quadratic contraction makes the default iteration budget vastly
+    Quadratic contraction makes the ``A_INFINITY_MAX_ITER`` budget vastly
     sufficient inside the operative neighborhood; outside it the 10x
     growth detector aborts early.
     """
@@ -166,7 +171,7 @@ def a_infinity(handle: ManifoldHandle, y: Vector, tol: float = 1e-12,
         raise DimensionError(f"tol must be positive, got {tol}")
     z = np.asarray(y, dtype=float).ravel()
     viol = float(np.linalg.norm(handle.eval_c(z)))
-    for _ in range(max_iter):
+    for _ in range(A_INFINITY_MAX_ITER):
         if viol <= tol:
             return z
         z_next, viol_next = _map_step(handle, z, viol)
@@ -235,8 +240,7 @@ def lagrangian_decrease_probe(instance: CdpInstance, x_feasible: Vector,
         est = estimate_constants(instance.problem, x, radius=0.05, samples=40,
                                  seed=seed)
         cond = check_condition(est, instance.params, mult)
-        report.condition_met = cond.coupled_met if cond.coupled_met is not None \
-            else cond.beta_met
+        report.condition_met = cond.coupled_met
     except CdpkitError as exc:  # advisory only; probe still runs
         report.skipped.append(f"condition check unavailable: {exc}")
 

@@ -60,9 +60,6 @@ class _ObliquePoint:
 
     ja = jat
 
-    def jc(self, w: Vector) -> Vector:
-        return (2.0 * np.asarray(w)[:, None] * self.X).ravel()
-
 
 class _SpherePoint:
     """The sphere map's state at x: s = ||x||^2, computed once."""
@@ -79,9 +76,6 @@ class _SpherePoint:
         return 2.0 * d / (s + 1.0) - 4.0 * float(np.dot(x, d)) * x / (s + 1.0) ** 2
 
     ja = jat
-
-    def jc(self, w: Vector) -> Vector:
-        return 2.0 * float(np.asarray(w).ravel()[0]) * self.x
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +99,13 @@ class GenericManifoldSpec:
     Every callable must be a pure function of its arguments.  The
     handle's ``point(x)`` reads ``jacobian`` once and keeps the state at x
     (a copy of x, ``Jc(x)``, the Gram matrix G, c(x), G^{-1} c(x) and
-    A(x)); its ``jat``, ``ja`` and ``jc`` share that state, and ``jc``
-    calls ``apply_Jc``.  A state's first Jacobian action of A forms
-    G^{-1}, so later actions there cost products instead of solves;
-    ``eval_A`` never forms it.  Of the handle's per-call fields, kept for
-    the reasons ``ManifoldHandle`` gives, ``eval_c``, ``apply_JcT`` and
-    ``apply_Jc`` are the spec's, and ``eval_A`` and ``apply_JAT`` each
-    read a new state.
+    A(x)); its ``jat`` and ``ja`` share that state.  A state's first
+    Jacobian action of A forms G^{-1}, so later actions there cost
+    products instead of solves; ``eval_A`` never forms it.  Of the
+    handle's per-call fields, ``eval_c``, ``apply_JcT`` and ``apply_Jc``
+    are the spec's, and ``apply_Jc`` is the one door to Jc(x) w, not
+    ``J @ w``, which rounds differently; ``eval_A`` and ``apply_JAT``
+    each read a new state.
     """
 
     n: int
@@ -207,11 +201,6 @@ class _GenericPoint:
         d = np.asarray(d, dtype=float).ravel()
         u = d - _djc_action(self.spec, self.x, d, self.w)
         return u - J @ (self.G_inv @ (J.T @ u - self.E.T @ d))
-
-    def jc(self, w: Vector) -> Vector:
-        """Jc(x) w through the spec's own action, not J @ w, which rounds
-        differently."""
-        return self.spec.apply_Jc(self.x, w)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +369,6 @@ class _EuclideanPoint:
         return np.asarray(d, dtype=float).ravel()
 
     ja = jat
-
-    def jc(self, w: Vector) -> Vector:
-        return np.zeros(self.ax.size)
 
 
 def euclidean_handle(n: int) -> ManifoldHandle:

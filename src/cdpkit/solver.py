@@ -32,7 +32,7 @@ from .core import (
 from .diagnostics import (  # noqa: F401
     KktReport,
     _bound_constants,
-    _coupled_threshold,
+    _coupled_bound,
     estimate_constants,
     kkt_residual,
 )
@@ -280,14 +280,17 @@ def _certify(problem: ProblemSpec, x: Vector) -> tuple[Vector, KktReport]:
 
 class _Dissolved:
     """The transformed problem h, u~, v~ with the beta safeguard of
-    ``alm_solve_cdp``."""
+    ``alm_solve_cdp``, on when ``adapt`` is set and p > 0."""
 
     split = 0  # no multipliers for c: it is dissolved into h
 
-    def __init__(self, instance: CdpInstance, x0: Vector, opts: AlmOptions):
+    def __init__(self, instance: CdpInstance, x0: Vector, adapt: bool):
         self.instance = instance
         self.x0 = x0
-        self.opts = opts
+        self.adapting = adapt and instance.problem.p > 0
+        if self.adapting and instance.params.beta == 0:
+            raise ParameterError("beta = 0 cannot adapt: start from beta > 0 "
+                                 "or turn beta_adapt off")
         self.estimates = None
 
     @property
@@ -300,26 +303,20 @@ class _Dissolved:
             lambda a, b: pe.weighted_grad(1.0, a, b)
 
     def adapt(self, lam, mu, trace: SolveTrace) -> None:
-        if not self.opts.beta_adapt:
+        if not self.adapting:
             return
-        problem = self.instance.problem
-        params = self.instance.params
+        problem, params = self.instance.problem, self.instance.params
         if self.estimates is None:
             try:
                 x_ref = a_infinity(problem.manifold, self.x0)
                 self.estimates = _bound_constants(
                     problem, x_ref, radius=0.1, samples=30, seed=0)[0]
             except (OutOfNeighborhoodError, RankDeficiencyError) as exc:
-                self.estimates = False
+                self.adapting = False
                 _add_note(trace, f"beta_adapt_off:{type(exc).__name__}")
                 return
-        est = self.estimates
-        if est is False:
-            return
-        beta_req = (_coupled_threshold(est, lam, mu)[1]
-                    - float(np.dot(lam, params.tau))
-                    - float(np.dot(mu, params.gamma)))
-        if params.beta < beta_req:
+        _, threshold, lhs = _coupled_bound(self.estimates, params, lam, mu)
+        if lhs < threshold:
             # Continuation: the bound is sufficient, not a target, and a
             # beta far above what is needed stiffens every later inner solve.
             new_beta = BETA_GROWTH * params.beta
@@ -485,13 +482,12 @@ def alm_solve_cdp(instance: CdpInstance, x0: Vector,
     rest of the solve and the first row's note says
     ``beta_adapt_off:<error type>``; any other error propagates.
 
-    A beta of 0 never grows, so with adaptation on an instance at beta = 0
+    Without a manifold constraint (p = 0) there is no bound and beta stays.
+    Otherwise a beta of 0 could never grow, so with adaptation on it
     raises ``ParameterError`` before the solve starts.
     """
-    if opts.beta_adapt and instance.params.beta == 0:
-        raise ParameterError("beta = 0 cannot adapt: start from beta > 0 "
-                             "or turn beta_adapt off")
-    return _alm_loop(instance.problem, _Dissolved(instance, x0, opts), x0, opts)
+    return _alm_loop(instance.problem,
+                     _Dissolved(instance, x0, opts.beta_adapt), x0, opts)
 
 
 def alm_solve_nlp_direct(problem: ProblemSpec, x0: Vector,

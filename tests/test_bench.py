@@ -96,6 +96,13 @@ class TestConfigIngestion:
     def test_integral_float_is_accepted(self):
         assert problem_config(dict(_VALID_DOCS["balanced_cut"], m=12.0)).m == 12
 
+    @pytest.mark.parametrize("family", sorted(_VALID_DOCS))
+    def test_negative_seed_is_refused(self, family):
+        # numpy's generators take only non-negative seeds.
+        with pytest.raises(ConfigurationError) as exc:
+            problem_config(dict(_VALID_DOCS[family], seed=-1))
+        assert exc.value.path == f"family.{family}"
+
 
 class TestCenterOfMass:
     def test_instance_is_feasible_and_qualified_at_start(self):

@@ -201,6 +201,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag, value", [
         ("--beta", "nan"), ("--tau", "nan"), ("--gamma", "nan"),
         ("--budget", "nan"), ("--budget", "0"), ("--budget", "-1"),
+        ("--seed", "-1"),
     ])
     def test_bad_number_is_a_usage_error(self, flag, value):
         # NaN compares false with everything, so each check must reject it
@@ -234,7 +235,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [
         ("--probes", "0"), ("--probes", "-1"), ("--tol", "nan"),
-        ("--tol", "0"), ("--tol", "-1")])
+        ("--tol", "0"), ("--tol", "-1"), ("--seed", "-1")])
     def test_bad_validate_setting_is_a_usage_error(self, flag, value, capsys):
         # Not a failed check: no probe ran, or no tolerance can be met.
         assert run(["validate", "--family", "oblique", "--m", "4", "--q", "2",

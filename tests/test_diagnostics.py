@@ -460,7 +460,7 @@ class TestRowBlockConstants:
                             8)
         Jc = _dense_columns(handle.apply_Jc, x, handle.p, handle.n)
         s = np.linalg.svd(Jc, compute_uv=False)
-        assert _within_ulps(blocks.norm(blocks.jc(x)), float(s[0]), 8)
+        assert _within_ulps(blocks.norm(blocks.stack_jc(x)), float(s[0]), 8)
         # An SVD resolves its smallest singular value to within rounding of
         # its largest.
         assert abs(blocks.sigma_min_jc(x) - s[-1]) <= 8 * np.spacing(s[0])

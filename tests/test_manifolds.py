@@ -112,7 +112,8 @@ class TestSphereOperator:
 class TestPointState:
     """The oblique and sphere states read A, c and the Jacobian actions
     bit for bit as the handles' separate evaluators did, each recomputing
-    the squared norms: those formulas are written out here."""
+    the squared norms, and the handles' ``apply_Jc`` reads Jc w: those
+    formulas are written out here."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), m=st.integers(1, 8), q=st.integers(1, 4))
@@ -131,9 +132,9 @@ class TestPointState:
         jat = (2.0 * D / (s + 1.0) - 4.0 * xd * X / (s + 1.0) ** 2).ravel()
         assert np.array_equal(pt.jat(g), jat)
         assert np.array_equal(pt.ja(g), jat)
-        assert np.array_equal(pt.jc(w), (2.0 * w[:, None] * X).ravel())
+        assert np.array_equal(handle.apply_Jc(x, w),
+                              (2.0 * w[:, None] * X).ravel())
         assert np.array_equal(pt.cx, handle.eval_c(x))
-        assert np.array_equal(pt.jc(w), handle.apply_Jc(x, w))
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), n=st.integers(1, 32))
@@ -151,9 +152,8 @@ class TestPointState:
                - 4.0 * float(np.dot(x, d)) * x / (s + 1.0) ** 2)
         assert np.array_equal(pt.jat(d), jat)
         assert np.array_equal(pt.ja(d), jat)
-        assert np.array_equal(pt.jc(w), 2.0 * float(w[0]) * x)
+        assert np.array_equal(handle.apply_Jc(x, w), 2.0 * float(w[0]) * x)
         assert np.array_equal(pt.cx, handle.eval_c(x))
-        assert np.array_equal(pt.jc(w), handle.apply_Jc(x, w))
 
 
 def _uncached_A(spec, x):
@@ -297,14 +297,12 @@ class TestGenericHandleCache:
         x1 = E + 0.1 * rng.standard_normal(spec.n)
         x2 = E + 0.1 * rng.standard_normal(spec.n)
         g = rng.standard_normal(spec.n)
-        w = rng.standard_normal(spec.p)
         for x in (x1, x2, x1, x1):
             pt = handle.point(x)
             assert np.array_equal(pt.ax, _uncached_A(spec, x))
             assert np.array_equal(pt.jat(g), _uncached_JAT(spec, x, g))
             assert np.array_equal(pt.ja(g), handle.point(x).ja(g))
             assert np.array_equal(pt.cx, spec.eval_c(x))
-            assert np.array_equal(pt.jc(w), spec.apply_Jc(x, w))
         x = x1.copy()
         pt = handle.point(x)
         x[3] += 0.05  # changed in place: the state stays the one at x1
@@ -426,7 +424,6 @@ class TestGenericHandleCache:
         assert np.array_equal(pt.ja(g),
                               make_handle("generic", spec=spec).point(x0).ja(g))
         assert np.array_equal(pt.ax, _uncached_A(spec, x0))
-        assert np.array_equal(pt.jc(g[:1]), spec.apply_Jc(x0, g[:1]))
 
 
 class TestSymplecticFamily:

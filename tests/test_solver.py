@@ -12,7 +12,7 @@ from cdpkit.bench import (
 )
 from cdpkit.core import ParameterError, PenaltyParams, ProblemSpec
 from cdpkit.diagnostics import make_synthetic_kkt
-from cdpkit.dissolve import build_cdp, lagrangian_decrease_probe
+from cdpkit.dissolve import a_infinity, build_cdp, lagrangian_decrease_probe
 from cdpkit.manifolds import make_handle
 from cdpkit.solver import (
     BETA_GROWTH,
@@ -174,6 +174,7 @@ class TestAlmOptions:
 
         assert keywords(lbfgs_minimize) == ["tol", "max_iter"]
         assert keywords(lagrangian_decrease_probe) == ["seed"]
+        assert keywords(a_infinity) == ["tol"]
 
 
 @pytest.mark.parametrize("family", ["balanced_cut", "center_of_mass"])
@@ -195,8 +196,7 @@ def test_one_evaluation_builds_one_state(family):
 
     counted = dataclasses.replace(
         problem, manifold=dataclasses.replace(mani, point=point))
-    form = _Dissolved(build_cdp(counted, PenaltyParams(beta=10.0)), x0,
-                      AlmOptions())
+    form = _Dissolved(build_cdp(counted, PenaltyParams(beta=10.0)), x0, True)
     value_and_grad = _augmented(form.evaluate, np.ones(problem.n_eq),
                                 np.ones(problem.n_ineq), 10.0)
     value, grad = value_and_grad(x0 + 0.01)
@@ -425,29 +425,45 @@ def test_multipliers_split_into_manifold_and_problem_blocks(pipeline, n_rho):
     assert res.multipliers.mu.shape == (0,)
 
 
+def _equality_quadratic():
+    """min 1/2 x^T H x - b^T x  s.t.  a^T x = 1, no manifold block (the
+    euclidean handle, p = 0), and its closed-form solution (1, 0)."""
+    H = np.diag([2.0, 5.0])
+    b = np.array([1.0, -1.0])
+    a = np.array([1.0, 1.0])
+    handle = make_handle("euclidean", n=2)
+    problem = ProblemSpec(
+        manifold=handle,
+        eval_f=lambda x: 0.5 * float(x @ H @ x) - float(b @ x),
+        grad_f=lambda x: H @ x - b,
+        n_eq=1,
+        eval_u=lambda x: np.array([float(a @ x) - 1.0]),
+        apply_JuT=lambda x, d: np.array([float(a @ d)]),
+        apply_Ju=lambda x, w: float(np.asarray(w).ravel()[0]) * a,
+        name="equality_quadratic")
+    K = np.block([[H, a[:, None]], [a[None, :], np.zeros((1, 1))]])
+    return problem, np.linalg.solve(K, np.concatenate([b, [1.0]]))[:2]
+
+
 class TestAlmDirect:
     def test_quadratic_with_single_linear_equality_matches_closed_form(self):
-        # min 1/2 x^T H x - b^T x  s.t.  a^T x = 1, no manifold block
-        H = np.diag([2.0, 5.0])
-        b = np.array([1.0, -1.0])
-        a = np.array([1.0, 1.0])
-        handle = make_handle("euclidean", n=2)
-        problem = ProblemSpec(
-            manifold=handle,
-            eval_f=lambda x: 0.5 * float(x @ H @ x) - float(b @ x),
-            grad_f=lambda x: H @ x - b,
-            n_eq=1,
-            eval_u=lambda x: np.array([float(a @ x) - 1.0]),
-            apply_JuT=lambda x, d: np.array([float(a @ d)]),
-            apply_Ju=lambda x, w: float(np.asarray(w).ravel()[0]) * a,
-            name="equality_quadratic")
-        K = np.block([[H, a[:, None]], [a[None, :], np.zeros((1, 1))]])
-        sol = np.linalg.solve(K, np.concatenate([b, [1.0]]))
+        problem, sol = _equality_quadratic()
         tight = AlmOptions(outer_tol_stationarity=1e-10,
                            outer_tol_feasibility=1e-10)
         res = alm_solve_nlp_direct(problem, np.zeros(2), tight)
         assert res.status == "converged"
-        assert np.allclose(res.x_final, sol[:2], atol=1e-8)
+        assert np.allclose(res.x_final, sol, atol=1e-8)
+
+    def test_transformed_pipeline_without_manifold_constraint(self):
+        # With p = 0 there is no beta bound to adapt to: the safeguard
+        # stays off instead of dividing by sigma_min(Jc)^2 = 0.
+        problem, sol = _equality_quadratic()
+        r1 = alm_solve_cdp(build_cdp(problem, PenaltyParams(beta=1.0)),
+                           np.zeros(2))
+        r2 = alm_solve_nlp_direct(problem, np.zeros(2))
+        assert r1.status == r2.status == "converged"
+        assert r1.objective == pytest.approx(r2.objective, rel=1e-6)
+        assert np.max(np.abs(r1.x_final - sol)) <= 1e-6
 
     def test_infeasible_start_on_sphere_recovers_feasibility(self):
         problem = linear_objective_sphere_problem(5, seed=7)
@@ -464,3 +480,16 @@ class TestAlmDirect:
         r2 = alm_solve_nlp_direct(problem, x0)
         assert r1.status == r2.status == "converged"
         assert r1.objective == pytest.approx(r2.objective, rel=1e-6)
+
+    def test_agrees_with_transformed_pipeline_on_active_inequality(self):
+        # The ball ||x - s*||^2 <= r is active at the solution, so the
+        # direct pipeline's gradient takes its Jv term.
+        problem, x0 = gen_center_of_mass(
+            CenterOfMassConfig(m=6, q=2, N=5, r=0.001, seed=0))
+        r1 = alm_solve_cdp(build_cdp(problem, PenaltyParams(beta=1.0)), x0)
+        r2 = alm_solve_nlp_direct(problem, x0)
+        assert r1.status == r2.status == "converged"
+        assert r1.objective == pytest.approx(r2.objective, rel=1e-6)
+        assert r2.multipliers.mu[0] > 0
+        assert r1.multipliers.mu == pytest.approx(r2.multipliers.mu,
+                                                  abs=1e-4)

@@ -1,0 +1,112 @@
+"""Bit-identity digests of every benchmark solve of a source checkout.
+
+    python3 tools/solve_digests.py <checkout>
+
+Solves each instance of every workload in ``<checkout>/BENCHMARK.json``
+with both pipelines and the default ``AlmOptions()``, as the benchmark
+does, and prints one line per solve and one per instance.  Two checkouts
+whose outputs are identical give bitwise-equal results on the benchmark:
+
+* a solve line holds its status, its trace's row count and a SHA-256 of
+  the start x0, every ``TraceRow.key_fields()``, the objective, the bytes
+  of ``x_final`` and ``x_postprocessed``, the KKT report and the
+  multipliers;
+* an instance line holds SHA-256s of the reprs of the beta safeguard's
+  constants (``_bound_constants`` at radius 0.1, 30 samples) and of
+  ``estimate_constants`` (radius 0.05, 30 samples), both around
+  ``a_infinity(x0)`` with seed 0.
+
+The checkout's ``src`` and ``perfbench`` come first on ``sys.path``, and
+BLAS runs on one thread.  It takes about 15 s on one core of a 2-core
+Intel Xeon host.
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS thread, set before numpy is first imported: with more, a BLAS
+# reduction may round differently from run to run.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+
+def _digest(*parts) -> str:
+    """SHA-256 over the parts: arrays by their bytes, anything else by its
+    repr, each part followed by a separator."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(f"{part.dtype}{part.shape}".encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _multipliers(mult) -> tuple:
+    return (mult.rho, mult.lam, mult.mu)
+
+
+def solve_line(pipeline: str, problem, inst, x0) -> str:
+    from cdpkit.solver import AlmOptions, alm_solve_cdp, alm_solve_nlp_direct
+
+    if pipeline == "cdp":
+        res = alm_solve_cdp(inst, x0, AlmOptions())
+    else:
+        res = alm_solve_nlp_direct(problem, x0, AlmOptions())
+    kkt = res.kkt
+    digest = _digest(
+        x0, *(row.key_fields() for row in res.trace.rows), res.objective,
+        res.x_final, res.x_postprocessed, kkt.stationarity, kkt.feasibility,
+        *_multipliers(kkt.multipliers), kkt.complementarity,
+        kkt.rank_deficient, *_multipliers(res.multipliers))
+    return f"{res.status} rows={len(res.trace.rows)} {digest}"
+
+
+def constants_line(problem, x0) -> str:
+    from cdpkit.diagnostics import _bound_constants, estimate_constants
+    from cdpkit.dissolve import a_infinity
+
+    x_ref = a_infinity(problem.manifold, x0)
+    bound = _bound_constants(problem, x_ref, 0.1, 30, 0)[0]
+    est = estimate_constants(problem, x_ref, 0.05, 30, 0)
+    return f"bound {_digest(repr(bound))} estimates {_digest(repr(est))}"
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python3 tools/solve_digests.py <checkout>",
+              file=sys.stderr)
+        return 2
+    checkout = Path(argv[0]).resolve()
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+
+    from cdpkit.bench import _build_instance
+    from workloads import configs
+
+    bench = json.loads((checkout / "BENCHMARK.json").read_text())
+    for workload in (w["name"] for w in bench["workloads"]):
+        for cfg in configs(workload, 0):
+            problem, inst, x0 = _build_instance(cfg)
+            label = f"{workload} {cfg.label()}"
+            print(f"{label} constants {constants_line(problem, x0)}",
+                  flush=True)
+            for pipeline in ("cdp", "nlp"):
+                print(f"{label} {pipeline} "
+                      f"{solve_line(pipeline, problem, inst, x0)}",
+                      flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
