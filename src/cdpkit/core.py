@@ -89,7 +89,8 @@ class ManifoldHandle:
     """Evaluators for the manifold constraints c and the dissolving map A.
 
     * ``eval_c(x) -> (p,)``            constraint residual
-    * ``apply_JcT(x, d) -> (p,)``      directional derivative of c along d
+    * ``apply_JcT(x, d) -> (p,)``      directional derivative of c along
+                                       d, ``jacobian(x).T @ d``
     * ``apply_Jc(x, w) -> (n,)``       weighted combination of constraint
                                        gradients, sum_l w_l grad c_l(x)
     * ``eval_A(x) -> (n,)``            dissolving map
@@ -100,7 +101,9 @@ class ManifoldHandle:
                                        l equal to ``apply_Jc(x, e_l)``;
                                        keyword-only and required.  A
                                        handle rebuilt with a new
-                                       ``apply_Jc`` needs a new one.
+                                       ``apply_Jc`` needs a new one, and
+                                       one with a new ``jacobian`` a new
+                                       ``apply_JcT``.
     * ``point(x)``                     the state at x, keyword-only and
                                        required: ``ax`` = A(x), ``cx`` =
                                        c(x) and ``jat(g)``, bit for bit
@@ -146,17 +149,13 @@ class ManifoldHandle:
     point: Callable[[Vector], Any] = field(kw_only=True)
 
     def __post_init__(self):
-        _check_shape(self.shape, self.n)
+        if self.shape is not None and self.shape[0] * self.shape[1] != self.n:
+            raise DimensionError(
+                f"shape {self.shape} does not hold n = {self.n} entries")
         if self.row_blocks and (self.shape is None or self.p != self.shape[0]):
             raise DimensionError(
                 f"row_blocks needs shape (p, q), got shape {self.shape} "
                 f"with p = {self.p}")
-
-
-def _check_shape(shape: tuple[int, int] | None, n: int) -> None:
-    """``DimensionError`` unless ``shape`` is None or has n entries."""
-    if shape is not None and shape[0] * shape[1] != n:
-        raise DimensionError(f"shape {shape} does not hold n = {n} entries")
 
 
 def _empty_vec(x: Vector, d: Vector | None = None) -> Vector:
@@ -287,6 +286,16 @@ class ValidationReport:
     notes: list[str] = field(default_factory=list)
 
 
+def _check_point(x: Vector, n: int, what: str = "x") -> Vector:
+    """x as a flat float vector of length n, else a typed error."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != n:
+        raise DimensionError(f"{what} has length {x.size}, expected {n}")
+    if not np.all(np.isfinite(x)):
+        raise EvaluatorFaultError(f"{what} has a non-finite entry")
+    return x
+
+
 def _dense_columns(apply_comb: Callable[[Vector, Vector], Vector], x: Vector,
                    count: int, n: int) -> Vector:
     """n x count matrix whose k-th column is ``apply_comb(x, e_k)``."""
@@ -307,7 +316,8 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
     constraint-gradient columns through J_A^T, and the adjointness error
     ``|<J_A d, g> - <d, J_A^T g>| / (||d|| ||g||)`` of the forward and
     transposed actions for random d, g.  All three read one state
-    ``handle.point(x)`` per probe.  Each must be within ``tol`` (> 0, else
+    ``handle.point(x)`` per probe, and the constraint gradients come from
+    one ``handle.jacobian(x)`` read.  Each must be within ``tol`` (> 0, else
     ``ParameterError``) for the report to pass.  A probe that
     ``a_infinity`` cannot project is skipped with a note.
     """
@@ -320,9 +330,7 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
     used = 0
     rng = np.random.default_rng((handle.n, handle.p))  # d and g, per probe
     for k, probe in enumerate(probes):
-        x = np.asarray(probe, dtype=float).ravel()
-        if x.size != handle.n:
-            raise DimensionError(f"probe {k} has length {x.size}, expected {handle.n}")
+        x = _check_point(probe, handle.n, f"probe {k}")
         viol = float(np.linalg.norm(handle.eval_c(x)))
         if not np.isfinite(viol):
             raise EvaluatorFaultError(f"eval_c non-finite at probe {k}")
@@ -336,8 +344,7 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
         if not np.all(np.isfinite(pt.ax)):
             raise EvaluatorFaultError(f"eval_A non-finite at probe {k}")
         max_fix = max(max_fix, float(np.max(np.abs(pt.ax - x), initial=0.0)))
-        cols = _dense_columns(lambda z, e: pt.jat(handle.apply_Jc(z, e)), x,
-                              handle.p, handle.n)
+        cols = np.array([pt.jat(col) for col in handle.jacobian(x).T]).T
         if not np.all(np.isfinite(cols)):
             raise EvaluatorFaultError(f"Jacobian action non-finite at probe {k}")
         if handle.p > 0:

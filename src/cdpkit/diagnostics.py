@@ -32,6 +32,7 @@ from .core import (
     ProblemSpec,
     RankDeficiencyError,
     Vector,
+    _check_point,
     _dense_columns,
 )
 from .manifolds import GenericManifoldSpec, make_handle
@@ -90,9 +91,10 @@ def kkt_residual(problem: ProblemSpec, x: Vector) -> KktReport:
     ||P(grad f + Jv mu)||, and (rho, lambda) come from a triangular solve
     with the leading rank x rank block of R.  When B is rank deficient
     that is a basic solution, zero on the columns the pivoting put last,
-    not the minimum-norm one; the residual it reaches is the same.
+    not the minimum-norm one; the residual it reaches is the same.  A bad
+    x raises as in ``check_licq``.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = _check_point(x, problem.n)
     g = problem.grad_f(x)
     Jc, Ju, Jv = dense_jacobians(problem, x)
     B = np.hstack([Jc, Ju])
@@ -130,8 +132,9 @@ def _active_set(v: Vector) -> list[int]:
 
 def check_licq(problem: ProblemSpec, x: Vector, tol: float = 1e-8) -> bool:
     """True when the active constraint gradients are linearly independent
-    (smallest singular value above ``tol`` times the largest)."""
-    x = np.asarray(x, dtype=float).ravel()
+    (smallest singular value above ``tol`` times the largest).  A wrong
+    length raises ``DimensionError``, a non-finite x ``EvaluatorFaultError``."""
+    x = _check_point(x, problem.n)
     Jc, Ju, Jv = dense_jacobians(problem, x)
     M = np.hstack([Jc, Ju, Jv[:, _active_set(problem.eval_v(x))]])
     if M.shape[1] == 0:
@@ -583,7 +586,6 @@ def make_synthetic_kkt(n: int = 12, p: int = 2, n_eq: int = 2,
     gspec = GenericManifoldSpec(
         n=n, p=p,
         eval_c=lambda x: Jc.T @ (x - x_star),
-        apply_JcT=lambda x, d: Jc.T @ d,
         apply_Jc=lambda x, w: Jc @ w,
         apply_dJc=lambda x, d, w: np.zeros(n),
         name=f"affine({n},{p})")

@@ -19,14 +19,12 @@ from .core import (
     ManifoldHandle,
     RankDeficiencyError,
     Vector,
-    _check_shape,
     _dense_columns,
     default_fd_step,
 )
 
 __all__ = [
     "GenericManifoldSpec",
-    "euclidean_handle",
     "make_handle",
     "symplectic_canonical_point",
     "symplectic_form",
@@ -84,17 +82,19 @@ class _SpherePoint:
 
 @dataclass(frozen=True)
 class GenericManifoldSpec:
-    """User-supplied constraint map with Jacobian actions.
+    """User-supplied constraint map ``eval_c`` and its Jacobian action
+    ``apply_Jc(x, w)`` = Jc(x) w; the rest is optional.
 
-    ``apply_dJc(x, d, w)`` is the optional second-order action
+    ``apply_dJc(x, d, w)`` is the second-order action
     ``(D_d Jc(x)) w = sum_l w_l Hess(c_l)(x) d``; when omitted it is
     approximated by central differences of ``apply_Jc``.
 
-    ``jacobian(x)`` is the optional dense n x p ``Jc(x)``, column l equal
-    to ``apply_Jc(x, e_l)``; without it, the handle's ``jacobian`` takes p
+    ``jacobian(x)`` is the dense n x p ``Jc(x)``, column l equal to
+    ``apply_Jc(x, e_l)``; without it, the handle's ``jacobian`` takes p
     ``apply_Jc`` columns.  A spec rebuilt with ``dataclasses.replace(...,
-    apply_Jc=...)`` must replace ``jacobian`` too, or set it to None.
-    ``shape``, when given, must hold n entries.
+    apply_Jc=...)`` must replace ``jacobian`` too, or set it to None.  The
+    handle's ``apply_JcT(x, d)`` is ``jacobian(x).T @ d``, so ``cdpkit
+    validate``'s finite-difference check of c covers ``jacobian``.
 
     Every callable must be a pure function of its arguments.  The
     handle's ``point(x)`` reads ``jacobian`` once and keeps the state at x
@@ -102,20 +102,18 @@ class GenericManifoldSpec:
     A(x)); its ``jat`` and ``ja`` share that state.  A state's first
     Jacobian action of A forms G^{-1}, so later actions there cost
     products instead of solves; ``eval_A`` never forms it.  Of the
-    handle's per-call fields, ``eval_c``, ``apply_JcT`` and ``apply_Jc``
-    are the spec's, and ``apply_Jc`` is the one door to Jc(x) w, not
-    ``J @ w``, which rounds differently; ``eval_A`` and ``apply_JAT``
-    each read a new state.
+    handle's per-call fields, ``eval_c`` and ``apply_Jc`` are the spec's,
+    and ``apply_Jc`` is the one door to Jc(x) w, not ``J @ w``, which
+    rounds differently; ``eval_A`` and ``apply_JAT`` each read a new
+    state.
     """
 
     n: int
     p: int
     eval_c: Callable[[Vector], Vector]
-    apply_JcT: Callable[[Vector, Vector], Vector]
     apply_Jc: Callable[[Vector, Vector], Vector]
     apply_dJc: Callable[[Vector, Vector, Vector], Vector] | None = None
     name: str = "generic"
-    shape: tuple[int, int] | None = None
     jacobian: Callable[[Vector], Vector] | None = None
 
     def __post_init__(self):
@@ -123,7 +121,6 @@ class GenericManifoldSpec:
             raise DimensionError(
                 f"generic spec needs n, p > 0, got ({self.n}, {self.p}); "
                 "a map without constraints is the euclidean handle")
-        _check_shape(self.shape, self.n)
 
 
 def _djc_action(spec: GenericManifoldSpec, x: Vector, d: Vector, w: Vector) -> Vector:
@@ -267,11 +264,6 @@ def symplectic_spec(m: int, q: int) -> GenericManifoldSpec:
         X = as_mat(x)
         return (X.T @ Qm @ X - Qq)[iu]
 
-    def apply_JcT(x, d):
-        X, D = as_mat(x), as_mat(d)
-        B = D.T @ Qm @ X + X.T @ Qm @ D
-        return B[iu]
-
     def apply_Jc(x, w):
         return (minus_qm(as_mat(x)) @ skew_from(w)).ravel()
 
@@ -289,21 +281,22 @@ def symplectic_spec(m: int, q: int) -> GenericManifoldSpec:
         return apply_Jc(d, w)
 
     return GenericManifoldSpec(
-        n=n, p=p, eval_c=eval_c, apply_JcT=apply_JcT, apply_Jc=apply_Jc,
-        apply_dJc=apply_dJc, name=f"symplectic_stiefel({m},{q})", shape=(m, q),
-        jacobian=jacobian)
+        n=n, p=p, eval_c=eval_c, apply_Jc=apply_Jc, apply_dJc=apply_dJc,
+        name=f"symplectic_stiefel({m},{q})", jacobian=jacobian)
 
 
 # ---------------------------------------------------------------------------
 # Handle factory.
 
 
-def _point_reads(point: Callable[[Vector], object]) -> dict:
-    """A handle's ``point`` with ``eval_A`` and ``apply_JAT`` as one-line
-    reads of a new state."""
-    return dict(point=point,
+def _derived_reads(point: Callable[[Vector], object],
+                   jacobian: Callable[[Vector], Vector]) -> dict:
+    """A handle's ``point`` and ``jacobian``, and the one-line reads of
+    them: ``eval_A``, ``apply_JAT`` (of a new state) and ``apply_JcT``."""
+    return dict(point=point, jacobian=jacobian,
                 eval_A=lambda x: point(x).ax,
-                apply_JAT=lambda x, g: point(x).jat(g))
+                apply_JAT=lambda x, g: point(x).jat(g),
+                apply_JcT=lambda x, d: jacobian(x).T @ d)
 
 
 def _oblique_handle(m: int, q: int) -> ManifoldHandle:
@@ -325,10 +318,9 @@ def _oblique_handle(m: int, q: int) -> ManifoldHandle:
     return ManifoldHandle(
         name=f"oblique({m},{q})", n=n, p=m,
         eval_c=lambda x: np.sum(as_mat(x) ** 2, axis=1) - 1.0,
-        apply_JcT=lambda x, d: 2.0 * np.sum(as_mat(x) * as_mat(d), axis=1),
         apply_Jc=lambda x, w: (2.0 * np.asarray(w)[:, None] * as_mat(x)).ravel(),
-        **_point_reads(lambda x: _ObliquePoint(as_mat(x))),
-        jacobian=jacobian, shape=(m, q), row_blocks=True)
+        **_derived_reads(lambda x: _ObliquePoint(as_mat(x)), jacobian),
+        shape=(m, q), row_blocks=True)
 
 
 def _sphere_handle(n: int) -> ManifoldHandle:
@@ -337,10 +329,9 @@ def _sphere_handle(n: int) -> ManifoldHandle:
     return ManifoldHandle(
         name=f"sphere({n})", n=n, p=1,
         eval_c=lambda x: np.array([float(np.dot(x, x)) - 1.0]),
-        apply_JcT=lambda x, d: np.array([2.0 * float(np.dot(x, d))]),
         apply_Jc=lambda x, w: 2.0 * float(np.asarray(w).ravel()[0]) * np.asarray(x, dtype=float),
-        **_point_reads(_SpherePoint),
-        jacobian=lambda x: 2.0 * np.asarray(x, dtype=float)[:, None])
+        **_derived_reads(_SpherePoint,
+                         lambda x: 2.0 * np.asarray(x, dtype=float)[:, None]))
 
 
 def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
@@ -349,11 +340,9 @@ def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
     return ManifoldHandle(
         name=spec.name, n=spec.n, p=spec.p,
         eval_c=spec.eval_c,
-        apply_JcT=spec.apply_JcT,
         apply_Jc=spec.apply_Jc,
-        **_point_reads(functools.partial(_GenericPoint, spec, jacobian)),
-        shape=spec.shape,
-        jacobian=jacobian)
+        **_derived_reads(functools.partial(_GenericPoint, spec, jacobian),
+                         jacobian))
 
 
 class _EuclideanPoint:
@@ -371,7 +360,7 @@ class _EuclideanPoint:
     ja = jat
 
 
-def euclidean_handle(n: int) -> ManifoldHandle:
+def _euclidean_handle(n: int) -> ManifoldHandle:
     """Trivial handle with no manifold constraint (p = 0, A = identity).
 
     Accepted by the direct-NLP solver only, for oracle problems.
@@ -379,10 +368,8 @@ def euclidean_handle(n: int) -> ManifoldHandle:
     return ManifoldHandle(
         name=f"euclidean({n})", n=n, p=0,
         eval_c=lambda x: np.zeros(0),
-        apply_JcT=lambda x, d: np.zeros(0),
         apply_Jc=lambda x, w: np.zeros(n),
-        **_point_reads(_EuclideanPoint),
-        jacobian=lambda x: np.zeros((n, 0)))
+        **_derived_reads(_EuclideanPoint, lambda x: np.zeros((n, 0))))
 
 
 def make_handle(family: str, *, m: int | None = None, q: int | None = None,
@@ -412,5 +399,5 @@ def make_handle(family: str, *, m: int | None = None, q: int | None = None,
     if family == "euclidean":
         if n is None:
             raise DimensionError("euclidean requires n")
-        return euclidean_handle(n)
+        return _euclidean_handle(n)
     raise DimensionError(f"unknown manifold family {family!r}")

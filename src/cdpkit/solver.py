@@ -25,6 +25,7 @@ from .core import (
     SolveTrace,
     TraceRow,
     Vector,
+    _check_point,
 )
 # ``estimate_constants`` stays a module attribute because the benchmark's
 # tracer (perfbench/tracing.py) rebinds it here; the safeguard itself reads
@@ -370,9 +371,10 @@ def _alm_loop(problem: ProblemSpec, form, x0: Vector,
               opts: AlmOptions) -> SolveResult:
     """Shared outer loop.  ``form`` is the formulation, ``_Dissolved`` or
     ``_Direct``: the only part that differs between the pipelines.  The
-    first ``form.split`` equality multipliers belong to c."""
+    first ``form.split`` equality multipliers belong to c.  A bad x0
+    raises as in ``check_licq``, before the loop starts."""
     t0 = time.perf_counter()
-    x = np.asarray(x0, dtype=float).ravel().copy()
+    x = _check_point(x0, problem.n, "x0").copy()
     n_eq, n_ineq = form.split + problem.n_eq, problem.n_ineq
     lam = np.zeros(n_eq)
     mu = np.zeros(n_ineq)

@@ -15,7 +15,6 @@ def sphere_constraint_spec(n: int) -> GenericManifoldSpec:
     return GenericManifoldSpec(
         n=n, p=1,
         eval_c=lambda x: np.array([float(np.dot(x, x)) - 1.0]),
-        apply_JcT=lambda x, d: np.array([2.0 * float(np.dot(x, d))]),
         apply_Jc=lambda x, w: 2.0 * float(np.asarray(w).ravel()[0]) * np.asarray(x, dtype=float).ravel(),
         apply_dJc=lambda x, d, w: 2.0 * float(np.asarray(w).ravel()[0]) * np.asarray(d, dtype=float).ravel(),
         name=f"sphere_as_generic({n})")

@@ -23,9 +23,13 @@ from cdpkit.core import (
     validate_manifold,
 )
 from cdpkit.dissolve import build_cdp
-from cdpkit.manifolds import make_handle, symplectic_spec
+from cdpkit.manifolds import make_handle, symplectic_canonical_point
 
-from conftest import near_manifold_points, sphere_constraint_spec
+from conftest import (
+    counting_jc_reads,
+    near_manifold_points,
+    sphere_constraint_spec,
+)
 
 
 class TestExports:
@@ -86,8 +90,6 @@ class TestDomainTypes:
         with pytest.raises(DimensionError):
             dataclasses.replace(make_handle("oblique", m=4, q=3),
                                 shape=(4, 2))
-        with pytest.raises(DimensionError):
-            dataclasses.replace(symplectic_spec(8, 4), shape=(8, 2))
 
     def test_trace_key_fields_exclude_wall_time(self):
         a = TraceRow(1, -1.0, 1e-7, 1e-7, 1.0, 10.0, 0.1, 0.5)
@@ -155,6 +157,23 @@ class TestValidateManifold:
         assert not report.passed
         assert report.max_adjoint_error > 1e-4
         assert report.max_fixed_point_error == 0.0
+
+    @pytest.mark.parametrize("family", ["oblique", "symplectic_stiefel"])
+    def test_one_jacobian_read_per_used_probe(self, family):
+        # The constraint gradients come from one dense Jc read, not p
+        # apply_Jc columns.
+        if family == "oblique":
+            handle = make_handle("oblique", m=5, q=3)
+            X = np.random.default_rng(0).standard_normal((5, 3))
+            base = (X / np.linalg.norm(X, axis=1, keepdims=True)).ravel()
+        else:
+            handle = make_handle(family, m=8, q=4)
+            base = symplectic_canonical_point(8, 4).ravel()
+        counted, taken = counting_jc_reads(handle)
+        probes = near_manifold_points(handle, base, 3, 0.01, seed=2)
+        report = validate_manifold(counted, probes, tol=1e-8)
+        assert report.probes_used == 3 and report.passed
+        assert taken() == (3, 0)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_tolerance_must_be_positive(self, tol):

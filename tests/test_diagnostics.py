@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cdpkit.core import (
+    DimensionError,
+    EvaluatorFaultError,
     MultiplierSet,
     ParameterError,
     PenaltyParams,
@@ -196,6 +198,36 @@ class TestMakeSyntheticKkt:
         assert kkt_residual(problem, x_star).stationarity <= 1e-10
 
 
+def _bad_cut_point(bad):
+    """Balanced cut m=10, q=2 and its start with one NaN entry, or one
+    entry short."""
+    problem, x0 = gen_balanced_cut(BalancedCutConfig(m=10, q=2, rho=0.3,
+                                                     seed=3))
+    x = np.array(x0, dtype=float)
+    if bad == "nan":
+        x[4] = np.nan
+        return problem, x
+    return problem, x[:-1]
+
+
+BAD_POINTS = [("nan", EvaluatorFaultError), ("short", DimensionError)]
+
+
+@pytest.mark.parametrize("bad, error", BAD_POINTS)
+def test_kkt_residual_rejects_a_bad_point(bad, error):
+    # A typed error, not one from inside the QR factorization.
+    problem, x = _bad_cut_point(bad)
+    with pytest.raises(error):
+        kkt_residual(problem, x)
+
+
+@pytest.mark.parametrize("bad, error", BAD_POINTS)
+def test_check_licq_rejects_a_bad_point(bad, error):
+    problem, x = _bad_cut_point(bad)
+    with pytest.raises(error):
+        check_licq(problem, x)
+
+
 class TestLicq:
     def test_sphere_at_basis_vector_holds(self):
         problem = linear_objective_sphere_problem(4)
@@ -312,7 +344,6 @@ class TestEstimateConstants:
         spec = GenericManifoldSpec(
             n=3, p=1,
             eval_c=lambda x: np.array([float(np.dot(x, x))]),
-            apply_JcT=lambda x, d: np.array([2.0 * float(np.dot(x, d))]),
             apply_Jc=lambda x, w: 2.0 * float(np.asarray(w).ravel()[0])
             * np.asarray(x, dtype=float),
             name="vanishing_jacobian")

@@ -189,7 +189,6 @@ class TestGenericOperator:
         spec = GenericManifoldSpec(
             n=3, p=2,
             eval_c=lambda x: np.array([np.dot(x, x) - 1.0] * 2),
-            apply_JcT=lambda x, d: np.array([2.0 * np.dot(x, d)] * 2),
             apply_Jc=lambda x, w: 2.0 * (w[0] + w[1]) * np.asarray(x, dtype=float),
             name="duplicated")
         with pytest.raises(RankDeficiencyError):
@@ -207,7 +206,6 @@ class TestGenericOperator:
         return GenericManifoldSpec(
             n=5, p=3,
             eval_c=lambda x: B.T @ x - 1.0,
-            apply_JcT=lambda x, d: B.T @ d,
             apply_Jc=lambda x, w: B @ w,
             apply_dJc=lambda x, d, w: np.zeros(5),
             name="affine"), B
@@ -253,7 +251,6 @@ class TestGenericOperator:
         with pytest.raises(DimensionError):
             GenericManifoldSpec(
                 n=3, p=0, eval_c=lambda x: np.zeros(0),
-                apply_JcT=lambda x, d: np.zeros(0),
                 apply_Jc=lambda x, w: np.zeros(3))
 
     def test_jacobian_action_matches_finite_differences(self):
@@ -411,7 +408,6 @@ class TestGenericHandleCache:
         spec = GenericManifoldSpec(
             n=4, p=1,
             eval_c=lambda x: np.array([float(np.sum(x ** 3)) - 1.0]),
-            apply_JcT=lambda x, d: np.array([3.0 * float(np.dot(x ** 2, d))]),
             apply_Jc=lambda x, w: 3.0 * float(np.asarray(w)[0]) * x ** 2,
             name="cubic")
         handle = make_handle("generic", spec=spec)
@@ -473,13 +469,13 @@ class TestSymplecticFamily:
                 owner.apply_Jc, x, owner.p, owner.n))
 
     def test_jacobian_adjoint_consistency(self):
-        spec = symplectic_spec(8, 4)
+        handle = make_handle("symplectic_stiefel", m=8, q=4)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(32)
         d = rng.standard_normal(32)
-        w = rng.standard_normal(spec.p)
-        lhs = float(np.dot(spec.apply_JcT(x, d), w))
-        rhs = float(np.dot(d, spec.apply_Jc(x, w)))
+        w = rng.standard_normal(handle.p)
+        lhs = float(np.dot(handle.apply_JcT(x, d), w))
+        rhs = float(np.dot(d, handle.apply_Jc(x, w)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -508,6 +504,46 @@ class TestMakeHandle:
             make_handle("symplectic_stiefel", m=7, q=2)
         with pytest.raises(DimensionError):
             make_handle("symplectic_stiefel", m=8, q=3)
+
+
+class TestConstraintJacobianTranspose:
+    """A handle's ``apply_JcT`` is ``jacobian(x).T @ d``, so differencing
+    ``eval_c`` against it checks the Jc that the KKT and LICQ checks, the
+    Gauss-Newton map and the beta safeguard read."""
+
+    HANDLES = {
+        "oblique": lambda: make_handle("oblique", m=5, q=3),
+        "sphere": lambda: make_handle("sphere", n=6),
+        "symplectic_stiefel": lambda: make_handle("symplectic_stiefel",
+                                                  m=8, q=4),
+        "generic": lambda: make_handle("generic",
+                                       spec=sphere_constraint_spec(6)),
+        "euclidean": lambda: make_handle("euclidean", n=4),
+    }
+
+    @pytest.mark.parametrize("family", sorted(HANDLES))
+    def test_matches_finite_differences_of_c(self, family):
+        handle = self.HANDLES[family]()
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal(handle.n)
+        assert handle.apply_JcT(x, rng.standard_normal(handle.n)).shape \
+            == (handle.p,)
+        err = finite_diff_check(handle.eval_c, handle.apply_JcT, x,
+                                step=default_fd_step(x))
+        assert err <= 1e-7
+
+    def test_a_wrong_jacobian_fails_the_check(self):
+        # apply_Jc is right, jacobian is 3x against the true 2x: the check
+        # must see the Jacobian the solver reads, not a third formula.
+        spec = dataclasses.replace(
+            sphere_constraint_spec(6),
+            jacobian=lambda x: 3.0 * np.asarray(x, dtype=float)[:, None])
+        handle = make_handle("generic", spec=spec)
+        x = np.random.default_rng(0).standard_normal(6)
+        x /= np.linalg.norm(x)
+        err = finite_diff_check(handle.eval_c, handle.apply_JcT, x,
+                                step=default_fd_step(x))
+        assert err > 0.1
 
 
 @pytest.fixture(scope="module")

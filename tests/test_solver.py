@@ -10,10 +10,16 @@ from cdpkit.bench import (
     gen_balanced_cut,
     gen_center_of_mass,
 )
-from cdpkit.core import ParameterError, PenaltyParams, ProblemSpec
+from cdpkit.core import (
+    DimensionError,
+    EvaluatorFaultError,
+    ParameterError,
+    PenaltyParams,
+    ProblemSpec,
+)
 from cdpkit.diagnostics import make_synthetic_kkt
 from cdpkit.dissolve import a_infinity, build_cdp, lagrangian_decrease_probe
-from cdpkit.manifolds import make_handle
+from cdpkit.manifolds import GenericManifoldSpec, make_handle
 from cdpkit.solver import (
     BETA_GROWTH,
     AlmOptions,
@@ -167,6 +173,9 @@ class TestAlmOptions:
         assert [f.name for f in dataclasses.fields(AlmOptions)] == [
             "outer_tol_stationarity", "outer_tol_feasibility", "max_outer",
             "max_inner", "beta_adapt", "time_budget"]
+        # A spec asks only for what the handle reads.
+        assert [f.name for f in dataclasses.fields(GenericManifoldSpec)] == [
+            "n", "p", "eval_c", "apply_Jc", "apply_dJc", "name", "jacobian"]
 
         def keywords(fn):
             return [name for name, p in inspect.signature(fn).parameters.items()
@@ -202,6 +211,25 @@ def test_one_evaluation_builds_one_state(family):
     value, grad = value_and_grad(x0 + 0.01)
     assert len(built) == 1
     assert np.isfinite(value) and np.all(np.isfinite(grad))
+
+
+@pytest.mark.parametrize("pipeline", ["cdp", "nlp"])
+@pytest.mark.parametrize("bad, error", [("nan", EvaluatorFaultError),
+                                        ("short", DimensionError)])
+def test_bad_start_raises_a_typed_error(pipeline, bad, error):
+    # Before pass 0, not from a factorization or a reshape inside it.
+    problem, x0 = gen_balanced_cut(BalancedCutConfig(m=10, q=2, rho=0.3,
+                                                     seed=3))
+    x0 = np.array(x0, dtype=float)
+    if bad == "nan":
+        x0[4] = np.nan
+    else:
+        x0 = x0[:-1]
+    with pytest.raises(error):
+        if pipeline == "cdp":
+            alm_solve_cdp(build_cdp(problem, PenaltyParams(beta=10.0)), x0)
+        else:
+            alm_solve_nlp_direct(problem, x0)
 
 
 class TestAlmCdp:

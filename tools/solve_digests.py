@@ -4,8 +4,9 @@
 
 Solves each instance of every workload in ``<checkout>/BENCHMARK.json``
 with both pipelines and the default ``AlmOptions()``, as the benchmark
-does, and prints one line per solve and one per instance.  Two checkouts
-whose outputs are identical give bitwise-equal results on the benchmark:
+does, and prints one line per solve, one per instance and one per
+manifold family.  Two checkouts whose outputs are identical give
+bitwise-equal results on the benchmark:
 
 * a solve line holds its status, its trace's row count and a SHA-256 of
   the start x0, every ``TraceRow.key_fields()``, the objective, the bytes
@@ -14,7 +15,10 @@ whose outputs are identical give bitwise-equal results on the benchmark:
 * an instance line holds SHA-256s of the reprs of the beta safeguard's
   constants (``_bound_constants`` at radius 0.1, 30 samples) and of
   ``estimate_constants`` (radius 0.05, 30 samples), both around
-  ``a_infinity(x0)`` with seed 0.
+  ``a_infinity(x0)`` with seed 0;
+* a family line, printed at the family's first instance, holds a SHA-256
+  of the repr of ``validate_manifold``'s report at 10 probes, Gaussian
+  with scale 0.05 (seed 0) around ``a_infinity(x0)``.
 
 The checkout's ``src`` and ``perfbench`` come first on ``sys.path``, and
 BLAS runs on one thread.  It takes about 15 s on one core of a 2-core
@@ -82,6 +86,18 @@ def constants_line(problem, x0) -> str:
     return f"bound {_digest(repr(bound))} estimates {_digest(repr(est))}"
 
 
+def validate_line(problem, x0) -> str:
+    from cdpkit.core import validate_manifold
+    from cdpkit.dissolve import a_infinity
+
+    x_ref = a_infinity(problem.manifold, x0)
+    rng = np.random.default_rng(0)
+    probes = [x_ref + 0.05 * rng.standard_normal(x_ref.size)
+              for _ in range(10)]
+    report = validate_manifold(problem.manifold, probes, tol=1e-8)
+    return f"probes_used={report.probes_used} {_digest(repr(report))}"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -95,10 +111,16 @@ def main(argv=None) -> int:
     from workloads import configs
 
     bench = json.loads((checkout / "BENCHMARK.json").read_text())
+    families = set()
     for workload in (w["name"] for w in bench["workloads"]):
         for cfg in configs(workload, 0):
             problem, inst, x0 = _build_instance(cfg)
             label = f"{workload} {cfg.label()}"
+            family = problem.manifold.name.partition("(")[0]
+            if family not in families:
+                families.add(family)
+                print(f"{label} validate {family} "
+                      f"{validate_line(problem, x0)}", flush=True)
             print(f"{label} constants {constants_line(problem, x0)}",
                   flush=True)
             for pipeline in ("cdp", "nlp"):
