@@ -285,11 +285,11 @@ def _build_instance(cfg):
     return problem, build_cdp(problem, PenaltyParams(beta=cfg.beta)), x0
 
 
-def run_experiment(grid, out=None, budget: float = 1200.0) -> list[RunRecord]:
+def run_experiment(grid, budget: float = 1200.0) -> list[RunRecord]:
     """Run both pipelines from the same initial point on every config.
 
     Per-run failures are recorded in the status column and never abort the
-    grid.  ``out`` may be a writable text sink receiving CSV rows.
+    grid.
     """
     records: list[RunRecord] = []
     opts = AlmOptions(time_budget=budget)
@@ -316,8 +316,6 @@ def run_experiment(grid, out=None, budget: float = 1200.0) -> list[RunRecord]:
                 rec = RunRecord(cfg.label(), pipe, np.nan, np.nan, np.nan,
                                 time.perf_counter() - t0, f"error: {exc}")
             records.append(rec)
-    if out is not None:
-        out.write(records_to_csv(records))
     return records
 
 

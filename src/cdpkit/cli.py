@@ -57,7 +57,7 @@ def _family(args):
     """The handle named by ``--family`` and its canonical feasible point."""
     if args.family == "oblique":
         handle = manifolds.make_handle("oblique", m=args.m, q=args.q)
-        X = np.zeros(handle.shape)
+        X = np.zeros(handle.row_blocks)
         X[:, 0] = 1.0
         return handle, X.ravel()
     if args.family == "sphere":

@@ -3,8 +3,8 @@ the error types and finite-difference utilities.  Configuration documents
 are read in ``bench``, next to the instance generators they describe.
 
 All evaluators work on flat float64 vectors of length ``n``.  Matrix
-variables are flattened row-major; the owning handle carries the
-``(rows, cols)`` metadata needed to reshape internally.
+variables are flattened row-major; a handle whose map acts row by row declares
+the matrix's ``(rows, cols)`` in ``row_blocks``.
 """
 
 from __future__ import annotations
@@ -122,17 +122,15 @@ class ManifoldHandle:
     ``apply_JAT``.  The shipped handles' ``eval_A`` and ``apply_JAT`` read
     a new state per call; a rebuilt handle needs a ``point`` that agrees.
 
-    ``shape``, when given, is the ``(rows, cols)`` of the matrix variable;
-    ``rows * cols != n`` raises ``DimensionError``.
-
-    ``row_blocks`` declares structure, not a formula: ``shape == (m, q)``,
-    ``p == m``, and ``c_i`` and row i of ``A`` depend only on row i of X.
-    Then ``Jc`` and ``J_A^T`` are block diagonal with one block per row,
-    and the constant estimates in ``diagnostics`` read them as stacks of
-    those blocks, through the handle's own actions.  For a handle without
-    the declaration they bound the norms of ``J_A^T`` matrix-free, from
-    the state's ``jat`` and ``ja``.  A declaration without ``shape``, or
-    with ``p != shape[0]``, raises ``DimensionError``.
+    ``row_blocks``, when given, is the ``(m, q)`` of the matrix variable
+    X and declares structure, not a formula: ``c_i`` and row i of ``A``
+    depend only on row i of X.  Then ``Jc`` and ``J_A^T`` are block
+    diagonal with one block per row, and the constant estimates in
+    ``diagnostics`` read them as stacks of those blocks, through the
+    handle's own actions.  For a handle without the declaration they
+    bound the norms of ``J_A^T`` matrix-free, from the state's ``jat``
+    and ``ja``.  A declaration with ``m * q != n`` or ``m != p`` raises
+    ``DimensionError``.
     """
 
     name: str
@@ -143,19 +141,17 @@ class ManifoldHandle:
     apply_Jc: Callable[[Vector, Vector], Vector]
     eval_A: Callable[[Vector], Vector]
     apply_JAT: Callable[[Vector, Vector], Vector]
-    shape: tuple[int, int] | None = None
-    row_blocks: bool = False
+    row_blocks: tuple[int, int] | None = None
     jacobian: Callable[[Vector], Vector] = field(kw_only=True)
     point: Callable[[Vector], Any] = field(kw_only=True)
 
     def __post_init__(self):
-        if self.shape is not None and self.shape[0] * self.shape[1] != self.n:
-            raise DimensionError(
-                f"shape {self.shape} does not hold n = {self.n} entries")
-        if self.row_blocks and (self.shape is None or self.p != self.shape[0]):
-            raise DimensionError(
-                f"row_blocks needs shape (p, q), got shape {self.shape} "
-                f"with p = {self.p}")
+        if self.row_blocks is not None:
+            m, q = self.row_blocks
+            if m * q != self.n or m != self.p:
+                raise DimensionError(
+                    f"row_blocks {self.row_blocks} needs m * q = n = "
+                    f"{self.n} and m = p = {self.p}")
 
 
 def _empty_vec(x: Vector, d: Vector | None = None) -> Vector:

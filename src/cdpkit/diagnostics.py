@@ -199,7 +199,7 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
     Returns the constants, the points (x first) and the generator after
     sampling, so ``estimate_constants`` continues from the same draws.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = _check_point(x, problem.n)
     if not 0.0 < radius <= 1.0:
         raise ParameterError(f"radius must be in (0, 1], got {radius}")
     if samples < 1:
@@ -377,7 +377,7 @@ class _Blocks:
     """Reads Jc, J_A^T and J_A^T Jc(A(y)) of a handle.
 
     Jc and J_A^T Jc(A(y)) come as (m, q, k) stacks of their q x k diagonal
-    blocks.  A ``row_blocks`` handle (shape (m, q)) has one block per row
+    blocks.  A handle with ``row_blocks = (m, q)`` has one block per row
     of X, with k = 1; any other handle is one block, m = 1, q = n, k = p:
     the dense n x p matrices, and Jc is the handle's ``jacobian`` read.
     Row i of a row-block action depends only on row i of its direction, so
@@ -398,8 +398,8 @@ class _Blocks:
     def __init__(self, problem: ProblemSpec, seed: int = 0):
         mani = self.mani = problem.manifold
         self.seed = seed
-        if mani.row_blocks:
-            (self.m, self.q), self.k = mani.shape, 1
+        if mani.row_blocks is not None:
+            (self.m, self.q), self.k = mani.row_blocks, 1
         else:
             self.m, self.q, self.k = 1, problem.n, problem.p
 
@@ -433,9 +433,9 @@ class _Blocks:
                               count, m * q).reshape(m, q, count)
 
     def stack_jc(self, y: Vector) -> Vector:
-        """Jc(y) as its stack: on a one-block handle the handle's dense
+        """Jc(y) as its stack: without ``row_blocks`` the handle's dense
         ``jacobian`` read."""
-        if self.m == 1:
+        if self.mani.row_blocks is None:
             return self.mani.jacobian(y)[None]
         return self._stack(lambda w: self.mani.apply_Jc(y, w), self.k)
 
@@ -444,7 +444,7 @@ class _Blocks:
 
     def jat(self, pt) -> Vector | _JatOperator:
         """J_A^T at the state ``pt`` = ``ManifoldHandle.point(y)``."""
-        if self.mani.row_blocks:
+        if self.mani.row_blocks is not None:
             return self._stack(pt.jat, self.q)
         return _JatOperator(pt.jat, pt.ja, self.start)
 

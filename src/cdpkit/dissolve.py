@@ -19,6 +19,7 @@ from .core import (
     PenaltyParams,
     ProblemSpec,
     Vector,
+    _check_point,
 )
 from .diagnostics import check_condition, estimate_constants
 
@@ -152,7 +153,7 @@ def apply_A_k(handle: ManifoldHandle, y: Vector, k: int) -> Vector:
     """k-fold composition of the dissolving map; k = 0 returns y."""
     if k < 0:
         raise DimensionError(f"k must be >= 0, got {k}")
-    z = np.asarray(y, dtype=float).ravel()
+    z = _check_point(y, handle.n, "y")
     viol = float(np.linalg.norm(handle.eval_c(z)))
     for _ in range(k):
         z, viol = _map_step(handle, z, viol)
@@ -169,7 +170,7 @@ def a_infinity(handle: ManifoldHandle, y: Vector,
     """
     if not tol > 0:
         raise DimensionError(f"tol must be positive, got {tol}")
-    z = np.asarray(y, dtype=float).ravel()
+    z = _check_point(y, handle.n, "y")
     viol = float(np.linalg.norm(handle.eval_c(z)))
     for _ in range(A_INFINITY_MAX_ITER):
         if viol <= tol:

@@ -320,7 +320,7 @@ def _oblique_handle(m: int, q: int) -> ManifoldHandle:
         eval_c=lambda x: np.sum(as_mat(x) ** 2, axis=1) - 1.0,
         apply_Jc=lambda x, w: (2.0 * np.asarray(w)[:, None] * as_mat(x)).ravel(),
         **_derived_reads(lambda x: _ObliquePoint(as_mat(x)), jacobian),
-        shape=(m, q), row_blocks=True)
+        row_blocks=(m, q))
 
 
 def _sphere_handle(n: int) -> ManifoldHandle:

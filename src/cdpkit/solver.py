@@ -403,9 +403,8 @@ def _alm_loop(problem: ProblemSpec, form, x0: Vector,
                 break
 
             _, e, iv, _ = form.evaluate(x)
-            ineq_viol = np.maximum(iv, -mu / sigma) if n_ineq else iv
-            viol_vec = np.concatenate([e, ineq_viol])
-            viol = float(np.linalg.norm(viol_vec)) if viol_vec.size else 0.0
+            viol = float(np.linalg.norm(
+                np.concatenate([e, np.maximum(iv, -mu / sigma)])))
 
             note = ""
             clip = MULTIPLIER_CLIP

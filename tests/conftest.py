@@ -5,7 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cdpkit.core import ManifoldHandle, ProblemSpec
+from cdpkit.bench import BalancedCutConfig, gen_balanced_cut
+from cdpkit.core import (
+    DimensionError,
+    EvaluatorFaultError,
+    ManifoldHandle,
+    ProblemSpec,
+)
 from cdpkit.manifolds import GenericManifoldSpec, make_handle
 
 
@@ -18,6 +24,21 @@ def sphere_constraint_spec(n: int) -> GenericManifoldSpec:
         apply_Jc=lambda x, w: 2.0 * float(np.asarray(w).ravel()[0]) * np.asarray(x, dtype=float).ravel(),
         apply_dJc=lambda x, d, w: 2.0 * float(np.asarray(w).ravel()[0]) * np.asarray(d, dtype=float).ravel(),
         name=f"sphere_as_generic({n})")
+
+
+def bad_cut_point(bad):
+    """Balanced cut m=10, q=2 and its start with one NaN entry, or one
+    entry short."""
+    problem, x0 = gen_balanced_cut(BalancedCutConfig(m=10, q=2, rho=0.3,
+                                                     seed=3))
+    x = np.array(x0, dtype=float)
+    if bad == "nan":
+        x[4] = np.nan
+        return problem, x
+    return problem, x[:-1]
+
+
+BAD_POINTS = [("nan", EvaluatorFaultError), ("short", DimensionError)]
 
 
 def counting_jc_reads(owner):

@@ -72,8 +72,8 @@ def _acceptance_handles():
 def _base_point(handle, given, seed=0):
     if given is not None:
         return given
-    if handle.shape is not None:
-        m, q = handle.shape
+    if handle.row_blocks is not None:
+        m, q = handle.row_blocks
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((m, q))
         X /= np.linalg.norm(X, axis=1, keepdims=True)

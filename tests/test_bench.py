@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,16 +249,14 @@ class TestRunExperiment:
 
     def test_csv_and_markdown_emission(self):
         grid = [BalancedCutConfig(m=8, q=2, rho=0.3, seed=1)]
-        sink = io.StringIO()
-        records = run_experiment(grid, out=sink, budget=60.0)
-        lines = sink.getvalue().strip().splitlines()
+        records = run_experiment(grid, budget=60.0)
+        lines = records_to_csv(records).strip().splitlines()
         assert lines[0].split(",") == ["problem", "pipeline", "fval",
                                        "stationarity", "feasibility", "time",
                                        "status"]
         assert len(lines) == 3
         table = records_to_markdown(records).splitlines()
         assert len({len(line) for line in table}) == 1  # aligned columns
-        assert records_to_csv(records) == sink.getvalue()
 
     def test_report_text_is_fixed_byte_for_byte(self):
         records = [

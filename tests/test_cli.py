@@ -39,6 +39,13 @@ class TestValidate:
         assert payload["passed"] is True
         assert 1.85 <= payload["quadratic_decrease_slope"] <= 2.15
 
+    def test_symplectic_stiefel_passes(self, capsys):
+        assert run(["validate", "--family", "symplectic_stiefel", "--m", "6",
+                    "--q", "2", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["family"] == "symplectic_stiefel(6,2)"
+        assert payload["passed"] is True
+
 
 class TestSolve:
     def test_balanced_cut_transformed_pipeline(self, capsys, tmp_path):
@@ -66,6 +73,14 @@ class TestSolve:
                  "--json", *extra])
             with trace.open() as fh:
                 assert next(csv.DictReader(fh))["beta"] == beta
+
+    def test_gamma_flag_reaches_the_instance(self):
+        argv = ["solve", "--family", "center_of_mass", "--m", "6", "--q", "2",
+                "--N", "5", "--r", "0.1", "--gamma", "2.0"]
+        _, instance, _ = cli._load_from_args(cli.build_parser().parse_args(argv))
+        assert list(instance.params.gamma) == [2.0]
+        assert instance.params.tau.size == 0
+        assert run(argv) == 0
 
     def test_pipelines_agree_on_objective(self, capsys):
         values = {}

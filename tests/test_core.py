@@ -72,24 +72,19 @@ class TestDomainTypes:
         with pytest.raises(ParameterError):
             trace.append(TraceRow(1, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0))
 
-    def test_row_blocks_without_shape_rejected(self):
-        handle = make_handle("oblique", m=3, q=2)
-        with pytest.raises(DimensionError):
-            dataclasses.replace(handle, shape=None)
-
     def test_row_blocks_with_one_constraint_per_row_only(self):
         handle = make_handle("oblique", m=3, q=2)
         with pytest.raises(DimensionError):
             dataclasses.replace(handle, p=2)
         with pytest.raises(DimensionError):
-            dataclasses.replace(handle, shape=(2, 3))
+            dataclasses.replace(handle, row_blocks=(2, 3))
 
     def test_shape_must_hold_n_entries(self):
-        # A handle whose shape disagrees with n would fail later, inside
-        # numpy, when a reader reshapes by it.
+        # A handle whose row_blocks disagree with n would fail later,
+        # inside numpy, when a reader reshapes by them.
         with pytest.raises(DimensionError):
             dataclasses.replace(make_handle("oblique", m=4, q=3),
-                                shape=(4, 2))
+                                row_blocks=(4, 2))
 
     def test_trace_key_fields_exclude_wall_time(self):
         a = TraceRow(1, -1.0, 1e-7, 1e-7, 1.0, 10.0, 0.1, 0.5)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cdpkit.core import (
-    DimensionError,
-    EvaluatorFaultError,
     MultiplierSet,
     ParameterError,
     PenaltyParams,
@@ -38,7 +36,12 @@ from cdpkit.diagnostics import (
 from cdpkit.dissolve import a_infinity
 from cdpkit.manifolds import GenericManifoldSpec, make_handle
 
-from conftest import counting_jc_reads, linear_objective_sphere_problem
+from conftest import (
+    BAD_POINTS,
+    bad_cut_point,
+    counting_jc_reads,
+    linear_objective_sphere_problem,
+)
 
 
 def _euclidean_quadratic(n=4, seed=0, with_v=False):
@@ -198,34 +201,27 @@ class TestMakeSyntheticKkt:
         assert kkt_residual(problem, x_star).stationarity <= 1e-10
 
 
-def _bad_cut_point(bad):
-    """Balanced cut m=10, q=2 and its start with one NaN entry, or one
-    entry short."""
-    problem, x0 = gen_balanced_cut(BalancedCutConfig(m=10, q=2, rho=0.3,
-                                                     seed=3))
-    x = np.array(x0, dtype=float)
-    if bad == "nan":
-        x[4] = np.nan
-        return problem, x
-    return problem, x[:-1]
-
-
-BAD_POINTS = [("nan", EvaluatorFaultError), ("short", DimensionError)]
-
-
 @pytest.mark.parametrize("bad, error", BAD_POINTS)
 def test_kkt_residual_rejects_a_bad_point(bad, error):
     # A typed error, not one from inside the QR factorization.
-    problem, x = _bad_cut_point(bad)
+    problem, x = bad_cut_point(bad)
     with pytest.raises(error):
         kkt_residual(problem, x)
 
 
 @pytest.mark.parametrize("bad, error", BAD_POINTS)
 def test_check_licq_rejects_a_bad_point(bad, error):
-    problem, x = _bad_cut_point(bad)
+    problem, x = bad_cut_point(bad)
     with pytest.raises(error):
         check_licq(problem, x)
+
+
+@pytest.mark.parametrize("bad, error", BAD_POINTS)
+def test_estimate_constants_rejects_a_bad_point(bad, error):
+    # A typed error, not numpy's from inside an SVD or a reshape.
+    problem, x = bad_cut_point(bad)
+    with pytest.raises(error):
+        estimate_constants(problem, x, radius=0.05, samples=3)
 
 
 class TestLicq:
@@ -411,7 +407,7 @@ def _unblocked(problem, x):
     """The problem with its handle's ``row_blocks`` declaration dropped."""
     return dataclasses.replace(
         problem, manifold=dataclasses.replace(problem.manifold,
-                                              row_blocks=False)), x
+                                              row_blocks=None)), x
 
 
 # Largest relative gap of a matrix-free norm of J_A^T below the dense one

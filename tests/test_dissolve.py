@@ -23,7 +23,12 @@ from cdpkit.dissolve import (
 )
 from cdpkit.manifolds import make_handle, symplectic_canonical_point
 
-from conftest import linear_objective_sphere_problem, sphere_constraint_spec
+from conftest import (
+    BAD_POINTS,
+    bad_cut_point,
+    linear_objective_sphere_problem,
+    sphere_constraint_spec,
+)
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +207,19 @@ class TestIteratedMap:
         for tol in (-1.0, float("nan")):
             with pytest.raises(DimensionError):
                 a_infinity(handle, np.ones(3), tol=tol)
+
+    @pytest.mark.parametrize("bad, error", BAD_POINTS)
+    def test_limit_map_rejects_a_bad_point(self, bad, error):
+        # A typed error, not numpy's reshape error or a stall report.
+        problem, y = bad_cut_point(bad)
+        with pytest.raises(error):
+            a_infinity(problem.manifold, y)
+
+    @pytest.mark.parametrize("bad, error", BAD_POINTS)
+    def test_iterated_map_rejects_a_bad_point(self, bad, error):
+        problem, y = bad_cut_point(bad)
+        with pytest.raises(error):
+            apply_A_k(problem.manifold, y, 2)
 
 
 class TestLagrangian:

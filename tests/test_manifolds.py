@@ -494,10 +494,11 @@ class TestMakeHandle:
         assert validate_manifold(handle, [E], tol=1e-8).passed
 
     def test_only_the_oblique_handle_declares_row_blocks(self):
-        assert make_handle("oblique", m=4, q=3).row_blocks
-        assert not make_handle("sphere", n=3).row_blocks
-        assert not make_handle("symplectic_stiefel", m=6, q=2).row_blocks
-        assert not make_handle("generic", spec=sphere_constraint_spec(3)).row_blocks
+        assert make_handle("oblique", m=4, q=3).row_blocks == (4, 3)
+        assert make_handle("sphere", n=3).row_blocks is None
+        assert make_handle("symplectic_stiefel", m=6, q=2).row_blocks is None
+        assert make_handle("generic",
+                           spec=sphere_constraint_spec(3)).row_blocks is None
 
     def test_odd_dimensions_rejected(self):
         with pytest.raises(DimensionError):
@@ -572,8 +573,8 @@ class TestNeighborhoodLemmas:
     def _anchor(handle):
         anchor = np.zeros(handle.n)
         anchor[0] = 1.0
-        if handle.shape is not None:
-            m, q = handle.shape
+        if handle.row_blocks is not None:
+            m, q = handle.row_blocks
             for i in range(m):
                 anchor[i * q + i % q] = 1.0
         return anchor

@@ -11,8 +11,7 @@ from cdpkit.bench import (
     gen_center_of_mass,
 )
 from cdpkit.core import (
-    DimensionError,
-    EvaluatorFaultError,
+    ManifoldHandle,
     ParameterError,
     PenaltyParams,
     ProblemSpec,
@@ -30,7 +29,11 @@ from cdpkit.solver import (
     lbfgs_minimize,
 )
 
-from conftest import linear_objective_sphere_problem
+from conftest import (
+    BAD_POINTS,
+    bad_cut_point,
+    linear_objective_sphere_problem,
+)
 
 
 class TestLbfgs:
@@ -176,6 +179,10 @@ class TestAlmOptions:
         # A spec asks only for what the handle reads.
         assert [f.name for f in dataclasses.fields(GenericManifoldSpec)] == [
             "n", "p", "eval_c", "apply_Jc", "apply_dJc", "name", "jacobian"]
+        # The handle declares its row-block structure in one field.
+        assert [f.name for f in dataclasses.fields(ManifoldHandle)] == [
+            "name", "n", "p", "eval_c", "apply_JcT", "apply_Jc", "eval_A",
+            "apply_JAT", "row_blocks", "jacobian", "point"]
 
         def keywords(fn):
             return [name for name, p in inspect.signature(fn).parameters.items()
@@ -214,17 +221,10 @@ def test_one_evaluation_builds_one_state(family):
 
 
 @pytest.mark.parametrize("pipeline", ["cdp", "nlp"])
-@pytest.mark.parametrize("bad, error", [("nan", EvaluatorFaultError),
-                                        ("short", DimensionError)])
+@pytest.mark.parametrize("bad, error", BAD_POINTS)
 def test_bad_start_raises_a_typed_error(pipeline, bad, error):
     # Before pass 0, not from a factorization or a reshape inside it.
-    problem, x0 = gen_balanced_cut(BalancedCutConfig(m=10, q=2, rho=0.3,
-                                                     seed=3))
-    x0 = np.array(x0, dtype=float)
-    if bad == "nan":
-        x0[4] = np.nan
-    else:
-        x0 = x0[:-1]
+    problem, x0 = bad_cut_point(bad)
     with pytest.raises(error):
         if pipeline == "cdp":
             alm_solve_cdp(build_cdp(problem, PenaltyParams(beta=10.0)), x0)
@@ -521,3 +521,33 @@ class TestAlmDirect:
         assert r2.multipliers.mu[0] > 0
         assert r1.multipliers.mu == pytest.approx(r2.multipliers.mu,
                                                   abs=1e-4)
+
+    def test_unbounded_objective_ends_diverged(self):
+        # f = -||x||^2 is -inf beyond radius 2, so the first inner solve
+        # runs off to a point where its value is not finite.
+        def f(x):
+            r2 = float(x @ x)
+            return -r2 if r2 <= 4.0 else -np.inf
+
+        problem = ProblemSpec(manifold=make_handle("euclidean", n=2),
+                              eval_f=f, grad_f=lambda x: -2.0 * x,
+                              name="unbounded_below")
+        with np.errstate(over="ignore"):
+            res = alm_solve_nlp_direct(problem, np.array([0.5, 0.1]))
+        assert res.status == "diverged"
+        assert all(row.inner_status != "converged" for row in res.trace.rows)
+
+
+def test_wrong_way_gradient_ends_in_inner_failure():
+    # grad_f = -g for f = g.x: every inner line search fails at once, and
+    # the second failure without progress of the outer residual stops the
+    # solve.
+    problem = linear_objective_sphere_problem(3)
+    g = problem.grad_f(np.zeros(3))
+    wrong = dataclasses.replace(problem, grad_f=lambda x: -g)
+    x0 = np.eye(3)[0]
+    for res in (alm_solve_cdp(build_cdp(wrong, PenaltyParams(beta=10.0)), x0),
+                alm_solve_nlp_direct(wrong, x0)):
+        assert res.status == "inner_failure"
+        assert [(row.inner_status, row.inner_iterations)
+                for row in res.trace.rows] == [("line_search_failure", 0)] * 3
