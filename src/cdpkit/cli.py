@@ -81,7 +81,8 @@ def cmd_validate(args) -> int:
 
     base = dissolve.a_infinity(handle, point)
     fd_err = finite_diff_check(
-        handle.eval_c, handle.apply_JcT, base + 0.05, default_fd_step(base))
+        handle.eval_c, lambda x, d: handle.jacobian(x).T @ d, base + 0.05,
+        default_fd_step(base))
     slope = _decrease_slope(handle, base, args.seed)
     payload = {
         "family": handle.name,
@@ -104,8 +105,9 @@ def _decrease_slope(handle, base, seed: int):
     logs_y, logs_ay = [], []
     for t in (1e-1, 1e-2, 1e-3, 1e-4):
         y = base + t * w
-        cy = np.linalg.norm(handle.eval_c(y))
-        cay = np.linalg.norm(handle.eval_c(handle.eval_A(y)))
+        pt = handle.point(y)
+        cy = np.linalg.norm(pt.cx)
+        cay = np.linalg.norm(handle.eval_c(pt.ax))
         if cy > 0 and cay > 0:
             logs_y.append(np.log(cy))
             logs_ay.append(np.log(cay))

@@ -115,12 +115,14 @@ class ManifoldHandle:
     the constant estimates, ``validate_manifold``) holds one state, so A,
     c and what they share are evaluated once.  x must not change while its
     state is in use.  Jc(x) w, which shares nothing with A, has one door:
-    ``apply_Jc``.  The five per-call fields serve readers of one value
-    (the direct pipeline, ``a_infinity``) and ``perfbench/tracing.py``,
-    whose ``traced_problem`` rebinds them with ``dataclasses.replace`` to
-    count calls and whose ``microbench`` times ``eval_A`` and
-    ``apply_JAT``.  The shipped handles' ``eval_A`` and ``apply_JAT`` read
-    a new state per call; a rebuilt handle needs a ``point`` that agrees.
+    ``apply_Jc``.  Of the five per-call fields, the package reads
+    ``eval_c``, ``apply_Jc`` and, only in ``dissolve._map_step``,
+    ``eval_A``; ``apply_JcT`` and ``apply_JAT`` are read by no code in it.
+    All five stay for ``perfbench/tracing.py``, whose ``traced_problem``
+    rebinds them with ``dataclasses.replace`` to count calls and whose
+    ``microbench`` times ``eval_A`` and ``apply_JAT``.  The shipped
+    handles' ``eval_A`` and ``apply_JAT`` read a new state per call; a
+    rebuilt handle needs a ``point`` that agrees.
 
     ``row_blocks``, when given, is the ``(m, q)`` of the matrix variable
     X and declares structure, not a formula: ``c_i`` and row i of ``A``

@@ -26,6 +26,7 @@ import scipy.linalg
 import scipy.optimize
 
 from .core import (
+    DimensionError,
     MultiplierSet,
     ParameterError,
     PenaltyParams,
@@ -553,7 +554,8 @@ def make_synthetic_kkt(n: int = 12, p: int = 2, n_eq: int = 2,
     """
     n_ineq = n_active + n_inactive
     if p + n_eq + n_active > n:
-        raise ValueError("too many active constraints for the dimension")
+        raise DimensionError(
+            "too many active constraints for the dimension")
     rng = np.random.default_rng(seed)
     x_star = rng.standard_normal(n)
 

@@ -1,6 +1,6 @@
 """Transformation engine: builds the penalized problem from an NLP,
-evaluates h, u~, v~ and their gradients, and provides the iterated-map
-post-processing operators.
+evaluates h, u~, v~ and their gradients at a point (``point_eval``), and
+provides the iterated-map post-processing operators.
 """
 
 from __future__ import annotations
@@ -42,7 +42,9 @@ A_INFINITY_MAX_ITER = 50
 class CdpPointEval:
     """All transformed quantities at one point x, read from one state
     ``point`` = ``ManifoldHandle.point(x)`` and, for the penalty term
-    Jc(x) c(x), the handle's ``apply_Jc``; x must not change while in use."""
+    Jc(x) c(x), the handle's ``apply_Jc``; x must not change while in use.
+    ``point.ax`` and ``point.cx`` are A(x) and c(x), bit for bit the
+    handle's ``eval_A(x)`` and ``eval_c(x)``."""
 
     x: Vector
     point: Any
@@ -50,6 +52,18 @@ class CdpPointEval:
     u_tilde: Vector
     v_tilde: Vector
     _instance: "CdpInstance"
+
+    def lagrangian(self, mult: MultiplierSet) -> float:
+        """Value of h + lambda^T u~ + mu^T v~."""
+        prob = self._instance.problem
+        if mult.lam.size != prob.n_eq:
+            raise DimensionError(
+                f"lambda has length {mult.lam.size}, expected {prob.n_eq}")
+        if mult.mu.size != prob.n_ineq:
+            raise DimensionError(
+                f"mu has length {mult.mu.size}, expected {prob.n_ineq}")
+        return self.h + float(np.dot(mult.lam, self.u_tilde)) \
+            + float(np.dot(mult.mu, self.v_tilde))
 
     def weighted_grad(self, w_f: float = 1.0,
                       a: Vector | None = None,
@@ -70,7 +84,7 @@ class CdpPointEval:
             pen += float(np.dot(b, params.gamma))
         out = pt.jat(g)
         if pen != 0.0:
-            out = out + pen * inst.manifold.apply_Jc(self.x, pt.cx)
+            out = out + pen * prob.manifold.apply_Jc(self.x, pt.cx)
         return out
 
 
@@ -81,14 +95,12 @@ class CdpInstance:
         min  h(x) = f(A(x)) + (beta/2) ||c(x)||^2
         s.t. u~_i(x) = u_i(A(x)) + (tau_i/2) ||c(x)||^2  = 0
              v~_j(x) = v_j(A(x)) + (gamma_j/2) ||c(x)||^2 <= 0
+
+    read only through ``point_eval(x)``, which holds one state at x.
     """
 
     problem: ProblemSpec
     params: PenaltyParams
-
-    @property
-    def manifold(self) -> ManifoldHandle:
-        return self.problem.manifold
 
     def point_eval(self, x: Vector) -> CdpPointEval:
         x = np.asarray(x, dtype=float).ravel()
@@ -99,28 +111,6 @@ class CdpInstance:
         u_t = self.problem.eval_u(ax) + self.params.tau * half
         v_t = self.problem.eval_v(ax) + self.params.gamma * half
         return CdpPointEval(x, pt, h, u_t, v_t, self)
-
-    def eval_h(self, x: Vector) -> float:
-        return self.point_eval(x).h
-
-    def grad_h(self, x: Vector) -> Vector:
-        return self.point_eval(x).weighted_grad()
-
-    def eval_u_tilde(self, x: Vector) -> Vector:
-        return self.point_eval(x).u_tilde
-
-    def eval_v_tilde(self, x: Vector) -> Vector:
-        return self.point_eval(x).v_tilde
-
-    def grad_u_tilde(self, x: Vector, i: int) -> Vector:
-        a = np.zeros(self.problem.n_eq)
-        a[i] = 1.0
-        return self.point_eval(x).weighted_grad(w_f=0.0, a=a)
-
-    def grad_v_tilde(self, x: Vector, j: int) -> Vector:
-        b = np.zeros(self.problem.n_ineq)
-        b[j] = 1.0
-        return self.point_eval(x).weighted_grad(w_f=0.0, b=b)
 
 
 def build_cdp(problem: ProblemSpec, params: PenaltyParams) -> CdpInstance:
@@ -189,16 +179,8 @@ def a_infinity(handle: ManifoldHandle, y: Vector,
 def cdp_lagrangian(instance: CdpInstance, x: Vector,
                    mult: MultiplierSet) -> tuple[float, Vector]:
     """Value and gradient of h + lambda^T u~ + mu^T v~."""
-    if mult.lam.size != instance.problem.n_eq:
-        raise DimensionError(
-            f"lambda has length {mult.lam.size}, expected {instance.problem.n_eq}")
-    if mult.mu.size != instance.problem.n_ineq:
-        raise DimensionError(
-            f"mu has length {mult.mu.size}, expected {instance.problem.n_ineq}")
     pe = instance.point_eval(x)
-    value = pe.h + float(np.dot(mult.lam, pe.u_tilde)) + float(np.dot(mult.mu, pe.v_tilde))
-    grad = pe.weighted_grad(a=mult.lam, b=mult.mu)
-    return value, grad
+    return pe.lagrangian(mult), pe.weighted_grad(a=mult.lam, b=mult.mu)
 
 
 @dataclass
@@ -223,7 +205,8 @@ def lagrangian_decrease_probe(instance: CdpInstance, x_feasible: Vector,
 
     For equality-free problems additionally records the quadratic
     h-decrease bound (beta/4)||c(y)||^2.  When the penalty lower bound is
-    not met the report flags condition-not-met instead of failing.
+    not met the report flags condition-not-met instead of failing.  Each
+    offset reads three states, at y, A(y) and ``a_infinity(y)``.
 
     At offset 0 the limit difference is exactly 0 at any point within
     ``a_infinity``'s tolerance, which returns such a point unchanged.  The
@@ -231,46 +214,44 @@ def lagrangian_decrease_probe(instance: CdpInstance, x_feasible: Vector,
     only where ``c(x) == 0``, since then ``A(x) == x`` bit for bit.
     """
     x = np.asarray(x_feasible, dtype=float).ravel()
-    mani = instance.manifold
+    problem = instance.problem
     w = np.random.default_rng(seed).standard_normal(x.size)
     w = w / np.linalg.norm(w)
     slack = 1e-10
 
     report = DecreaseProbeReport()
     try:
-        est = estimate_constants(instance.problem, x, radius=0.05, samples=40,
+        est = estimate_constants(problem, x, radius=0.05, samples=40,
                                  seed=seed)
         cond = check_condition(est, instance.params, mult)
         report.condition_met = cond.coupled_met
     except CdpkitError as exc:  # advisory only; probe still runs
         report.skipped.append(f"condition check unavailable: {exc}")
 
-    pure_h_case = instance.problem.n_eq == 0
+    pure_h_case = problem.n_eq == 0
     ok = True
     for t in offsets:
         y = x + float(t) * w
         try:
-            ay = mani.eval_A(y)
-            yinf = a_infinity(mani, y)
+            at_y = instance.point_eval(y)
+            yinf = a_infinity(problem.manifold, y)
         except OutOfNeighborhoodError as exc:
             report.skipped.append(f"offset {t}: {exc}")
             continue
-        ly, _ = cdp_lagrangian(instance, y, mult)
-        la, _ = cdp_lagrangian(instance, ay, mult)
-        linf, _ = cdp_lagrangian(instance, yinf, mult)
+        at_ay = instance.point_eval(at_y.point.ax)
+        at_yinf = instance.point_eval(yinf)
+        ly, la, linf = (pe.lagrangian(mult) for pe in (at_y, at_ay, at_yinf))
         report.offsets.append(float(t))
         report.single_step_decrease.append(ly - la)
         report.limit_decrease.append(ly - linf)
         if ly - la < -slack or ly - linf < -slack:
             ok = False
         if pure_h_case:
-            cy = mani.eval_c(y)
+            cy = at_y.point.cx
             bound = 0.25 * instance.params.beta * float(np.dot(cy, cy))
-            hy = instance.eval_h(y)
-            hinf = instance.eval_h(yinf)
-            report.h_decrease.append(hy - hinf)
+            report.h_decrease.append(at_y.h - at_yinf.h)
             report.quarter_beta_c_sq.append(bound)
-            if hy - hinf < bound - slack:
+            if at_y.h - at_yinf.h < bound - slack:
                 ok = False
     report.passed = ok and bool(report.offsets)
     return report

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -67,12 +68,16 @@ class AlmOptions:
     time_budget: float | None = None
 
     def __post_init__(self):
-        if not (self.outer_tol_stationarity > 0 and self.outer_tol_feasibility > 0):
-            raise ValueError("tolerances must be positive")
-        if self.time_budget is not None and not self.time_budget > 0:
-            raise ValueError("time_budget must be None or positive")
-        if self.max_outer < 0 or self.max_inner < 0:
-            raise ValueError("iteration budgets must be non-negative")
+        # An infinite tolerance would certify any point as converged.
+        tols = (self.outer_tol_stationarity, self.outer_tol_feasibility)
+        if not all(isinstance(t, Real) and 0 < t < np.inf for t in tols):
+            raise ParameterError(f"tolerances must be finite and positive, got {tols}")
+        budgets = (self.max_outer, self.max_inner)
+        if not all(isinstance(b, Integral) and b >= 0 for b in budgets):
+            raise ParameterError(f"budgets must be non-negative integers, got {budgets}")
+        t = self.time_budget
+        if t is not None and not (isinstance(t, Real) and t > 0):
+            raise ParameterError(f"time_budget must be None or positive, got {t!r}")
 
 
 @dataclass
@@ -236,6 +241,11 @@ def _two_loop(g: Vector, hist, gamma: float) -> Vector:
 
 @dataclass
 class SolveResult:
+    """On ``diverged``, ``x_final`` is the iterate whose value was not
+    finite; ``x_postprocessed``, ``kkt`` and ``objective`` belong to the
+    last finite iterate, certified before the failing inner solve (the
+    start, when the first inner solve diverges)."""
+
     x_final: Vector
     x_postprocessed: Vector
     multipliers: MultiplierSet

@@ -133,17 +133,20 @@ def test_criterion_03_gradient_formulas(announce):
             x = base + 0.2 * rng.standard_normal(problem.n)
             step = default_fd_step(x)
             worst = max(worst, finite_diff_check(
-                inst.eval_h, gradient_action(inst.grad_h), x, step,
-                n_directions=3))
+                lambda y: inst.point_eval(y).h,
+                gradient_action(lambda y: inst.point_eval(y).weighted_grad()),
+                x, step, n_directions=3))
             for i in range(problem.n_eq):
                 worst = max(worst, finite_diff_check(
-                    lambda y, i=i: inst.eval_u_tilde(y)[i],
-                    gradient_action(lambda y, i=i: inst.grad_u_tilde(y, i)),
+                    lambda y, i=i: inst.point_eval(y).u_tilde[i],
+                    gradient_action(lambda y, i=i: inst.point_eval(
+                        y).weighted_grad(w_f=0.0, a=np.eye(problem.n_eq)[i])),
                     x, step, n_directions=3))
             for j in range(problem.n_ineq):
                 worst = max(worst, finite_diff_check(
-                    lambda y, j=j: inst.eval_v_tilde(y)[j],
-                    gradient_action(lambda y, j=j: inst.grad_v_tilde(y, j)),
+                    lambda y, j=j: inst.point_eval(y).v_tilde[j],
+                    gradient_action(lambda y, j=j: inst.point_eval(
+                        y).weighted_grad(w_f=0.0, b=np.eye(problem.n_ineq)[j])),
                     x, step, n_directions=3))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 10.0
@@ -281,7 +284,7 @@ def test_criterion_08_stationarity_lower_bound(announce):
         M_A = max(2.0 / (s ** 2 + 1.0),
                   2.0 * abs(1.0 - s ** 2) / (s ** 2 + 1.0) ** 2)
         c_norm = abs(s ** 2 - 1.0)
-        lhs = float(np.linalg.norm(inst.grad_h(y)))
+        lhs = float(np.linalg.norm(inst.point_eval(y).weighted_grad()))
         rhs = sigma / (8.0 * (M_A + 1.0)) * beta * c_norm
         margin = min(margin, lhs - rhs)
         ok = ok and lhs >= rhs

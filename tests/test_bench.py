@@ -204,13 +204,14 @@ class TestBalancedCut:
         cy = handle.eval_c(y)
         expected = problem.eval_f(handle.eval_A(y)) \
             + 0.5 * inst.params.beta * float(np.dot(cy, cy))
-        assert inst.eval_h(y) == pytest.approx(expected, abs=1e-12)
+        assert inst.point_eval(y).h == pytest.approx(expected, abs=1e-12)
 
     def test_feasible_point_collapses_to_objective(self):
         problem, x0 = gen_balanced_cut(BalancedCutConfig(m=10, q=2, rho=0.3,
                                                          seed=2))
         inst = build_balanced_cut_cdp(problem)
-        assert inst.eval_h(x0) == pytest.approx(problem.eval_f(x0), abs=1e-14)
+        assert inst.point_eval(x0).h == pytest.approx(problem.eval_f(x0),
+                                                      abs=1e-14)
 
     def test_zero_beta_is_plain_composition(self):
         problem, _ = gen_balanced_cut(BalancedCutConfig(m=10, q=2, rho=0.3,
@@ -218,7 +219,8 @@ class TestBalancedCut:
         inst = build_balanced_cut_cdp(problem, beta=0.0)
         rng = np.random.default_rng(4)
         y = rng.standard_normal(problem.n)
-        assert inst.eval_h(y) == problem.eval_f(problem.manifold.eval_A(y))
+        assert inst.point_eval(y).h == problem.eval_f(
+            problem.manifold.eval_A(y))
 
 
 class TestRunExperiment:
@@ -228,6 +230,21 @@ class TestRunExperiment:
         assert len(records) == 2
         assert {r.pipeline for r in records} == {"cdp", "nlp"}
         assert all(r.status == "converged" for r in records)
+
+    def test_failures_are_recorded_per_row(self):
+        # A config that cannot generate fills both rows; a cdp solve that
+        # raises fills its own row and leaves the nlp row alone.
+        grid = ["not a config",
+                BalancedCutConfig(m=10, q=2, rho=0.3, seed=3, beta=0.0)]
+        bad, bad_nlp, cdp, nlp = run_experiment(grid)
+        for rec, pipe in ((bad, "cdp"), (bad_nlp, "nlp")):
+            assert (rec.problem_id, rec.pipeline) == ("not a config", pipe)
+            assert rec.status == ("generation_error: unknown config type "
+                                  "<class 'str'>")
+            assert np.isnan(rec.objective)
+        assert cdp.status.startswith("error: beta = 0 cannot adapt")
+        assert np.isnan(cdp.objective)
+        assert nlp.status == "converged"
 
     def test_exhausted_budget_is_recorded_not_raised(self):
         grid = [BalancedCutConfig(m=40, q=2, rho=0.2, seed=2)]

@@ -210,9 +210,10 @@ class TestFiniteDiffCheck:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(problem.n) * 0.1
         x[0] = 1.0
-        err = finite_diff_check(inst.eval_h,
-                                gradient_action(inst.grad_h),
-                                x, step=default_fd_step(x))
+        err = finite_diff_check(
+            lambda y: inst.point_eval(y).h,
+            gradient_action(lambda y: inst.point_eval(y).weighted_grad()),
+            x, step=default_fd_step(x))
         assert err <= 1e-6
 
     def test_underflowing_step_is_rejected(self):

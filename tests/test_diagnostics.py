@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cdpkit.core import (
+    DimensionError,
     MultiplierSet,
     ParameterError,
     PenaltyParams,
@@ -199,6 +200,11 @@ class TestMakeSyntheticKkt:
     def test_randomized_instance_certifies(self):
         problem, x_star, _ = make_synthetic_kkt(seed=3)
         assert kkt_residual(problem, x_star).stationarity <= 1e-10
+
+    def test_too_many_active_constraints_rejected(self):
+        # p + n_eq + n_active = 5 gradients cannot be independent in R^3.
+        with pytest.raises(DimensionError):
+            make_synthetic_kkt(n=3, p=2, n_eq=2)
 
 
 @pytest.mark.parametrize("bad, error", BAD_POINTS)

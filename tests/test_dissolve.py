@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from cdpkit.core import (
 )
 from cdpkit.bench import CenterOfMassConfig, gen_center_of_mass
 from cdpkit.dissolve import (
+    CdpPointEval,
     a_infinity,
     apply_A_k,
     build_cdp,
@@ -71,9 +74,10 @@ class TestBuildCdp:
         x = np.zeros(5)
         x[1] = 1.0
         f = problem.eval_f(x)
-        assert abs(inst.eval_h(x) - f) <= 1e-15 * (1.0 + abs(f))
-        assert np.linalg.norm(inst.eval_u_tilde(x) - problem.eval_u(x)) == 0.0
-        assert np.linalg.norm(inst.eval_v_tilde(x) - problem.eval_v(x)) == 0.0
+        pe = inst.point_eval(x)
+        assert abs(pe.h - f) <= 1e-15 * (1.0 + abs(f))
+        assert np.linalg.norm(pe.u_tilde - problem.eval_u(x)) == 0.0
+        assert np.linalg.norm(pe.v_tilde - problem.eval_v(x)) == 0.0
 
     def test_feasible_gradient_is_projected_objective_gradient(self):
         problem = _sphere_problem_with_constraints()
@@ -81,7 +85,8 @@ class TestBuildCdp:
         x = np.zeros(5)
         x[1] = 1.0
         expected = problem.manifold.apply_JAT(x, problem.grad_f(x))
-        assert np.allclose(inst.grad_h(x), expected, atol=1e-14)
+        assert np.allclose(inst.point_eval(x).weighted_grad(), expected,
+                           atol=1e-14)
 
     def test_zero_penalties_give_plain_composition(self):
         problem = _sphere_problem_with_constraints()
@@ -89,9 +94,10 @@ class TestBuildCdp:
         rng = np.random.default_rng(1)
         y = rng.standard_normal(5)
         ay = problem.manifold.eval_A(y)
-        assert inst.eval_h(y) == problem.eval_f(ay)
-        assert np.array_equal(inst.eval_u_tilde(y), problem.eval_u(ay))
-        assert np.array_equal(inst.eval_v_tilde(y), problem.eval_v(ay))
+        pe = inst.point_eval(y)
+        assert pe.h == problem.eval_f(ay)
+        assert np.array_equal(pe.u_tilde, problem.eval_u(ay))
+        assert np.array_equal(pe.v_tilde, problem.eval_v(ay))
 
     def test_transformed_value_matches_straight_line_recomputation(self, com_problem):
         problem, _ = com_problem
@@ -102,7 +108,7 @@ class TestBuildCdp:
         handle = problem.manifold
         cy = handle.eval_c(y)
         expected = problem.eval_f(handle.eval_A(y)) + 0.5 * float(np.dot(cy, cy))
-        assert inst.eval_h(y) == pytest.approx(expected, abs=1e-12)
+        assert inst.point_eval(y).h == pytest.approx(expected, abs=1e-12)
 
     def test_mismatched_penalty_dimensions_rejected(self):
         problem = _sphere_problem_with_constraints()
@@ -119,16 +125,19 @@ class TestBuildCdp:
             x /= np.linalg.norm(x)
             x += 0.1 * rng.standard_normal(5)
             step = default_fd_step(x)
-            assert finite_diff_check(inst.eval_h,
-                                     gradient_action(inst.grad_h),
-                                     x, step) <= 1e-6
             assert finite_diff_check(
-                lambda y: inst.eval_u_tilde(y)[0],
-                gradient_action(lambda y: inst.grad_u_tilde(y, 0)),
+                lambda y: inst.point_eval(y).h,
+                gradient_action(lambda y: inst.point_eval(y).weighted_grad()),
                 x, step) <= 1e-6
             assert finite_diff_check(
-                lambda y: inst.eval_v_tilde(y)[0],
-                gradient_action(lambda y: inst.grad_v_tilde(y, 0)),
+                lambda y: inst.point_eval(y).u_tilde[0],
+                gradient_action(lambda y: inst.point_eval(y).weighted_grad(
+                    w_f=0.0, a=np.ones(1))),
+                x, step) <= 1e-6
+            assert finite_diff_check(
+                lambda y: inst.point_eval(y).v_tilde[0],
+                gradient_action(lambda y: inst.point_eval(y).weighted_grad(
+                    w_f=0.0, b=np.ones(1))),
                 x, step) <= 1e-6
 
     def test_active_sets_agree_at_feasible_points(self):
@@ -138,7 +147,7 @@ class TestBuildCdp:
         x = np.zeros(5)
         x[0] = 1.0  # v(x) = 0: the inequality is active here
         v = problem.eval_v(x)
-        vt = inst.eval_v_tilde(x)
+        vt = inst.point_eval(x).v_tilde
         active = [j for j in range(v.size) if abs(v[j]) <= 1e-10]
         active_t = [j for j in range(vt.size) if abs(vt[j]) <= 1e-10]
         assert active == active_t == [0]
@@ -200,6 +209,18 @@ class TestIteratedMap:
         with pytest.raises(OutOfNeighborhoodError):
             a_infinity(handle, y)
 
+    def test_growing_violation_aborts_the_map(self):
+        # One Gauss-Newton step from 0.1 e1 lands at 5.05 e1: ||c|| goes
+        # from 0.99 to 24.5025, past the 10x growth detector.
+        handle = make_handle("generic", spec=sphere_constraint_spec(3))
+        y = 0.1 * np.eye(3)[0]
+        for run in (lambda: a_infinity(handle, y),
+                    lambda: apply_A_k(handle, y, 1)):
+            with pytest.raises(OutOfNeighborhoodError,
+                               match="iterated map diverged") as info:
+                run()
+            assert info.value.last_violation == pytest.approx(24.5025)
+
     def test_negative_tolerance_rejected(self):
         # NaN fails every comparison: a tolerance no violation can meet
         # would end in a stall report, not a usage error.
@@ -230,8 +251,9 @@ class TestLagrangian:
         rng = np.random.default_rng(6)
         x = rng.standard_normal(5)
         value, grad = cdp_lagrangian(inst, x, mult)
-        assert value == pytest.approx(inst.eval_h(x), abs=1e-14)
-        assert np.allclose(grad, inst.grad_h(x), atol=1e-14)
+        pe = inst.point_eval(x)
+        assert value == pytest.approx(pe.h, abs=1e-14)
+        assert np.allclose(grad, pe.weighted_grad(), atol=1e-14)
 
     def test_feasible_value_is_original_lagrangian_without_manifold_term(self):
         problem = _sphere_problem_with_constraints()
@@ -323,6 +345,54 @@ class TestDecreaseProbe:
         # equality-free problem: the quadratic decrease bound is recorded
         for dec, bound in zip(report.h_decrease, report.quarter_beta_c_sq):
             assert dec >= bound - 1e-10
+
+    def test_offset_outside_the_neighborhood_is_skipped(self):
+        # w = +1 here, so offset -0.95 probes y = 0.05, where the generic
+        # map overshoots to ||c|| = 99.5; offset 0.95 is still usable.
+        handle = make_handle("generic", spec=sphere_constraint_spec(1))
+        problem = linear_objective_sphere_problem(1, handle=handle)
+        inst = build_cdp(problem, PenaltyParams(beta=10.0))
+        mult = MultiplierSet(rho=np.zeros(1))
+        report = lagrangian_decrease_probe(inst, np.array([1.0]), mult,
+                                           offsets=[0.95, -0.95])
+        assert report.offsets == [0.95]
+        assert report.skipped == [
+            "offset -0.95: iterated map diverged (||c|| = 9.950e+01)"]
+        assert report.passed
+
+    def test_three_states_and_no_gradient_per_offset(self, monkeypatch):
+        # One state each at y, A(y) and a_infinity(y); A(y) and c(y) are
+        # read from y's state.  The condition check's own states are the
+        # count of a run without offsets.
+        counts = {"point": 0, "weighted_grad": 0}
+        handle = make_handle("sphere", n=5)
+
+        def point(x, _point=handle.point):
+            counts["point"] += 1
+            return _point(x)
+
+        def weighted_grad(pe, *args, _grad=CdpPointEval.weighted_grad,
+                          **kwargs):
+            counts["weighted_grad"] += 1
+            return _grad(pe, *args, **kwargs)
+
+        monkeypatch.setattr(CdpPointEval, "weighted_grad", weighted_grad)
+        problem = linear_objective_sphere_problem(
+            5, seed=2, handle=dataclasses.replace(handle, point=point))
+        inst = build_cdp(problem, PenaltyParams(beta=500.0))
+        mult = MultiplierSet(rho=np.zeros(1))
+
+        def probed(offsets):
+            counts.update(point=0, weighted_grad=0)
+            report = lagrangian_decrease_probe(inst, np.eye(5)[0], mult,
+                                               offsets=offsets)
+            return report, dict(counts)
+
+        _, condition_only = probed([])
+        report, total = probed([1e-2, 1e-3])
+        assert report.offsets == [1e-2, 1e-3] and not report.skipped
+        assert total["point"] - condition_only["point"] == 3 * 2
+        assert total["weighted_grad"] == 0
 
     @staticmethod
     def _probe_with_condition_check_raising(monkeypatch, exc):

@@ -21,6 +21,7 @@ from cdpkit.dissolve import a_infinity, build_cdp, lagrangian_decrease_probe
 from cdpkit.manifolds import GenericManifoldSpec, make_handle
 from cdpkit.solver import (
     BETA_GROWTH,
+    MULTIPLIER_CLIP,
     AlmOptions,
     _augmented,
     _Dissolved,
@@ -148,25 +149,38 @@ class TestLbfgs:
 
 class TestAlmOptions:
     def test_nonpositive_tolerances_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             AlmOptions(outer_tol_stationarity=0.0)
 
     def test_negative_outer_budget_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             AlmOptions(max_outer=-1)
 
     def test_negative_inner_budget_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             AlmOptions(max_inner=-1)
 
     def test_nan_tolerances_rejected(self):
         for field in ("outer_tol_stationarity", "outer_tol_feasibility"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ParameterError):
                 AlmOptions(**{field: float("nan")})
+
+    def test_infinite_tolerances_rejected(self):
+        # Every point would pass an infinite tolerance: a converged status
+        # would certify nothing.
+        for field in ("outer_tol_stationarity", "outer_tol_feasibility"):
+            with pytest.raises(ParameterError):
+                AlmOptions(**{field: float("inf")})
+
+    def test_fractional_budgets_rejected(self):
+        # Rejected here, not with numpy's TypeError inside the solve.
+        for field in ("max_outer", "max_inner"):
+            with pytest.raises(ParameterError):
+                AlmOptions(**{field: 2.5})
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
     def test_time_budget_must_be_none_or_positive(self, budget):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             AlmOptions(time_budget=budget)
         assert AlmOptions(time_budget=None).time_budget is None
         assert AlmOptions(time_budget=0.5).time_budget == 0.5
@@ -493,6 +507,24 @@ class TestAlmDirect:
         assert r1.objective == pytest.approx(r2.objective, rel=1e-6)
         assert np.max(np.abs(r1.x_final - sol)) <= 1e-6
 
+    def test_infeasible_equality_clips_its_multiplier(self):
+        # u = x^2 + 1 never vanishes, so lambda grows without bound until
+        # the clip holds it at MULTIPLIER_CLIP.
+        problem = ProblemSpec(
+            manifold=make_handle("euclidean", n=1),
+            eval_f=lambda x: float(x @ x), grad_f=lambda x: 2.0 * x,
+            n_eq=1, eval_u=lambda x: np.array([float(x @ x) + 1.0]),
+            apply_JuT=lambda x, d: np.array([2.0 * float(x @ d)]),
+            apply_Ju=lambda x, w: 2.0 * float(np.ravel(w)[0]) * x,
+            name="infeasible_equality")
+        res = alm_solve_nlp_direct(problem, np.array([0.5]),
+                                   AlmOptions(max_outer=10))
+        assert res.status == "max_iter"
+        notes = [row.note for row in res.trace.rows]
+        assert notes[8:] == ["multiplier_clipped"] * 2
+        assert "multiplier_clipped" not in notes[:8]
+        assert np.array_equal(res.multipliers.lam, [MULTIPLIER_CLIP])
+
     def test_infeasible_start_on_sphere_recovers_feasibility(self):
         problem = linear_objective_sphere_problem(5, seed=7)
         res = alm_solve_nlp_direct(problem, 3.0 * np.ones(5))
@@ -532,10 +564,15 @@ class TestAlmDirect:
         problem = ProblemSpec(manifold=make_handle("euclidean", n=2),
                               eval_f=f, grad_f=lambda x: -2.0 * x,
                               name="unbounded_below")
+        x0 = np.array([0.5, 0.1])
         with np.errstate(over="ignore"):
-            res = alm_solve_nlp_direct(problem, np.array([0.5, 0.1]))
+            res = alm_solve_nlp_direct(problem, x0)
+            assert not np.isfinite(f(res.x_final))
         assert res.status == "diverged"
         assert all(row.inner_status != "converged" for row in res.trace.rows)
+        # The report is the last finite iterate's: here the start.
+        assert np.array_equal(res.x_postprocessed, x0)
+        assert res.objective == f(x0)
 
 
 def test_wrong_way_gradient_ends_in_inner_failure():

@@ -16,12 +16,15 @@ bitwise-equal results on the benchmark:
   constants (``_bound_constants`` at radius 0.1, 30 samples) and of
   ``estimate_constants`` (radius 0.05, 30 samples), both around
   ``a_infinity(x0)`` with seed 0;
-* a family line, printed at the family's first instance, holds a SHA-256
-  of the repr of ``validate_manifold``'s report at 10 probes, Gaussian
-  with scale 0.05 (seed 0) around ``a_infinity(x0)``.
+* two family lines, printed at the family's first instance: one holds a
+  SHA-256 of the repr of ``validate_manifold``'s report at 10 probes,
+  Gaussian with scale 0.05 (seed 0) around ``a_infinity(x0)``; the other
+  a SHA-256 of the repr of ``lagrangian_decrease_probe``'s report for
+  the instance at ``a_infinity(x0)``, with unit multipliers, offsets
+  1e-1, 1e-2 and 1e-3 and seed 0.
 
 The checkout's ``src`` and ``perfbench`` come first on ``sys.path``, and
-BLAS runs on one thread.  It takes about 15 s on one core of a 2-core
+BLAS runs on one thread.  It takes about 17 s on one core of a 2-core
 Intel Xeon host.
 """
 
@@ -98,6 +101,18 @@ def validate_line(problem, x0) -> str:
     return f"probes_used={report.probes_used} {_digest(repr(report))}"
 
 
+def probe_line(problem, inst, x0) -> str:
+    from cdpkit.core import MultiplierSet
+    from cdpkit.dissolve import a_infinity, lagrangian_decrease_probe
+
+    mult = MultiplierSet(rho=np.ones(problem.p), lam=np.ones(problem.n_eq),
+                         mu=np.ones(problem.n_ineq))
+    report = lagrangian_decrease_probe(
+        inst, a_infinity(problem.manifold, x0), mult,
+        offsets=[1e-1, 1e-2, 1e-3], seed=0)
+    return f"offsets={len(report.offsets)} {_digest(repr(report))}"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -121,6 +136,8 @@ def main(argv=None) -> int:
                 families.add(family)
                 print(f"{label} validate {family} "
                       f"{validate_line(problem, x0)}", flush=True)
+                print(f"{label} probe {family} "
+                      f"{probe_line(problem, inst, x0)}", flush=True)
             print(f"{label} constants {constants_line(problem, x0)}",
                   flush=True)
             for pipeline in ("cdp", "nlp"):
