@@ -38,6 +38,7 @@ __all__ = [
     "CenterOfMassConfig",
     "RunRecord",
     "build_balanced_cut_cdp",
+    "csv_text",
     "gen_balanced_cut",
     "gen_center_of_mass",
     "load_problem",
@@ -108,9 +109,6 @@ class RunRecord:
                    "fval": "objective", "stationarity": "stationarity",
                    "feasibility": "feasibility", "time": "cpu_time",
                    "status": "status"}
-
-    def as_row(self) -> dict:
-        return {col: getattr(self, name) for col, name in self.CSV_COLUMNS.items()}
 
 
 def gen_center_of_mass(cfg: CenterOfMassConfig) -> tuple[ProblemSpec, Vector]:
@@ -319,14 +317,18 @@ def run_experiment(grid, budget: float = 1200.0) -> list[RunRecord]:
     return records
 
 
-def records_to_csv(records: list[RunRecord]) -> str:
+def csv_text(columns: dict[str, str], rows) -> str:
+    """CSV with "\n" line ends; ``columns`` maps each column to a row attribute."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(RunRecord.CSV_COLUMNS),
-                            lineterminator="\n")
-    writer.writeheader()
-    for rec in records:
-        writer.writerow(rec.as_row())
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([getattr(row, name) for name in columns.values()]
+                     for row in rows)
     return buf.getvalue()
+
+
+def records_to_csv(records: list[RunRecord]) -> str:
+    return csv_text(RunRecord.CSV_COLUMNS, records)
 
 
 def records_to_markdown(records: list[RunRecord]) -> str:

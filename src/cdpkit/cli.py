@@ -2,17 +2,17 @@
 probe penalty-theory properties, and run benchmark grids.
 
 Each subcommand takes only the flags it reads.  ``solve`` and ``probe``
-read their instance from ``--config`` or from instance flags, not both;
-``--beta``, ``--tau`` and ``--gamma`` (finite, >= 0) override either.
+read their instance from ``--config`` or from the config fields' flags,
+not both; ``--beta``, ``--tau`` and ``--gamma`` (finite, >= 0) override it.
 
-Exit codes: 0 ok, 1 check, convergence or solver failure, 2 usage/config
-error.
+Exit codes: 0 ok, 1 check, convergence or solver failure (in any ``bench``
+run), 2 usage/config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -55,18 +55,12 @@ def _jsonable(obj):
 
 def _family(args):
     """The handle named by ``--family`` and its canonical feasible point."""
-    if args.family == "oblique":
-        handle = manifolds.make_handle("oblique", m=args.m, q=args.q)
-        X = np.zeros(handle.row_blocks)
-        X[:, 0] = 1.0
-        return handle, X.ravel()
-    if args.family == "sphere":
-        handle = manifolds.make_handle("sphere", n=args.n or args.m)
-        x = np.zeros(handle.n)
-        x[0] = 1.0
-        return handle, x
-    handle = manifolds.make_handle("symplectic_stiefel", m=args.m, q=args.q)
-    return handle, manifolds.symplectic_canonical_point(args.m, args.q).ravel()
+    handle = manifolds.make_handle(args.family, m=args.m, q=args.q, n=args.n or args.m)
+    if args.family == "symplectic_stiefel":
+        return handle, manifolds.symplectic_canonical_point(args.m, args.q).ravel()
+    X = np.zeros(handle.row_blocks or (1, handle.n))
+    X[:, 0] = 1.0
+    return handle, X.ravel()
 
 
 def _feasible_probes(base, count: int, seed: int):
@@ -115,15 +109,18 @@ def _decrease_slope(handle, base, seed: int):
     return float(slope)
 
 
-# The instance flags that --config replaces; beta, tau and gamma override it.
-_INSTANCE_FLAGS = ("family", "m", "q", "N", "r", "rho", "seed")
+def _config_fields():
+    """Each config dataclass field once, but ``beta``: a penalty flag."""
+    return dict.fromkeys(f.name for cls in bench._FAMILIES.values()
+                         for f in dataclasses.fields(cls) if f.name != "beta")
 
 
 def _load_from_args(args):
-    """The configured problem, its transformed instance and the generator's
-    suggested start.  The penalty comes from the config (or the family's
-    default); ``--beta``, ``--tau`` and ``--gamma`` override it."""
-    given = {key: getattr(args, key) for key in _INSTANCE_FLAGS
+    """The problem, its transformed instance, the generator's suggested
+    start and the config, which ``bench.problem_config`` reads from
+    ``--config`` or the flags' text; ``--beta``, ``--tau`` and ``--gamma``
+    override its penalty (else the family's default)."""
+    given = {key: getattr(args, key) for key in ("family", *_config_fields())
              if getattr(args, key) is not None}
     if args.config:
         if given:
@@ -132,18 +129,19 @@ def _load_from_args(args):
         doc = bench._ingest_config(Path(args.config))
     else:
         doc = {"seed": 0, **given}
+    cfg = bench.problem_config(doc)
     if args.beta is not None:
-        doc = {**doc, "beta": args.beta}
-    problem, instance, x0 = bench._build_instance(bench.problem_config(doc))
+        cfg = dataclasses.replace(cfg, beta=args.beta)
+    problem, instance, x0 = bench._build_instance(cfg)
     if args.tau or args.gamma:
         instance = dissolve.build_cdp(problem, PenaltyParams(
             instance.params.beta, np.full(problem.n_eq, args.tau or 0.0),
             np.full(problem.n_ineq, args.gamma or 0.0)))
-    return problem, instance, x0
+    return problem, instance, x0, cfg
 
 
 def cmd_solve(args) -> int:
-    problem, instance, x0 = _load_from_args(args)
+    problem, instance, x0, _ = _load_from_args(args)
     opts = solver.AlmOptions(time_budget=args.budget)
     if args.pipeline == "cdp":
         res = solver.alm_solve_cdp(instance, x0, opts)
@@ -158,25 +156,22 @@ def cmd_solve(args) -> int:
     }
     _emit(args, payload)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(res.trace.CSV_COLUMNS))
-            writer.writeheader()
-            writer.writerows(res.trace.to_csv_rows())
+        Path(args.out).write_text(
+            bench.csv_text(res.trace.CSV_COLUMNS, res.trace.rows))
     return EXIT_OK if res.status == "converged" else EXIT_FAIL
 
 
 def cmd_probe(args) -> int:
-    problem, instance, x0 = _load_from_args(args)
-    seed = args.seed or 0
+    problem, instance, x0, cfg = _load_from_args(args)
     x_ref = dissolve.a_infinity(problem.manifold, x0)
     est = diagnostics.estimate_constants(problem, x_ref, radius=0.05,
-                                         samples=args.probes, seed=seed)
+                                         samples=args.probes, seed=cfg.seed)
     cond = diagnostics.check_condition(est, instance.params)
-    slope = _decrease_slope(problem.manifold, x_ref, seed)
+    slope = _decrease_slope(problem.manifold, x_ref, cfg.seed)
     mult = MultiplierSet(lam=np.zeros(problem.n_eq),
                          mu=np.zeros(problem.n_ineq))
     probe = dissolve.lagrangian_decrease_probe(
-        instance, x_ref, mult, offsets=[1e-2, 1e-3], seed=seed)
+        instance, x_ref, mult, offsets=[1e-2, 1e-3], seed=cfg.seed)
     payload = {
         "sigma1x": est.sigma1x,
         "epsilon_x": est.epsilon_x,
@@ -206,7 +201,8 @@ def cmd_bench(args) -> int:
     else:
         print(csv_text)
         print(bench.records_to_markdown(records))
-    return EXIT_OK
+    return (EXIT_OK if all(rec.status == "converged" for rec in records)
+            else EXIT_FAIL)
 
 
 def _number(ok, what: str, kind=float):
@@ -220,6 +216,7 @@ def _number(ok, what: str, kind=float):
 
 
 _positive = _number(lambda v: v > 0, "positive")
+_tolerance = _number(lambda v: 0 < v < np.inf, "finite and positive")
 _count = _number(lambda v: v > 0, "a positive integer", int)
 _seed = _number(lambda v: v >= 0, "a non-negative integer", int)
 # Checked here as well as in PenaltyParams, which never sees a --gamma on
@@ -228,14 +225,11 @@ _penalty = _number(lambda v: 0 <= v < np.inf, "finite and non-negative")
 
 
 def _add_instance(p):
-    """The instance flags of ``solve`` and ``probe``."""
+    """The instance flags of ``solve`` and ``probe``: the config fields as
+    text, for ``bench.problem_config`` to cast, and the penalty flags."""
     p.add_argument("--family", choices=list(bench._FAMILIES))
-    p.add_argument("--m", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--N", type=int, dest="N")
-    p.add_argument("--r", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--seed", type=int)
+    for name in _config_fields():
+        p.add_argument(f"--{name}")
     p.add_argument("--beta", type=_penalty)
     p.add_argument("--tau", type=_penalty)
     p.add_argument("--gamma", type=_penalty)
@@ -257,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--n", type=int)
     p_val.add_argument("--seed", type=_seed, default=0)
     p_val.add_argument("--probes", type=_count, default=50)
-    p_val.add_argument("--tol", type=_positive, default=1e-8)
+    p_val.add_argument("--tol", type=_tolerance, default=1e-8)
     p_val.add_argument("--json", action="store_true")
     p_val.set_defaults(func=cmd_validate)
 

@@ -262,15 +262,13 @@ class SolveTrace:
                 raise ParameterError("trace wall times must be nondecreasing")
         self.rows.append(row)
 
-    # CSV column -> TraceRow field, in column order
+    # CSV column -> TraceRow field, in column order; every field has one
     CSV_COLUMNS = {"iter": "iteration", "f": "objective", "feas": "feasibility",
                    "stat": "stationarity", "beta": "beta", "sigma": "sigma",
+                   "mult_norm": "multiplier_norm",
                    "inner_iter": "inner_iterations",
-                   "inner_status": "inner_status", "time": "wall_time"}
-
-    def to_csv_rows(self) -> list[dict]:
-        return [{col: getattr(r, name) for col, name in self.CSV_COLUMNS.items()}
-                for r in self.rows]
+                   "inner_status": "inner_status", "time": "wall_time",
+                   "note": "note"}
 
 
 @dataclass
@@ -315,14 +313,14 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
     ``|<J_A d, g> - <d, J_A^T g>| / (||d|| ||g||)`` of the forward and
     transposed actions for random d, g.  All three read one state
     ``handle.point(x)`` per probe, and the constraint gradients come from
-    one ``handle.jacobian(x)`` read.  Each must be within ``tol`` (> 0, else
-    ``ParameterError``) for the report to pass.  A probe that
+    one ``handle.jacobian(x)`` read.  Each must be within ``tol`` (finite
+    and > 0, else ``ParameterError``) for the report to pass.  A probe that
     ``a_infinity`` cannot project is skipped with a note.
     """
     from .dissolve import a_infinity  # local import: dissolve builds on core
 
-    if not tol > 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
     max_fix = max_prod = max_adj = 0.0
     notes: list[str] = []
     used = 0

@@ -453,7 +453,7 @@ class _Blocks:
         """J_A^T(y) Jc(A(y)) at the state ``pt`` of y: ``pt.jat`` of each
         column of ``stack_jc(A(y))``, which the ``jacobian`` contract
         makes bitwise the action ``apply_Jc(A(y), e_j)``."""
-        jc = self.stack_jc(pt.ax).reshape(-1, self.k)
+        jc = self.stack_jc(pt.ax).reshape(self.m * self.q, self.k)
         cols = np.array([pt.jat(col) for col in jc.T]).T
         return cols.reshape(self.m, self.q, self.k)
 

@@ -361,10 +361,8 @@ class _EuclideanPoint:
 
 
 def _euclidean_handle(n: int) -> ManifoldHandle:
-    """Trivial handle with no manifold constraint (p = 0, A = identity).
-
-    Accepted by the direct-NLP solver only, for oracle problems.
-    """
+    """Trivial handle with no manifold constraint (p = 0, A = identity),
+    for unconstrained-manifold problems; both pipelines accept it."""
     return ManifoldHandle(
         name=f"euclidean({n})", n=n, p=0,
         eval_c=lambda x: np.zeros(0),

@@ -11,6 +11,7 @@ from cdpkit.core import (
     EvaluatorFaultError,
     OutOfNeighborhoodError,
     RankDeficiencyError,
+    SolveTrace,
 )
 
 
@@ -77,10 +78,31 @@ class TestSolve:
     def test_gamma_flag_reaches_the_instance(self):
         argv = ["solve", "--family", "center_of_mass", "--m", "6", "--q", "2",
                 "--N", "5", "--r", "0.1", "--gamma", "2.0"]
-        _, instance, _ = cli._load_from_args(cli.build_parser().parse_args(argv))
+        _, instance, _, _ = cli._load_from_args(
+            cli.build_parser().parse_args(argv))
         assert list(instance.params.gamma) == [2.0]
         assert instance.params.tau.size == 0
         assert run(argv) == 0
+
+    def test_beta_flag_on_a_list_config_is_a_configuration_error(
+            self, tmp_path, capsys):
+        # --beta replaces the parsed config's beta, so the document is
+        # checked first; it used to be merged into the raw document.
+        config = tmp_path / "grid.yaml"
+        config.write_text(
+            "- {family: balanced_cut, m: 8, q: 2, rho: 0.3, seed: 1}\n")
+        assert run(["solve", "--config", str(config), "--beta", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+
+    def test_trace_file_has_lf_line_ends_and_every_row_field(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        run(["solve", "--family", "balanced_cut", "--m", "10", "--q", "2",
+             "--rho", "0.3", "--out", str(trace)])
+        text = trace.read_bytes().decode()
+        assert "\r" not in text
+        header = text.splitlines()[0].split(",")
+        assert header == list(SolveTrace.CSV_COLUMNS)
 
     def test_pipelines_agree_on_objective(self, capsys):
         values = {}
@@ -136,6 +158,19 @@ class TestProbe:
         assert code == 0
         assert 1.85 <= payload["quadratic_decrease_slope"] <= 2.15
 
+    def test_config_file_probes_as_the_same_flags(self, tmp_path, capsys):
+        # The probe samples with the config's seed, wherever it came from.
+        config = tmp_path / "cut.yaml"
+        config.write_text("family: balanced_cut\nm: 20\nq: 2\nrho: 0.3\n"
+                          "seed: 3\n")
+        outputs = []
+        for source in (["--config", str(config)],
+                       ["--family", "balanced_cut", "--m", "20", "--q", "2",
+                        "--rho", "0.3", "--seed", "3"]):
+            assert run(["probe", *source, "--probes", "10", "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_zero_beta_probe_is_advisory(self, capsys):
         code = run(["probe", "--family", "center_of_mass", "--m", "6",
                     "--q", "2", "--N", "5", "--r", "0.5", "--seed", "2",
@@ -156,6 +191,18 @@ class TestBench:
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
+        assert out.with_suffix(".md").exists()
+
+    def test_failed_run_exits_one_and_still_writes(self, tmp_path):
+        grid = tmp_path / "grid.yaml"
+        grid.write_text(
+            "- {family: balanced_cut, m: 20, q: 2, rho: 0.3, seed: 3}\n")
+        out = tmp_path / "records.csv"
+        assert run(["bench", "--grid", str(grid), "--out", str(out),
+                    "--budget", "0.000001"]) == 1
+        with out.open() as fh:
+            assert [row["status"] for row in csv.DictReader(fh)] \
+                == ["max_time", "max_time"]
         assert out.with_suffix(".md").exists()
 
     def test_missing_grid_file_is_usage_error(self, tmp_path):
@@ -250,7 +297,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag, value", [
         ("--probes", "0"), ("--probes", "-1"), ("--tol", "nan"),
-        ("--tol", "0"), ("--tol", "-1"), ("--seed", "-1")])
+        ("--tol", "0"), ("--tol", "-1"), ("--tol", "inf"), ("--seed", "-1")])
     def test_bad_validate_setting_is_a_usage_error(self, flag, value, capsys):
         # Not a failed check: no probe ran, or no tolerance can be met.
         assert run(["validate", "--family", "oblique", "--m", "4", "--q", "2",

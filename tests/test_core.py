@@ -97,6 +97,10 @@ class TestDomainTypes:
         keyed = [value.removeprefix("value of ") for value in row.key_fields()]
         assert sorted(keyed) == sorted(set(names) - {"wall_time"})
 
+    def test_trace_csv_has_one_column_per_row_field(self):
+        assert sorted(SolveTrace.CSV_COLUMNS.values()) == sorted(
+            f.name for f in dataclasses.fields(TraceRow))
+
 
 class TestValidateManifold:
     def test_oblique_feasible_probe_is_fixed_exactly(self):
@@ -170,7 +174,7 @@ class TestValidateManifold:
         assert report.probes_used == 3 and report.passed
         assert taken() == (3, 0)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_tolerance_must_be_positive(self, tol):
         # No report could pass, so a bad tol is a usage error, not a
         # failed check.

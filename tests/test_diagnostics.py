@@ -34,7 +34,7 @@ from cdpkit.diagnostics import (
     kkt_residual,
     make_synthetic_kkt,
 )
-from cdpkit.dissolve import a_infinity
+from cdpkit.dissolve import a_infinity, build_cdp, lagrangian_decrease_probe
 from cdpkit.manifolds import GenericManifoldSpec, make_handle
 
 from conftest import (
@@ -266,6 +266,23 @@ class TestEstimateConstants:
         Jc, _, _ = dense_jacobians(problem, x_star)
         assert est.sigma1x == pytest.approx(
             np.linalg.svd(Jc, compute_uv=False)[-1])
+
+    def test_problem_without_manifold_constraints(self):
+        # p = 0: Jc(A(y)) has no columns, and rho takes its p = 0 branch.
+        handle = make_handle("euclidean", n=3)
+        problem = ProblemSpec(manifold=handle,
+                              eval_f=lambda x: float(np.dot(x, x)),
+                              grad_f=lambda x: 2.0 * np.asarray(x),
+                              name="norm_squared")
+        x = np.ones(3)
+        est = estimate_constants(problem, x, radius=0.1, samples=5)
+        assert (est.sigma1x, est.rho_x, est.epsilon_x) == (0.0, 1.0, 0.5)
+        inst = build_cdp(problem, PenaltyParams(beta=1.0))
+        report = lagrangian_decrease_probe(inst, x, MultiplierSet(),
+                                           offsets=[1e-2])
+        assert report.passed
+        assert report.skipped == ["condition check unavailable: sigma1x "
+                                  "must be positive for condition checks"]
 
     def test_sphere_jacobian_norm_near_two(self):
         problem = linear_objective_sphere_problem(4)

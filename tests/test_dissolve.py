@@ -24,7 +24,11 @@ from cdpkit.dissolve import (
     cdp_lagrangian,
     lagrangian_decrease_probe,
 )
-from cdpkit.manifolds import make_handle, symplectic_canonical_point
+from cdpkit.manifolds import (
+    GenericManifoldSpec,
+    make_handle,
+    symplectic_canonical_point,
+)
 
 from conftest import (
     BAD_POINTS,
@@ -220,6 +224,23 @@ class TestIteratedMap:
                                match="iterated map diverged") as info:
                 run()
             assert info.value.last_violation == pytest.approx(24.5025)
+
+    def test_exhausted_iteration_budget_raises(self):
+        # c(x) = x^3 has Gauss-Newton map A(x) = 2x/3: ||c|| shrinks by
+        # (2/3)^3 per step, too slowly to reach 1e-300 within the budget.
+        spec = GenericManifoldSpec(
+            n=1, p=1, eval_c=lambda x: np.asarray(x) ** 3,
+            apply_Jc=lambda x, w: 3.0 * np.asarray(x) ** 2 * np.asarray(w),
+            apply_dJc=lambda x, d, w: 6.0 * np.asarray(x) * np.asarray(d)
+            * np.asarray(w))
+        handle = make_handle("generic", spec=spec)
+        with pytest.raises(OutOfNeighborhoodError,
+                           match=r"max_iter exceeded with \|\|c\|\| = 4\.822e-28"
+                           ) as info:
+            a_infinity(handle, np.array([0.5]), tol=1e-300)
+        assert info.value.last_violation == pytest.approx(4.822e-28, rel=1e-3)
+        assert a_infinity(handle, np.array([0.5]))[0] == pytest.approx(
+            6.68e-05, rel=1e-3)
 
     def test_negative_tolerance_rejected(self):
         # NaN fails every comparison: a tolerance no violation can meet
