@@ -8,7 +8,6 @@ from .core import (
     PenaltyParams,
     ProblemSpec,
     finite_diff_check,
-    validate_manifold,
 )
 from .diagnostics import (
     check_condition,
@@ -18,7 +17,8 @@ from .diagnostics import (
     kkt_residual,
     make_synthetic_kkt,
 )
-from .dissolve import a_infinity, apply_A_k, build_cdp, cdp_lagrangian
+from .dissolve import (a_infinity, apply_A_k, build_cdp, cdp_lagrangian,
+                       validate_manifold)
 from .manifolds import GenericManifoldSpec, make_handle
 from .solver import AlmOptions, alm_solve_cdp, alm_solve_nlp_direct, lbfgs_minimize
 

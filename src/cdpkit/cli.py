@@ -4,6 +4,8 @@ probe penalty-theory properties, and run benchmark grids.
 Each subcommand takes only the flags it reads.  ``solve`` and ``probe``
 read their instance from ``--config`` or from the config fields' flags,
 not both; ``--beta``, ``--tau`` and ``--gamma`` (finite, >= 0) override it.
+``probe`` reads both penalty verdicts from one constant estimate, and
+measures decrease apart from them.  An ``--out`` directory must exist.
 
 Exit codes: 0 ok, 1 check, convergence or solver failure (in any ``bench``
 run), 2 usage/config error.
@@ -29,7 +31,6 @@ from .core import (
     PenaltyParams,
     default_fd_step,
     finite_diff_check,
-    validate_manifold,
 )
 
 EXIT_OK = 0
@@ -71,7 +72,7 @@ def _feasible_probes(base, count: int, seed: int):
 def cmd_validate(args) -> int:
     handle, point = _family(args)
     probes = _feasible_probes(point, args.probes, args.seed)
-    report = validate_manifold(handle, probes, tol=args.tol)
+    report = dissolve.validate_manifold(handle, probes, tol=args.tol)
 
     base = dissolve.a_infinity(handle, point)
     fd_err = finite_diff_check(
@@ -140,7 +141,16 @@ def _load_from_args(args):
     return problem, instance, x0, cfg
 
 
+def _out_path(args) -> Path | None:
+    """``--out``, checked before any solve runs: its directory must exist."""
+    out = args.out and Path(args.out)
+    if out and not out.parent.is_dir():
+        raise ConfigurationError("--out", f"directory {out.parent} does not exist")
+    return out
+
+
 def cmd_solve(args) -> int:
+    out = _out_path(args)
     problem, instance, x0, _ = _load_from_args(args)
     opts = solver.AlmOptions(time_budget=args.budget)
     if args.pipeline == "cdp":
@@ -155,9 +165,8 @@ def cmd_solve(args) -> int:
         "status": res.status,
     }
     _emit(args, payload)
-    if args.out:
-        Path(args.out).write_text(
-            bench.csv_text(res.trace.CSV_COLUMNS, res.trace.rows))
+    if out:
+        out.write_text(bench.csv_text(res.trace.CSV_COLUMNS, res.trace.rows))
     return EXIT_OK if res.status == "converged" else EXIT_FAIL
 
 
@@ -166,10 +175,10 @@ def cmd_probe(args) -> int:
     x_ref = dissolve.a_infinity(problem.manifold, x0)
     est = diagnostics.estimate_constants(problem, x_ref, radius=0.05,
                                          samples=args.probes, seed=cfg.seed)
-    cond = diagnostics.check_condition(est, instance.params)
-    slope = _decrease_slope(problem.manifold, x_ref, cfg.seed)
     mult = MultiplierSet(lam=np.zeros(problem.n_eq),
                          mu=np.zeros(problem.n_ineq))
+    cond = diagnostics.check_condition(est, instance.params, mult)
+    slope = _decrease_slope(problem.manifold, x_ref, cfg.seed)
     probe = dissolve.lagrangian_decrease_probe(
         instance, x_ref, mult, offsets=[1e-2, 1e-3], seed=cfg.seed)
     payload = {
@@ -179,25 +188,25 @@ def cmd_probe(args) -> int:
         "beta_threshold": cond.beta_threshold,
         "beta_met": cond.beta_met,
         "quadratic_decrease_slope": slope,
-        "decrease_condition_met": probe.condition_met,
+        "decrease_condition_met": cond.coupled_met,
         "decrease_passed": probe.passed,
     }
     _emit(args, payload)
-    hard_ok = 1.85 <= slope <= 2.15 and (probe.passed or not probe.condition_met)
+    hard_ok = 1.85 <= slope <= 2.15 and (probe.passed or not cond.coupled_met)
     return EXIT_OK if hard_ok else EXIT_FAIL
 
 
 def cmd_bench(args) -> int:
+    out = _out_path(args)
     doc = bench._ingest_config(Path(args.grid))
     if not isinstance(doc, list):
         raise ConfigurationError("<grid>", "grid must be a list of configs")
     grid = [bench.problem_config(entry) for entry in doc]
     records = bench.run_experiment(grid, budget=args.budget)
     csv_text = bench.records_to_csv(records)
-    if args.out:
-        Path(args.out).write_text(csv_text)
-        Path(args.out).with_suffix(".md").write_text(
-            bench.records_to_markdown(records))
+    if out:
+        out.write_text(csv_text)
+        out.with_suffix(".md").write_text(bench.records_to_markdown(records))
     else:
         print(csv_text)
         print(bench.records_to_markdown(records))

@@ -10,7 +10,7 @@ the matrix's ``(rows, cols)`` in ``row_blocks``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -31,14 +31,10 @@ __all__ = [
     "ProblemSpec",
     "SolveTrace",
     "TraceRow",
-    "ValidationReport",
     "default_fd_step",
     "finite_diff_check",
     "gradient_action",
-    "validate_manifold",
 ]
-
-FEASIBILITY_TOL = 1e-10  # absolute tolerance on ||c(x)|| for "feasible"
 
 
 class CdpkitError(Exception):
@@ -112,9 +108,10 @@ class ManifoldHandle:
                                        the derivative of A along d.
 
     A reader of several of these at one point (the transformed evaluation,
-    the constant estimates, ``validate_manifold``) holds one state, so A,
-    c and what they share are evaluated once.  x must not change while its
-    state is in use.  Jc(x) w, which shares nothing with A, has one door:
+    ``validate_manifold``) holds one state, so A, c and what they share
+    are evaluated once; the constant estimates hold one state per sample
+    point in each pass over the samples.  x must not change while its state
+    is in use.  Jc(x) w, which shares nothing with A, has one door:
     ``apply_Jc``.  Of the five per-call fields, the package reads
     ``eval_c``, ``apply_Jc`` and, only in ``dissolve._map_step``,
     ``eval_A``; ``apply_JcT`` and ``apply_JAT`` are read by no code in it.
@@ -271,17 +268,6 @@ class SolveTrace:
                    "note": "note"}
 
 
-@dataclass
-class ValidationReport:
-    max_fixed_point_error: float
-    max_jacobian_product_norm: float
-    max_adjoint_error: float
-    tol: float
-    probes_used: int
-    passed: bool
-    notes: list[str] = field(default_factory=list)
-
-
 def _check_point(x: Vector, n: int, what: str = "x") -> Vector:
     """x as a flat float vector of length n, else a typed error."""
     x = np.asarray(x, dtype=float).ravel()
@@ -300,62 +286,6 @@ def _dense_columns(apply_comb: Callable[[Vector, Vector], Vector], x: Vector,
     for k in range(count):
         cols[:, k] = apply_comb(x, eye[k])
     return cols
-
-
-def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
-                      tol: float) -> ValidationReport:
-    """Check the dissolving-map axioms at (projections of) the given probes.
-
-    At each feasible probe x the report records ``||A(x) - x||_inf``, an
-    estimate of the operator norm of the product of the transposed Jacobian
-    of A with the constraint Jacobian, obtained by pushing each of the p
-    constraint-gradient columns through J_A^T, and the adjointness error
-    ``|<J_A d, g> - <d, J_A^T g>| / (||d|| ||g||)`` of the forward and
-    transposed actions for random d, g.  All three read one state
-    ``handle.point(x)`` per probe, and the constraint gradients come from
-    one ``handle.jacobian(x)`` read.  Each must be within ``tol`` (finite
-    and > 0, else ``ParameterError``) for the report to pass.  A probe that
-    ``a_infinity`` cannot project is skipped with a note.
-    """
-    from .dissolve import a_infinity  # local import: dissolve builds on core
-
-    if not 0 < tol < np.inf:
-        raise ParameterError(f"tol must be finite and positive, got {tol}")
-    max_fix = max_prod = max_adj = 0.0
-    notes: list[str] = []
-    used = 0
-    rng = np.random.default_rng((handle.n, handle.p))  # d and g, per probe
-    for k, probe in enumerate(probes):
-        x = _check_point(probe, handle.n, f"probe {k}")
-        viol = float(np.linalg.norm(handle.eval_c(x)))
-        if not np.isfinite(viol):
-            raise EvaluatorFaultError(f"eval_c non-finite at probe {k}")
-        if viol > FEASIBILITY_TOL:
-            try:
-                x = a_infinity(handle, x, tol=FEASIBILITY_TOL)
-            except OutOfNeighborhoodError as exc:
-                notes.append(f"probe {k} skipped: {exc}")
-                continue
-        pt = handle.point(x)
-        if not np.all(np.isfinite(pt.ax)):
-            raise EvaluatorFaultError(f"eval_A non-finite at probe {k}")
-        max_fix = max(max_fix, float(np.max(np.abs(pt.ax - x), initial=0.0)))
-        cols = np.array([pt.jat(col) for col in handle.jacobian(x).T]).T
-        if not np.all(np.isfinite(cols)):
-            raise EvaluatorFaultError(f"Jacobian action non-finite at probe {k}")
-        if handle.p > 0:
-            max_prod = max(max_prod, float(np.linalg.norm(cols, 2)))
-        d, g = rng.standard_normal((2, handle.n))
-        gap = float(np.dot(pt.ja(d), g)) - float(np.dot(d, pt.jat(g)))
-        if not np.isfinite(gap):
-            raise EvaluatorFaultError(f"Jacobian action non-finite at probe {k}")
-        max_adj = max(max_adj, abs(gap) / float(np.linalg.norm(d)
-                                                * np.linalg.norm(g)))
-        used += 1
-    passed = (used > 0 and max_fix <= tol and max_prod <= tol
-              and max_adj <= tol)
-    return ValidationReport(max_fix, max_prod, max_adj, tol, used, passed,
-                            notes)
 
 
 def default_fd_step(x: Vector) -> float:

@@ -7,10 +7,11 @@ Jc in one call of the handle's ``jacobian``.  The KKT check factors
 multipliers from that one factorization.
 The constant estimates also run inside the solve, as the beta safeguard
 of ``alm_solve_cdp``.  They read ``Jc`` and ``J_A^T`` through the
-handle's own actions, holding one state ``point(y)`` per sample point.  A
-handle that declares ``row_blocks`` gives stacks of one block per row of
-X, O(n) work per sample point.  Any other handle gives ``Jc`` as one dense
-n x p block, and the norms of ``J_A^T`` come matrix-free, by
+handle's own actions, holding one state ``point(y)`` per sample point in
+each pass: the safeguard's constants take one pass, ``estimate_constants``
+a second.  A handle that declares ``row_blocks`` gives stacks of one block
+per row of X, O(n) work per sample point.  Any other handle gives ``Jc``
+as one dense n x p block, and the norms of ``J_A^T`` come matrix-free, by
 Golub-Kahan-Lanczos on the state's ``jat`` and ``ja``: at most 20
 applications of each per norm, and no n x n matrix.
 """
@@ -387,8 +388,8 @@ class _Blocks:
     actions per stack.  A block-diagonal matrix's spectral norm is its
     largest block norm, and its singular values are those of its blocks.
 
-    J_A^T and J_A^T Jc(A(y)) are read from one state ``point(y)`` of the
-    handle.  J_A^T of a ``row_blocks`` handle is the (m, q, q) stack of its
+    J_A^T and J_A^T Jc(A(y)) are each read from a state ``point(y)`` of
+    the handle.  J_A^T of a ``row_blocks`` handle is the (m, q, q) stack of its
     blocks, q actions per point.  Of any other handle it is a matrix-free
     ``_JatOperator``, whose norm is a Golub-Kahan-Lanczos lower bound from
     the state's ``jat`` and ``ja`` (at most ``GK_MAX_STEPS`` of each),

@@ -15,7 +15,6 @@ from cdpkit.core import (
     default_fd_step,
     finite_diff_check,
     gradient_action,
-    validate_manifold,
 )
 from cdpkit.bench import (
     BalancedCutConfig,
@@ -32,7 +31,12 @@ from cdpkit.diagnostics import (
     kkt_residual,
     make_synthetic_kkt,
 )
-from cdpkit.dissolve import a_infinity, build_cdp, lagrangian_decrease_probe
+from cdpkit.dissolve import (
+    a_infinity,
+    build_cdp,
+    lagrangian_decrease_probe,
+    validate_manifold,
+)
 from cdpkit.manifolds import make_handle, symplectic_canonical_point
 from cdpkit.solver import alm_solve_cdp, alm_solve_nlp_direct
 
@@ -245,7 +249,10 @@ def test_criterion_07_lagrangian_decrease(announce):
     for k in range(20):
         report = lagrangian_decrease_probe(inst, s_star, mult,
                                            offsets=[1e-2, 1e-3], seed=k)
-        ok = ok and report.passed and report.condition_met
+        cond_k = check_condition(estimate_constants(
+            problem, s_star, radius=0.05, samples=40, seed=k),
+            inst.params, mult)
+        ok = ok and report.passed and cond_k.coupled_met
         if report.single_step_decrease:
             worst = min(worst, min(report.single_step_decrease),
                         min(report.limit_decrease))

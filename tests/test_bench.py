@@ -10,7 +10,6 @@ from cdpkit.core import (
     ParameterError,
     PenaltyParams,
     ProblemSpec,
-    validate_manifold,
 )
 from cdpkit.bench import (
     BalancedCutConfig,
@@ -27,7 +26,7 @@ from cdpkit.bench import (
 from cdpkit.diagnostics import check_licq, kkt_residual
 from cdpkit.manifolds import make_handle, symplectic_form
 from cdpkit.solver import AlmOptions, alm_solve_cdp
-from cdpkit.dissolve import build_cdp
+from cdpkit.dissolve import build_cdp, validate_manifold
 
 
 class TestConfigs:

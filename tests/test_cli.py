@@ -104,6 +104,15 @@ class TestSolve:
         header = text.splitlines()[0].split(",")
         assert header == list(SolveTrace.CSV_COLUMNS)
 
+    def test_out_in_a_missing_directory_is_usage_error(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # Refused before the solve runs, not after it.
+        monkeypatch.setattr(cli.solver, "alm_solve_cdp", None)
+        assert run(["solve", "--family", "balanced_cut", "--m", "10",
+                    "--q", "2", "--rho", "0.3",
+                    "--out", str(tmp_path / "missing" / "t.csv")]) == 2
+        assert "configuration error: --out" in capsys.readouterr().err
+
     def test_pipelines_agree_on_objective(self, capsys):
         values = {}
         for pipe in ("cdp", "nlp"):
@@ -178,6 +187,19 @@ class TestProbe:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["beta_met"] is False
+        assert payload["decrease_condition_met"] is False
+
+    def test_both_verdicts_come_from_one_estimate(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args, _bound=cli.diagnostics._bound_constants):
+            calls.append(args)
+            return _bound(*args)
+
+        monkeypatch.setattr(cli.diagnostics, "_bound_constants", counted)
+        assert run(["probe", "--family", "balanced_cut", "--m", "10",
+                    "--q", "2", "--rho", "0.3", "--probes", "10"]) == 0
+        assert len(calls) == 1
 
 
 class TestBench:
@@ -204,6 +226,17 @@ class TestBench:
             assert [row["status"] for row in csv.DictReader(fh)] \
                 == ["max_time", "max_time"]
         assert out.with_suffix(".md").exists()
+
+    def test_out_in_a_missing_directory_is_usage_error(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # Refused before the grid runs, not after it.
+        monkeypatch.setattr(cli.bench, "run_experiment", None)
+        grid = tmp_path / "grid.yaml"
+        grid.write_text(
+            "- {family: balanced_cut, m: 8, q: 2, rho: 0.3, seed: 1}\n")
+        assert run(["bench", "--grid", str(grid),
+                    "--out", str(tmp_path / "missing" / "r.csv")]) == 2
+        assert "configuration error: --out" in capsys.readouterr().err
 
     def test_missing_grid_file_is_usage_error(self, tmp_path):
         assert run(["bench", "--grid", str(tmp_path / "nope.yaml")]) == 2

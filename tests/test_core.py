@@ -20,9 +20,8 @@ from cdpkit.core import (
     default_fd_step,
     finite_diff_check,
     gradient_action,
-    validate_manifold,
 )
-from cdpkit.dissolve import build_cdp
+from cdpkit.dissolve import build_cdp, validate_manifold
 from cdpkit.manifolds import make_handle, symplectic_canonical_point
 
 from conftest import (

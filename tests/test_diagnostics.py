@@ -24,6 +24,8 @@ from cdpkit.bench import (
 )
 from cdpkit.diagnostics import (
     GK_MAX_STEPS,
+    SAFETY,
+    ConstantEstimates,
     _Blocks,
     _bound_constants,
     check_condition,
@@ -280,9 +282,7 @@ class TestEstimateConstants:
         inst = build_cdp(problem, PenaltyParams(beta=1.0))
         report = lagrangian_decrease_probe(inst, x, MultiplierSet(),
                                            offsets=[1e-2])
-        assert report.passed
-        assert report.skipped == ["condition check unavailable: sigma1x "
-                                  "must be positive for condition checks"]
+        assert report.passed and report.skipped == []
 
     def test_sphere_jacobian_norm_near_two(self):
         problem = linear_objective_sphere_problem(4)
@@ -591,3 +591,30 @@ class TestCheckCondition:
         assert report.coupled_threshold is not None
         assert report.coupled_lhs == pytest.approx(1.0)
         assert report.coupled_met == (1.0 >= 2.0 * report.coupled_threshold)
+
+    def test_gamma_and_coupled_bounds_follow_their_formulas(self):
+        # Hand-picked constants; every quantity below is exact in binary.
+        est = ConstantEstimates(
+            sigma1x=2.0, M_cx=0.0, M_Ax=1.0, M_ux=3.0, M_vx=4.0, L_fx=1.0,
+            L_cx=0.0, L_Ax=0.5, L_Acx=0.25, rho_x=1.0, epsilon_x=0.1,
+            omega_bar_radius=0.1, sample_count=1, radius=0.1)
+        params = PenaltyParams(beta=200.0, tau=[1.0, 2.0],
+                               gamma=[70.0, 40.0])
+        mult = MultiplierSet(lam=[1.0, -2.0], mu=[0.5, 1.0])
+        report = check_condition(est, params, mult)
+        # 64 L_f (M_A + 1)(L_Ac + sigma L_A) / sigma^3
+        assert report.beta_threshold == 64.0 * 1.0 * 2.0 * 1.25 / 8.0 == 20.0
+        assert report.beta_met and 200.0 >= SAFETY * 20.0
+        # 32 L_A M_v (M_A + 1) / sigma^2, against the smallest gamma_j
+        assert report.gamma_threshold == 32.0 * 0.5 * 4.0 * 2.0 / 4.0 == 32.0
+        assert report.gamma_slack == 40.0 - 32.0
+        # met only at SAFETY times the threshold: 40 > 32, not >= 64
+        assert report.gamma_met is False and SAFETY == 2.0
+        # M = L_f + ||lambda||_1 M_u + ||mu||_1 M_v
+        assert report.M_x_lam_mu == 1.0 + 3.0 * 3.0 + 1.5 * 4.0 == 16.0
+        # 32 L_A (M_A + 1) M / sigma^2
+        assert report.coupled_threshold == 32.0 * 0.5 * 2.0 * 16.0 / 4.0
+        # beta + lambda^T tau + mu^T gamma
+        assert report.coupled_lhs == 200.0 + (1.0 - 4.0) + (35.0 + 40.0)
+        assert report.coupled_slack == 272.0 - 128.0
+        assert report.coupled_met and 272.0 >= SAFETY * 128.0

@@ -3,19 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-import cdpkit.dissolve
 from cdpkit.core import (
     DimensionError,
     MultiplierSet,
     OutOfNeighborhoodError,
     ParameterError,
     PenaltyParams,
-    RankDeficiencyError,
     default_fd_step,
     finite_diff_check,
     gradient_action,
 )
 from cdpkit.bench import CenterOfMassConfig, gen_center_of_mass
+from cdpkit.diagnostics import check_condition, estimate_constants
 from cdpkit.dissolve import (
     CdpPointEval,
     a_infinity,
@@ -343,6 +342,9 @@ class TestDecreaseProbe:
         assert report.limit_decrease == [0.0]
 
     def test_zero_beta_flags_condition_not_met_without_failing(self):
+        # The probe itself carries no verdict on the condition: it runs to
+        # the end at beta = 0, and check_condition on the same point flags
+        # both bounds as unmet.
         problem = linear_objective_sphere_problem(5, seed=2)
         inst = build_cdp(problem, PenaltyParams(beta=0.0))
         x = np.zeros(5)
@@ -350,7 +352,11 @@ class TestDecreaseProbe:
         mult = MultiplierSet(rho=np.zeros(1), lam=np.zeros(0), mu=np.zeros(0))
         report = lagrangian_decrease_probe(inst, x, mult,
                                            offsets=[1e-2, 1e-3])
-        assert report.condition_met is False
+        assert report.offsets == [1e-2, 1e-3] and not report.skipped
+        est = estimate_constants(problem, x, radius=0.05, samples=20)
+        cond = check_condition(est, inst.params, mult)
+        assert cond.beta_met is False
+        assert cond.coupled_met is False
 
     def test_large_beta_probe_passes_on_sphere(self):
         problem = linear_objective_sphere_problem(5, seed=2)
@@ -383,8 +389,7 @@ class TestDecreaseProbe:
 
     def test_three_states_and_no_gradient_per_offset(self, monkeypatch):
         # One state each at y, A(y) and a_infinity(y); A(y) and c(y) are
-        # read from y's state.  The condition check's own states are the
-        # count of a run without offsets.
+        # read from y's state, and the probe reads no other.
         counts = {"point": 0, "weighted_grad": 0}
         handle = make_handle("sphere", n=5)
 
@@ -402,42 +407,16 @@ class TestDecreaseProbe:
             5, seed=2, handle=dataclasses.replace(handle, point=point))
         inst = build_cdp(problem, PenaltyParams(beta=500.0))
         mult = MultiplierSet(rho=np.zeros(1))
-
-        def probed(offsets):
-            counts.update(point=0, weighted_grad=0)
-            report = lagrangian_decrease_probe(inst, np.eye(5)[0], mult,
-                                               offsets=offsets)
-            return report, dict(counts)
-
-        _, condition_only = probed([])
-        report, total = probed([1e-2, 1e-3])
+        report = lagrangian_decrease_probe(inst, np.eye(5)[0], mult,
+                                           offsets=[1e-2, 1e-3])
         assert report.offsets == [1e-2, 1e-3] and not report.skipped
-        assert total["point"] - condition_only["point"] == 3 * 2
-        assert total["weighted_grad"] == 0
+        assert counts == {"point": 3 * 2, "weighted_grad": 0}
 
-    @staticmethod
-    def _probe_with_condition_check_raising(monkeypatch, exc):
-        def raising(*args, **kwargs):
-            raise exc
-
-        monkeypatch.setattr(cdpkit.dissolve, "estimate_constants", raising)
-        problem = linear_objective_sphere_problem(5, seed=2)
-        inst = build_cdp(problem, PenaltyParams(beta=500.0))
-        x = np.zeros(5)
-        x[0] = 1.0
-        mult = MultiplierSet(rho=np.zeros(1), lam=np.zeros(0), mu=np.zeros(0))
-        return lagrangian_decrease_probe(inst, x, mult, offsets=[1e-2, 1e-3])
-
-    def test_programming_error_in_condition_check_propagates(self,
-                                                             monkeypatch):
-        with pytest.raises(ZeroDivisionError):
-            self._probe_with_condition_check_raising(monkeypatch,
-                                                     ZeroDivisionError())
-
-    def test_typed_error_in_condition_check_is_recorded(self, monkeypatch):
-        report = self._probe_with_condition_check_raising(
-            monkeypatch, RankDeficiencyError("sigma_min(Jc) = 0"))
-        assert report.skipped == [
-            "condition check unavailable: sigma_min(Jc) = 0"]
-        assert report.offsets == [1e-2, 1e-3]
-        assert report.passed
+    @pytest.mark.parametrize("bad, error", BAD_POINTS)
+    def test_bad_point_rejected(self, bad, error):
+        # Checked at entry, so the error names the probe's own argument.
+        problem, x = bad_cut_point(bad)
+        inst = build_cdp(problem, PenaltyParams(beta=1.0))
+        with pytest.raises(error, match="x_feasible"):
+            lagrangian_decrease_probe(inst, x, MultiplierSet(),
+                                      offsets=[1e-2])

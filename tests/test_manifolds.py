@@ -14,14 +14,13 @@ from cdpkit.core import (
     _dense_columns,
     default_fd_step,
     finite_diff_check,
-    validate_manifold,
 )
 from cdpkit.diagnostics import (
     _bound_constants,
     estimate_constants,
     make_synthetic_kkt,
 )
-from cdpkit.dissolve import a_infinity, build_cdp
+from cdpkit.dissolve import a_infinity, build_cdp, validate_manifold
 from cdpkit.manifolds import (
     GenericManifoldSpec,
     make_handle,

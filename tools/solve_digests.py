@@ -19,9 +19,10 @@ bitwise-equal results on the benchmark:
 * two family lines, printed at the family's first instance: one holds a
   SHA-256 of the repr of ``validate_manifold``'s report at 10 probes,
   Gaussian with scale 0.05 (seed 0) around ``a_infinity(x0)``; the other
-  a SHA-256 of the repr of ``lagrangian_decrease_probe``'s report for
-  the instance at ``a_infinity(x0)``, with unit multipliers, offsets
-  1e-1, 1e-2 and 1e-3 and seed 0.
+  a SHA-256 of the decrease fields (``PROBE_FIELDS``, read by name) of
+  ``lagrangian_decrease_probe``'s report for the instance at
+  ``a_infinity(x0)``, with unit multipliers, offsets 1e-1, 1e-2 and 1e-3
+  and seed 0.
 
 The checkout's ``src`` and ``perfbench`` come first on ``sys.path``, and
 BLAS runs on one thread.  It takes about 17 s on one core of a 2-core
@@ -59,6 +60,11 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
+# The decrease probe's report fields that the probe line hashes.
+PROBE_FIELDS = ("offsets", "single_step_decrease", "limit_decrease",
+                "h_decrease", "quarter_beta_c_sq", "skipped", "passed")
+
+
 def _multipliers(mult) -> tuple:
     return (mult.rho, mult.lam, mult.mu)
 
@@ -90,7 +96,7 @@ def constants_line(problem, x0) -> str:
 
 
 def validate_line(problem, x0) -> str:
-    from cdpkit.core import validate_manifold
+    from cdpkit import validate_manifold
     from cdpkit.dissolve import a_infinity
 
     x_ref = a_infinity(problem.manifold, x0)
@@ -110,7 +116,8 @@ def probe_line(problem, inst, x0) -> str:
     report = lagrangian_decrease_probe(
         inst, a_infinity(problem.manifold, x0), mult,
         offsets=[1e-1, 1e-2, 1e-3], seed=0)
-    return f"offsets={len(report.offsets)} {_digest(repr(report))}"
+    fields = {name: getattr(report, name) for name in PROBE_FIELDS}
+    return f"offsets={len(report.offsets)} {_digest(repr(fields))}"
 
 
 def main(argv=None) -> int:
