@@ -30,7 +30,7 @@ from .core import (
     Vector,
 )
 from .dissolve import CdpInstance, a_infinity, build_cdp
-from .manifolds import make_handle, symplectic_canonical_point
+from .manifolds import make_handle, symplectic_canonical_point, symplectic_spec
 from .solver import AlmOptions, alm_solve_cdp, alm_solve_nlp_direct
 
 __all__ = [
@@ -117,17 +117,24 @@ def gen_center_of_mass(cfg: CenterOfMassConfig) -> tuple[ProblemSpec, Vector]:
     s* is a projected perturbation of the canonical point; the N samples
     are projected Gaussian perturbations of s*.  The single inequality is
     ||x - s*||^2 <= r and the suggested initial point is s*.
+
+    The projections iterate the Gauss-Newton map of ``symplectic_spec``,
+    which defines the instances (s*, the samples, and so f and v): the
+    closed-form map lands on other manifold points, and so would move
+    every instance.  The problem's handle is the closed-form map, whose
+    states cost O(m q^2) where the Gauss-Newton ones cost O(n p^2).
     """
     handle = make_handle("symplectic_stiefel", m=cfg.m, q=cfg.q)
+    project = make_handle("generic", spec=symplectic_spec(cfg.m, cfg.q))
     rng = np.random.default_rng(cfg.seed)
     n = handle.n
 
     anchor = symplectic_canonical_point(cfg.m, cfg.q).ravel()
-    s_star = _perturb_project(handle, anchor, 0.05, rng)
+    s_star = _perturb_project(project, anchor, 0.05, rng)
 
     samples = np.empty((cfg.N, n))
     for i in range(cfg.N):
-        samples[i] = _perturb_project(handle, s_star, 0.05, rng)
+        samples[i] = _perturb_project(project, s_star, 0.05, rng)
     s_bar = samples.mean(axis=0)
     # (1/N) sum ||x - s_i||^2 = ||x - s_bar||^2 + const
     const = float(np.mean(np.sum((samples - s_bar) ** 2, axis=1)))

@@ -142,10 +142,13 @@ def _load_from_args(args):
 
 
 def _out_path(args) -> Path | None:
-    """``--out``, checked before any solve runs: its directory must exist."""
+    """``--out``, checked before any solve runs: its directory must exist,
+    and it must not name a directory itself."""
     out = args.out and Path(args.out)
     if out and not out.parent.is_dir():
         raise ConfigurationError("--out", f"directory {out.parent} does not exist")
+    if out and out.is_dir():
+        raise ConfigurationError("--out", f"{out} is a directory")
     return out
 
 

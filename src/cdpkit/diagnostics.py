@@ -89,8 +89,12 @@ def kkt_residual(problem: ProblemSpec, x: Vector) -> KktReport:
     from one pivoted QR of B = [Jc Ju]: its leading ``rank`` columns Q_r,
     with rank the count of |R_ii| > 1e-12 max(1, max_j |R_jj|), give the
     projector P = I - Q_r Q_r^T onto the complement of range(B).
-    Non-negative least squares on P Jv gives mu, the stationarity is
-    ||P(grad f + Jv mu)||, and (rho, lambda) come from a triangular solve
+    Non-negative least squares on the columns of P Jv of the inequalities
+    active at x (``_active_set``, as in ``check_licq``) gives their mu; an
+    inequality off that set, strictly inactive or violated, gets mu = 0,
+    so it cannot absorb part of grad f, and feasibility reports a violated
+    one.  The stationarity is ||P(grad f + Jv mu)||, and (rho, lambda)
+    come from a triangular solve
     with the leading rank x rank block of R.  When B is rank deficient
     that is a basic solution, zero on the columns the pivoting put last,
     not the minimum-norm one; the residual it reaches is the same.  A bad
@@ -110,13 +114,15 @@ def kkt_residual(problem: ProblemSpec, x: Vector) -> KktReport:
     def proj(M):
         return M - Qr @ (Qr.T @ M)
 
-    mu = (scipy.optimize.nnls(proj(Jv), -proj(g))[0] if problem.n_ineq
-          else np.zeros(0))
+    v = problem.eval_v(x)
+    active = _active_set(v)
+    mu = np.zeros(problem.n_ineq)
+    if active:
+        mu[active] = scipy.optimize.nnls(proj(Jv[:, active]), -proj(g))[0]
     rhs = g + Jv @ mu
     coef = Qr.T @ rhs
     xi = np.zeros(B.shape[1])
     xi[piv[:rank]] = scipy.linalg.solve_triangular(R[:rank, :rank], -coef)
-    v = problem.eval_v(x)
     return KktReport(
         stationarity=float(np.linalg.norm(rhs - Qr @ coef)),
         feasibility=feasibility(problem, x),

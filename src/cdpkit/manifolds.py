@@ -1,8 +1,10 @@
 """Catalog of constraint dissolving operators.
 
-Closed-form operators for the oblique manifold (unit-norm rows) and the
-sphere, a generic operator for an arbitrary full-rank constraint map, and
-a symplectic Stiefel family built on the generic operator.
+Closed-form operators for the oblique manifold (unit-norm rows), the
+sphere and the symplectic Stiefel manifold, and a generic Gauss-Newton
+operator for an arbitrary full-rank constraint map.  The generic operator
+serves user specs, and over ``symplectic_spec`` it generates the
+center-of-mass instances.
 """
 
 from __future__ import annotations
@@ -224,6 +226,42 @@ def symplectic_canonical_point(m: int, q: int) -> Vector:
     return E
 
 
+class _SymplecticPoint:
+    """The closed-form map's state at an m x q point X (Xiao, Liu & Toh,
+    arXiv 2203.10319): with W = X^T Q_m X and B = (3/2) I + (1/2) Q_q W,
+    A(X) = X B, and B = I on the manifold, where W = Q_q and Q_q^2 = -I.
+    ``cx`` is the strict upper triangle of W - Q_q, W formed by
+    ``symplectic_spec``'s own product with the dense Q_m (O(m^2 q)), so it
+    is bit for bit ``eval_c``.  Q_m X is a row-half swap, so ``ax`` and
+    each Jacobian action cost O(m q^2)."""
+
+    def __init__(self, X: Vector, Qm: Vector, Qq: Vector, iu):
+        self.X = X
+        W = X.T @ Qm @ X
+        self.cx = (W - Qq)[iu]
+        self.Qq = Qq
+        self.B = 1.5 * np.eye(len(Qq)) + 0.5 * (Qq @ W)
+        h = len(X) // 2
+        self.QmX = np.concatenate([X[h:], -X[:h]])
+        self.ax = (X @ self.B).ravel()
+
+    def ja(self, d: Vector) -> Vector:
+        """D B + (1/2) X Q_q (D^T Q_m X + X^T Q_m D); the second product in
+        the bracket is minus the transpose of the first."""
+        X = self.X
+        D = np.asarray(d, dtype=float).reshape(X.shape)
+        S = D.T @ self.QmX
+        return (D @ self.B + 0.5 * (X @ (self.Qq @ (S - S.T)))).ravel()
+
+    def jat(self, g: Vector) -> Vector:
+        """The adjoint of ``ja``: G B^T + (1/2) Q_m X (H^T - H), with
+        H = Q_q^T X^T G."""
+        X = self.X
+        G = np.asarray(g, dtype=float).reshape(X.shape)
+        H = self.Qq.T @ (X.T @ G)
+        return (G @ self.B.T + 0.5 * (self.QmX @ (H.T - H))).ravel()
+
+
 def symplectic_spec(m: int, q: int) -> GenericManifoldSpec:
     """Constraint spec keeping only the strict upper triangle of the
     skew-symmetric residual X^T Q_m X - Q_q (p = q(q-1)/2 independent
@@ -334,6 +372,21 @@ def _sphere_handle(n: int) -> ManifoldHandle:
                          lambda x: 2.0 * np.asarray(x, dtype=float)[:, None]))
 
 
+def _symplectic_handle(m: int, q: int) -> ManifoldHandle:
+    """The closed-form map over ``symplectic_spec``'s c and Jc."""
+    spec = symplectic_spec(m, q)
+    Qm, Qq = symplectic_form(m), symplectic_form(q)
+    iu = np.triu_indices(q, 1)
+    return ManifoldHandle(
+        name=spec.name, n=spec.n, p=spec.p,
+        eval_c=spec.eval_c,
+        apply_Jc=spec.apply_Jc,
+        **_derived_reads(
+            lambda x: _SymplecticPoint(np.asarray(x, dtype=float).reshape(m, q),
+                                       Qm, Qq, iu),
+            spec.jacobian))
+
+
 def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
     jacobian = spec.jacobian or (
         lambda x: _dense_columns(spec.apply_Jc, x, spec.p, spec.n))
@@ -376,7 +429,8 @@ def make_handle(family: str, *, m: int | None = None, q: int | None = None,
     """Wire a family's evaluators into a ManifoldHandle.
 
     Families: ``oblique`` (m, q), ``sphere`` (n), ``symplectic_stiefel``
-    (m, q even), ``generic`` (spec), ``euclidean`` (n).
+    (m, q even; the closed-form map), ``generic`` (spec; the Gauss-Newton
+    map), ``euclidean`` (n).
     """
     if family == "oblique":
         if m is None or q is None:
@@ -389,7 +443,7 @@ def make_handle(family: str, *, m: int | None = None, q: int | None = None,
     if family == "symplectic_stiefel":
         if m is None or q is None:
             raise DimensionError("symplectic_stiefel requires m and q")
-        return _generic_handle(symplectic_spec(m, q))
+        return _symplectic_handle(m, q)
     if family == "generic":
         if spec is None:
             raise DimensionError("generic requires a GenericManifoldSpec")

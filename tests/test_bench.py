@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,18 @@ class TestCenterOfMass:
         v = problem.eval_v(res.x_postprocessed)
         if v[0] < -1e-8:  # interior
             assert res.kkt.multipliers.mu[0] <= 1e-6
+
+    def test_instance_is_generated_by_the_gauss_newton_map(self):
+        # The Gauss-Newton map of the symplectic spec projects s* and the
+        # samples, as it did when it was the family's only map; projecting
+        # with the closed-form map would land elsewhere and move x0 and f.
+        problem, x0 = gen_center_of_mass(
+            CenterOfMassConfig(m=6, q=2, N=8, r=0.5, seed=3))
+        assert (x0.dtype, x0.shape) == (np.float64, (12,))
+        assert hashlib.sha256(x0.tobytes()).hexdigest() == (
+            "095000d0ad3cbda68c103479fad8bbb278af7632cafa539adcbb7c6bf8648f83")
+        assert problem.eval_f(x0) == float.fromhex("0x1.9445e731cbba5p-6")
+        assert problem.manifold.name == "symplectic_stiefel(6,2)"
 
     def test_start_point_satisfies_symplectic_constraint(self):
         cfg = CenterOfMassConfig(m=8, q=4, N=5, r=0.1, seed=2)

@@ -113,6 +113,14 @@ class TestSolve:
                     "--out", str(tmp_path / "missing" / "t.csv")]) == 2
         assert "configuration error: --out" in capsys.readouterr().err
 
+    def test_out_naming_a_directory_is_usage_error(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # Refused before the solve runs, not after it.
+        monkeypatch.setattr(cli.solver, "alm_solve_cdp", None)
+        assert run(["solve", "--family", "balanced_cut", "--m", "10",
+                    "--q", "2", "--rho", "0.3", "--out", str(tmp_path)]) == 2
+        assert "configuration error: --out" in capsys.readouterr().err
+
     def test_pipelines_agree_on_objective(self, capsys):
         values = {}
         for pipe in ("cdp", "nlp"):
@@ -236,6 +244,16 @@ class TestBench:
             "- {family: balanced_cut, m: 8, q: 2, rho: 0.3, seed: 1}\n")
         assert run(["bench", "--grid", str(grid),
                     "--out", str(tmp_path / "missing" / "r.csv")]) == 2
+        assert "configuration error: --out" in capsys.readouterr().err
+
+    def test_out_naming_a_directory_is_usage_error(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # Refused before the grid runs, not after it.
+        monkeypatch.setattr(cli.bench, "run_experiment", None)
+        grid = tmp_path / "grid.yaml"
+        grid.write_text(
+            "- {family: balanced_cut, m: 8, q: 2, rho: 0.3, seed: 1}\n")
+        assert run(["bench", "--grid", str(grid), "--out", str(tmp_path)]) == 2
         assert "configuration error: --out" in capsys.readouterr().err
 
     def test_missing_grid_file_is_usage_error(self, tmp_path):

@@ -37,7 +37,7 @@ from cdpkit.diagnostics import (
     make_synthetic_kkt,
 )
 from cdpkit.dissolve import a_infinity, build_cdp, lagrangian_decrease_probe
-from cdpkit.manifolds import GenericManifoldSpec, make_handle
+from cdpkit.manifolds import GenericManifoldSpec, make_handle, symplectic_spec
 
 from conftest import (
     BAD_POINTS,
@@ -116,6 +116,28 @@ class TestKktResidual:
         x[0] = 1.0
         report = kkt_residual(problem, x)
         assert report.stationarity == pytest.approx(0.7, abs=1e-12)
+
+    def test_strictly_inactive_inequality_gets_no_multiplier(self):
+        # On the sphere at e1, P grad f = 1.0 e2.  The inequality
+        # v(x) = -x_1 - 5 <= 0 reads -5 there, strictly inactive, and its
+        # gradient -e2 points against grad f: a fit over it would cancel
+        # the residual with mu = 1.
+        n = 3
+        g = np.array([0.3, 1.0, 0.0])
+        problem = ProblemSpec(
+            manifold=make_handle("sphere", n=n),
+            eval_f=lambda x: float(np.dot(g, x)),
+            grad_f=lambda x: g.copy(),
+            n_ineq=1,
+            eval_v=lambda x: np.array([-x[1] - 5.0]),
+            apply_JvT=lambda x, d: np.array([-d[1]]),
+            apply_Jv=lambda x, w: -float(np.asarray(w).ravel()[0])
+            * np.eye(n)[1],
+            name="inactive_against_gradient")
+        report = kkt_residual(problem, np.eye(n)[0])
+        assert np.array_equal(report.multipliers.mu, [0.0])
+        assert report.stationarity == pytest.approx(1.0, abs=1e-12)
+        assert report.complementarity == 0.0
 
     def test_redundant_constraint_copy_leaves_residual_unchanged(self):
         problem, x_star, _ = make_synthetic_kkt(seed=5)
@@ -529,14 +551,21 @@ class TestMatrixFreeConstants:
         # At most GK_MAX_STEPS applications per norm at each of the 31
         # points, and twice that per quotient over the 30 consecutive
         # pairs: below the 31 n of assembling J_A^T at every point.
+        # The closed-form map of the instance and the Gauss-Newton map of
+        # its spec alike.
         problem, x0 = gen_center_of_mass(
             CenterOfMassConfig(m=20, q=4, N=8, r=0.5, seed=3))
-        x = a_infinity(problem.manifold, x0)
-        counted, calls = _counting_jat(problem)
-        _bound_constants(counted, x, radius=0.1, samples=30, seed=0)
-        assert 0 < len(calls) <= (31 + 2 * 30) * GK_MAX_STEPS < 31 * problem.n
+        gauss_newton = make_handle("generic", spec=symplectic_spec(20, 4))
+        for mani in (problem.manifold, gauss_newton):
+            on = dataclasses.replace(problem, manifold=mani)
+            x = a_infinity(mani, x0)
+            counted, calls = _counting_jat(on)
+            _bound_constants(counted, x, radius=0.1, samples=30, seed=0)
+            assert 0 < len(calls) <= (31 + 2 * 30) * GK_MAX_STEPS \
+                < 31 * problem.n
 
     @pytest.mark.parametrize("case", ["symplectic-6-2", "symplectic-20-4",
+                                      "gauss_newton-20-4",
                                       "oblique-unblocked"])
     def test_norms_bound_dense_from_below(self, case):
         # Golub-Kahan-Lanczos gives lower bounds on ||J_A^T|| and on the
@@ -549,6 +578,9 @@ class TestMatrixFreeConstants:
             m, q = map(int, case.split("-")[1:])
             problem, x0 = gen_center_of_mass(
                 CenterOfMassConfig(m=m, q=q, N=8, r=0.5, seed=3))
+            if case.startswith("gauss_newton"):
+                problem = dataclasses.replace(problem, manifold=make_handle(
+                    "generic", spec=symplectic_spec(m, q)))
             x = a_infinity(problem.manifold, x0)
         six, points, _ = _bound_constants(problem, x, radius=0.1, samples=30,
                                           seed=0)

@@ -155,6 +155,72 @@ class TestPointState:
         assert np.array_equal(pt.cx, handle.eval_c(x))
 
 
+class TestSymplecticPointState:
+    """The symplectic Stiefel handle's closed-form state, written out with
+    dense forms: W = X^T Q_m X, B = (3/2) I + (1/2) Q_q W, A(X) = X B."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_state_matches_the_dense_formulas(self, data):
+        m = data.draw(st.sampled_from([2, 4, 6, 8]))
+        q = data.draw(st.sampled_from([k for k in (2, 4, 6) if k <= m]))
+        entries = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+        x, d, g = (data.draw(hnp.arrays(float, m * q, elements=entries))
+                   for _ in range(3))
+        Qm, Qq = symplectic_form(m), symplectic_form(q)
+        X, D, G = x.reshape(m, q), d.reshape(m, q), g.reshape(m, q)
+        B = 1.5 * np.eye(q) + 0.5 * Qq @ X.T @ Qm @ X
+        handle = make_handle("symplectic_stiefel", m=m, q=q)
+        pt = handle.point(x)
+        # c is bit for bit the spec's, the one source of c.
+        assert np.array_equal(pt.cx, symplectic_spec(m, q).eval_c(x))
+        assert np.array_equal(pt.cx, handle.eval_c(x))
+        scale = 1.0 + np.max(np.abs(X)) ** 3
+        assert np.allclose(pt.ax, (X @ B).ravel(), rtol=0, atol=1e-13 * scale)
+        ja = D @ B + 0.5 * X @ Qq @ (D.T @ Qm @ X + X.T @ Qm @ D)
+        H = Qq.T @ X.T @ G
+        jat = G @ B.T + 0.5 * Qm @ X @ (H.T - H)
+        assert np.allclose(pt.ja(d), ja.ravel(), rtol=0,
+                           atol=1e-13 * scale * (1.0 + np.max(np.abs(D))))
+        assert np.allclose(pt.jat(g), jat.ravel(), rtol=0,
+                           atol=1e-13 * scale * (1.0 + np.max(np.abs(G))))
+
+    @pytest.mark.parametrize("family", ["symplectic_stiefel",
+                                        "symplectic_generic"])
+    def test_map_contracts_quadratically_near_the_canonical_point(self,
+                                                                  family):
+        # ||c(A(y))|| <= K ||c(y)||^2 for y within 1e-1 of the canonical
+        # point, along random directions.
+        handle = _symplectic_handle(family, 8, 4)
+        E = symplectic_canonical_point(8, 4).ravel()
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            w = rng.standard_normal(E.size)
+            w /= np.linalg.norm(w)
+            for t in (1e-1, 1e-2, 1e-3):
+                y = E + t * w
+                cy = float(np.linalg.norm(handle.eval_c(y)))
+                cay = float(np.linalg.norm(handle.eval_c(handle.eval_A(y))))
+                assert cay <= cy ** 2, (t, cy, cay)
+
+    @pytest.mark.parametrize("family", ["symplectic_stiefel",
+                                        "symplectic_generic"])
+    def test_validates_at_projected_points(self, family):
+        handle = _symplectic_handle(family, 10, 4)
+        E = symplectic_canonical_point(10, 4).ravel()
+        probes = near_manifold_points(handle, E, count=6, scale=0.05, seed=4)
+        report = validate_manifold(handle, probes, tol=1e-8)
+        assert report.passed and report.probes_used == 6
+
+
+def _symplectic_handle(family, m, q):
+    """The closed-form symplectic Stiefel handle, or the Gauss-Newton map of
+    the same spec for ``symplectic_generic``."""
+    if family == "symplectic_generic":
+        return make_handle("generic", spec=symplectic_spec(m, q))
+    return make_handle(family, m=m, q=q)
+
+
 def _uncached_A(spec, x):
     """A(x) from a new generic handle: no state cached from earlier calls."""
     return make_handle("generic", spec=spec).eval_A(x)
@@ -232,7 +298,7 @@ class TestGenericOperator:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_raises_evaluator_fault(self, bad):
-        handle = make_handle("symplectic_stiefel", m=6, q=2)
+        handle = make_handle("generic", spec=symplectic_spec(6, 2))
         d = np.ones(12)
         x = np.full(12, bad)
         one = symplectic_canonical_point(6, 2).ravel()
@@ -347,7 +413,7 @@ class TestGenericHandleCache:
         # points at every Krylov step; the pass holds the state of each.
         rng = np.random.default_rng(23)
         E = symplectic_canonical_point(8, 4).ravel()
-        x = a_infinity(make_handle("symplectic_stiefel", m=8, q=4),
+        x = a_infinity(make_handle("generic", spec=symplectic_spec(8, 4)),
                        E + 0.05 * rng.standard_normal(E.size))
         for batched in (True, False):
             spec, taken, per_read = self._counted(batched)
@@ -516,6 +582,8 @@ class TestConstraintJacobianTranspose:
         "sphere": lambda: make_handle("sphere", n=6),
         "symplectic_stiefel": lambda: make_handle("symplectic_stiefel",
                                                   m=8, q=4),
+        "symplectic_generic": lambda: _symplectic_handle("symplectic_generic",
+                                                         8, 4),
         "generic": lambda: make_handle("generic",
                                        spec=sphere_constraint_spec(6)),
         "euclidean": lambda: make_handle("euclidean", n=4),
@@ -553,6 +621,8 @@ def families():
         "oblique": (make_handle("oblique", m=5, q=3), None),
         "sphere": (make_handle("sphere", n=6), None),
         "symplectic_stiefel": (sym, symplectic_canonical_point(6, 2).ravel()),
+        "symplectic_generic": (_symplectic_handle("symplectic_generic", 6, 2),
+                               symplectic_canonical_point(6, 2).ravel()),
         "generic": (make_handle("generic", spec=sphere_constraint_spec(6)),
                     None),
     }
@@ -624,11 +694,11 @@ def _start_near(data, family):
     """Draw a small handle of the family and a start that ``a_infinity``
     projects: rows (or the vector) of norm >= 0.1 in [-2, 2], or the
     canonical symplectic point moved by at most 0.1 per entry."""
-    if family == "symplectic_stiefel":
+    if family in ("symplectic_stiefel", "symplectic_generic"):
         m, q = data.draw(st.sampled_from([(2, 2), (4, 2), (6, 2), (4, 4),
                                           (6, 4)]))
         w = data.draw(hnp.arrays(float, m * q, elements=st.floats(-0.1, 0.1)))
-        return (make_handle(family, m=m, q=q),
+        return (_symplectic_handle(family, m, q),
                 symplectic_canonical_point(m, q).ravel() + w)
     if family == "oblique":
         m, q = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
@@ -645,7 +715,7 @@ class TestProjectedPointProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), family=st.sampled_from(
-        ["oblique", "sphere", "symplectic_stiefel"]))
+        ["oblique", "sphere", "symplectic_stiefel", "symplectic_generic"]))
     def test_projected_point_is_fixed(self, data, family):
         handle, y = _start_near(data, family)
         # A moves x by O(||c(x)||), so project to a residual at rounding
@@ -656,17 +726,25 @@ class TestProjectedPointProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), family=st.sampled_from(
-        ["sphere", "symplectic_stiefel"]))
+        ["sphere", "symplectic_stiefel", "symplectic_generic"]))
     def test_jc_annihilates_jat_at_projected_point(self, data, family):
         handle, y = _start_near(data, family)
         x = a_infinity(handle, y)
         Jc = _dense_columns(handle.apply_Jc, x, handle.p, handle.n)
         JaT = _dense_columns(handle.apply_JAT, x, handle.n, handle.n)
-        # Jc^T J_A^T vanishes on the manifold and grows like ||c(x)|| off
-        # it; n eps covers the rounding of the product.
+        # J_A^T Jc vanishes on the manifold, so D(c o A) = Jc^T J_A does,
+        # and it grows like ||c(x)|| off it; n eps covers the rounding of
+        # the product.
         c = float(np.linalg.norm(handle.eval_c(x)))
         tol = 4.0 * (c + handle.n * np.finfo(float).eps)
-        assert np.max(np.abs(Jc.T @ JaT)) <= tol
+        assert np.max(np.abs(JaT @ Jc)) <= tol
+        if family != "symplectic_stiefel":
+            # On the manifold the sphere and Gauss-Newton maps have the
+            # orthogonal tangent projector as J_A, a symmetric matrix, so
+            # Jc^T J_A^T vanishes too.  The closed-form symplectic J_A
+            # projects along another complement and keeps normal
+            # directions.
+            assert np.max(np.abs(Jc.T @ JaT)) <= tol
 
 
 def _forward_case(data, family):
@@ -690,7 +768,8 @@ class TestForwardJacobian:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), family=st.sampled_from(
-        ["oblique", "sphere", "symplectic_stiefel", "affine", "euclidean"]))
+        ["oblique", "sphere", "symplectic_stiefel", "symplectic_generic",
+         "affine", "euclidean"]))
     def test_forward_action_is_the_derivative_and_the_adjoint(self, data,
                                                                family):
         handle, y = _forward_case(data, family)

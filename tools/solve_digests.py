@@ -22,7 +22,12 @@ bitwise-equal results on the benchmark:
   a SHA-256 of the decrease fields (``PROBE_FIELDS``, read by name) of
   ``lagrangian_decrease_probe``'s report for the instance at
   ``a_infinity(x0)``, with unit multipliers, offsets 1e-1, 1e-2 and 1e-3
-  and seed 0.
+  and seed 0;
+* at each center-of-mass instance, a ``validate gauss_newton`` and a
+  ``constants gauss_newton`` line: the validate and instance lines above
+  for the problem on ``make_handle("generic", spec=symplectic_spec(m,
+  q))``, the Gauss-Newton map that generates the instance, where no
+  benchmark solve reads it.
 
 The checkout's ``src`` and ``perfbench`` come first on ``sys.path``, and
 BLAS runs on one thread.  It takes about 17 s on one core of a 2-core
@@ -38,6 +43,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
@@ -120,6 +126,14 @@ def probe_line(problem, inst, x0) -> str:
     return f"offsets={len(report.offsets)} {_digest(repr(fields))}"
 
 
+def gauss_newton(problem, cfg):
+    """The center-of-mass problem on the Gauss-Newton map of its spec."""
+    from cdpkit.manifolds import make_handle, symplectic_spec
+
+    return dataclasses.replace(problem, manifold=make_handle(
+        "generic", spec=symplectic_spec(cfg.m, cfg.q)))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -129,7 +143,7 @@ def main(argv=None) -> int:
     checkout = Path(argv[0]).resolve()
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
 
-    from cdpkit.bench import _build_instance
+    from cdpkit.bench import CenterOfMassConfig, _build_instance
     from workloads import configs
 
     bench = json.loads((checkout / "BENCHMARK.json").read_text())
@@ -147,6 +161,12 @@ def main(argv=None) -> int:
                       f"{probe_line(problem, inst, x0)}", flush=True)
             print(f"{label} constants {constants_line(problem, x0)}",
                   flush=True)
+            if isinstance(cfg, CenterOfMassConfig):
+                generic = gauss_newton(problem, cfg)
+                print(f"{label} validate gauss_newton "
+                      f"{validate_line(generic, x0)}", flush=True)
+                print(f"{label} constants gauss_newton "
+                      f"{constants_line(generic, x0)}", flush=True)
             for pipeline in ("cdp", "nlp"):
                 print(f"{label} {pipeline} "
                       f"{solve_line(pipeline, problem, inst, x0)}",
