@@ -2,9 +2,12 @@
 estimation and penalty-condition checkers.
 
 The KKT and LICQ checks assemble the dense constraint Jacobians, reading
-Jc in one call of the handle's ``jacobian``.  The KKT check factors
-[Jc Ju] once, by a pivoted QR, and reads its projector, rank and free
-multipliers from that one factorization.
+Jc in one call of the handle's ``jacobian``, and raise
+``EvaluatorFaultError`` on a non-finite one.  The KKT check factors
+B = [Jc Ju] once and reads its projector and free multipliers from that
+one factorization: a Cholesky factor of the Gram matrix B^T B when the
+``dpocon`` estimate of its condition passes the guard ``GRAM_MAX_COND``,
+else the pivoted QR of B, which also decides ``rank_deficient``.
 The constant estimates also run inside the solve, as the beta safeguard
 of ``alm_solve_cdp``.  They read ``Jc`` and ``J_A^T`` through the
 handle's own actions, holding one state ``point(y)`` per sample point in
@@ -24,10 +27,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.optimize
 
 from .core import (
     DimensionError,
+    EvaluatorFaultError,
     MultiplierSet,
     ParameterError,
     PenaltyParams,
@@ -66,11 +71,20 @@ def feasibility(problem: ProblemSpec, x: Vector) -> float:
 
 def dense_jacobians(problem: ProblemSpec, x: Vector):
     """Dense (n x p), (n x N_E), (n x N_I) constraint-gradient matrices;
-    Jc is the handle's ``jacobian`` read."""
+    Jc is the handle's ``jacobian`` read.  A non-finite entry raises
+    ``EvaluatorFaultError`` naming the evaluator."""
     n = problem.n
     Ju = _dense_columns(problem.apply_Ju, x, problem.n_eq, n)
     Jv = _dense_columns(problem.apply_Jv, x, problem.n_ineq, n)
-    return problem.manifold.jacobian(x), Ju, Jv
+    return (_finite(problem.manifold.jacobian(x), "jacobian"),
+            _finite(Ju, "apply_Ju"), _finite(Jv, "apply_Jv"))
+
+
+def _finite(M: Vector, what: str) -> Vector:
+    """M, else ``EvaluatorFaultError`` naming the evaluator ``what``."""
+    if not np.all(np.isfinite(M)):
+        raise EvaluatorFaultError(f"{what} has a non-finite entry")
+    return M
 
 
 @dataclass
@@ -86,50 +100,121 @@ def kkt_residual(problem: ProblemSpec, x: Vector) -> KktReport:
     """Stationarity of the original NLP at x.
 
     Solves min_{rho, lambda, mu >= 0} ||grad f + Jc rho + Ju lambda + Jv mu||
-    from one pivoted QR of B = [Jc Ju]: its leading ``rank`` columns Q_r,
-    with rank the count of |R_ii| > 1e-12 max(1, max_j |R_jj|), give the
-    projector P = I - Q_r Q_r^T onto the complement of range(B).
+    through the projector P onto the complement of range(B), B = [Jc Ju],
+    from one factorization of B (``_gram_fit``, else ``_qr_fit``).
     Non-negative least squares on the columns of P Jv of the inequalities
     active at x (``_active_set``, as in ``check_licq``) gives their mu; an
     inequality off that set, strictly inactive or violated, gets mu = 0,
     so it cannot absorb part of grad f, and feasibility reports a violated
-    one.  The stationarity is ||P(grad f + Jv mu)||, and (rho, lambda)
-    come from a triangular solve
-    with the leading rank x rank block of R.  When B is rank deficient
-    that is a basic solution, zero on the columns the pivoting put last,
-    not the minimum-norm one; the residual it reaches is the same.  A bad
-    x raises as in ``check_licq``.
+    one.  The stationarity is ||grad f + Jv mu + B xi||, with (rho, lambda)
+    = xi the least-squares fit of -(grad f + Jv mu) by B.
+
+    The Gram path, taken when B is well conditioned, reads everything from
+    a Cholesky factor of G = B^T B: P M = M - B G^-1 B^T M and xi =
+    -G^-1 B^T (grad f + Jv mu); it reports ``rank_deficient`` False, which
+    its guard implies.  Any other B goes to a pivoted QR, whose rank test
+    sets ``rank_deficient``; on a rank-deficient B its xi is a basic
+    solution, zero on the columns the pivoting put last, not the
+    minimum-norm one, and the residual it reaches is the same.
+
+    A bad x raises as in ``check_licq``, and a non-finite grad f, Jc, Ju
+    or Jv raises ``EvaluatorFaultError`` before any factorization.
     """
     x = _check_point(x, problem.n)
-    g = problem.grad_f(x)
+    g = _finite(problem.grad_f(x), "grad_f")
     Jc, Ju, Jv = dense_jacobians(problem, x)
     B = np.hstack([Jc, Ju])
-    Q, R, piv = scipy.linalg.qr(B, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > 1e-12 * np.max(diag, initial=1.0)))
-    # Only the first `rank` columns of Q span range(B); the rest are
-    # numerical noise directions and must not enter the projector.
-    Qr = Q[:, :rank]
-
-    def proj(M):
-        return M - Qr @ (Qr.T @ M)
+    fit = _gram_fit(B) or _qr_fit(B)
 
     v = problem.eval_v(x)
     active = _active_set(v)
     mu = np.zeros(problem.n_ineq)
     if active:
-        mu[active] = scipy.optimize.nnls(proj(Jv[:, active]), -proj(g))[0]
-    rhs = g + Jv @ mu
-    coef = Qr.T @ rhs
-    xi = np.zeros(B.shape[1])
-    xi[piv[:rank]] = scipy.linalg.solve_triangular(R[:rank, :rank], -coef)
+        mu[active] = scipy.optimize.nnls(fit.proj(Jv[:, active]),
+                                         -fit.proj(g))[0]
+    xi, resid = fit.solve(g + Jv @ mu)
     return KktReport(
-        stationarity=float(np.linalg.norm(rhs - Qr @ coef)),
+        stationarity=float(np.linalg.norm(resid)),
         feasibility=feasibility(problem, x),
         multipliers=MultiplierSet(rho=xi[:problem.p], lam=xi[problem.p:],
                                   mu=mu),
         complementarity=float(abs(np.dot(mu, v))) if mu.size else 0.0,
-        rank_deficient=rank < B.shape[1])
+        rank_deficient=fit.rank_deficient)
+
+
+class _Fit(NamedTuple):
+    """One factorization of B = [Jc Ju]: ``proj(M)`` applies the projector
+    onto the complement of range(B) to M, ``solve(r)`` returns the fit xi
+    of -r by B and the residual r + B xi."""
+
+    proj: Callable[[Vector], Vector]
+    solve: Callable[[Vector], tuple[Vector, Vector]]
+    rank_deficient: bool
+
+
+# The QR path's rank floor: |R_ii| > RANK_FLOOR * max(1, max_j |R_jj|).
+RANK_FLOOR = 1e-12
+# The Gram path's guard: the largest condition number of G = B^T B, by
+# LAPACK's 1-norm estimate, that it factors, so cond(B) <~ 1e4.
+GRAM_MAX_COND = 1e8
+
+
+def _gram_fit(B: Vector) -> _Fit | None:
+    """The fit from a Cholesky factor of G = B^T B, or None when G is not
+    finite, its factorization fails, or ``dpocon`` estimates 1/rcond(G)
+    above ``GRAM_MAX_COND``, or rcond(G) ||G||_1 at most RANK_FLOOR^2.
+    Both read one estimate: cond_2(G) <= cond_1(G) ~ 1/rcond, so cond(B)
+    is at most about 1e4, and sigma_min(B)^2 >= 1/||G^-1||_1 ~ rcond
+    ||G||_1, so every |R_ii| of the QR path, each at least sigma_min(B),
+    would clear its rank floor: B has full rank.  A factorization that
+    merely succeeds is no rank test, since ``dpotrf`` succeeds at Gram
+    condition 1e14."""
+    G = B.T @ B
+    if not G.size:
+        return _Fit(lambda M: M, lambda r: (np.zeros(0), r), False)
+    if not np.all(np.isfinite(G)):
+        return None
+    lapack = scipy.linalg.lapack
+    chol, info = lapack.dpotrf(G)
+    if info:
+        return None
+    anorm = float(np.max(np.sum(np.abs(G), axis=0)))
+    rcond, info = lapack.dpocon(chol, anorm)
+    if info or not (rcond * GRAM_MAX_COND >= 1.0
+                    and rcond * anorm > RANK_FLOOR ** 2):
+        return None
+
+    def coef(M):
+        return lapack.dpotrs(chol, B.T @ M)[0]
+
+    def solve(r):
+        xi = -coef(r)
+        return xi, r + B @ xi
+
+    return _Fit(lambda M: M - B @ coef(M), solve, False)
+
+
+def _qr_fit(B: Vector) -> _Fit:
+    """The fit from a pivoted, economic QR of B.  Its leading ``rank``
+    columns Q_r, with rank the count of |R_ii| > RANK_FLOOR max(1,
+    max_j |R_jj|), give the projector P = I - Q_r Q_r^T, and xi comes from
+    a triangular solve with the leading rank x rank block of R, scattered
+    through the pivot."""
+    Q, R, piv = scipy.linalg.qr(B, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > RANK_FLOOR * np.max(diag, initial=1.0)))
+    # Only the first `rank` columns of Q span range(B); the rest are
+    # numerical noise directions and must not enter the projector.
+    Qr = Q[:, :rank]
+
+    def solve(r):
+        coef = Qr.T @ r
+        xi = np.zeros(B.shape[1])
+        xi[piv[:rank]] = scipy.linalg.solve_triangular(R[:rank, :rank],
+                                                       -coef)
+        return xi, r - Qr @ coef
+
+    return _Fit(lambda M: M - Qr @ (Qr.T @ M), solve, rank < B.shape[1])
 
 
 def _active_set(v: Vector) -> list[int]:

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from cdpkit.core import (
     DimensionError,
+    EvaluatorFaultError,
     MultiplierSet,
     ParameterError,
     PenaltyParams,
@@ -22,6 +23,7 @@ from cdpkit.bench import (
     gen_balanced_cut,
     gen_center_of_mass,
 )
+from cdpkit import diagnostics
 from cdpkit.diagnostics import (
     GK_MAX_STEPS,
     SAFETY,
@@ -44,6 +46,7 @@ from conftest import (
     bad_cut_point,
     counting_jc_reads,
     linear_objective_sphere_problem,
+    sphere_constraint_spec,
 )
 
 
@@ -148,9 +151,10 @@ class TestKktResidual:
             .stationarity == pytest.approx(base, abs=1e-8)
 
     def test_rank_deficiency_flag_and_multipliers_reach_the_residual(self):
-        # The free multipliers come from a triangular solve on the pivoted
-        # QR; on a rank-deficient [Jc Ju] they are a basic solution, which
-        # must still reach the reported stationarity.
+        # The free multipliers come from the Gram path on a full-rank
+        # [Jc Ju], and from a triangular solve on the pivoted QR on a
+        # rank-deficient one, where they are a basic solution; both must
+        # reach the reported stationarity.
         problem, x_star, _ = make_synthetic_kkt(seed=5)
         rng = np.random.default_rng(9)
         x = x_star + 0.3 * rng.standard_normal(problem.n)
@@ -207,6 +211,155 @@ def _with_first_equality_twice(problem):
                               np.zeros(problem.n_eq - 1)])))
 
 
+def _qr_path(monkeypatch, problem, x):
+    """``kkt_residual`` with its Gram path refused, so the QR path runs."""
+    with monkeypatch.context() as m:
+        m.setattr(diagnostics, "_gram_fit", lambda B: None)
+        return kkt_residual(problem, x)
+
+
+def _counting_qr(monkeypatch):
+    """Count ``scipy.linalg.qr`` calls; returns the count so far."""
+    calls = []
+    qr = scipy.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counted)
+    return lambda: len(calls)
+
+
+def _active_synthetic_point():
+    """A planted problem and a point off its KKT point where its first
+    inequality is active: the NNLS branch fits a non-trivial mu."""
+    problem, x_star, _ = make_synthetic_kkt(n=10, seed=4)
+    jv = dense_jacobians(problem, x_star)[2][:, 0]
+    d = np.random.default_rng(1).standard_normal(problem.n)
+    return problem, x_star + d - jv * (jv @ d) / (jv @ jv)
+
+
+def _com_point(m, q):
+    problem, x0 = gen_center_of_mass(
+        CenterOfMassConfig(m=m, q=q, N=8, r=0.5, seed=3))
+    return problem, a_infinity(problem.manifold, x0)
+
+
+def _gauss_newton_point():
+    """Center of mass (6, 2) on the Gauss-Newton map of its spec."""
+    problem, x = _com_point(6, 2)
+    return dataclasses.replace(problem, manifold=make_handle(
+        "generic", spec=symplectic_spec(6, 2))), x
+
+
+def _with_equalities(n, cond):
+    """Euclidean R^n (no Jc) with two affine equalities whose Jacobian
+    B = Ju has condition number ``cond``, and a point where the
+    stationarity is non-zero."""
+    rng = np.random.default_rng(2)
+    U = np.linalg.qr(rng.standard_normal((n, 2)))[0]
+    Ju = U @ np.diag([1.0, 1.0 / cond]) @ np.array([[0.6, 0.8],
+                                                     [-0.8, 0.6]])
+    g = rng.standard_normal(n)
+    problem = ProblemSpec(
+        manifold=make_handle("euclidean", n=n),
+        eval_f=lambda x: float(np.dot(g, x)), grad_f=lambda x: g.copy(),
+        n_eq=2, eval_u=lambda x: Ju.T @ x, apply_JuT=lambda x, d: Ju.T @ d,
+        apply_Ju=lambda x, w: Ju @ w, name=f"conditioned_equalities({cond})")
+    return problem, rng.standard_normal(n)
+
+
+def _sphere_point():
+    problem = linear_objective_sphere_problem(5, seed=2)
+    x = np.random.default_rng(3).standard_normal(5)
+    return problem, x / np.linalg.norm(x)
+
+
+def _euclidean_active_point():
+    problem, x_star = _euclidean_quadratic(n=4, seed=1, with_v=True)
+    x = x_star + np.array([0.0, 0.3, -0.2, 0.1])
+    return problem, x
+
+
+class TestGramCertificate:
+    """The Gram path of ``kkt_residual`` against its pivoted-QR path."""
+
+    @pytest.mark.parametrize("case", [
+        _sphere_point,
+        lambda: _cut_reference_point(20, 0.2, 3),
+        lambda: _com_point(6, 2),
+        _gauss_newton_point,
+        _active_synthetic_point,
+        _euclidean_active_point,
+    ], ids=["sphere", "oblique", "symplectic", "gauss_newton", "nnls",
+            "no_equalities"])
+    def test_gram_path_agrees_with_qr_path(self, monkeypatch, case):
+        problem, x = case()
+        qr_calls = _counting_qr(monkeypatch)
+        gram = kkt_residual(problem, x)
+        assert qr_calls() == 0
+        qr = _qr_path(monkeypatch, problem, x)
+        assert qr_calls() == 1
+        g_norm = float(np.linalg.norm(problem.grad_f(x)))
+        assert abs(gram.stationarity - qr.stationarity) \
+            <= 1e-12 * (1.0 + g_norm)
+        a, b = (np.concatenate([r.multipliers.rho, r.multipliers.lam,
+                                r.multipliers.mu]) for r in (gram, qr))
+        assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
+        assert not gram.rank_deficient and not qr.rank_deficient
+        assert gram.feasibility == qr.feasibility
+        assert gram.complementarity == pytest.approx(qr.complementarity,
+                                                     rel=1e-8, abs=1e-14)
+
+    def test_nnls_branch_fits_a_positive_multiplier(self):
+        problem, x = _active_synthetic_point()
+        assert kkt_residual(problem, x).multipliers.mu[0] > 0.0
+
+    @pytest.mark.parametrize("cond, qr_expected", [
+        (1e3, 0), (1e5, 1), (1e8, 1)])
+    def test_guard_sends_ill_conditioned_b_to_qr(self, monkeypatch, cond,
+                                                 qr_expected):
+        # The guard reads 1/rcond(G) <= 1e8, cond(B) <~ 1e4: B at cond 1e5
+        # (G at 1e10) and 1e8 take the QR path although Cholesky succeeds
+        # on both; both still have full rank by its test.
+        problem, x = _with_equalities(6, cond)
+        qr_calls = _counting_qr(monkeypatch)
+        report = kkt_residual(problem, x)
+        assert qr_calls() == qr_expected
+        assert not report.rank_deficient
+        B = dense_jacobians(problem, x)[1]
+        assert np.linalg.cond(B) == pytest.approx(cond, rel=1e-6)
+        assert scipy.linalg.lapack.dpotrf(B.T @ B)[1] == 0
+
+    def test_duplicated_constraint_takes_qr_path(self, monkeypatch):
+        problem, x_star, _ = make_synthetic_kkt(seed=5)
+        qr_calls = _counting_qr(monkeypatch)
+        report = kkt_residual(_with_first_equality_twice(problem), x_star)
+        assert qr_calls() == 1
+        assert report.rank_deficient
+
+    def test_tiny_gradients_keep_the_qr_rank_floor(self, monkeypatch):
+        # Jc = 2x = 2e-13 e1 is well conditioned but below the QR path's
+        # absolute rank floor 1e-12, so it reads rank 0, as before.
+        problem = linear_objective_sphere_problem(3)
+        qr_calls = _counting_qr(monkeypatch)
+        report = kkt_residual(problem, np.array([1e-13, 0.0, 0.0]))
+        assert qr_calls() == 1
+        assert report.rank_deficient
+
+    def test_benchmark_certificates_make_no_qr_call(self, monkeypatch):
+        com, x0 = gen_center_of_mass(
+            CenterOfMassConfig(m=40, q=10, N=100, r=0.01, seed=1))
+        cut, y0 = gen_balanced_cut(BalancedCutConfig(m=50, q=2, rho=0.1,
+                                                     seed=20))
+        qr_calls = _counting_qr(monkeypatch)
+        for problem, x in ((com, x0), (cut, y0)):
+            report = kkt_residual(problem, a_infinity(problem.manifold, x))
+            assert not report.rank_deficient
+        assert qr_calls() == 0
+
+
 class TestMakeSyntheticKkt:
     def test_equality_only_case(self):
         problem, x_star, mult = make_synthetic_kkt(n_active=0, n_inactive=2,
@@ -243,6 +396,50 @@ def test_kkt_residual_rejects_a_bad_point(bad, error):
 def test_check_licq_rejects_a_bad_point(bad, error):
     problem, x = bad_cut_point(bad)
     with pytest.raises(error):
+        check_licq(problem, x)
+
+
+def _nan_evaluator(name=None):
+    """The unit sphere in R^4 as a generic spec, with one equality and one
+    active inequality, at e1; the evaluator ``name`` returns NaN there."""
+    nan = np.full(4, np.nan)
+    e = np.eye(4)
+    spec = sphere_constraint_spec(4)
+    if name == "jacobian":
+        spec = dataclasses.replace(spec, apply_Jc=lambda x, w: nan)
+    problem = dataclasses.replace(
+        linear_objective_sphere_problem(4),
+        manifold=make_handle("generic", spec=spec),
+        n_eq=1, eval_u=lambda x: x[1:2], apply_JuT=lambda x, d: d[1:2],
+        apply_Ju=lambda x, w: nan if name == "apply_Ju" else w[0] * e[1],
+        n_ineq=1, eval_v=lambda x: x[2:3], apply_JvT=lambda x, d: d[2:3],
+        apply_Jv=lambda x, w: nan if name == "apply_Jv" else w[0] * e[2])
+    if name == "grad_f":
+        problem = dataclasses.replace(problem, grad_f=lambda x: nan)
+    return problem, e[0]
+
+
+def test_the_nan_problems_certify_without_their_nan():
+    problem, x = _nan_evaluator()
+    assert np.isfinite(kkt_residual(problem, x).stationarity)
+    assert check_licq(problem, x)
+
+
+@pytest.mark.parametrize("name",
+                         ["grad_f", "jacobian", "apply_Ju", "apply_Jv"])
+def test_kkt_residual_names_a_non_finite_evaluator(name):
+    # A typed error before any factorization, not scipy's ValueError from
+    # inside the QR or a silent NaN stationarity.
+    problem, x = _nan_evaluator(name)
+    with pytest.raises(EvaluatorFaultError, match=name):
+        kkt_residual(problem, x)
+
+
+@pytest.mark.parametrize("name", ["jacobian", "apply_Ju", "apply_Jv"])
+def test_check_licq_names_a_non_finite_evaluator(name):
+    # Not numpy's LinAlgError from inside the SVD.
+    problem, x = _nan_evaluator(name)
+    with pytest.raises(EvaluatorFaultError, match=name):
         check_licq(problem, x)
 
 

@@ -8,10 +8,13 @@ does, and prints one line per solve, one per instance and one per
 manifold family.  Two checkouts whose outputs are identical give
 bitwise-equal results on the benchmark:
 
-* a solve line holds its status, its trace's row count and a SHA-256 of
-  the start x0, every ``TraceRow.key_fields()``, the objective, the bytes
-  of ``x_final`` and ``x_postprocessed``, the KKT report and the
-  multipliers;
+* a solve line holds its status, its trace's row count and two
+  SHA-256s.  ``path=`` hashes the iterates: the start x0, every
+  ``TraceRow.key_fields()`` but ``stationarity``, the objective, the
+  bytes of ``x_final`` and ``x_postprocessed`` and the solve's own
+  multipliers.  ``kkt=`` hashes the certificate: each row's
+  ``stationarity`` and the final KKT report.  A change to the
+  certificate's arithmetic alone shows as equal ``path=`` hashes;
 * an instance line holds SHA-256s of the reprs of the beta safeguard's
   constants (``_bound_constants`` at radius 0.1, 30 samples) and of
   ``estimate_constants`` (radius 0.05, 30 samples), both around
@@ -82,13 +85,17 @@ def solve_line(pipeline: str, problem, inst, x0) -> str:
         res = alm_solve_cdp(inst, x0, AlmOptions())
     else:
         res = alm_solve_nlp_direct(problem, x0, AlmOptions())
+    rows = res.trace.rows
+    path = _digest(
+        x0, *(dataclasses.replace(row, stationarity=None).key_fields()
+              for row in rows), res.objective,
+        res.x_final, res.x_postprocessed, *_multipliers(res.multipliers))
     kkt = res.kkt
-    digest = _digest(
-        x0, *(row.key_fields() for row in res.trace.rows), res.objective,
-        res.x_final, res.x_postprocessed, kkt.stationarity, kkt.feasibility,
-        *_multipliers(kkt.multipliers), kkt.complementarity,
-        kkt.rank_deficient, *_multipliers(res.multipliers))
-    return f"{res.status} rows={len(res.trace.rows)} {digest}"
+    cert = _digest(
+        *(row.stationarity for row in rows), kkt.stationarity,
+        kkt.feasibility, *_multipliers(kkt.multipliers), kkt.complementarity,
+        kkt.rank_deficient)
+    return f"{res.status} rows={len(rows)} path={path} kkt={cert}"
 
 
 def constants_line(problem, x0) -> str:
