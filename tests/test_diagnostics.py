@@ -25,7 +25,7 @@ from cdpkit.bench import (
 )
 from cdpkit import diagnostics
 from cdpkit.diagnostics import (
-    GK_MAX_STEPS,
+    LANCZOS_MAX_STEPS,
     SAFETY,
     ConstantEstimates,
     _Blocks,
@@ -745,7 +745,7 @@ class TestMatrixFreeConstants:
     matrix-free, from the state's ``jat`` and ``ja``."""
 
     def test_jat_calls_below_dense(self):
-        # At most GK_MAX_STEPS applications per norm at each of the 31
+        # At most LANCZOS_MAX_STEPS applications per norm at each of the 31
         # points, and twice that per quotient over the 30 consecutive
         # pairs: below the 31 n of assembling J_A^T at every point.
         # The closed-form map of the instance and the Gauss-Newton map of
@@ -758,14 +758,14 @@ class TestMatrixFreeConstants:
             x = a_infinity(mani, x0)
             counted, calls = _counting_jat(on)
             _bound_constants(counted, x, radius=0.1, samples=30, seed=0)
-            assert 0 < len(calls) <= (31 + 2 * 30) * GK_MAX_STEPS \
+            assert 0 < len(calls) <= (31 + 2 * 30) * LANCZOS_MAX_STEPS \
                 < 31 * problem.n
 
     @pytest.mark.parametrize("case", ["symplectic-6-2", "symplectic-20-4",
                                       "gauss_newton-20-4",
                                       "oblique-unblocked"])
     def test_norms_bound_dense_from_below(self, case):
-        # Golub-Kahan-Lanczos gives lower bounds on ||J_A^T|| and on the
+        # Lanczos gives lower bounds on ||J_A^T|| and on the
         # Lipschitz quotients, at most MATRIX_FREE_RTOL below the dense
         # SVDs at the same points.  The other four constants do not read
         # J_A^T and stay the dense ones bit for bit.
