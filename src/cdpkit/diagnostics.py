@@ -3,7 +3,8 @@ estimation and penalty-condition checkers.
 
 The KKT and LICQ checks assemble the dense constraint Jacobians, reading
 Jc in one call of the handle's ``jacobian``, and raise
-``EvaluatorFaultError`` on a non-finite one.  The KKT check factors
+``EvaluatorFaultError`` on a non-finite one; the values c, u and v raise
+it too, or ``DimensionError`` on a wrong length.  The KKT check factors
 B = [Jc Ju] once and reads its projector and free multipliers from that
 one factorization: a Cholesky factor of the Gram matrix B^T B when the
 ``dpocon`` estimate of its condition passes the guard ``GRAM_MAX_COND``,
@@ -15,8 +16,9 @@ each pass: the safeguard's constants take one pass, ``estimate_constants``
 a second.  A handle that declares ``row_blocks`` gives stacks of one block
 per row of X, O(n) work per sample point.  Any other handle gives ``Jc``
 as one dense n x p block, and the norms of ``J_A^T`` come matrix-free, by
-Lanczos on J_A^T J_A through the state's ``ja`` and ``jat``: at most 20
-applications of each per norm, and no n x n matrix.
+Lanczos on J_A^T J_A through the state's ``ja`` and ``jat``: one
+reorthogonalised basis, at most 20 applications of each per norm, and no
+n x n matrix.
 """
 
 from __future__ import annotations
@@ -60,11 +62,13 @@ ACTIVE_TOL = 1e-6
 
 
 def feasibility(problem: ProblemSpec, x: Vector) -> float:
-    """||u(x)|| + ||c(x)|| + ||max(v(x), 0)||."""
+    """||u(x)|| + ||c(x)|| + ||max(v(x), 0)||.  A value of the wrong
+    length raises ``DimensionError``, a non-finite one
+    ``EvaluatorFaultError``, naming the evaluator."""
     x = np.asarray(x, dtype=float).ravel()
-    u = problem.eval_u(x)
-    c = problem.manifold.eval_c(x)
-    v = problem.eval_v(x)
+    u = _check_point(problem.eval_u(x), problem.n_eq, "eval_u")
+    c = _check_point(problem.manifold.eval_c(x), problem.p, "eval_c")
+    v = _check_point(problem.eval_v(x), problem.n_ineq, "eval_v")
     return (float(np.linalg.norm(u)) + float(np.linalg.norm(c))
             + float(np.linalg.norm(np.maximum(v, 0.0))))
 
@@ -118,7 +122,8 @@ def kkt_residual(problem: ProblemSpec, x: Vector) -> KktReport:
     minimum-norm one, and the residual it reaches is the same.
 
     A bad x raises as in ``check_licq``, and a non-finite grad f, Jc, Ju
-    or Jv raises ``EvaluatorFaultError`` before any factorization.
+    or Jv raises ``EvaluatorFaultError`` before any factorization; c, u
+    and v raise as in ``feasibility``.
     """
     x = _check_point(x, problem.n)
     g = _finite(problem.grad_f(x), "grad_f")
@@ -126,7 +131,7 @@ def kkt_residual(problem: ProblemSpec, x: Vector) -> KktReport:
     B = np.hstack([Jc, Ju])
     fit = _gram_fit(B) or _qr_fit(B)
 
-    v = problem.eval_v(x)
+    v = _check_point(problem.eval_v(x), problem.n_ineq, "eval_v")
     active = _active_set(v)
     mu = np.zeros(problem.n_ineq)
     if active:
@@ -226,10 +231,12 @@ def _active_set(v: Vector) -> list[int]:
 def check_licq(problem: ProblemSpec, x: Vector, tol: float = 1e-8) -> bool:
     """True when the active constraint gradients are linearly independent
     (smallest singular value above ``tol`` times the largest).  A wrong
-    length raises ``DimensionError``, a non-finite x ``EvaluatorFaultError``."""
+    length raises ``DimensionError``, a non-finite x ``EvaluatorFaultError``,
+    and so do v(x) and the Jacobians, naming the evaluator."""
     x = _check_point(x, problem.n)
     Jc, Ju, Jv = dense_jacobians(problem, x)
-    M = np.hstack([Jc, Ju, Jv[:, _active_set(problem.eval_v(x))]])
+    v = _check_point(problem.eval_v(x), problem.n_ineq, "eval_v")
+    M = np.hstack([Jc, Ju, Jv[:, _active_set(v)]])
     if M.shape[1] == 0:
         return True
     if M.shape[1] > problem.n:
@@ -290,8 +297,11 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
     below), and its Lipschitz quotient 0.66424134 against 0.66424135
     (1.9e-8): lower bounds, as sampled suprema already are.
 
-    Returns the constants, the points (x first) and the generator after
-    sampling, so ``estimate_constants`` continues from the same draws.
+    A non-finite grad f(A(y)), Ju or Jv at a sample raises
+    ``EvaluatorFaultError`` naming the evaluator, so no sample drops out
+    of a maximum.  Returns the constants, the points (x first) and the
+    generator after sampling, so ``estimate_constants`` continues from
+    the same draws.
     """
     x = _check_point(x, problem.n)
     if not 0.0 < radius <= 1.0:
@@ -321,11 +331,12 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
         pt = mani.point(y)
         Ja = read.jat(pt)
         M_A = max(M_A, read.norm(Ja))
-        M_u = max(M_u, _spec_norm(
-            _dense_columns(problem.apply_Ju, y, problem.n_eq, n)))
-        M_v = max(M_v, _spec_norm(
-            _dense_columns(problem.apply_Jv, y, problem.n_ineq, n)))
-        L_f = max(L_f, float(np.linalg.norm(problem.grad_f(pt.ax))))
+        Ju = _dense_columns(problem.apply_Ju, y, problem.n_eq, n)
+        M_u = max(M_u, _spec_norm(_finite(Ju, "apply_Ju")))
+        Jv = _dense_columns(problem.apply_Jv, y, problem.n_ineq, n)
+        M_v = max(M_v, _spec_norm(_finite(Jv, "apply_Jv")))
+        L_f = max(L_f, float(np.linalg.norm(
+            _finite(problem.grad_f(pt.ax), "grad_f"))))
         if prev is not None:
             L_A = max(L_A, _diff_quotient(Ja, prev[1], y, prev[0]))
         prev = (y, Ja)
@@ -493,7 +504,7 @@ class _Blocks:
 
     @functools.cached_property
     def start(self) -> Vector:
-        """The matrix-free norm's first Lanczos vector, fixed by ``(n, seed)``."""
+        """The Lanczos norm's first vector, fixed by ``(n, seed)``."""
         start = np.random.default_rng((self.q, self.seed)).standard_normal(
             self.q)
         return start / np.linalg.norm(start)

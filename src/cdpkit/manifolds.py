@@ -21,6 +21,7 @@ from .core import (
     ManifoldHandle,
     RankDeficiencyError,
     Vector,
+    _check_point,
     _dense_columns,
     default_fd_step,
 )
@@ -158,9 +159,7 @@ class _GenericPoint:
             raise RankDeficiencyError(
                 "Gram matrix condition number above 1e12: the constraint "
                 "Jacobian is (nearly) rank deficient at this point")
-        c = self.cx = spec.eval_c(x)
-        if not np.all(np.isfinite(c)):
-            raise EvaluatorFaultError("constraint value non-finite")
+        c = self.cx = _check_point(spec.eval_c(x), spec.p, "eval_c")
         self.w = np.linalg.solve(G, c)
         self.z = J @ self.w
         self.ax = x - self.z

@@ -81,6 +81,38 @@ def linear_objective_sphere_problem(n: int, seed: int = 0,
         name=f"linear_on_sphere({n},seed={seed})")
 
 
+def faulty_sphere_problem(name=None, bad="nan"):
+    """The unit sphere in R^4 as a generic spec, with one equality and one
+    active inequality, at e1.  The evaluator ``name`` returns NaN, or with
+    ``bad="short"`` a value one entry short; ``jacobian`` names the spec's
+    ``apply_Jc``, which the handle's ``jacobian`` reads."""
+    e = np.eye(4)
+
+    def fault(fn):
+        def call(*args):
+            value = np.asarray(fn(*args), dtype=float)
+            return value[:-1] if bad == "short" else np.full(value.shape,
+                                                              np.nan)
+        return call
+
+    spec = sphere_constraint_spec(4)
+    if name in ("eval_c", "jacobian"):
+        field = "apply_Jc" if name == "jacobian" else name
+        spec = dataclasses.replace(
+            spec, **{field: fault(getattr(spec, field))})
+    problem = dataclasses.replace(
+        linear_objective_sphere_problem(4),
+        manifold=make_handle("generic", spec=spec),
+        n_eq=1, eval_u=lambda x: x[1:2], apply_JuT=lambda x, d: d[1:2],
+        apply_Ju=lambda x, w: w[0] * e[1],
+        n_ineq=1, eval_v=lambda x: x[2:3], apply_JvT=lambda x, d: d[2:3],
+        apply_Jv=lambda x, w: w[0] * e[2])
+    if name in ("grad_f", "eval_u", "apply_Ju", "eval_v", "apply_Jv"):
+        problem = dataclasses.replace(
+            problem, **{name: fault(getattr(problem, name))})
+    return problem, e[0]
+
+
 def near_manifold_points(handle: ManifoldHandle, base, count: int,
                          scale: float, seed: int = 0) -> list:
     """Random perturbations of a feasible base point."""

@@ -45,6 +45,7 @@ from conftest import (
     BAD_POINTS,
     bad_cut_point,
     counting_jc_reads,
+    faulty_sphere_problem,
     linear_objective_sphere_problem,
     sphere_constraint_spec,
 )
@@ -399,28 +400,8 @@ def test_check_licq_rejects_a_bad_point(bad, error):
         check_licq(problem, x)
 
 
-def _nan_evaluator(name=None):
-    """The unit sphere in R^4 as a generic spec, with one equality and one
-    active inequality, at e1; the evaluator ``name`` returns NaN there."""
-    nan = np.full(4, np.nan)
-    e = np.eye(4)
-    spec = sphere_constraint_spec(4)
-    if name == "jacobian":
-        spec = dataclasses.replace(spec, apply_Jc=lambda x, w: nan)
-    problem = dataclasses.replace(
-        linear_objective_sphere_problem(4),
-        manifold=make_handle("generic", spec=spec),
-        n_eq=1, eval_u=lambda x: x[1:2], apply_JuT=lambda x, d: d[1:2],
-        apply_Ju=lambda x, w: nan if name == "apply_Ju" else w[0] * e[1],
-        n_ineq=1, eval_v=lambda x: x[2:3], apply_JvT=lambda x, d: d[2:3],
-        apply_Jv=lambda x, w: nan if name == "apply_Jv" else w[0] * e[2])
-    if name == "grad_f":
-        problem = dataclasses.replace(problem, grad_f=lambda x: nan)
-    return problem, e[0]
-
-
 def test_the_nan_problems_certify_without_their_nan():
-    problem, x = _nan_evaluator()
+    problem, x = faulty_sphere_problem()
     assert np.isfinite(kkt_residual(problem, x).stationarity)
     assert check_licq(problem, x)
 
@@ -430,7 +411,7 @@ def test_the_nan_problems_certify_without_their_nan():
 def test_kkt_residual_names_a_non_finite_evaluator(name):
     # A typed error before any factorization, not scipy's ValueError from
     # inside the QR or a silent NaN stationarity.
-    problem, x = _nan_evaluator(name)
+    problem, x = faulty_sphere_problem(name)
     with pytest.raises(EvaluatorFaultError, match=name):
         kkt_residual(problem, x)
 
@@ -438,9 +419,36 @@ def test_kkt_residual_names_a_non_finite_evaluator(name):
 @pytest.mark.parametrize("name", ["jacobian", "apply_Ju", "apply_Jv"])
 def test_check_licq_names_a_non_finite_evaluator(name):
     # Not numpy's LinAlgError from inside the SVD.
-    problem, x = _nan_evaluator(name)
+    problem, x = faulty_sphere_problem(name)
     with pytest.raises(EvaluatorFaultError, match=name):
         check_licq(problem, x)
+
+
+@pytest.mark.parametrize("bad, error", BAD_POINTS)
+@pytest.mark.parametrize("name", ["eval_c", "eval_u", "eval_v"])
+def test_kkt_residual_names_a_bad_constraint_value(name, bad, error):
+    # Not a NaN or a short value read as a silent feasibility, nor numpy's
+    # broadcast ValueError.
+    problem, x = faulty_sphere_problem(name, bad)
+    with pytest.raises(error, match=name):
+        kkt_residual(problem, x)
+
+
+@pytest.mark.parametrize("bad, error", BAD_POINTS)
+def test_check_licq_names_a_bad_inequality_value(bad, error):
+    # Not an active set read off a NaN or short v, which passed.
+    problem, x = faulty_sphere_problem("eval_v", bad)
+    with pytest.raises(error, match="eval_v"):
+        check_licq(problem, x)
+
+
+@pytest.mark.parametrize("name", ["grad_f", "apply_Ju", "apply_Jv"])
+def test_bound_pass_names_a_non_finite_evaluator(name):
+    # No sample drops out of a maximum (max(L_f, nan) kept L_f = 0), and
+    # no LinAlgError comes from inside an SVD.
+    problem, x = faulty_sphere_problem(name)
+    with pytest.raises(EvaluatorFaultError, match=name):
+        _bound_constants(problem, x, radius=0.1, samples=30, seed=0)
 
 
 @pytest.mark.parametrize("bad, error", BAD_POINTS)
@@ -763,21 +771,25 @@ class TestMatrixFreeConstants:
 
     @pytest.mark.parametrize("case", ["symplectic-6-2", "symplectic-20-4",
                                       "gauss_newton-20-4",
-                                      "oblique-unblocked"])
+                                      "oblique-unblocked", "com-m40q10"])
     def test_norms_bound_dense_from_below(self, case):
         # Lanczos gives lower bounds on ||J_A^T|| and on the
         # Lipschitz quotients, at most MATRIX_FREE_RTOL below the dense
         # SVDs at the same points.  The other four constants do not read
-        # J_A^T and stay the dense ones bit for bit.
+        # J_A^T and stay the dense ones bit for bit.  com-m40q10 is the
+        # benchmark's center-of-mass instance.
         if case == "oblique-unblocked":
             problem, x = _unblocked(*_cut_reference_point(20, 0.2, 3))
         else:
-            m, q = map(int, case.split("-")[1:])
-            problem, x0 = gen_center_of_mass(
-                CenterOfMassConfig(m=m, q=q, N=8, r=0.5, seed=3))
+            if case == "com-m40q10":
+                cfg = CenterOfMassConfig(m=40, q=10, N=100, r=0.01, seed=1)
+            else:
+                m, q = map(int, case.split("-")[1:])
+                cfg = CenterOfMassConfig(m=m, q=q, N=8, r=0.5, seed=3)
+            problem, x0 = gen_center_of_mass(cfg)
             if case.startswith("gauss_newton"):
                 problem = dataclasses.replace(problem, manifold=make_handle(
-                    "generic", spec=symplectic_spec(m, q)))
+                    "generic", spec=symplectic_spec(cfg.m, cfg.q)))
             x = a_infinity(problem.manifold, x0)
         six, points, _ = _bound_constants(problem, x, radius=0.1, samples=30,
                                           seed=0)
@@ -789,6 +801,32 @@ class TestMatrixFreeConstants:
                 assert value >= exact * (1.0 - MATRIX_FREE_RTOL), name
             else:
                 assert value == exact, name
+
+
+    @pytest.mark.parametrize("kind, n", [
+        ("gaussian", 1), ("gaussian", 2), ("gaussian", 3), ("gaussian", 4),
+        ("three-values", LANCZOS_MAX_STEPS), ("rank-one", 6), ("zero", 5)])
+    def test_norm_is_exact_on_an_exhausted_krylov_space(self, kind, n):
+        # With n <= LANCZOS_MAX_STEPS, or three distinct singular values,
+        # the Krylov space runs out before the stop rule fires, and the
+        # top Ritz value is ||A||_2 to rounding; the zero matrix gives 0.
+        rng = np.random.default_rng(n)
+        if kind == "three-values":
+            Q, R = (np.linalg.qr(rng.standard_normal((n, n)))[0]
+                    for _ in range(2))
+            A = Q @ np.diag(np.resize([3.0, 2.0, 0.5], n)) @ R.T
+        elif kind == "rank-one":
+            A = np.outer(rng.standard_normal(n), rng.standard_normal(n))
+        elif kind == "zero":
+            A = np.zeros((n, n))
+        else:
+            A = rng.standard_normal((n, n))
+        start = rng.standard_normal(n)
+        norm = diagnostics._JatOperator(lambda v: A @ v, lambda u: A.T @ u,
+                                        start / np.linalg.norm(start)).norm()
+        exact = float(np.linalg.norm(A, 2))
+        assert norm <= exact + 8 * np.spacing(exact)
+        assert norm == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 @pytest.fixture(scope="module")

@@ -30,7 +30,9 @@ from cdpkit.manifolds import (
 )
 
 from conftest import (
+    BAD_POINTS,
     counting_jc_reads,
+    faulty_sphere_problem,
     feasibility_decrease_slope,
     linear_objective_sphere_problem,
     near_manifold_points,
@@ -311,6 +313,13 @@ class TestGenericOperator:
                 with pytest.raises(EvaluatorFaultError), \
                         np.errstate(invalid="ignore"):
                     call()
+
+    @pytest.mark.parametrize("bad, error", BAD_POINTS)
+    def test_bad_constraint_value_is_named(self, bad, error):
+        # Not numpy's ValueError from the Gauss-Newton solve with a short c.
+        problem, x = faulty_sphere_problem("eval_c", bad)
+        with pytest.raises(error, match="eval_c"):
+            problem.manifold.point(x + 0.01)
 
     def test_spec_without_constraints_rejected(self):
         with pytest.raises(DimensionError):

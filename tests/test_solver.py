@@ -18,6 +18,7 @@ from cdpkit.core import (
 )
 from cdpkit.diagnostics import make_synthetic_kkt
 from cdpkit.dissolve import a_infinity, build_cdp, lagrangian_decrease_probe
+from cdpkit import solver
 from cdpkit.manifolds import GenericManifoldSpec, make_handle
 from cdpkit.solver import (
     BETA_GROWTH,
@@ -33,6 +34,7 @@ from cdpkit.solver import (
 from conftest import (
     BAD_POINTS,
     bad_cut_point,
+    faulty_sphere_problem,
     linear_objective_sphere_problem,
 )
 
@@ -240,6 +242,25 @@ def test_bad_start_raises_a_typed_error(pipeline, bad, error):
     # Before pass 0, not from a factorization or a reshape inside it.
     problem, x0 = bad_cut_point(bad)
     with pytest.raises(error):
+        if pipeline == "cdp":
+            alm_solve_cdp(build_cdp(problem, PenaltyParams(beta=10.0)), x0)
+        else:
+            alm_solve_nlp_direct(problem, x0)
+
+
+@pytest.mark.parametrize("pipeline", ["cdp", "nlp"])
+@pytest.mark.parametrize("bad, error", BAD_POINTS)
+@pytest.mark.parametrize("name", ["eval_c", "eval_u", "eval_v"])
+def test_bad_constraint_value_raises_before_any_inner_solve(
+        monkeypatch, pipeline, name, bad, error):
+    # Pass 0 certifies the start, so neither pipeline runs to max_iter or
+    # diverged on a NaN or short constraint value.
+    def no_inner_solve(*args, **kwargs):
+        raise AssertionError("an inner solve ran")
+
+    monkeypatch.setattr(solver, "lbfgs_minimize", no_inner_solve)
+    problem, x0 = faulty_sphere_problem(name, bad)
+    with pytest.raises(error, match=name):
         if pipeline == "cdp":
             alm_solve_cdp(build_cdp(problem, PenaltyParams(beta=10.0)), x0)
         else:

@@ -18,7 +18,9 @@ bitwise-equal results on the benchmark:
 * an instance line holds SHA-256s of the reprs of the beta safeguard's
   constants (``_bound_constants`` at radius 0.1, 30 samples) and of
   ``estimate_constants`` (radius 0.05, 30 samples), both around
-  ``a_infinity(x0)`` with seed 0;
+  ``a_infinity(x0)`` with seed 0, and the safeguard's two matrix-free
+  constants ``M_Ax=`` and ``L_Ax=`` in ``float.hex``, so a change to the
+  bound pass shows how far they moved;
 * two family lines, printed at the family's first instance: one holds a
   SHA-256 of the repr of ``validate_manifold``'s report at 10 probes,
   Gaussian with scale 0.05 (seed 0) around ``a_infinity(x0)``; the other
@@ -105,7 +107,8 @@ def constants_line(problem, x0) -> str:
     x_ref = a_infinity(problem.manifold, x0)
     bound = _bound_constants(problem, x_ref, 0.1, 30, 0)[0]
     est = estimate_constants(problem, x_ref, 0.05, 30, 0)
-    return f"bound {_digest(repr(bound))} estimates {_digest(repr(est))}"
+    return (f"bound {_digest(repr(bound))} estimates {_digest(repr(est))} "
+            f"M_Ax={bound.M_Ax.hex()} L_Ax={bound.L_Ax.hex()}")
 
 
 def validate_line(problem, x0) -> str:
