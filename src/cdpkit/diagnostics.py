@@ -279,9 +279,20 @@ class _BoundConstants(NamedTuple):
     L_fx: float
 
 
+def _ball(x: Vector, radius: float, samples: int, seed: int) -> list:
+    """x, then ``samples`` points drawn uniformly from the ball of the
+    given radius around it by the generator of ``seed``."""
+    rng = np.random.default_rng(seed)
+    pts = [x]
+    for _ in range(samples):
+        d = rng.standard_normal(x.size)
+        d *= radius * rng.random() ** (1.0 / x.size) / np.linalg.norm(d)
+        pts.append(x + d)
+    return pts
+
+
 def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
-                     samples: int, seed: int
-                     ) -> tuple[_BoundConstants, list, np.random.Generator]:
+                     samples: int, seed: int) -> _BoundConstants:
     """Sample ``samples`` points of the ball of the given radius around a
     feasible x and estimate only what the multiplier-coupled beta bound
     reads: sigma_min(Jc(x)), sup and Lipschitz constant of J_A^T, sups of
@@ -299,16 +310,13 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
 
     A non-finite grad f(A(y)), Ju or Jv at a sample raises
     ``EvaluatorFaultError`` naming the evaluator, so no sample drops out
-    of a maximum.  Returns the constants, the points (x first) and the
-    generator after sampling, so ``estimate_constants`` continues from
-    the same draws.
+    of a maximum.  The points are ``_ball(x, radius, samples, seed)``.
     """
     x = _check_point(x, problem.n)
     if not 0.0 < radius <= 1.0:
         raise ParameterError(f"radius must be in (0, 1], got {radius}")
     if samples < 1:
         raise ParameterError(f"need at least one sample point, got {samples}")
-    mani = problem.manifold
     n = problem.n
     read = _Blocks(problem, seed)
 
@@ -318,17 +326,10 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
             f"sigma_min(Jc) = {sigma1:.3e} at the base point; full-rank "
             "constraint Jacobian required")
 
-    rng = np.random.default_rng(seed)
-    pts = [x]
-    for _ in range(samples):
-        d = rng.standard_normal(n)
-        d *= radius * rng.random() ** (1.0 / n) / np.linalg.norm(d)
-        pts.append(x + d)
-
     M_A = M_u = M_v = L_f = L_A = 0.0
     prev = None
-    for y in pts:
-        pt = mani.point(y)
+    for y in _ball(x, radius, samples, seed):
+        pt = read.mani.point(y)
         Ja = read.jat(pt)
         M_A = max(M_A, read.norm(Ja))
         Ju = _dense_columns(problem.apply_Ju, y, problem.n_eq, n)
@@ -340,9 +341,8 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
         if prev is not None:
             L_A = max(L_A, _diff_quotient(Ja, prev[1], y, prev[0]))
         prev = (y, Ja)
-    consts = _BoundConstants(sigma1x=sigma1, M_Ax=M_A, L_Ax=L_A, M_ux=M_u,
-                             M_vx=M_v, L_fx=L_f)
-    return consts, pts, rng
+    return _BoundConstants(sigma1x=sigma1, M_Ax=M_A, L_Ax=L_A, M_ux=M_u,
+                           M_vx=M_v, L_fx=L_f)
 
 
 def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
@@ -358,7 +358,9 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
     ``probe`` and the condition checks; the solver's beta safeguard reads
     only the six.
     """
-    consts, pts, rng = _bound_constants(problem, x, radius, samples, seed)
+    x = _check_point(x, problem.n)
+    consts = _bound_constants(problem, x, radius, samples, seed)
+    pts = _ball(x, radius, samples, seed)
     read = _Blocks(problem)
 
     M_c = L_c = L_Ac = 0.0
@@ -373,7 +375,7 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
         prev = (y, Jc, JaJcA)
 
     sigma1, M_A = consts.sigma1x, consts.M_Ax
-    rho_x = _estimate_rho(read, pts[0], sigma1, radius, rng)
+    rho_x = min(1.0, sigma1 / (2.0 * L_c)) if problem.p and L_c > 0 else 1.0
     with np.errstate(divide="ignore"):
         eps = min(
             rho_x / 2.0,
@@ -385,27 +387,6 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
         **consts._asdict(), M_cx=M_c, L_cx=L_c, L_Acx=L_Ac, rho_x=rho_x,
         epsilon_x=float(eps), omega_bar_radius=float(omega_bar),
         sample_count=len(pts) - 1, radius=radius)
-
-
-def _estimate_rho(read, x, sigma1, radius, rng):
-    """Largest of six radii keeping sigma_min(Jc) >= sigma1 / 2 at 8
-    random points that far from x, with Jc from the caller's ``_Blocks``."""
-    if read.mani.p == 0:
-        return 1.0
-    best = 0.0
-    for r in np.geomspace(max(radius, 1e-3), 1.0, 6):
-        ok = True
-        for _ in range(8):
-            d = rng.standard_normal(read.mani.n)
-            d *= r / np.linalg.norm(d)
-            if read.sigma_min_jc(x + d) < 0.5 * sigma1:
-                ok = False
-                break
-        if ok:
-            best = float(r)
-        else:
-            break
-    return best if best > 0 else float(radius)
 
 
 def _spec_norm(M: Vector) -> float:

@@ -321,7 +321,7 @@ class _Dissolved:
             try:
                 x_ref = a_infinity(problem.manifold, self.x0)
                 self.estimates = _bound_constants(
-                    problem, x_ref, radius=0.1, samples=30, seed=0)[0]
+                    problem, x_ref, radius=0.1, samples=30, seed=0)
             except (OutOfNeighborhoodError, RankDeficiencyError) as exc:
                 self.adapting = False
                 _add_note(trace, f"beta_adapt_off:{type(exc).__name__}")

@@ -29,6 +29,7 @@ from cdpkit.diagnostics import (
     SAFETY,
     ConstantEstimates,
     _Blocks,
+    _ball,
     _bound_constants,
     check_condition,
     check_licq,
@@ -550,8 +551,8 @@ class TestEstimateConstants:
             problem, x0 = gen_center_of_mass(
                 CenterOfMassConfig(m=6, q=2, N=8, r=0.5, seed=3))
         x = a_infinity(problem.manifold, x0)
-        six, points, _ = _bound_constants(problem, x, radius=0.1, samples=30,
-                                          seed=0)
+        six = _bound_constants(problem, x, radius=0.1, samples=30, seed=0)
+        points = _ball(x, radius=0.1, samples=30, seed=0)
         full = estimate_constants(problem, x, radius=0.1, samples=30, seed=0)
         assert len(points) == full.sample_count + 1 == 31
         for name, value in six._asdict().items():
@@ -685,8 +686,8 @@ class TestRowBlockConstants:
         ids=["50-0.1-20", "20-0.2-3"])
     def test_bound_constants_match_dense_reference(self, family, args, ulps):
         problem, x = _cut_reference_point(*args)
-        six, points, _ = _bound_constants(problem, x, radius=0.1, samples=30,
-                                          seed=0)
+        six = _bound_constants(problem, x, radius=0.1, samples=30, seed=0)
+        points = _ball(x, radius=0.1, samples=30, seed=0)
         reference = _dense_bound_constants(problem, points)
         for name, value in six._asdict().items():
             assert _within_ulps(value, reference[name], ulps), name
@@ -699,8 +700,7 @@ class TestRowBlockConstants:
         blocks = estimate_constants(problem, x, radius=0.1, samples=30, seed=0)
         one_block = estimate_constants(*_unblocked(problem, x), radius=0.1,
                                        samples=30, seed=0)
-        _, points, _ = _bound_constants(problem, x, radius=0.1, samples=30,
-                                        seed=0)
+        points = _ball(x, radius=0.1, samples=30, seed=0)
         dense = _dense_bound_constants(problem, points)
         r, M_A = one_block, dense["M_Ax"]
         eps = min(r.rho_x / 2.0,
@@ -791,8 +791,8 @@ class TestMatrixFreeConstants:
                 problem = dataclasses.replace(problem, manifold=make_handle(
                     "generic", spec=symplectic_spec(cfg.m, cfg.q)))
             x = a_infinity(problem.manifold, x0)
-        six, points, _ = _bound_constants(problem, x, radius=0.1, samples=30,
-                                          seed=0)
+        six = _bound_constants(problem, x, radius=0.1, samples=30, seed=0)
+        points = _ball(x, radius=0.1, samples=30, seed=0)
         reference = _dense_bound_constants(problem, points)
         for name, value in six._asdict().items():
             exact = reference[name]

@@ -16,6 +16,7 @@ from cdpkit.core import (
     finite_diff_check,
 )
 from cdpkit.diagnostics import (
+    _ball,
     _bound_constants,
     estimate_constants,
     make_synthetic_kkt,
@@ -428,8 +429,8 @@ class TestGenericHandleCache:
             spec, taken, per_read = self._counted(batched)
             problem = linear_objective_sphere_problem(
                 spec.n, handle=make_handle("generic", spec=spec))
-            _, points, _ = _bound_constants(problem, x, radius=0.1,
-                                            samples=30, seed=0)
+            _bound_constants(problem, x, radius=0.1, samples=30, seed=0)
+            points = _ball(x, radius=0.1, samples=30, seed=0)
             # One Jc read for sigma_min(Jc(x)), then one state per sample
             # point.
             assert taken() == tuple((1 + len(points)) * k for k in per_read)
@@ -437,14 +438,14 @@ class TestGenericHandleCache:
     def test_constant_estimates_read_jc_through_jacobian(self):
         # Jc(A(y)) is one jacobian read per sample point, like Jc(y): 12
         # reads in the bound pass (Jc(x), then one state per point), 3 per
-        # point in the second (Jc(y), the state at y, Jc(A(y))) and 8 at
-        # each of the six radii of rho; no apply_Jc column.
+        # point in the second (Jc(y), the state at y, Jc(A(y))); no
+        # apply_Jc column.
         spec, taken, _ = self._counted(True)
         problem = linear_objective_sphere_problem(
             spec.n, handle=make_handle("generic", spec=spec))
         estimate_constants(problem, symplectic_canonical_point(8, 4).ravel(),
                            0.05, samples=10)
-        assert taken() == (12 + 3 * 11 + 6 * 8, 0)
+        assert taken() == (12 + 3 * 11, 0)
 
     def test_gram_inverse_formed_once_per_acted_point(self, monkeypatch):
         formed = [0]

@@ -105,7 +105,7 @@ def constants_line(problem, x0) -> str:
     from cdpkit.dissolve import a_infinity
 
     x_ref = a_infinity(problem.manifold, x0)
-    bound = _bound_constants(problem, x_ref, 0.1, 30, 0)[0]
+    bound = _bound_constants(problem, x_ref, 0.1, 30, 0)
     est = estimate_constants(problem, x_ref, 0.05, 30, 0)
     return (f"bound {_digest(repr(bound))} estimates {_digest(repr(est))} "
             f"M_Ax={bound.M_Ax.hex()} L_Ax={bound.L_Ax.hex()}")
