@@ -13,12 +13,14 @@ The constant estimates also run inside the solve, as the beta safeguard
 of ``alm_solve_cdp``.  They read ``Jc`` and ``J_A^T`` through the
 handle's own actions, holding one state ``point(y)`` per sample point in
 each pass: the safeguard's constants take one pass, ``estimate_constants``
-a second.  A handle that declares ``row_blocks`` gives stacks of one block
-per row of X, O(n) work per sample point.  Any other handle gives ``Jc``
-as one dense n x p block, and the norms of ``J_A^T`` come matrix-free, by
-Lanczos on J_A^T J_A through the state's ``ja`` and ``jat``: one
-reorthogonalised basis, at most 20 applications of each per norm, and no
-n x n matrix.
+a second over the same points (``_ball``), and it takes rho_x from the
+sigma_x and L_c it has measured, by Weyl's inequality.  A non-finite read
+of J_A^T raises ``EvaluatorFaultError`` naming ``apply_JAT``.  A handle
+that declares ``row_blocks`` gives stacks of one block per row of X, O(n)
+work per sample point.  Any other handle gives ``Jc`` as one dense n x p
+block, and the norms of ``J_A^T`` come matrix-free, by Lanczos on
+J_A^T J_A through the state's ``ja`` and ``jat``: one reorthogonalised
+basis, at most 20 applications of each per norm, and no n x n matrix.
 """
 
 from __future__ import annotations
@@ -250,6 +252,11 @@ class ConstantEstimates:
     """Sampled estimates of the neighborhood constants around a feasible
     point, and the radii they induce.  Maxima over samples are lower bounds
     on the true suprema; downstream condition checks apply a safety factor.
+
+    ``rho_x`` = min(1, sigma1x / (2 L_cx)), or 1 when p = 0 or L_cx = 0:
+    within it Weyl's inequality sigma_min(Jc(y)) >= sigma1x - L_cx ||y - x||
+    keeps sigma_min(Jc) >= sigma1x / 2.  L_cx is sampled in the ball of
+    ``radius``, so rho_x is only as good as that estimate.
     """
 
     sigma1x: float
@@ -308,9 +315,10 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
     below), and its Lipschitz quotient 0.66424134 against 0.66424135
     (1.9e-8): lower bounds, as sampled suprema already are.
 
-    A non-finite grad f(A(y)), Ju or Jv at a sample raises
-    ``EvaluatorFaultError`` naming the evaluator, so no sample drops out
-    of a maximum.  The points are ``_ball(x, radius, samples, seed)``.
+    A non-finite grad f(A(y)), Ju, Jv or J_A^T at a sample raises
+    ``EvaluatorFaultError`` naming the evaluator, or ``apply_JAT`` for
+    J_A^T, so no sample drops out of a maximum.  The points are
+    ``_ball(x, radius, samples, seed)``.
     """
     x = _check_point(x, problem.n)
     if not 0.0 < radius <= 1.0:
@@ -352,11 +360,13 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
     constants as maxima of difference quotients over consecutive pairs.
 
     The six constants of the beta bound come from ``_bound_constants``; a
-    second pass over the same points adds the sup and Lipschitz constant of
-    Jc and the Lipschitz constant of J_A^T Jc(A(y)), whose p columns are
-    the state's ``jat`` of the columns of Jc(A(y)).  It is a diagnostic for
-    ``probe`` and the condition checks; the solver's beta safeguard reads
-    only the six.
+    second pass over the same points, ``_ball(x, radius, samples, seed)``,
+    adds the sup and Lipschitz constant of Jc and the Lipschitz constant of
+    J_A^T Jc(A(y)), whose p columns are the state's ``jat`` of the columns
+    of Jc(A(y)).  rho_x comes from sigma1x and L_cx by Weyl's inequality
+    (``ConstantEstimates``), with no further read of Jc.  It is a
+    diagnostic for ``probe`` and the condition checks; the solver's beta
+    safeguard reads only the six.
     """
     x = _check_point(x, problem.n)
     consts = _bound_constants(problem, x, radius, samples, seed)
@@ -375,7 +385,7 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
         prev = (y, Jc, JaJcA)
 
     sigma1, M_A = consts.sigma1x, consts.M_Ax
-    rho_x = min(1.0, sigma1 / (2.0 * L_c)) if problem.p and L_c > 0 else 1.0
+    rho_x = min(1.0, sigma1 / (2.0 * L_c)) if L_c > 0 else 1.0
     with np.errstate(divide="ignore"):
         eps = min(
             rho_x / 2.0,
@@ -429,7 +439,8 @@ class _JatOperator(NamedTuple):
         with full reorthogonalisation against one basis: a lower bound on
         ||B||_2 that grows with k.  It stops on the module's stop rule,
         applied to sqrt(theta), or when the new direction vanishes,
-        beta_k <= 1e-12 theta, where theta is exact."""
+        beta_k <= 1e-12 theta, where theta is exact.  A non-finite norm
+        raises ``EvaluatorFaultError`` naming ``apply_JAT``."""
         n = self.start.size
         steps = min(LANCZOS_MAX_STEPS, n)
         V = np.empty((steps + 1, n))
@@ -450,7 +461,7 @@ class _JatOperator(NamedTuple):
             if done:
                 break
             V[k + 1] = w / beta[k]
-        return top
+        return _finite(top, "apply_JAT")
 
 
 class _Blocks:
@@ -525,7 +536,7 @@ class _Blocks:
     def jat(self, pt) -> Vector | _JatOperator:
         """J_A^T at the state ``pt`` = ``ManifoldHandle.point(y)``."""
         if self.mani.row_blocks is not None:
-            return self._stack(pt.jat, self.q)
+            return _finite(self._stack(pt.jat, self.q), "apply_JAT")
         return _JatOperator(pt.jat, pt.ja, self.start)
 
     def jat_jc_a(self, pt) -> Vector:
@@ -534,7 +545,7 @@ class _Blocks:
         makes bitwise the action ``apply_Jc(A(y), e_j)``."""
         jc = self.stack_jc(pt.ax).reshape(self.m * self.q, self.k)
         cols = np.array([pt.jat(col) for col in jc.T]).T
-        return cols.reshape(self.m, self.q, self.k)
+        return _finite(cols.reshape(self.m, self.q, self.k), "apply_JAT")
 
 
 @dataclass

@@ -159,10 +159,10 @@ def a_infinity(handle: ManifoldHandle, y: Vector,
 
     Quadratic contraction makes the ``A_INFINITY_MAX_ITER`` budget vastly
     sufficient inside the operative neighborhood; outside it the 10x
-    growth detector aborts early.
+    growth detector aborts early.  ``tol`` must be finite and positive.
     """
-    if not tol > 0:
-        raise DimensionError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise DimensionError(f"tol must be finite and positive, got {tol}")
     z = _check_point(y, handle.n, "y")
     viol = float(np.linalg.norm(handle.eval_c(z)))
     for _ in range(A_INFINITY_MAX_ITER):

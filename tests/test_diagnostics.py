@@ -452,6 +452,54 @@ def test_bound_pass_names_a_non_finite_evaluator(name):
         _bound_constants(problem, x, radius=0.1, samples=30, seed=0)
 
 
+def _nan_jat_problem(path):
+    """A problem whose J_A^T reads are NaN: on the operator path the sphere
+    in R^4 as a generic spec whose ``apply_dJc`` returns NaN, at e1; on
+    the row-block path balanced cut m=20 whose handle's states return NaN
+    from ``jat``, at its limit point."""
+    if path == "operator":
+        spec = dataclasses.replace(sphere_constraint_spec(4),
+                                   apply_dJc=lambda x, d, w: np.full(4, np.nan))
+        problem = linear_objective_sphere_problem(
+            4, handle=make_handle("generic", spec=spec))
+        return problem, np.eye(4)[0]
+    problem, x = _cut_reference_point(20, 0.2, 3)
+    mani = problem.manifold
+
+    class NanPoint:
+        def __init__(self, y):
+            self.state = mani.point(y)
+
+        def __getattr__(self, name):
+            return getattr(self.state, name)
+
+        def jat(self, g):
+            return np.full(mani.n, np.nan)
+
+    nan_mani = dataclasses.replace(mani, point=NanPoint)
+    return dataclasses.replace(problem, manifold=nan_mani), x
+
+
+@pytest.mark.parametrize("path", ["operator", "row_blocks"])
+def test_bound_pass_names_a_non_finite_jat(path):
+    # Not M_Ax = L_Ax = 0 from max(M_A, nan) on the operator path, nor
+    # numpy's LinAlgError from the block SVDs on the row-block path.
+    problem, x = _nan_jat_problem(path)
+    with pytest.raises(EvaluatorFaultError, match="apply_JAT"):
+        _bound_constants(problem, x, radius=0.1, samples=30, seed=0)
+    with pytest.raises(EvaluatorFaultError, match="apply_JAT"):
+        estimate_constants(problem, x, radius=0.1, samples=30, seed=0)
+
+
+@pytest.mark.parametrize("path", ["operator", "row_blocks"])
+def test_second_pass_names_a_non_finite_jat(path):
+    # J_A^T Jc(A(y)) is read apart from the bound pass's J_A^T.
+    problem, x = _nan_jat_problem(path)
+    read = _Blocks(problem)
+    with pytest.raises(EvaluatorFaultError, match="apply_JAT"):
+        read.jat_jc_a(problem.manifold.point(x))
+
+
 @pytest.mark.parametrize("bad, error", BAD_POINTS)
 def test_estimate_constants_rejects_a_bad_point(bad, error):
     # A typed error, not numpy's from inside an SVD or a reshape.
@@ -518,6 +566,19 @@ class TestEstimateConstants:
         x[0] = 1.0
         est = estimate_constants(problem, x, radius=0.1, samples=100, seed=0)
         assert 1.8 <= est.sigma1x <= 2.0
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_rho_is_weyls_radius_on_the_sphere(self, n):
+        # Jc(y) = 2y: sigma_x = L_c = 2 at e1, so sigma_min(Jc) falls to
+        # sigma_x / 2 at (1 - rho_x) e1 with rho_x = 1/2, and the ball of
+        # radius 1 would hold the origin, where Jc = 0.
+        problem = linear_objective_sphere_problem(n)
+        x = np.eye(n)[0]
+        est = estimate_constants(problem, x, radius=0.05, samples=30, seed=0)
+        assert est.rho_x == pytest.approx(0.5, rel=1e-12, abs=0.0)
+        Jc = dense_jacobians(problem, (1.0 - est.rho_x) * x)[0]
+        sigma = np.linalg.svd(Jc, compute_uv=False)[-1]
+        assert sigma == pytest.approx(est.sigma1x / 2.0, rel=1e-12, abs=0.0)
 
     def test_estimates_stable_across_seeds(self):
         problem, x0 = gen_balanced_cut(BalancedCutConfig(m=10, q=3, rho=0.3,

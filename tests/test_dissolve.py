@@ -243,9 +243,10 @@ class TestIteratedMap:
 
     def test_negative_tolerance_rejected(self):
         # NaN fails every comparison: a tolerance no violation can meet
-        # would end in a stall report, not a usage error.
+        # would end in a stall report, not a usage error.  An infinite
+        # one would return any point unprojected as the limit.
         handle = make_handle("sphere", n=3)
-        for tol in (-1.0, float("nan")):
+        for tol in (-1.0, float("nan"), float("inf")):
             with pytest.raises(DimensionError):
                 a_infinity(handle, np.ones(3), tol=tol)
 
