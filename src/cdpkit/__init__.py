@@ -16,9 +16,9 @@ from .diagnostics import (
     feasibility,
     kkt_residual,
     make_synthetic_kkt,
+    validate_manifold,
 )
-from .dissolve import (a_infinity, apply_A_k, build_cdp, cdp_lagrangian,
-                       validate_manifold)
+from .dissolve import a_infinity, apply_A_k, build_cdp, cdp_lagrangian
 from .manifolds import GenericManifoldSpec, make_handle
 from .solver import AlmOptions, alm_solve_cdp, alm_solve_nlp_direct, lbfgs_minimize
 

@@ -72,7 +72,7 @@ def _feasible_probes(base, count: int, seed: int):
 def cmd_validate(args) -> int:
     handle, point = _family(args)
     probes = _feasible_probes(point, args.probes, args.seed)
-    report = dissolve.validate_manifold(handle, probes, tol=args.tol)
+    report = diagnostics.validate_manifold(handle, probes, tol=args.tol)
 
     base = dissolve.a_infinity(handle, point)
     fd_err = finite_diff_check(

@@ -1,5 +1,6 @@
-"""KKT residuals, feasibility metric, LICQ check, neighborhood-constant
-estimation and penalty-condition checkers.
+"""KKT residuals, feasibility metric, LICQ check, the dissolving-map axiom
+check (``validate_manifold``), neighborhood-constant estimation and
+penalty-condition checkers.
 
 The KKT and LICQ checks assemble the dense constraint Jacobians, reading
 Jc in one call of the handle's ``jacobian``, and raise
@@ -14,20 +15,22 @@ of ``alm_solve_cdp``.  They read ``Jc`` and ``J_A^T`` through the
 handle's own actions, holding one state ``point(y)`` per sample point in
 each pass: the safeguard's constants take one pass, ``estimate_constants``
 a second over the same points (``_ball``), and it takes rho_x from the
-sigma_x and L_c it has measured, by Weyl's inequality.  A non-finite read
-of J_A^T raises ``EvaluatorFaultError`` naming ``apply_JAT``.  A handle
-that declares ``row_blocks`` gives stacks of one block per row of X, O(n)
-work per sample point.  Any other handle gives ``Jc`` as one dense n x p
-block, and the norms of ``J_A^T`` come matrix-free, by Lanczos on
-J_A^T J_A through the state's ``ja`` and ``jat``: one reorthogonalised
-basis, at most 20 applications of each per norm, and no n x n matrix.
+sigma_x and L_c it has measured, by Weyl's inequality.  The axiom check
+reads J_A^T Jc through the same reader (``_Blocks``), one state per
+probe.  A non-finite read of Jc or J_A^T raises ``EvaluatorFaultError``
+naming its evaluator.  A handle that declares ``row_blocks`` gives stacks
+of one block per row of X, O(n) work per sample point or probe.  Any
+other handle gives ``Jc`` as one dense n x p block, and the norms of
+``J_A^T`` come matrix-free, by Lanczos on J_A^T J_A through the state's
+``ja`` and ``jat``: one reorthogonalised basis, at most 20 applications
+of each per norm, and no n x n matrix.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -37,7 +40,9 @@ import scipy.optimize
 from .core import (
     DimensionError,
     EvaluatorFaultError,
+    ManifoldHandle,
     MultiplierSet,
+    OutOfNeighborhoodError,
     ParameterError,
     PenaltyParams,
     ProblemSpec,
@@ -46,21 +51,25 @@ from .core import (
     _check_point,
     _dense_columns,
 )
+from .dissolve import a_infinity
 from .manifolds import GenericManifoldSpec, make_handle
 
 __all__ = [
     "ConditionReport",
     "ConstantEstimates",
     "KktReport",
+    "ValidationReport",
     "check_condition",
     "check_licq",
     "estimate_constants",
     "feasibility",
     "kkt_residual",
     "make_synthetic_kkt",
+    "validate_manifold",
 ]
 
 ACTIVE_TOL = 1e-6
+FEASIBILITY_TOL = 1e-10  # absolute tolerance on ||c(x)|| for "feasible"
 
 
 def feasibility(problem: ProblemSpec, x: Vector) -> float:
@@ -326,9 +335,10 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
     if samples < 1:
         raise ParameterError(f"need at least one sample point, got {samples}")
     n = problem.n
-    read = _Blocks(problem, seed)
+    read = _Blocks(problem.manifold, seed)
 
-    sigma1 = read.sigma_min_jc(x) if problem.p else 0.0
+    sigma1 = (float(np.min(read.singular_values(read.stack_jc(x))[:, -1]))
+              if problem.p else 0.0)
     if problem.p and sigma1 <= 1e-10:
         raise RankDeficiencyError(
             f"sigma_min(Jc) = {sigma1:.3e} at the base point; full-rank "
@@ -371,13 +381,14 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
     x = _check_point(x, problem.n)
     consts = _bound_constants(problem, x, radius, samples, seed)
     pts = _ball(x, radius, samples, seed)
-    read = _Blocks(problem)
+    read = _Blocks(problem.manifold)
 
     M_c = L_c = L_Ac = 0.0
     prev = None
     for y in pts:
         Jc = read.stack_jc(y)
-        JaJcA = read.jat_jc_a(read.mani.point(y))
+        pt = read.mani.point(y)
+        JaJcA = read.jat_jc(pt, pt.ax)
         M_c = max(M_c, read.norm(Jc))
         if prev is not None:
             L_c = max(L_c, _diff_quotient(Jc, prev[1], y, prev[0]))
@@ -465,9 +476,9 @@ class _JatOperator(NamedTuple):
 
 
 class _Blocks:
-    """Reads Jc, J_A^T and J_A^T Jc(A(y)) of a handle.
+    """Reads Jc, J_A^T and J_A^T Jc of a handle.
 
-    Jc and J_A^T Jc(A(y)) come as (m, q, k) stacks of their q x k diagonal
+    Jc and J_A^T(y) Jc(z) come as (m, q, k) stacks of their q x k diagonal
     blocks.  A handle with ``row_blocks = (m, q)`` has one block per row
     of X, with k = 1; any other handle is one block, m = 1, q = n, k = p:
     the dense n x p matrices, and Jc is the handle's ``jacobian`` read.
@@ -476,9 +487,10 @@ class _Blocks:
     column j of every block at once, bitwise equal to the dense entries: k
     actions per stack.  A block-diagonal matrix's spectral norm is its
     largest block norm, and its singular values are those of its blocks.
+    A non-finite Jc raises ``EvaluatorFaultError`` naming its evaluator.
 
-    J_A^T and J_A^T Jc(A(y)) are each read from a state ``point(y)`` of
-    the handle.  J_A^T of a ``row_blocks`` handle is the (m, q, q) stack of its
+    J_A^T and J_A^T Jc are each read from a state ``point(y)`` of the
+    handle.  J_A^T of a ``row_blocks`` handle is the (m, q, q) stack of its
     blocks, q actions per point.  Of any other handle it is a matrix-free
     ``_JatOperator``, whose norm is a Lanczos lower bound from the state's
     ``ja`` and ``jat`` (at most ``LANCZOS_MAX_STEPS`` of each), started at
@@ -486,13 +498,12 @@ class _Blocks:
     function of the point.
     """
 
-    def __init__(self, problem: ProblemSpec, seed: int = 0):
-        mani = self.mani = problem.manifold
-        self.seed = seed
-        if mani.row_blocks is not None:
-            (self.m, self.q), self.k = mani.row_blocks, 1
+    def __init__(self, handle: ManifoldHandle, seed: int = 0):
+        self.mani, self.seed = handle, seed
+        if handle.row_blocks is not None:
+            (self.m, self.q), self.k = handle.row_blocks, 1
         else:
-            self.m, self.q, self.k = 1, problem.n, problem.p
+            self.m, self.q, self.k = 1, handle.n, handle.p
 
     @functools.cached_property
     def start(self) -> Vector:
@@ -527,11 +538,9 @@ class _Blocks:
         """Jc(y) as its stack: without ``row_blocks`` the handle's dense
         ``jacobian`` read."""
         if self.mani.row_blocks is None:
-            return self.mani.jacobian(y)[None]
-        return self._stack(lambda w: self.mani.apply_Jc(y, w), self.k)
-
-    def sigma_min_jc(self, y: Vector) -> float:
-        return float(np.min(self.singular_values(self.stack_jc(y))[:, -1]))
+            return _finite(self.mani.jacobian(y), "jacobian")[None]
+        return _finite(self._stack(lambda w: self.mani.apply_Jc(y, w),
+                                   self.k), "apply_Jc")
 
     def jat(self, pt) -> Vector | _JatOperator:
         """J_A^T at the state ``pt`` = ``ManifoldHandle.point(y)``."""
@@ -539,13 +548,74 @@ class _Blocks:
             return _finite(self._stack(pt.jat, self.q), "apply_JAT")
         return _JatOperator(pt.jat, pt.ja, self.start)
 
-    def jat_jc_a(self, pt) -> Vector:
-        """J_A^T(y) Jc(A(y)) at the state ``pt`` of y: ``pt.jat`` of each
-        column of ``stack_jc(A(y))``, which the ``jacobian`` contract
-        makes bitwise the action ``apply_Jc(A(y), e_j)``."""
-        jc = self.stack_jc(pt.ax).reshape(self.m * self.q, self.k)
+    def jat_jc(self, pt, z: Vector) -> Vector:
+        """J_A^T(y) Jc(z) at the state ``pt`` of y: ``pt.jat`` of each
+        column of ``stack_jc(z)``, which the ``jacobian`` contract makes
+        bitwise the action ``apply_Jc(z, e_j)``."""
+        jc = self.stack_jc(z).reshape(self.m * self.q, self.k)
         cols = np.array([pt.jat(col) for col in jc.T]).T
         return _finite(cols.reshape(self.m, self.q, self.k), "apply_JAT")
+
+
+@dataclass
+class ValidationReport:
+    max_fixed_point_error: float
+    max_jacobian_product_norm: float
+    max_adjoint_error: float
+    tol: float
+    probes_used: int
+    passed: bool
+    notes: list[str] = field(default_factory=list)
+
+
+def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
+                      tol: float) -> ValidationReport:
+    """Check the dissolving-map axioms at (projections of) the given probes.
+
+    At each feasible probe x the report records ``||A(x) - x||_inf``, the
+    spectral norm of J_A^T(x) Jc(x) (``_Blocks.jat_jc``), and the
+    adjointness error ``|<J_A d, g> - <d, J_A^T g>| / (||d|| ||g||)`` of
+    the forward and transposed actions for random d, g.  All three read
+    one state ``handle.point(x)`` per probe.  Jc comes from one
+    ``apply_Jc`` action per probe on a ``row_blocks`` handle, else from
+    one ``jacobian`` read.  Each must be within ``tol`` (finite and > 0,
+    else ``ParameterError``) for the report to pass.  A probe that
+    ``a_infinity`` cannot project is skipped with a note.
+    """
+    if not 0 < tol < np.inf:
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
+    read = _Blocks(handle)
+    max_fix = max_prod = max_adj = 0.0
+    notes: list[str] = []
+    used = 0
+    rng = np.random.default_rng((handle.n, handle.p))  # d and g, per probe
+    for k, probe in enumerate(probes):
+        x = _check_point(probe, handle.n, f"probe {k}")
+        viol = float(np.linalg.norm(handle.eval_c(x)))
+        if not np.isfinite(viol):
+            raise EvaluatorFaultError(f"eval_c non-finite at probe {k}")
+        if viol > FEASIBILITY_TOL:
+            try:
+                x = a_infinity(handle, x, tol=FEASIBILITY_TOL)
+            except OutOfNeighborhoodError as exc:
+                notes.append(f"probe {k} skipped: {exc}")
+                continue
+        pt = handle.point(x)
+        if not np.all(np.isfinite(pt.ax)):
+            raise EvaluatorFaultError(f"eval_A non-finite at probe {k}")
+        max_fix = max(max_fix, float(np.max(np.abs(pt.ax - x), initial=0.0)))
+        max_prod = max(max_prod, read.norm(read.jat_jc(pt, x)))
+        d, g = rng.standard_normal((2, handle.n))
+        gap = float(np.dot(pt.ja(d), g)) - float(np.dot(d, pt.jat(g)))
+        if not np.isfinite(gap):
+            raise EvaluatorFaultError(f"Jacobian action non-finite at probe {k}")
+        max_adj = max(max_adj, abs(gap) / float(np.linalg.norm(d)
+                                                * np.linalg.norm(g)))
+        used += 1
+    passed = (used > 0 and max_fix <= tol and max_prod <= tol
+              and max_adj <= tol)
+    return ValidationReport(max_fix, max_prod, max_adj, tol, used, passed,
+                            notes)
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Transformation engine: builds the penalized problem from an NLP,
 evaluates h, u~, v~ and their gradients at a point (``point_eval``),
-iterates the dissolving map and checks its axioms (``validate_manifold``).
+iterates the dissolving map and probes Lagrangian decrease under it.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ import numpy as np
 
 from .core import (
     DimensionError,
-    EvaluatorFaultError,
     ManifoldHandle,
     MultiplierSet,
     OutOfNeighborhoodError,
-    ParameterError,
     PenaltyParams,
     ProblemSpec,
     Vector,
@@ -27,18 +25,15 @@ __all__ = [
     "CdpInstance",
     "CdpPointEval",
     "DecreaseProbeReport",
-    "ValidationReport",
     "a_infinity",
     "apply_A_k",
     "build_cdp",
     "cdp_lagrangian",
     "lagrangian_decrease_probe",
-    "validate_manifold",
 ]
 
 # Map steps of ``a_infinity``; the generators' projections take at most 4.
 A_INFINITY_MAX_ITER = 50
-FEASIBILITY_TOL = 1e-10  # absolute tolerance on ||c(x)|| for "feasible"
 
 
 @dataclass
@@ -177,71 +172,6 @@ def a_infinity(handle: ManifoldHandle, y: Vector,
         return z
     raise OutOfNeighborhoodError(
         f"max_iter exceeded with ||c|| = {viol:.3e}", viol)
-
-
-@dataclass
-class ValidationReport:
-    max_fixed_point_error: float
-    max_jacobian_product_norm: float
-    max_adjoint_error: float
-    tol: float
-    probes_used: int
-    passed: bool
-    notes: list[str] = field(default_factory=list)
-
-
-def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
-                      tol: float) -> ValidationReport:
-    """Check the dissolving-map axioms at (projections of) the given probes.
-
-    At each feasible probe x the report records ``||A(x) - x||_inf``, an
-    estimate of the operator norm of the product of the transposed Jacobian
-    of A with the constraint Jacobian, obtained by pushing each of the p
-    constraint-gradient columns through J_A^T, and the adjointness error
-    ``|<J_A d, g> - <d, J_A^T g>| / (||d|| ||g||)`` of the forward and
-    transposed actions for random d, g.  All three read one state
-    ``handle.point(x)`` per probe, and the constraint gradients come from
-    one ``handle.jacobian(x)`` read.  Each must be within ``tol`` (finite
-    and > 0, else ``ParameterError``) for the report to pass.  A probe that
-    ``a_infinity`` cannot project is skipped with a note.
-    """
-    if not 0 < tol < np.inf:
-        raise ParameterError(f"tol must be finite and positive, got {tol}")
-    max_fix = max_prod = max_adj = 0.0
-    notes: list[str] = []
-    used = 0
-    rng = np.random.default_rng((handle.n, handle.p))  # d and g, per probe
-    for k, probe in enumerate(probes):
-        x = _check_point(probe, handle.n, f"probe {k}")
-        viol = float(np.linalg.norm(handle.eval_c(x)))
-        if not np.isfinite(viol):
-            raise EvaluatorFaultError(f"eval_c non-finite at probe {k}")
-        if viol > FEASIBILITY_TOL:
-            try:
-                x = a_infinity(handle, x, tol=FEASIBILITY_TOL)
-            except OutOfNeighborhoodError as exc:
-                notes.append(f"probe {k} skipped: {exc}")
-                continue
-        pt = handle.point(x)
-        if not np.all(np.isfinite(pt.ax)):
-            raise EvaluatorFaultError(f"eval_A non-finite at probe {k}")
-        max_fix = max(max_fix, float(np.max(np.abs(pt.ax - x), initial=0.0)))
-        cols = np.array([pt.jat(col) for col in handle.jacobian(x).T]).T
-        if not np.all(np.isfinite(cols)):
-            raise EvaluatorFaultError(f"Jacobian action non-finite at probe {k}")
-        if handle.p > 0:
-            max_prod = max(max_prod, float(np.linalg.norm(cols, 2)))
-        d, g = rng.standard_normal((2, handle.n))
-        gap = float(np.dot(pt.ja(d), g)) - float(np.dot(d, pt.jat(g)))
-        if not np.isfinite(gap):
-            raise EvaluatorFaultError(f"Jacobian action non-finite at probe {k}")
-        max_adj = max(max_adj, abs(gap) / float(np.linalg.norm(d)
-                                                * np.linalg.norm(g)))
-        used += 1
-    passed = (used > 0 and max_fix <= tol and max_prod <= tol
-              and max_adj <= tol)
-    return ValidationReport(max_fix, max_prod, max_adj, tol, used, passed,
-                            notes)
 
 
 def cdp_lagrangian(instance: CdpInstance, x: Vector,

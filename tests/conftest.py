@@ -113,6 +113,12 @@ def faulty_sphere_problem(name=None, bad="nan"):
     return problem, e[0]
 
 
+def _within_ulps(a, b, ulps):
+    """a and b differ by at most ``ulps`` units in the last place of the
+    larger."""
+    return abs(a - b) <= ulps * np.spacing(max(abs(a), abs(b)))
+
+
 def near_manifold_points(handle: ManifoldHandle, base, count: int,
                          scale: float, seed: int = 0) -> list:
     """Random perturbations of a feasible base point."""

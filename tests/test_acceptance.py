@@ -30,13 +30,9 @@ from cdpkit.diagnostics import (
     estimate_constants,
     kkt_residual,
     make_synthetic_kkt,
-)
-from cdpkit.dissolve import (
-    a_infinity,
-    build_cdp,
-    lagrangian_decrease_probe,
     validate_manifold,
 )
+from cdpkit.dissolve import a_infinity, build_cdp, lagrangian_decrease_probe
 from cdpkit.manifolds import make_handle, symplectic_canonical_point
 from cdpkit.solver import alm_solve_cdp, alm_solve_nlp_direct
 

@@ -25,10 +25,10 @@ from cdpkit.bench import (
     records_to_markdown,
     run_experiment,
 )
-from cdpkit.diagnostics import check_licq, kkt_residual
+from cdpkit.diagnostics import check_licq, kkt_residual, validate_manifold
 from cdpkit.manifolds import make_handle, symplectic_form
 from cdpkit.solver import AlmOptions, alm_solve_cdp
-from cdpkit.dissolve import build_cdp, validate_manifold
+from cdpkit.dissolve import build_cdp
 
 
 class TestConfigs:

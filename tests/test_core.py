@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import importlib
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +23,12 @@ from cdpkit.core import (
     finite_diff_check,
     gradient_action,
 )
-from cdpkit.dissolve import build_cdp, validate_manifold
+from cdpkit.diagnostics import FEASIBILITY_TOL, validate_manifold
+from cdpkit.dissolve import a_infinity, build_cdp
 from cdpkit.manifolds import make_handle, symplectic_canonical_point
 
 from conftest import (
+    _within_ulps,
     counting_jc_reads,
     near_manifold_points,
     sphere_constraint_spec,
@@ -101,6 +105,63 @@ class TestDomainTypes:
             f.name for f in dataclasses.fields(TraceRow))
 
 
+# The package's modules in import order: each may import only modules
+# before it.  ``__init__`` re-exports from all of them.
+LAYERS = ("core", "manifolds", "dissolve", "diagnostics", "solver", "bench",
+          "cli")
+
+
+class TestModuleLayers:
+    def test_modules_import_only_earlier_layers(self):
+        src = Path(cdpkit.__file__).parent
+        assert sorted(path.stem for path in src.glob("*.py")) == sorted(
+            LAYERS + ("__init__",))
+        for layer, name in enumerate(LAYERS):
+            tree = ast.parse((src / f"{name}.py").read_text())
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.ImportFrom) and node.level):
+                    continue
+                targets = ([node.module] if node.module
+                           else [alias.name for alias in node.names])
+                for target in targets:
+                    assert LAYERS.index(target.split(".")[0]) < layer, (
+                        f"{name} imports {target}")
+
+
+def _validation_case(family):
+    """A handle of the family and a feasible base point."""
+    if family == "oblique":
+        handle = make_handle("oblique", m=5, q=3)
+        X = np.random.default_rng(0).standard_normal((5, 3))
+        return handle, (X / np.linalg.norm(X, axis=1, keepdims=True)).ravel()
+    if family == "symplectic_stiefel":
+        return (make_handle(family, m=8, q=4),
+                symplectic_canonical_point(8, 4).ravel())
+    if family == "sphere":
+        return make_handle("sphere", n=6), np.eye(6)[0]
+    if family == "generic":
+        return (make_handle("generic", spec=sphere_constraint_spec(8)),
+                np.eye(8)[0])
+    return make_handle("euclidean", n=4), np.ones(4)
+
+
+def _dense_product_norm(handle, probes):
+    """The largest spectral norm of J_A^T(x) Jc(x) over the probes, each
+    projected as ``validate_manifold`` projects it, from the dense n x p
+    ``jacobian`` read with each column pushed through the state's ``jat``:
+    the reference for the block reader."""
+    norm = 0.0
+    for probe in probes:
+        x = probe
+        if np.linalg.norm(handle.eval_c(x)) > FEASIBILITY_TOL:
+            x = a_infinity(handle, x, tol=FEASIBILITY_TOL)
+        pt = handle.point(x)
+        cols = np.array([pt.jat(col) for col in handle.jacobian(x).T]).T
+        if handle.p > 0:
+            norm = max(norm, float(np.linalg.norm(cols, 2)))
+    return norm
+
+
 class TestValidateManifold:
     def test_oblique_feasible_probe_is_fixed_exactly(self):
         handle = make_handle("oblique", m=5, q=3)
@@ -156,22 +217,32 @@ class TestValidateManifold:
         assert report.max_adjoint_error > 1e-4
         assert report.max_fixed_point_error == 0.0
 
-    @pytest.mark.parametrize("family", ["oblique", "symplectic_stiefel"])
-    def test_one_jacobian_read_per_used_probe(self, family):
-        # The constraint gradients come from one dense Jc read, not p
+    @pytest.mark.parametrize("family, reads", [
+        ("oblique", (0, 3)), ("symplectic_stiefel", (3, 0))],
+        ids=["oblique", "symplectic_stiefel"])
+    def test_one_jacobian_read_per_used_probe(self, family, reads):
+        # A row-block handle gives Jc in one apply_Jc action per probe and
+        # no dense n x p read; any other handle in one dense Jc read, not p
         # apply_Jc columns.
-        if family == "oblique":
-            handle = make_handle("oblique", m=5, q=3)
-            X = np.random.default_rng(0).standard_normal((5, 3))
-            base = (X / np.linalg.norm(X, axis=1, keepdims=True)).ravel()
-        else:
-            handle = make_handle(family, m=8, q=4)
-            base = symplectic_canonical_point(8, 4).ravel()
+        handle, base = _validation_case(family)
         counted, taken = counting_jc_reads(handle)
         probes = near_manifold_points(handle, base, 3, 0.01, seed=2)
         report = validate_manifold(counted, probes, tol=1e-8)
         assert report.probes_used == 3 and report.passed
-        assert taken() == (3, 0)
+        assert taken() == reads
+
+    @pytest.mark.parametrize("family", ["oblique", "sphere",
+                                        "symplectic_stiefel", "generic",
+                                        "euclidean"])
+    def test_product_norm_matches_the_dense_reference(self, family):
+        # Per-row blocks, or a one-column block's column norm, against the
+        # SVD of the dense product; with p = 0 both are exactly 0.0.
+        handle, base = _validation_case(family)
+        probes = near_manifold_points(handle, base, 5, 0.02, seed=4)
+        report = validate_manifold(handle, probes, tol=1e-8)
+        assert report.probes_used == 5 and report.passed
+        assert _within_ulps(report.max_jacobian_product_norm,
+                            _dense_product_norm(handle, probes), 8)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_tolerance_must_be_positive(self, tol):

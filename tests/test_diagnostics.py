@@ -38,12 +38,14 @@ from cdpkit.diagnostics import (
     feasibility,
     kkt_residual,
     make_synthetic_kkt,
+    validate_manifold,
 )
 from cdpkit.dissolve import a_infinity, build_cdp, lagrangian_decrease_probe
 from cdpkit.manifolds import GenericManifoldSpec, make_handle, symplectic_spec
 
 from conftest import (
     BAD_POINTS,
+    _within_ulps,
     bad_cut_point,
     counting_jc_reads,
     faulty_sphere_problem,
@@ -495,9 +497,38 @@ def test_bound_pass_names_a_non_finite_jat(path):
 def test_second_pass_names_a_non_finite_jat(path):
     # J_A^T Jc(A(y)) is read apart from the bound pass's J_A^T.
     problem, x = _nan_jat_problem(path)
-    read = _Blocks(problem)
+    read = _Blocks(problem.manifold)
+    pt = problem.manifold.point(x)
     with pytest.raises(EvaluatorFaultError, match="apply_JAT"):
-        read.jat_jc_a(problem.manifold.point(x))
+        read.jat_jc(pt, pt.ax)
+
+
+def _nan_jc_problem(path):
+    """A problem whose Jc reads are NaN: on the row-block path balanced cut
+    m=20 whose handle's ``apply_Jc`` returns NaN, at its limit point; on
+    the dense path the sphere in R^6 whose handle's ``jacobian`` returns
+    NaN, at e1."""
+    if path == "row_blocks":
+        problem, x = _cut_reference_point(20, 0.3, 3)
+        mani = dataclasses.replace(problem.manifold,
+                                   apply_Jc=lambda y, w: np.full(y.size, np.nan))
+    else:
+        problem, x = linear_objective_sphere_problem(6), np.eye(6)[0]
+        mani = dataclasses.replace(problem.manifold,
+                                   jacobian=lambda y: np.full((6, 1), np.nan))
+    return dataclasses.replace(problem, manifold=mani), x
+
+
+@pytest.mark.parametrize("path, name", [("row_blocks", "apply_Jc"),
+                                        ("dense", "jacobian")])
+def test_bound_pass_names_a_non_finite_jc(path, name):
+    # Not sigma1x = nan, which makes the safeguard's threshold NaN, so
+    # beta never adapts; nor a NaN product norm in the axiom check.
+    problem, x = _nan_jc_problem(path)
+    with pytest.raises(EvaluatorFaultError, match=name):
+        _bound_constants(problem, x, radius=0.1, samples=30, seed=0)
+    with pytest.raises(EvaluatorFaultError, match=name):
+        validate_manifold(problem.manifold, [x], tol=1e-8)
 
 
 @pytest.mark.parametrize("bad, error", BAD_POINTS)
@@ -727,10 +758,6 @@ def _unblocked(problem, x):
 MATRIX_FREE_RTOL = 1e-5
 
 
-def _within_ulps(a, b, ulps):
-    return abs(a - b) <= ulps * np.spacing(max(abs(a), abs(b)))
-
-
 class TestRowBlockConstants:
     """The oblique handle declares ``row_blocks``: the constant estimates
     read J_A^T and Jc as stacks of per-row blocks."""
@@ -780,9 +807,7 @@ class TestRowBlockConstants:
         X = data.draw(hnp.arrays(float, (m, q), elements=st.floats(
             -2.0, 2.0, allow_nan=False, allow_infinity=False)))
         handle = make_handle("oblique", m=m, q=q)
-        problem = ProblemSpec(manifold=handle, eval_f=lambda x: 0.0,
-                              grad_f=lambda x: np.zeros(m * q))
-        blocks = _Blocks(problem)
+        blocks = _Blocks(handle)
         x = X.ravel()
         stack = blocks.jat(handle.point(x))
         dense = _dense_columns(handle.apply_JAT, x, handle.n, handle.n)
@@ -801,7 +826,8 @@ class TestRowBlockConstants:
         assert _within_ulps(blocks.norm(blocks.stack_jc(x)), float(s[0]), 8)
         # An SVD resolves its smallest singular value to within rounding of
         # its largest.
-        assert abs(blocks.sigma_min_jc(x) - s[-1]) <= 8 * np.spacing(s[0])
+        sigma_min = np.min(blocks.singular_values(blocks.stack_jc(x))[:, -1])
+        assert abs(sigma_min - s[-1]) <= 8 * np.spacing(s[0])
 
         xf = (X / norms).ravel()
         Jc = _dense_columns(handle.apply_Jc, xf, handle.p, handle.n)

@@ -20,8 +20,9 @@ from cdpkit.diagnostics import (
     _bound_constants,
     estimate_constants,
     make_synthetic_kkt,
+    validate_manifold,
 )
-from cdpkit.dissolve import a_infinity, build_cdp, validate_manifold
+from cdpkit.dissolve import a_infinity, build_cdp
 from cdpkit.manifolds import (
     GenericManifoldSpec,
     make_handle,
