@@ -84,42 +84,43 @@ class ParameterError(CdpkitError):
 class ManifoldHandle:
     """Evaluators for the manifold constraints c and the dissolving map A.
 
+    A handle is built from eight fields, ``name``, ``n``, ``p``,
+    ``row_blocks`` and:
+
     * ``eval_c(x) -> (p,)``            constraint residual
-    * ``apply_JcT(x, d) -> (p,)``      directional derivative of c along
-                                       d, ``jacobian(x).T @ d``
     * ``apply_Jc(x, w) -> (n,)``       weighted combination of constraint
                                        gradients, sum_l w_l grad c_l(x)
-    * ``eval_A(x) -> (n,)``            dissolving map
-    * ``apply_JAT(x, g) -> (n,)``      transposed-Jacobian action of A,
-                                       i.e. the chain-rule factor in
-                                       grad (f o A)(x)
     * ``jacobian(x) -> (n, p)``        dense ``Jc(x)`` in one call, column
                                        l equal to ``apply_Jc(x, e_l)``;
                                        keyword-only and required.  A
                                        handle rebuilt with a new
-                                       ``apply_Jc`` needs a new one, and
-                                       one with a new ``jacobian`` a new
-                                       ``apply_JcT``.
+                                       ``apply_Jc`` needs a new one.
     * ``point(x)``                     the state at x, keyword-only and
                                        required: ``ax`` = A(x), ``cx`` =
-                                       c(x) and ``jat(g)``, bit for bit
-                                       ``eval_A``, ``eval_c`` and
-                                       ``apply_JAT`` at x, and ``ja(d)``,
+                                       c(x) bit for bit ``eval_c``,
+                                       ``jat(g)``, the transposed-Jacobian
+                                       action of A (the chain-rule factor
+                                       in grad (f o A)(x)), and ``ja(d)``,
                                        the derivative of A along d.
+
+    Three keyword-only reads default to None and are derived from those:
+    ``eval_A(x)`` is ``point(x).ax``, ``apply_JAT(x, g)`` is
+    ``point(x).jat(g)`` and ``apply_JcT(x, d)``, the derivative of c
+    along d, is ``jacobian(x).T @ d``.  A value passed in is kept, and
+    ``dataclasses.replace`` copies the three, so a handle rebuilt with a
+    new ``point`` or ``jacobian`` keeps the reads of the old ones unless
+    they are set to None.  The package reads ``eval_A`` only in
+    ``dissolve._map_step``, and the other two not at all; they stay for
+    ``perfbench/tracing.py``, whose ``traced_problem`` rebinds them with
+    ``replace`` to count calls and whose ``microbench`` times ``eval_A``
+    and ``apply_JAT``.
 
     A reader of several of these at one point (the transformed evaluation,
     ``validate_manifold``) holds one state, so A, c and what they share
     are evaluated once; the constant estimates hold one state per sample
     point in each pass over the samples.  x must not change while its state
     is in use.  Jc(x) w, which shares nothing with A, has one door:
-    ``apply_Jc``.  Of the five per-call fields, the package reads
-    ``eval_c``, ``apply_Jc`` and, only in ``dissolve._map_step``,
-    ``eval_A``; ``apply_JcT`` and ``apply_JAT`` are read by no code in it.
-    All five stay for ``perfbench/tracing.py``, whose ``traced_problem``
-    rebinds them with ``dataclasses.replace`` to count calls and whose
-    ``microbench`` times ``eval_A`` and ``apply_JAT``.  The shipped
-    handles' ``eval_A`` and ``apply_JAT`` read a new state per call; a
-    rebuilt handle needs a ``point`` that agrees.
+    ``apply_Jc``.
 
     ``row_blocks``, when given, is the ``(m, q)`` of the matrix variable
     X and declares structure, not a formula: ``c_i`` and row i of ``A``
@@ -136,15 +137,24 @@ class ManifoldHandle:
     n: int
     p: int
     eval_c: Callable[[Vector], Vector]
-    apply_JcT: Callable[[Vector, Vector], Vector]
+    apply_JcT: Callable[[Vector, Vector], Vector] | None = field(
+        default=None, kw_only=True)
     apply_Jc: Callable[[Vector, Vector], Vector]
-    eval_A: Callable[[Vector], Vector]
-    apply_JAT: Callable[[Vector, Vector], Vector]
+    eval_A: Callable[[Vector], Vector] | None = field(default=None,
+                                                      kw_only=True)
+    apply_JAT: Callable[[Vector, Vector], Vector] | None = field(
+        default=None, kw_only=True)
     row_blocks: tuple[int, int] | None = None
     jacobian: Callable[[Vector], Vector] = field(kw_only=True)
     point: Callable[[Vector], Any] = field(kw_only=True)
 
     def __post_init__(self):
+        point, jacobian = self.point, self.jacobian
+        for name, read in (("eval_A", lambda x: point(x).ax),
+                           ("apply_JAT", lambda x, g: point(x).jat(g)),
+                           ("apply_JcT", lambda x, d: jacobian(x).T @ d)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, read)
         if self.row_blocks is not None:
             m, q = self.row_blocks
             if m * q != self.n or m != self.p:

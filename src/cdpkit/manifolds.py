@@ -95,20 +95,18 @@ class GenericManifoldSpec:
     ``jacobian(x)`` is the dense n x p ``Jc(x)``, column l equal to
     ``apply_Jc(x, e_l)``; without it, the handle's ``jacobian`` takes p
     ``apply_Jc`` columns.  A spec rebuilt with ``dataclasses.replace(...,
-    apply_Jc=...)`` must replace ``jacobian`` too, or set it to None.  The
-    handle's ``apply_JcT(x, d)`` is ``jacobian(x).T @ d``, so ``cdpkit
-    validate``'s finite-difference check of c covers ``jacobian``.
+    apply_Jc=...)`` must replace ``jacobian`` too, or set it to None.
 
     Every callable must be a pure function of its arguments.  The
-    handle's ``point(x)`` reads ``jacobian`` once and keeps the state at x
-    (a copy of x, ``Jc(x)``, the Gram matrix G, c(x), G^{-1} c(x) and
-    A(x)); its ``jat`` and ``ja`` share that state.  A state's first
-    Jacobian action of A forms G^{-1}, so later actions there cost
-    products instead of solves; ``eval_A`` never forms it.  Of the
-    handle's per-call fields, ``eval_c`` and ``apply_Jc`` are the spec's,
-    and ``apply_Jc`` is the one door to Jc(x) w, not ``J @ w``, which
-    rounds differently; ``eval_A`` and ``apply_JAT`` each read a new
-    state.
+    handle's ``eval_c`` and ``apply_Jc`` are the spec's, and ``apply_Jc``
+    is the one door to Jc(x) w, not ``J @ w``, which rounds differently.
+    Its ``point(x)`` reads ``jacobian`` once and keeps the state at x (a
+    copy of x, ``Jc(x)``, the Gram matrix G, c(x), G^{-1} c(x) and A(x));
+    its ``jat`` and ``ja`` share that state.  A state's first Jacobian
+    action of A forms G^{-1}, so later actions there cost products
+    instead of solves; ``ax`` never forms it.  The handle derives its
+    other reads as ``ManifoldHandle`` says, and ``dataclasses.replace`` on
+    it copies them.
     """
 
     n: int
@@ -326,16 +324,6 @@ def symplectic_spec(m: int, q: int) -> GenericManifoldSpec:
 # Handle factory.
 
 
-def _derived_reads(point: Callable[[Vector], object],
-                   jacobian: Callable[[Vector], Vector]) -> dict:
-    """A handle's ``point`` and ``jacobian``, and the one-line reads of
-    them: ``eval_A``, ``apply_JAT`` (of a new state) and ``apply_JcT``."""
-    return dict(point=point, jacobian=jacobian,
-                eval_A=lambda x: point(x).ax,
-                apply_JAT=lambda x, g: point(x).jat(g),
-                apply_JcT=lambda x, d: jacobian(x).T @ d)
-
-
 def _oblique_handle(m: int, q: int) -> ManifoldHandle:
     if m <= 0 or q <= 0:
         raise DimensionError(f"oblique needs positive dims, got ({m}, {q})")
@@ -356,7 +344,7 @@ def _oblique_handle(m: int, q: int) -> ManifoldHandle:
         name=f"oblique({m},{q})", n=n, p=m,
         eval_c=lambda x: np.sum(as_mat(x) ** 2, axis=1) - 1.0,
         apply_Jc=lambda x, w: (2.0 * np.asarray(w)[:, None] * as_mat(x)).ravel(),
-        **_derived_reads(lambda x: _ObliquePoint(as_mat(x)), jacobian),
+        point=lambda x: _ObliquePoint(as_mat(x)), jacobian=jacobian,
         row_blocks=(m, q))
 
 
@@ -367,8 +355,8 @@ def _sphere_handle(n: int) -> ManifoldHandle:
         name=f"sphere({n})", n=n, p=1,
         eval_c=lambda x: np.array([float(np.dot(x, x)) - 1.0]),
         apply_Jc=lambda x, w: 2.0 * float(np.asarray(w).ravel()[0]) * np.asarray(x, dtype=float),
-        **_derived_reads(_SpherePoint,
-                         lambda x: 2.0 * np.asarray(x, dtype=float)[:, None]))
+        point=_SpherePoint,
+        jacobian=lambda x: 2.0 * np.asarray(x, dtype=float)[:, None])
 
 
 def _symplectic_handle(m: int, q: int) -> ManifoldHandle:
@@ -380,10 +368,9 @@ def _symplectic_handle(m: int, q: int) -> ManifoldHandle:
         name=spec.name, n=spec.n, p=spec.p,
         eval_c=spec.eval_c,
         apply_Jc=spec.apply_Jc,
-        **_derived_reads(
-            lambda x: _SymplecticPoint(np.asarray(x, dtype=float).reshape(m, q),
-                                       Qm, Qq, iu),
-            spec.jacobian))
+        point=lambda x: _SymplecticPoint(
+            np.asarray(x, dtype=float).reshape(m, q), Qm, Qq, iu),
+        jacobian=spec.jacobian)
 
 
 def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
@@ -393,8 +380,8 @@ def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
         name=spec.name, n=spec.n, p=spec.p,
         eval_c=spec.eval_c,
         apply_Jc=spec.apply_Jc,
-        **_derived_reads(functools.partial(_GenericPoint, spec, jacobian),
-                         jacobian))
+        point=functools.partial(_GenericPoint, spec, jacobian),
+        jacobian=jacobian)
 
 
 class _EuclideanPoint:
@@ -419,7 +406,7 @@ def _euclidean_handle(n: int) -> ManifoldHandle:
         name=f"euclidean({n})", n=n, p=0,
         eval_c=lambda x: np.zeros(0),
         apply_Jc=lambda x, w: np.zeros(n),
-        **_derived_reads(_EuclideanPoint, lambda x: np.zeros((n, 0))))
+        point=_EuclideanPoint, jacobian=lambda x: np.zeros((n, 0)))
 
 
 def make_handle(family: str, *, m: int | None = None, q: int | None = None,

@@ -576,6 +576,29 @@ class TestMakeHandle:
         assert make_handle("generic",
                            spec=sphere_constraint_spec(3)).row_blocks is None
 
+    @pytest.mark.parametrize("family, kwargs", [
+        ("oblique", dict(m=5, q=3)), ("sphere", dict(n=6)),
+        ("symplectic_stiefel", dict(m=6, q=2)),
+        ("generic", dict(spec=sphere_constraint_spec(6))),
+        ("euclidean", dict(n=4))])
+    def test_handle_derives_its_three_reads(self, family, kwargs):
+        # eval_A, apply_JAT and apply_JcT are reads of point and jacobian,
+        # and a value passed in, as the tracer's replace passes, is kept.
+        handle = make_handle(family, **kwargs)
+        x, d = np.random.default_rng(4).standard_normal((2, handle.n))
+        assert np.array_equal(handle.eval_A(x), handle.point(x).ax)
+        assert np.array_equal(handle.apply_JAT(x, d), handle.point(x).jat(d))
+        assert np.array_equal(handle.apply_JcT(x, d),
+                              handle.jacobian(x).T @ d)
+
+        def f(y):
+            return y
+
+        kept = dataclasses.replace(handle, eval_A=f)
+        assert kept.eval_A is f
+        assert kept.apply_JAT is handle.apply_JAT
+        assert kept.apply_JcT is handle.apply_JcT
+
     def test_odd_dimensions_rejected(self):
         with pytest.raises(DimensionError):
             make_handle("symplectic_stiefel", m=7, q=2)
