@@ -75,9 +75,10 @@ def cmd_validate(args) -> int:
     report = diagnostics.validate_manifold(handle, probes, tol=args.tol)
 
     base = dissolve.a_infinity(handle, point)
-    fd_err = finite_diff_check(
-        handle.eval_c, lambda x, d: handle.jacobian(x).T @ d, base + 0.05,
-        default_fd_step(base))
+    at = base + 0.05
+    J = handle.jacobian(at)  # every direction is checked at this one point
+    fd_err = finite_diff_check(handle.eval_c, lambda x, d: J.T @ d, at,
+                               default_fd_step(base))
     slope = _decrease_slope(handle, base, args.seed)
     payload = {
         "family": handle.name,

@@ -289,12 +289,14 @@ def _check_point(x: Vector, n: int, what: str = "x") -> Vector:
 
 
 def _dense_columns(apply_comb: Callable[[Vector, Vector], Vector], x: Vector,
-                   count: int, n: int) -> Vector:
-    """n x count matrix whose k-th column is ``apply_comb(x, e_k)``."""
+                   count: int, n: int, what: str | None = None) -> Vector:
+    """n x count matrix whose k-th column is ``apply_comb(x, e_k)``; with
+    ``what``, each column is read through ``_check_point`` naming it."""
     cols = np.empty((n, count))
     eye = np.eye(count)
     for k in range(count):
-        cols[:, k] = apply_comb(x, eye[k])
+        col = apply_comb(x, eye[k])
+        cols[:, k] = col if what is None else _check_point(col, n, what)
     return cols
 
 

@@ -4,12 +4,13 @@ penalty-condition checkers.
 
 The KKT and LICQ checks assemble the dense constraint Jacobians, reading
 Jc in one call of the handle's ``jacobian``, and raise
-``EvaluatorFaultError`` on a non-finite one; the values c, u and v raise
-it too, or ``DimensionError`` on a wrong length.  The KKT check factors
-B = [Jc Ju] once and reads its projector and free multipliers from that
-one factorization: a Cholesky factor of the Gram matrix B^T B when the
-``dpocon`` estimate of its condition passes the guard ``GRAM_MAX_COND``,
-else the pivoted QR of B, which also decides ``rank_deficient``.
+``EvaluatorFaultError`` on a non-finite one, or ``DimensionError`` on one
+of the wrong shape; so do grad f and the values c, u and v.  The KKT
+check factors B = [Jc Ju] once and reads its projector and free
+multipliers from that one factorization: a Cholesky factor of the Gram
+matrix B^T B when the ``dpocon`` estimate of its condition passes the
+guard ``GRAM_MAX_COND``, else the pivoted QR of B, which also decides
+``rank_deficient``.
 The constant estimates also run inside the solve, as the beta safeguard
 of ``alm_solve_cdp``.  They read ``Jc`` and ``J_A^T`` through the
 handle's own actions, holding one state ``point(y)`` per sample point in
@@ -87,16 +88,20 @@ def feasibility(problem: ProblemSpec, x: Vector) -> float:
 def dense_jacobians(problem: ProblemSpec, x: Vector):
     """Dense (n x p), (n x N_E), (n x N_I) constraint-gradient matrices;
     Jc is the handle's ``jacobian`` read.  A non-finite entry raises
-    ``EvaluatorFaultError`` naming the evaluator."""
+    ``EvaluatorFaultError``, and a ``jacobian`` of another shape or a
+    column of another length ``DimensionError``, naming the evaluator."""
     n = problem.n
-    Ju = _dense_columns(problem.apply_Ju, x, problem.n_eq, n)
-    Jv = _dense_columns(problem.apply_Jv, x, problem.n_ineq, n)
-    return (_finite(problem.manifold.jacobian(x), "jacobian"),
-            _finite(Ju, "apply_Ju"), _finite(Jv, "apply_Jv"))
+    return (_finite(problem.manifold.jacobian(x), "jacobian", (n, problem.p)),
+            _dense_columns(problem.apply_Ju, x, problem.n_eq, n, "apply_Ju"),
+            _dense_columns(problem.apply_Jv, x, problem.n_ineq, n, "apply_Jv"))
 
 
-def _finite(M: Vector, what: str) -> Vector:
-    """M, else ``EvaluatorFaultError`` naming the evaluator ``what``."""
+def _finite(M: Vector, what: str, shape: tuple | None = None) -> Vector:
+    """M, else ``EvaluatorFaultError`` naming the evaluator ``what``; with
+    ``shape``, an M of another shape raises ``DimensionError``."""
+    if shape is not None and np.shape(M) != shape:
+        raise DimensionError(f"{what} has shape {np.shape(M)}, expected "
+                             f"{shape}")
     if not np.all(np.isfinite(M)):
         raise EvaluatorFaultError(f"{what} has a non-finite entry")
     return M
@@ -133,11 +138,12 @@ def kkt_residual(problem: ProblemSpec, x: Vector) -> KktReport:
     minimum-norm one, and the residual it reaches is the same.
 
     A bad x raises as in ``check_licq``, and a non-finite grad f, Jc, Ju
-    or Jv raises ``EvaluatorFaultError`` before any factorization; c, u
-    and v raise as in ``feasibility``.
+    or Jv raises ``EvaluatorFaultError`` before any factorization, one of
+    the wrong shape ``DimensionError``; c, u and v raise as in
+    ``feasibility``.
     """
     x = _check_point(x, problem.n)
-    g = _finite(problem.grad_f(x), "grad_f")
+    g = _check_point(problem.grad_f(x), problem.n, "grad_f")
     Jc, Ju, Jv = dense_jacobians(problem, x)
     B = np.hstack([Jc, Ju])
     fit = _gram_fit(B) or _qr_fit(B)
@@ -326,8 +332,9 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
 
     A non-finite grad f(A(y)), Ju, Jv or J_A^T at a sample raises
     ``EvaluatorFaultError`` naming the evaluator, or ``apply_JAT`` for
-    J_A^T, so no sample drops out of a maximum.  The points are
-    ``_ball(x, radius, samples, seed)``.
+    J_A^T, so no sample drops out of a maximum; one of the wrong shape
+    raises ``DimensionError``.  The points are ``_ball(x, radius,
+    samples, seed)``.
     """
     x = _check_point(x, problem.n)
     if not 0.0 < radius <= 1.0:
@@ -350,12 +357,13 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
         pt = read.mani.point(y)
         Ja = read.jat(pt)
         M_A = max(M_A, read.norm(Ja))
-        Ju = _dense_columns(problem.apply_Ju, y, problem.n_eq, n)
-        M_u = max(M_u, _spec_norm(_finite(Ju, "apply_Ju")))
-        Jv = _dense_columns(problem.apply_Jv, y, problem.n_ineq, n)
-        M_v = max(M_v, _spec_norm(_finite(Jv, "apply_Jv")))
+        Ju = _dense_columns(problem.apply_Ju, y, problem.n_eq, n, "apply_Ju")
+        M_u = max(M_u, _spec_norm(Ju))
+        Jv = _dense_columns(problem.apply_Jv, y, problem.n_ineq, n,
+                            "apply_Jv")
+        M_v = max(M_v, _spec_norm(Jv))
         L_f = max(L_f, float(np.linalg.norm(
-            _finite(problem.grad_f(pt.ax), "grad_f"))))
+            _check_point(problem.grad_f(pt.ax), n, "grad_f"))))
         if prev is not None:
             L_A = max(L_A, _diff_quotient(Ja, prev[1], y, prev[0]))
         prev = (y, Ja)
@@ -487,7 +495,9 @@ class _Blocks:
     column j of every block at once, bitwise equal to the dense entries: k
     actions per stack.  A block-diagonal matrix's spectral norm is its
     largest block norm, and its singular values are those of its blocks.
-    A non-finite Jc raises ``EvaluatorFaultError`` naming its evaluator.
+    A non-finite Jc raises ``EvaluatorFaultError``, and a ``jacobian`` of
+    a shape other than n x p or an action column of a length other than n
+    ``DimensionError``, naming its evaluator.
 
     J_A^T and J_A^T Jc are each read from a state ``point(y)`` of the
     handle.  J_A^T of a ``row_blocks`` handle is the (m, q, q) stack of its
@@ -528,24 +538,26 @@ class _Blocks:
             return 0.0
         return float(np.max(_Blocks.singular_values(S)[:, 0]))
 
-    def _stack(self, action, count: int) -> Vector:
-        """(m, q, count) stack; column j is ``action(tile(e_j, m))``."""
+    def _stack(self, action, count: int, what: str) -> Vector:
+        """(m, q, count) stack; column j is ``action(tile(e_j, m))``,
+        checked as the evaluator ``what``."""
         m, q = self.m, self.q
         return _dense_columns(lambda _, e: action(np.tile(e, m)), None,
-                              count, m * q).reshape(m, q, count)
+                              count, m * q, what).reshape(m, q, count)
 
     def stack_jc(self, y: Vector) -> Vector:
         """Jc(y) as its stack: without ``row_blocks`` the handle's dense
         ``jacobian`` read."""
         if self.mani.row_blocks is None:
-            return _finite(self.mani.jacobian(y), "jacobian")[None]
-        return _finite(self._stack(lambda w: self.mani.apply_Jc(y, w),
-                                   self.k), "apply_Jc")
+            return _finite(self.mani.jacobian(y), "jacobian",
+                           (self.q, self.k))[None]
+        return self._stack(lambda w: self.mani.apply_Jc(y, w), self.k,
+                           "apply_Jc")
 
     def jat(self, pt) -> Vector | _JatOperator:
         """J_A^T at the state ``pt`` = ``ManifoldHandle.point(y)``."""
         if self.mani.row_blocks is not None:
-            return _finite(self._stack(pt.jat, self.q), "apply_JAT")
+            return self._stack(pt.jat, self.q, "apply_JAT")
         return _JatOperator(pt.jat, pt.ja, self.start)
 
     def jat_jc(self, pt, z: Vector) -> Vector:
@@ -580,7 +592,10 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
     ``apply_Jc`` action per probe on a ``row_blocks`` handle, else from
     one ``jacobian`` read.  Each must be within ``tol`` (finite and > 0,
     else ``ParameterError``) for the report to pass.  A probe that
-    ``a_infinity`` cannot project is skipped with a note.
+    ``a_infinity`` cannot project is skipped with a note.  A c(x) or A(x)
+    of the wrong length raises ``DimensionError``, and a non-finite one,
+    or a non-finite adjoint gap, ``EvaluatorFaultError``, each naming the
+    probe.
     """
     if not 0 < tol < np.inf:
         raise ParameterError(f"tol must be finite and positive, got {tol}")
@@ -591,24 +606,20 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
     rng = np.random.default_rng((handle.n, handle.p))  # d and g, per probe
     for k, probe in enumerate(probes):
         x = _check_point(probe, handle.n, f"probe {k}")
-        viol = float(np.linalg.norm(handle.eval_c(x)))
-        if not np.isfinite(viol):
-            raise EvaluatorFaultError(f"eval_c non-finite at probe {k}")
-        if viol > FEASIBILITY_TOL:
+        c = _check_point(handle.eval_c(x), handle.p, f"eval_c at probe {k}")
+        if float(np.linalg.norm(c)) > FEASIBILITY_TOL:
             try:
                 x = a_infinity(handle, x, tol=FEASIBILITY_TOL)
             except OutOfNeighborhoodError as exc:
                 notes.append(f"probe {k} skipped: {exc}")
                 continue
         pt = handle.point(x)
-        if not np.all(np.isfinite(pt.ax)):
-            raise EvaluatorFaultError(f"eval_A non-finite at probe {k}")
-        max_fix = max(max_fix, float(np.max(np.abs(pt.ax - x), initial=0.0)))
+        ax = _check_point(pt.ax, handle.n, f"eval_A at probe {k}")
+        max_fix = max(max_fix, float(np.max(np.abs(ax - x), initial=0.0)))
         max_prod = max(max_prod, read.norm(read.jat_jc(pt, x)))
         d, g = rng.standard_normal((2, handle.n))
-        gap = float(np.dot(pt.ja(d), g)) - float(np.dot(d, pt.jat(g)))
-        if not np.isfinite(gap):
-            raise EvaluatorFaultError(f"Jacobian action non-finite at probe {k}")
+        gap = _finite(float(np.dot(pt.ja(d), g)) - float(np.dot(d, pt.jat(g))),
+                      f"Jacobian action at probe {k}")
         max_adj = max(max_adj, abs(gap) / float(np.linalg.norm(d)
                                                 * np.linalg.norm(g)))
         used += 1

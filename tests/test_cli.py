@@ -223,6 +223,18 @@ class TestBench:
         assert len(rows) == 2
         assert out.with_suffix(".md").exists()
 
+    def test_grid_without_out_prints_csv_then_markdown(self, tmp_path,
+                                                       capsys):
+        grid = tmp_path / "grid.yaml"
+        grid.write_text(
+            "- {family: balanced_cut, m: 10, q: 2, rho: 0.3, seed: 1}\n")
+        assert run(["bench", "--grid", str(grid), "--budget", "60"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("problem,pipeline,fval,stationarity,"
+                              "feasibility,time,status\n")
+        assert "\n| problem " in out
+        assert list(tmp_path.iterdir()) == [grid]  # no file written
+
     def test_failed_run_exits_one_and_still_writes(self, tmp_path):
         grid = tmp_path / "grid.yaml"
         grid.write_text(

@@ -244,6 +244,40 @@ class TestValidateManifold:
         assert _within_ulps(report.max_jacobian_product_norm,
                             _dense_product_norm(handle, probes), 8)
 
+    @pytest.mark.parametrize("what, bad, error", [
+        ("eval_c", "short", DimensionError),
+        ("eval_c", "nan", EvaluatorFaultError),
+        ("eval_A", "short", DimensionError),
+        ("eval_A", "nan", EvaluatorFaultError),
+        ("Jacobian action", "nan", EvaluatorFaultError)])
+    def test_bad_read_is_named_with_its_probe(self, what, bad, error):
+        # The sphere in R^4 at e1 and e2, with c(x), A(x) or the forward
+        # action bad at e2 only: not a short c read as a norm.
+        handle = make_handle("sphere", n=4)
+
+        def fault(name, value, x):
+            if name != what or x[1] != 1.0:
+                return value
+            return value[:-1] if bad == "short" else np.full(value.shape,
+                                                              np.nan)
+
+        class BadPoint:
+            def __init__(self, x):
+                self.x, self.state = x, handle.point(x)
+                self.ax = fault("eval_A", self.state.ax, x)
+
+            def __getattr__(self, name):
+                return getattr(self.state, name)
+
+            def ja(self, d):
+                return fault("Jacobian action", self.state.ja(d), self.x)
+
+        bad_handle = dataclasses.replace(
+            handle, eval_c=lambda x: fault("eval_c", handle.eval_c(x), x),
+            point=BadPoint)
+        with pytest.raises(error, match=f"{what} at probe 1"):
+            validate_manifold(bad_handle, list(np.eye(4)[:2]), tol=1e-8)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_tolerance_must_be_positive(self, tol):
         # No report could pass, so a bad tol is a usage error, not a

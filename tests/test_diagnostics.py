@@ -42,6 +42,7 @@ from cdpkit.diagnostics import (
 )
 from cdpkit.dissolve import a_infinity, build_cdp, lagrangian_decrease_probe
 from cdpkit.manifolds import GenericManifoldSpec, make_handle, symplectic_spec
+from cdpkit.solver import alm_solve_cdp, alm_solve_nlp_direct
 
 from conftest import (
     BAD_POINTS,
@@ -452,6 +453,43 @@ def test_bound_pass_names_a_non_finite_evaluator(name):
     problem, x = faulty_sphere_problem(name)
     with pytest.raises(EvaluatorFaultError, match=name):
         _bound_constants(problem, x, radius=0.1, samples=30, seed=0)
+
+
+def _misshapen_problem(name):
+    """At a_infinity of its start, balanced cut m=10 whose ``grad_f`` or
+    ``apply_Ju`` column comes one entry short, or center of mass (6, 2),
+    p = 1, whose handle's ``jacobian`` is n x 0."""
+    if name == "jacobian":
+        problem, x0 = gen_center_of_mass(
+            CenterOfMassConfig(m=6, q=2, N=5, r=0.5, seed=3))
+        n = problem.n
+        problem = dataclasses.replace(problem, manifold=dataclasses.replace(
+            problem.manifold, jacobian=lambda y: np.zeros((n, 0))))
+    else:
+        problem, x0 = gen_balanced_cut(BalancedCutConfig(m=10, q=2, rho=0.3,
+                                                         seed=3))
+        fn = getattr(problem, name)
+        problem = dataclasses.replace(
+            problem, **{name: lambda *args: np.asarray(fn(*args))[:-1]})
+    return problem, a_infinity(problem.manifold, x0)
+
+
+@pytest.mark.parametrize("name", ["grad_f", "apply_Ju", "jacobian"])
+def test_diagnostics_name_a_misshapen_evaluator(name):
+    # Not numpy's broadcast ValueError or an IndexError, nor a stationarity
+    # and LICQ verdict read off an n x 0 Jc; the solves raise at pass 0.
+    problem, x = _misshapen_problem(name)
+    with pytest.raises(DimensionError, match=name):
+        kkt_residual(problem, x)
+    with pytest.raises(DimensionError, match=name):
+        _bound_constants(problem, x, radius=0.1, samples=30, seed=0)
+    if name != "grad_f":
+        with pytest.raises(DimensionError, match=name):
+            check_licq(problem, x)
+    with pytest.raises(DimensionError, match=name):
+        alm_solve_nlp_direct(problem, x)
+    with pytest.raises(DimensionError, match=name):
+        alm_solve_cdp(build_cdp(problem, PenaltyParams(beta=1.0)), x)
 
 
 def _nan_jat_problem(path):

@@ -47,6 +47,11 @@ def test_tracer_counts_each_layer_of_both_pipelines(perfbench):
         for name in ("solver.lbfgs", "diagnostics.kkt_residual",
                      "manifolds.apply_Jc"):
             assert tracer.calls(pipeline, name) > 0, (pipeline, name)
+        # The handle's derived eval_A is the tracer's wrapper, which counts
+        # the maps of a_infinity.
+        assert tracer.calls(pipeline, "manifolds.eval_A") > 0, pipeline
+        assert tracer.counts[pipeline]["dissolve.a_infinity.maps"] > 0, \
+            pipeline
     assert tracer.calls("cdp", "dissolve.point_eval") > 0
 
     micro = tracing.microbench(inst, seed=0)
