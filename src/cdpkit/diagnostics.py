@@ -12,13 +12,17 @@ matrix B^T B when the ``dpocon`` estimate of its condition passes the
 guard ``GRAM_MAX_COND``, else the pivoted QR of B, which also decides
 ``rank_deficient``.
 The constant estimates also run inside the solve, as the beta safeguard
-of ``alm_solve_cdp``.  They read ``Jc`` and ``J_A^T`` through the
-handle's own actions, holding one state ``point(y)`` per sample point in
-each pass: the safeguard's constants take one pass, ``estimate_constants``
-a second over the same points (``_ball``), and it takes rho_x from the
-sigma_x and L_c it has measured, by Weyl's inequality.  The axiom check
-reads J_A^T Jc through the same reader (``_Blocks``), one state per
-probe.  A non-finite read of Jc or J_A^T raises ``EvaluatorFaultError``
+of ``alm_solve_cdp``: a pass at 5 sample points, and one at 30 only when
+a decision is a close call.  ``_ball`` draws the 5 as the first of the
+30, and each constant is a maximum over its points, so the 5-point
+constants, and the threshold they give, are never above the 30-point
+ones.  The estimates read ``Jc`` and ``J_A^T`` through the handle's own
+actions, holding one state ``point(y)`` per sample point in each pass:
+the safeguard's constants take one pass per sample count,
+``estimate_constants`` a second over the same points (``_ball``), and it
+takes rho_x from the sigma_x and L_c it has measured, by Weyl's
+inequality.  The axiom check reads J_A^T Jc through the same reader
+(``_Blocks``), one state per probe.  A non-finite read of Jc or J_A^T raises ``EvaluatorFaultError``
 naming its evaluator.  A handle that declares ``row_blocks`` gives stacks
 of one block per row of X, O(n) work per sample point or probe.  Any
 other handle gives ``Jc`` as one dense n x p block, and the norms of

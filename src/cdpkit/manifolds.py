@@ -94,8 +94,12 @@ class GenericManifoldSpec:
 
     ``jacobian(x)`` is the dense n x p ``Jc(x)``, column l equal to
     ``apply_Jc(x, e_l)``; without it, the handle's ``jacobian`` takes p
-    ``apply_Jc`` columns.  A spec rebuilt with ``dataclasses.replace(...,
-    apply_Jc=...)`` must replace ``jacobian`` too, or set it to None.
+    ``apply_Jc`` columns, and one of another length, or non-finite,
+    raises ``DimensionError`` or ``EvaluatorFaultError`` naming
+    ``apply_Jc``.  A ``point(x)`` whose ``jacobian`` is not n x p raises
+    ``DimensionError`` naming ``jacobian``.  A spec rebuilt with
+    ``dataclasses.replace(..., apply_Jc=...)`` must replace ``jacobian``
+    too, or set it to None.
 
     Every callable must be a pure function of its arguments.  The
     handle's ``eval_c`` and ``apply_Jc`` are the spec's, and ``apply_Jc``
@@ -148,6 +152,9 @@ class _GenericPoint:
         self.spec = spec
         self.x = x = np.array(x, dtype=float).ravel()  # a copy
         J = self.J = jacobian(x)
+        if np.shape(J) != (spec.n, spec.p):
+            raise DimensionError(f"jacobian has shape {np.shape(J)}, expected "
+                                 f"({spec.n}, {spec.p})")
         G = self.G = J.T @ J
         if not np.all(np.isfinite(G)):
             raise EvaluatorFaultError("Gram matrix of the constraint Jacobian "
@@ -375,7 +382,8 @@ def _symplectic_handle(m: int, q: int) -> ManifoldHandle:
 
 def _generic_handle(spec: GenericManifoldSpec) -> ManifoldHandle:
     jacobian = spec.jacobian or (
-        lambda x: _dense_columns(spec.apply_Jc, x, spec.p, spec.n))
+        lambda x: _dense_columns(spec.apply_Jc, x, spec.p, spec.n,
+                                 "apply_Jc column of jacobian"))
     return ManifoldHandle(
         name=spec.name, n=spec.n, p=spec.p,
         eval_c=spec.eval_c,

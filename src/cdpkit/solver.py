@@ -56,6 +56,12 @@ PENALTY_INIT = 10.0
 PENALTY_GROWTH = 10.0
 MULTIPLIER_CLIP = 1e8  # bound on each multiplier's magnitude
 BETA_GROWTH = 10.0  # factor of one beta adaptation
+# Sample counts of the beta safeguard's cheap and full bound passes, and
+# the factor over the cheap threshold below which a decision takes the
+# full pass: on the benchmark the cheap threshold is 0.88-1.00 of the full.
+BOUND_SAMPLES = 5
+BOUND_SAMPLES_FULL = 30
+CLOSE_CALL_MARGIN = 1.25
 
 
 @dataclass(frozen=True)
@@ -291,7 +297,12 @@ def _certify(problem: ProblemSpec, x: Vector) -> tuple[Vector, KktReport]:
 
 class _Dissolved:
     """The transformed problem h, u~, v~ with the beta safeguard of
-    ``alm_solve_cdp``, on when ``adapt`` is set and p > 0."""
+    ``alm_solve_cdp``, on when ``adapt`` is set and p > 0.
+
+    The safeguard's constants come from ``BOUND_SAMPLES`` points, and
+    from ``BOUND_SAMPLES_FULL`` around the same ``x_ref`` once a decision
+    is a close call (lhs in [threshold, ``CLOSE_CALL_MARGIN`` *
+    threshold)); ``alm_solve_cdp`` says why that keeps its decisions."""
 
     split = 0  # no multipliers for c: it is dissolved into h
 
@@ -302,7 +313,9 @@ class _Dissolved:
         if self.adapting and instance.params.beta == 0:
             raise ParameterError("beta = 0 cannot adapt: start from beta > 0 "
                                  "or turn beta_adapt off")
+        self.x_ref = None
         self.estimates = None
+        self.samples = 0
 
     @property
     def beta(self) -> float:
@@ -313,20 +326,30 @@ class _Dissolved:
         return pe.h, pe.u_tilde, pe.v_tilde, \
             lambda a, b: pe.weighted_grad(1.0, a, b)
 
+    def _sample(self, samples: int) -> None:
+        self.estimates = _bound_constants(
+            self.instance.problem, self.x_ref, radius=0.1, samples=samples,
+            seed=0)
+        self.samples = samples
+
     def adapt(self, lam, mu, trace: SolveTrace) -> None:
         if not self.adapting:
             return
         problem, params = self.instance.problem, self.instance.params
-        if self.estimates is None:
-            try:
-                x_ref = a_infinity(problem.manifold, self.x0)
-                self.estimates = _bound_constants(
-                    problem, x_ref, radius=0.1, samples=30, seed=0)
-            except (OutOfNeighborhoodError, RankDeficiencyError) as exc:
-                self.adapting = False
-                _add_note(trace, f"beta_adapt_off:{type(exc).__name__}")
-                return
-        _, threshold, lhs = _coupled_bound(self.estimates, params, lam, mu)
+        try:
+            if self.estimates is None:
+                self.x_ref = a_infinity(problem.manifold, self.x0)
+                self._sample(BOUND_SAMPLES)
+            _, threshold, lhs = _coupled_bound(self.estimates, params, lam, mu)
+            if self.samples < BOUND_SAMPLES_FULL \
+                    and threshold <= lhs < CLOSE_CALL_MARGIN * threshold:
+                self._sample(BOUND_SAMPLES_FULL)
+                _, threshold, lhs = _coupled_bound(self.estimates, params,
+                                                   lam, mu)
+        except (OutOfNeighborhoodError, RankDeficiencyError) as exc:
+            self.adapting = False
+            _add_note(trace, f"beta_adapt_off:{type(exc).__name__}")
+            return
         if lhs < threshold:
             # Continuation: the bound is sufficient, not a target, and a
             # beta far above what is needed stiffens every later inner solve.
@@ -480,18 +503,27 @@ def alm_solve_cdp(instance: CdpInstance, x0: Vector,
 
     When beta adaptation is on, the multiplier-coupled penalty lower bound
     is recomputed after each outer iteration from six constants sampled
-    once around ``a_infinity(x0)`` (``diagnostics._bound_constants``).
-    While beta is below the sampled bound, each adaptation rebuilds the
-    instance with beta multiplied by the constant factor ``BETA_GROWTH`` =
-    10 (a continuation), so beta may sit below the bound for some rows.
-    The row's note then carries ``beta_adapted:<repr(beta)>``, which
-    ``float`` parses back to exactly the beta used from the next row on.
-    The bound is a sufficient condition for the equivalence, not a target,
-    and ``converged`` is still certified by the original problem's KKT
-    residual.  If the constants cannot be sampled (``a_infinity(x0)``
-    fails, or Jc is rank deficient there) the safeguard is off for the
-    rest of the solve and the first row's note says
-    ``beta_adapt_off:<error type>``; any other error propagates.
+    around ``a_infinity(x0)`` (``diagnostics._bound_constants``): first at
+    ``BOUND_SAMPLES`` = 5 points, and at ``BOUND_SAMPLES_FULL`` = 30, once
+    per solve, only when a decision's lhs falls in [threshold,
+    ``CLOSE_CALL_MARGIN`` = 1.25 times threshold); the 30-point constants
+    then decide for the rest of the solve.  The 5 points begin the 30, so
+    the cheap threshold is never above the full one and an adaptation it
+    decides is the full pass's; a clear "no" (lhs at least 1.25 times the
+    cheap threshold) trusts that 25 more points would not raise the
+    threshold by that factor.  While beta is below the sampled bound, each
+    adaptation rebuilds the instance with beta multiplied by the constant
+    factor ``BETA_GROWTH`` = 10 (a continuation), so beta may sit below
+    the bound for some rows.  The row's note then carries
+    ``beta_adapted:<repr(beta)>``, which ``float`` parses back to exactly
+    the beta used from the next row on.  The bound is a sufficient
+    condition for the equivalence, not a target, and ``converged`` is
+    still certified by the original problem's KKT residual.  If the
+    constants cannot be sampled (``a_infinity(x0)`` fails, or Jc is rank
+    deficient at a sample) the safeguard is off for the rest of the solve
+    and the row where it failed, the first unless the 30-point pass
+    failed, notes ``beta_adapt_off:<error type>``; any other error
+    propagates.
 
     Without a manifold constraint (p = 0) there is no bound and beta stays.
     Otherwise a beta of 0 could never grow, so with adaptation on it

@@ -438,6 +438,15 @@ def test_kkt_residual_names_a_bad_constraint_value(name, bad, error):
         kkt_residual(problem, x)
 
 
+def test_diagnostics_name_a_short_generic_jc_column():
+    # The generic handle's own jacobian, stacked from apply_Jc columns:
+    # not numpy's broadcast ValueError.
+    problem, x = faulty_sphere_problem("jacobian", "short")
+    for check in (kkt_residual, check_licq):
+        with pytest.raises(DimensionError, match="apply_Jc"):
+            check(problem, x)
+
+
 @pytest.mark.parametrize("bad, error", BAD_POINTS)
 def test_check_licq_names_a_bad_inequality_value(bad, error):
     # Not an active set read off a NaN or short v, which passed.
@@ -688,6 +697,42 @@ class TestEstimateConstants:
         for name, value in six._asdict().items():
             assert value == getattr(full, name), name
         assert six.sigma1x > 0.0 and six.L_Ax > 0.0 and six.L_fx > 0.0
+
+    @pytest.mark.parametrize("family", ["balanced_cut", "center_of_mass"])
+    def test_cheap_bound_threshold_is_never_above_the_full_one(self, family):
+        # The safeguard's two-stage pass rests on this: the cheap points are
+        # the full pass's first ones, each constant is a maximum over them,
+        # so the cheap threshold is at most the full one for any
+        # multipliers, and an adaptation it decides stands.
+        from cdpkit.diagnostics import _coupled_bound
+        from cdpkit.solver import BOUND_SAMPLES, BOUND_SAMPLES_FULL
+        if family == "balanced_cut":
+            problem, x0 = gen_balanced_cut(BalancedCutConfig(m=20, q=2,
+                                                             rho=0.2, seed=3))
+        else:
+            problem, x0 = gen_center_of_mass(
+                CenterOfMassConfig(m=6, q=2, N=8, r=0.5, seed=3))
+        x = a_infinity(problem.manifold, x0)
+        cheap = _ball(x, radius=0.1, samples=BOUND_SAMPLES, seed=0)
+        full = _ball(x, radius=0.1, samples=BOUND_SAMPLES_FULL, seed=0)
+        assert len(cheap) == BOUND_SAMPLES + 1
+        assert all(np.array_equal(a, b) for a, b in zip(cheap, full))
+        few, many = (_bound_constants(problem, x, radius=0.1, samples=s,
+                                      seed=0)
+                     for s in (BOUND_SAMPLES, BOUND_SAMPLES_FULL))
+        assert few.sigma1x == many.sigma1x
+        assert all(a <= b for a, b in zip(few, many))
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            lam = 10.0 ** rng.uniform(-3, 3) \
+                * rng.standard_normal(problem.n_eq)
+            mu = 10.0 ** rng.uniform(-3, 3) \
+                * np.abs(rng.standard_normal(problem.n_ineq))
+            params = PenaltyParams(beta=1.0, tau=np.ones(problem.n_eq),
+                                   gamma=np.ones(problem.n_ineq))
+            _, low, lhs = _coupled_bound(few, params, lam, mu)
+            _, high, same = _coupled_bound(many, params, lam, mu)
+            assert low <= high and lhs == same
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_no_sample_points_raise(self, samples):

@@ -383,6 +383,22 @@ class TestGenericHandleCache:
         assert np.array_equal(handle.point(x).ax, _uncached_A(spec, x))
         assert not np.array_equal(handle.point(x).ax, pt.ax)
 
+    @pytest.mark.parametrize("cols", [0, 2])
+    def test_point_names_a_misshapen_jacobian(self, cols):
+        # Not an IndexError from the eigenvalues of a 0 x 0 Gram matrix,
+        # nor a state built on n x 2 columns for p = 1.
+        spec = dataclasses.replace(sphere_constraint_spec(4),
+                                   jacobian=lambda x: np.ones((4, cols)))
+        with pytest.raises(DimensionError, match="jacobian"):
+            make_handle("generic", spec=spec).point(np.eye(4)[0])
+
+    def test_point_names_a_short_apply_jc_column(self):
+        # The handle's own jacobian reads the columns through apply_Jc:
+        # not numpy's broadcast ValueError.
+        problem, x = faulty_sphere_problem("jacobian", "short")
+        with pytest.raises(DimensionError, match="apply_Jc"):
+            problem.manifold.point(x)
+
     def test_rank_deficient_point_raises_on_every_call(self):
         # Jc(0) = 0 for c(x) = ||x||^2 - 1, so the Gram matrix is singular.
         spec = sphere_constraint_spec(4)

@@ -7,21 +7,31 @@ import pytest
 from cdpkit.bench import (
     BalancedCutConfig,
     CenterOfMassConfig,
+    _build_instance,
     gen_balanced_cut,
     gen_center_of_mass,
 )
 from cdpkit.core import (
+    DimensionError,
     ManifoldHandle,
     ParameterError,
     PenaltyParams,
     ProblemSpec,
+    SolveTrace,
 )
-from cdpkit.diagnostics import make_synthetic_kkt
+from cdpkit.diagnostics import (
+    _bound_constants,
+    _coupled_bound,
+    make_synthetic_kkt,
+)
 from cdpkit.dissolve import a_infinity, build_cdp, lagrangian_decrease_probe
 from cdpkit import solver
 from cdpkit.manifolds import GenericManifoldSpec, make_handle
 from cdpkit.solver import (
     BETA_GROWTH,
+    BOUND_SAMPLES,
+    BOUND_SAMPLES_FULL,
+    CLOSE_CALL_MARGIN,
     MULTIPLIER_CLIP,
     AlmOptions,
     _augmented,
@@ -265,6 +275,82 @@ def test_bad_constraint_value_raises_before_any_inner_solve(
             alm_solve_cdp(build_cdp(problem, PenaltyParams(beta=10.0)), x0)
         else:
             alm_solve_nlp_direct(problem, x0)
+
+
+@pytest.mark.parametrize("pipeline", ["cdp", "nlp"])
+def test_short_generic_jacobian_column_raises_a_typed_error(pipeline):
+    # A generic spec whose apply_Jc comes one entry short: not numpy's
+    # broadcast ValueError from inside the handle's jacobian.
+    problem, x0 = faulty_sphere_problem("jacobian", "short")
+    with pytest.raises(DimensionError, match="apply_Jc"):
+        if pipeline == "cdp":
+            alm_solve_cdp(build_cdp(problem, PenaltyParams(beta=10.0)), x0)
+        else:
+            alm_solve_nlp_direct(problem, x0)
+
+
+def _counted_bound_passes(monkeypatch):
+    """The sample counts of the safeguard's bound passes, in call order."""
+    calls = []
+
+    def counted(*args, samples, **kwargs):
+        calls.append(samples)
+        return _bound_constants(*args, samples=samples, **kwargs)
+
+    monkeypatch.setattr(solver, "_bound_constants", counted)
+    return calls
+
+
+def _cut_or_com(family):
+    """The adaptation tests' cut m=20 instance, or center of mass (6, 2)."""
+    cfg = (BalancedCutConfig(m=20, q=2, rho=0.2, seed=3)
+           if family == "balanced_cut"
+           else CenterOfMassConfig(m=6, q=2, N=8, r=0.5, seed=3))
+    return _build_instance(cfg)
+
+
+class TestBoundPass:
+    @pytest.mark.parametrize("family", ["balanced_cut", "center_of_mass"])
+    def test_cheap_pass_keeps_every_decision(self, monkeypatch, family):
+        # A solve that samples only the full pass takes the same beta path;
+        # the cheap pass settles every decision here by itself.
+        problem, inst, x0 = _cut_or_com(family)
+        calls = _counted_bound_passes(monkeypatch)
+        cheap = alm_solve_cdp(inst, x0)
+        assert calls == [BOUND_SAMPLES]
+        calls.clear()
+        monkeypatch.setattr(solver, "BOUND_SAMPLES", BOUND_SAMPLES_FULL)
+        full = alm_solve_cdp(inst, x0)
+        assert calls == [BOUND_SAMPLES_FULL]
+        assert any("beta_adapted:" in row.note for row in cheap.trace.rows)
+        assert [(row.beta, row.note) for row in cheap.trace.rows] \
+            == [(row.beta, row.note) for row in full.trace.rows]
+
+    @pytest.mark.parametrize("adapts", [True, False])
+    def test_close_call_takes_the_full_pass_once(self, monkeypatch, adapts):
+        # On center of mass (6, 2) with zero multipliers the cheap threshold
+        # is 0.90 of the full one, so a beta between them adapts and one
+        # above the full threshold does not, though both are close calls.
+        problem, _, x0 = _cut_or_com("center_of_mass")
+        x_ref = a_infinity(problem.manifold, x0)
+        lam, mu = np.zeros(problem.n_eq), np.zeros(problem.n_ineq)
+        cheap, full = (_coupled_bound(
+            _bound_constants(problem, x_ref, radius=0.1, samples=s, seed=0),
+            PenaltyParams(beta=1.0), lam, mu)[1]
+            for s in (BOUND_SAMPLES, BOUND_SAMPLES_FULL))
+        assert cheap < full < CLOSE_CALL_MARGIN * cheap
+        beta = (cheap + full) / 2 if adapts \
+            else (full + CLOSE_CALL_MARGIN * cheap) / 2
+        calls = _counted_bound_passes(monkeypatch)
+        form = _Dissolved(build_cdp(problem, PenaltyParams(beta=beta)), x0,
+                          True)
+        form.adapt(lam, mu, SolveTrace())
+        assert calls == [BOUND_SAMPLES, BOUND_SAMPLES_FULL]
+        assert form.beta == (BETA_GROWTH * beta if adapts else beta)
+        assert (form.beta > beta) == (beta < full)
+        # Later decisions read the full constants: no further pass.
+        form.adapt(lam, mu, SolveTrace())
+        assert calls == [BOUND_SAMPLES, BOUND_SAMPLES_FULL]
 
 
 class TestAlmCdp:

@@ -20,7 +20,8 @@ bitwise-equal results on the benchmark:
   ``estimate_constants`` (radius 0.05, 30 samples), both around
   ``a_infinity(x0)`` with seed 0, and the safeguard's two matrix-free
   constants ``M_Ax=`` and ``L_Ax=`` in ``float.hex``, so a change to the
-  bound pass shows how far they moved;
+  bound pass shows how far they moved; ``M_Ax5=`` and ``L_Ax5=`` are the
+  same two from the safeguard's cheap pass, at 5 samples;
 * two family lines, printed at the family's first instance: one holds a
   SHA-256 of the repr of ``validate_manifold``'s report at 10 probes,
   Gaussian with scale 0.05 (seed 0) around ``a_infinity(x0)``; the other
@@ -106,9 +107,11 @@ def constants_line(problem, x0) -> str:
 
     x_ref = a_infinity(problem.manifold, x0)
     bound = _bound_constants(problem, x_ref, 0.1, 30, 0)
+    cheap = _bound_constants(problem, x_ref, 0.1, 5, 0)
     est = estimate_constants(problem, x_ref, 0.05, 30, 0)
     return (f"bound {_digest(repr(bound))} estimates {_digest(repr(est))} "
-            f"M_Ax={bound.M_Ax.hex()} L_Ax={bound.L_Ax.hex()}")
+            f"M_Ax={bound.M_Ax.hex()} L_Ax={bound.L_Ax.hex()} "
+            f"M_Ax5={cheap.M_Ax.hex()} L_Ax5={cheap.L_Ax.hex()}")
 
 
 def validate_line(problem, x0) -> str:
