@@ -2,40 +2,41 @@
 check (``validate_manifold``), neighborhood-constant estimation and
 penalty-condition checkers.
 
-The KKT and LICQ checks assemble the dense constraint Jacobians, reading
-Jc in one call of the handle's ``jacobian``, and raise
-``EvaluatorFaultError`` on a non-finite one, or ``DimensionError`` on one
-of the wrong shape; so do grad f and the values c, u and v.  The KKT
-check factors B = [Jc Ju] once and reads its projector and free
-multipliers from that one factorization: a Cholesky factor of the Gram
-matrix B^T B when the ``dpocon`` estimate of its condition passes the
-guard ``GRAM_MAX_COND``, else the pivoted QR of B, which also decides
-``rank_deficient``.
+Every function here reads a problem, or a bare handle, through one
+reader, ``_Reader``, and its per-point view ``_Reader.at(x)``: the view
+checks x once, then reads each evaluator at x at most once, when first
+asked, with the shape and finiteness of what it reads checked (see
+``_Reader`` for the errors and the names they carry).
+
+The KKT check takes its feasibility from the view first, then factors
+B = [Jc Ju] once and reads its projector and free multipliers from that
+one factorization: a Cholesky factor of the Gram matrix B^T B when the
+``dpocon`` estimate of its condition passes the guard ``GRAM_MAX_COND``,
+else the pivoted QR of B, which also decides ``rank_deficient``.
+
 The constant estimates also run inside the solve, as the beta safeguard
 of ``alm_solve_cdp``: a pass at 5 sample points, and one at 30 only when
 a decision is a close call.  ``_ball`` draws the 5 as the first of the
 30, and each constant is a maximum over its points, so the 5-point
 constants, and the threshold they give, are never above the 30-point
-ones.  The estimates read ``Jc`` and ``J_A^T`` through the handle's own
-actions, holding one state ``point(y)`` per sample point in each pass:
-the safeguard's constants take one pass per sample count,
-``estimate_constants`` a second over the same points (``_ball``), and it
-takes rho_x from the sigma_x and L_c it has measured, by Weyl's
-inequality.  The axiom check reads J_A^T Jc through the same reader
-(``_Blocks``), one state per probe.  A non-finite read of Jc or J_A^T raises ``EvaluatorFaultError``
-naming its evaluator.  A handle that declares ``row_blocks`` gives stacks
-of one block per row of X, O(n) work per sample point or probe.  Any
-other handle gives ``Jc`` as one dense n x p block, and the norms of
-``J_A^T`` come matrix-free, by Lanczos on J_A^T J_A through the state's
-``ja`` and ``jat``: one reorthogonalised basis, at most 20 applications
-of each per norm, and no n x n matrix.
+ones.  Each pass holds one view per sample point: the safeguard's
+constants take one pass per sample count, ``estimate_constants`` a
+second over the same points, and it takes rho_x from the sigma_x and
+L_c it has measured, by Weyl's inequality.  The axiom check holds one
+view per probe.  A handle that declares ``row_blocks`` gives stacks of
+one block per row of X, O(n) work per sample point or probe.  Any other
+handle gives Jc as one dense n x p block, and the norms of J_A^T come
+matrix-free, by Lanczos on J_A^T J_A through the state's ``ja`` and
+``jat``: one reorthogonalised basis, at most 20 applications of each per
+norm, and no n x n matrix.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -78,37 +79,8 @@ FEASIBILITY_TOL = 1e-10  # absolute tolerance on ||c(x)|| for "feasible"
 
 
 def feasibility(problem: ProblemSpec, x: Vector) -> float:
-    """||u(x)|| + ||c(x)|| + ||max(v(x), 0)||.  A value of the wrong
-    length raises ``DimensionError``, a non-finite one
-    ``EvaluatorFaultError``, naming the evaluator."""
-    x = np.asarray(x, dtype=float).ravel()
-    u = _check_point(problem.eval_u(x), problem.n_eq, "eval_u")
-    c = _check_point(problem.manifold.eval_c(x), problem.p, "eval_c")
-    v = _check_point(problem.eval_v(x), problem.n_ineq, "eval_v")
-    return (float(np.linalg.norm(u)) + float(np.linalg.norm(c))
-            + float(np.linalg.norm(np.maximum(v, 0.0))))
-
-
-def dense_jacobians(problem: ProblemSpec, x: Vector):
-    """Dense (n x p), (n x N_E), (n x N_I) constraint-gradient matrices;
-    Jc is the handle's ``jacobian`` read.  A non-finite entry raises
-    ``EvaluatorFaultError``, and a ``jacobian`` of another shape or a
-    column of another length ``DimensionError``, naming the evaluator."""
-    n = problem.n
-    return (_finite(problem.manifold.jacobian(x), "jacobian", (n, problem.p)),
-            _dense_columns(problem.apply_Ju, x, problem.n_eq, n, "apply_Ju"),
-            _dense_columns(problem.apply_Jv, x, problem.n_ineq, n, "apply_Jv"))
-
-
-def _finite(M: Vector, what: str, shape: tuple | None = None) -> Vector:
-    """M, else ``EvaluatorFaultError`` naming the evaluator ``what``; with
-    ``shape``, an M of another shape raises ``DimensionError``."""
-    if shape is not None and np.shape(M) != shape:
-        raise DimensionError(f"{what} has shape {np.shape(M)}, expected "
-                             f"{shape}")
-    if not np.all(np.isfinite(M)):
-        raise EvaluatorFaultError(f"{what} has a non-finite entry")
-    return M
+    """||u(x)|| + ||c(x)|| + ||max(v(x), 0)||."""
+    return _Reader(problem).at(x).feasibility
 
 
 @dataclass
@@ -141,18 +113,15 @@ def kkt_residual(problem: ProblemSpec, x: Vector) -> KktReport:
     solution, zero on the columns the pivoting put last, not the
     minimum-norm one, and the residual it reaches is the same.
 
-    A bad x raises as in ``check_licq``, and a non-finite grad f, Jc, Ju
-    or Jv raises ``EvaluatorFaultError`` before any factorization, one of
-    the wrong shape ``DimensionError``; c, u and v raise as in
-    ``feasibility``.
+    It reads through one ``_Reader`` view, all before B is factored and
+    the feasibility first.
     """
-    x = _check_point(x, problem.n)
-    g = _check_point(problem.grad_f(x), problem.n, "grad_f")
-    Jc, Ju, Jv = dense_jacobians(problem, x)
-    B = np.hstack([Jc, Ju])
+    at = _Reader(problem).at(x)
+    feas, g = at.feasibility, at.g
+    B = np.hstack([at.jc_dense, at.ju])
+    Jv, v = at.jv, at.v
     fit = _gram_fit(B) or _qr_fit(B)
 
-    v = _check_point(problem.eval_v(x), problem.n_ineq, "eval_v")
     active = _active_set(v)
     mu = np.zeros(problem.n_ineq)
     if active:
@@ -161,7 +130,7 @@ def kkt_residual(problem: ProblemSpec, x: Vector) -> KktReport:
     xi, resid = fit.solve(g + Jv @ mu)
     return KktReport(
         stationarity=float(np.linalg.norm(resid)),
-        feasibility=feasibility(problem, x),
+        feasibility=feas,
         multipliers=MultiplierSet(rho=xi[:problem.p], lam=xi[problem.p:],
                                   mu=mu),
         complementarity=float(abs(np.dot(mu, v))) if mu.size else 0.0,
@@ -251,13 +220,13 @@ def _active_set(v: Vector) -> list[int]:
 
 def check_licq(problem: ProblemSpec, x: Vector, tol: float = 1e-8) -> bool:
     """True when the active constraint gradients are linearly independent
-    (smallest singular value above ``tol`` times the largest).  A wrong
-    length raises ``DimensionError``, a non-finite x ``EvaluatorFaultError``,
-    and so do v(x) and the Jacobians, naming the evaluator."""
-    x = _check_point(x, problem.n)
-    Jc, Ju, Jv = dense_jacobians(problem, x)
-    v = _check_point(problem.eval_v(x), problem.n_ineq, "eval_v")
-    M = np.hstack([Jc, Ju, Jv[:, _active_set(v)]])
+    (smallest singular value above ``tol`` times the largest).  A ``tol``
+    outside [0, 1) raises ``ParameterError``: below 0 every check would
+    pass, at 1 or above none could."""
+    if not 0.0 <= tol < 1.0:
+        raise ParameterError(f"tol must be in [0, 1), got {tol}")
+    at = _Reader(problem).at(x)
+    M = np.hstack([at.jc_dense, at.ju, at.jv[:, _active_set(at.v)]])
     if M.shape[1] == 0:
         return True
     if M.shape[1] > problem.n:
@@ -317,38 +286,43 @@ def _ball(x: Vector, radius: float, samples: int, seed: int) -> list:
     return pts
 
 
+def _sample_views(problem: ProblemSpec, x: Vector, radius: float,
+                  samples: int, seed: int
+                  ) -> tuple[_PointView, Iterator[_PointView]]:
+    """The view at x, then an iterator over the views at ``_ball(x, radius,
+    samples, seed)``, one at a time, that at x the same view.  A radius
+    outside (0, 1] or fewer than one sample raises ``ParameterError``."""
+    read = _Reader(problem, seed)
+    base = read.at(x)
+    if not 0.0 < radius <= 1.0:
+        raise ParameterError(f"radius must be in (0, 1], got {radius}")
+    if samples < 1:
+        raise ParameterError(f"need at least one sample point, got {samples}")
+    ball = _ball(base.x, radius, samples, seed)
+    return base, itertools.chain([base], map(read.at, ball[1:]))
+
+
 def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
                      samples: int, seed: int) -> _BoundConstants:
     """Sample ``samples`` points of the ball of the given radius around a
-    feasible x and estimate only what the multiplier-coupled beta bound
-    reads: sigma_min(Jc(x)), sup and Lipschitz constant of J_A^T, sups of
-    Ju and Jv, and sup of ||grad f(A(y))||.
+    feasible x (``_sample_views``) and estimate only what the
+    multiplier-coupled beta bound reads: sigma_min(Jc(x)), sup and
+    Lipschitz constant of J_A^T, sups of Ju and Jv, and sup of
+    ||grad f(A(y))||.
 
     On a handle without ``row_blocks`` each norm of J_A^T, or of a
-    difference of two, is a Lanczos lower bound (``_Blocks``) that stops
+    difference of two, is a Lanczos lower bound (``_Reader``) that stops
     when its top Ritz value moves by at most ``LANCZOS_RTOL`` relative, or
     after min(``LANCZOS_MAX_STEPS``, n) steps.  On the closed-form map of
     center of mass (40, 10), N = 100, r = 0.01, seed 1, at radius 0.1 with
     30 samples and seed 0, the sampled sup of ||J_A^T|| is 1.1748901
     against 1.1748902 from dense SVDs at the same points (7.6e-8 relative
     below), and its Lipschitz quotient 0.66424134 against 0.66424135
-    (1.9e-8): lower bounds, as sampled suprema already are.
-
-    A non-finite grad f(A(y)), Ju, Jv or J_A^T at a sample raises
-    ``EvaluatorFaultError`` naming the evaluator, or ``apply_JAT`` for
-    J_A^T, so no sample drops out of a maximum; one of the wrong shape
-    raises ``DimensionError``.  The points are ``_ball(x, radius,
-    samples, seed)``.
+    (1.9e-8): lower bounds, as sampled suprema already are.  A bad read
+    raises, so no sample drops out of a maximum.
     """
-    x = _check_point(x, problem.n)
-    if not 0.0 < radius <= 1.0:
-        raise ParameterError(f"radius must be in (0, 1], got {radius}")
-    if samples < 1:
-        raise ParameterError(f"need at least one sample point, got {samples}")
-    n = problem.n
-    read = _Blocks(problem.manifold, seed)
-
-    sigma1 = (float(np.min(read.singular_values(read.stack_jc(x))[:, -1]))
+    base, views = _sample_views(problem, x, radius, samples, seed)
+    sigma1 = (float(np.min(_Reader.singular_values(base.jc)[:, -1]))
               if problem.p else 0.0)
     if problem.p and sigma1 <= 1e-10:
         raise RankDeficiencyError(
@@ -357,20 +331,14 @@ def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
 
     M_A = M_u = M_v = L_f = L_A = 0.0
     prev = None
-    for y in _ball(x, radius, samples, seed):
-        pt = read.mani.point(y)
-        Ja = read.jat(pt)
-        M_A = max(M_A, read.norm(Ja))
-        Ju = _dense_columns(problem.apply_Ju, y, problem.n_eq, n, "apply_Ju")
-        M_u = max(M_u, _spec_norm(Ju))
-        Jv = _dense_columns(problem.apply_Jv, y, problem.n_ineq, n,
-                            "apply_Jv")
-        M_v = max(M_v, _spec_norm(Jv))
-        L_f = max(L_f, float(np.linalg.norm(
-            _check_point(problem.grad_f(pt.ax), n, "grad_f"))))
+    for at in views:
+        M_A = max(M_A, _Reader.norm(at.jat))
+        M_u = max(M_u, _spec_norm(at.ju))
+        M_v = max(M_v, _spec_norm(at.jv))
+        L_f = max(L_f, float(np.linalg.norm(at.image.g)))
         if prev is not None:
-            L_A = max(L_A, _diff_quotient(Ja, prev[1], y, prev[0]))
-        prev = (y, Ja)
+            L_A = max(L_A, _diff_quotient(at.jat, prev.jat, at.x, prev.x))
+        prev = at
     return _BoundConstants(sigma1x=sigma1, M_Ax=M_A, L_Ax=L_A, M_ux=M_u,
                            M_vx=M_v, L_fx=L_f)
 
@@ -382,30 +350,24 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
     constants as maxima of difference quotients over consecutive pairs.
 
     The six constants of the beta bound come from ``_bound_constants``; a
-    second pass over the same points, ``_ball(x, radius, samples, seed)``,
-    adds the sup and Lipschitz constant of Jc and the Lipschitz constant of
-    J_A^T Jc(A(y)), whose p columns are the state's ``jat`` of the columns
-    of Jc(A(y)).  rho_x comes from sigma1x and L_cx by Weyl's inequality
-    (``ConstantEstimates``), with no further read of Jc.  It is a
-    diagnostic for ``probe`` and the condition checks; the solver's beta
-    safeguard reads only the six.
+    second pass over the same points adds the sup and Lipschitz constant
+    of Jc and the Lipschitz constant of J_A^T Jc(A(y)), whose p columns
+    are the state's ``jat`` of the columns of Jc(A(y)).  rho_x comes from
+    sigma1x and L_cx by Weyl's inequality (``ConstantEstimates``), with no
+    further read of Jc.  It is a diagnostic for ``probe`` and the
+    condition checks; the solver's beta safeguard reads only the six.
     """
-    x = _check_point(x, problem.n)
     consts = _bound_constants(problem, x, radius, samples, seed)
-    pts = _ball(x, radius, samples, seed)
-    read = _Blocks(problem.manifold)
-
     M_c = L_c = L_Ac = 0.0
     prev = None
-    for y in pts:
-        Jc = read.stack_jc(y)
-        pt = read.mani.point(y)
-        JaJcA = read.jat_jc(pt, pt.ax)
-        M_c = max(M_c, read.norm(Jc))
+    for at in _sample_views(problem, x, radius, samples, seed)[1]:
+        Jc = at.jc
+        JaJcA = at.jat_times(at.image.jc)
+        M_c = max(M_c, _Reader.norm(Jc))
         if prev is not None:
-            L_c = max(L_c, _diff_quotient(Jc, prev[1], y, prev[0]))
-            L_Ac = max(L_Ac, _diff_quotient(JaJcA, prev[2], y, prev[0]))
-        prev = (y, Jc, JaJcA)
+            L_c = max(L_c, _diff_quotient(Jc, prev[1], at.x, prev[0]))
+            L_Ac = max(L_Ac, _diff_quotient(JaJcA, prev[2], at.x, prev[0]))
+        prev = (at.x, Jc, JaJcA)
 
     sigma1, M_A = consts.sigma1x, consts.M_Ax
     rho_x = min(1.0, sigma1 / (2.0 * L_c)) if L_c > 0 else 1.0
@@ -419,7 +381,7 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
     return ConstantEstimates(
         **consts._asdict(), M_cx=M_c, L_cx=L_c, L_Acx=L_Ac, rho_x=rho_x,
         epsilon_x=float(eps), omega_bar_radius=float(omega_bar),
-        sample_count=len(pts) - 1, radius=radius)
+        sample_count=samples, radius=radius)
 
 
 def _spec_norm(M: Vector) -> float:
@@ -433,7 +395,7 @@ def _diff_quotient(S: Vector, S_prev: Vector, y: Vector,
     """Spectral norm of S - S_prev, block stacks or ``_JatOperator``s, over
     ||y - y_prev||, or 0 for coincident points."""
     dist = float(np.linalg.norm(y - y_prev))
-    return _Blocks.norm(S - S_prev) / dist if dist > 1e-12 else 0.0
+    return _Reader.norm(S - S_prev) / dist if dist > 1e-12 else 0.0
 
 
 # Stop rule of the Lanczos norm of a matrix-free J_A^T: the top Ritz value
@@ -462,8 +424,10 @@ class _JatOperator(NamedTuple):
         with full reorthogonalisation against one basis: a lower bound on
         ||B||_2 that grows with k.  It stops on the module's stop rule,
         applied to sqrt(theta), or when the new direction vanishes,
-        beta_k <= 1e-12 theta, where theta is exact.  A non-finite norm
-        raises ``EvaluatorFaultError`` naming ``apply_JAT``."""
+        beta_k <= 1e-12 theta, where theta is exact.  A first action of
+        another length raises ``DimensionError``, naming ``Jacobian
+        action`` for ``rmv`` and ``apply_JAT`` for ``mv``; a non-finite
+        norm raises ``EvaluatorFaultError`` naming ``apply_JAT``."""
         n = self.start.size
         steps = min(LANCZOS_MAX_STEPS, n)
         V = np.empty((steps + 1, n))
@@ -471,7 +435,12 @@ class _JatOperator(NamedTuple):
         V[0] = self.start
         top = 0.0
         for k in range(steps):
-            w = self.mv(self.rmv(V[k]))
+            u = self.rmv(V[k])
+            if k == 0:  # the first step checks each action's length
+                _shaped(u, "Jacobian action", (n,))
+            w = self.mv(u)
+            if k == 0:
+                _shaped(w, "apply_JAT", (n,))
             alpha[k] = V[k] @ w
             w -= V[:k + 1].T @ (V[:k + 1] @ w)
             beta[k] = np.linalg.norm(w)
@@ -487,8 +456,20 @@ class _JatOperator(NamedTuple):
         return _finite(top, "apply_JAT")
 
 
-class _Blocks:
-    """Reads Jc, J_A^T and J_A^T Jc of a handle.
+class _Reader:
+    """The one reader of a problem's evaluators, or of a bare handle's.
+
+    ``at(x)`` checks x and gives its view, ``_PointView``, which reads
+    each evaluator at x at most once, when first asked.  A read of the
+    wrong shape raises ``DimensionError``, a non-finite one
+    ``EvaluatorFaultError``, naming the evaluator: ``x``, ``eval_c``,
+    ``eval_u``, ``eval_v``, ``grad_f``, ``jacobian`` (or the ``apply_Jc``
+    column the generic handle's own ``jacobian`` reads), ``apply_Jc``,
+    ``apply_Ju``, ``apply_Jv``, ``eval_A`` for the state's ``ax``,
+    ``apply_JAT`` for J_A^T, its products and its norms, and ``Jacobian
+    action`` for J_A, in the adjoint gap and the norms.  In a view tagged
+    ``probe k``, x is ``probe k`` and each evaluator ``<name> at probe
+    k``.
 
     Jc and J_A^T(y) Jc(z) come as (m, q, k) stacks of their q x k diagonal
     blocks.  A handle with ``row_blocks = (m, q)`` has one block per row
@@ -499,25 +480,26 @@ class _Blocks:
     column j of every block at once, bitwise equal to the dense entries: k
     actions per stack.  A block-diagonal matrix's spectral norm is its
     largest block norm, and its singular values are those of its blocks.
-    A non-finite Jc raises ``EvaluatorFaultError``, and a ``jacobian`` of
-    a shape other than n x p or an action column of a length other than n
-    ``DimensionError``, naming its evaluator.
 
-    J_A^T and J_A^T Jc are each read from a state ``point(y)`` of the
-    handle.  J_A^T of a ``row_blocks`` handle is the (m, q, q) stack of its
-    blocks, q actions per point.  Of any other handle it is a matrix-free
-    ``_JatOperator``, whose norm is a Lanczos lower bound from the state's
-    ``ja`` and ``jat`` (at most ``LANCZOS_MAX_STEPS`` of each), started at
-    a unit vector fixed by ``(n, seed)``, so it is a deterministic
-    function of the point.
+    J_A^T is read from the view's state ``point(y)``.  Of a ``row_blocks``
+    handle it is the (m, q, q) stack of its blocks, q actions per point.
+    Of any other handle it is a matrix-free ``_JatOperator``, whose norm
+    is a Lanczos lower bound from the state's ``ja`` and ``jat`` (at most
+    ``LANCZOS_MAX_STEPS`` of each), started at a unit vector fixed by
+    ``(n, seed)``, so it is a deterministic function of the point.
     """
 
-    def __init__(self, handle: ManifoldHandle, seed: int = 0):
-        self.mani, self.seed = handle, seed
-        if handle.row_blocks is not None:
-            (self.m, self.q), self.k = handle.row_blocks, 1
+    def __init__(self, source: ProblemSpec | ManifoldHandle, seed: int = 0):
+        self.problem = source if isinstance(source, ProblemSpec) else None
+        self.handle = source if self.problem is None else source.manifold
+        self.seed = seed
+        if self.handle.row_blocks is not None:
+            (self.m, self.q), self.k = self.handle.row_blocks, 1
         else:
-            self.m, self.q, self.k = 1, handle.n, handle.p
+            self.m, self.q, self.k = 1, self.handle.n, self.handle.p
+
+    def at(self, x: Vector, tag: str = "") -> "_PointView":
+        return _PointView(self, x, tag)
 
     @functools.cached_property
     def start(self) -> Vector:
@@ -540,7 +522,7 @@ class _Blocks:
             return S.norm()
         if S.size == 0:
             return 0.0
-        return float(np.max(_Blocks.singular_values(S)[:, 0]))
+        return float(np.max(_Reader.singular_values(S)[:, 0]))
 
     def _stack(self, action, count: int, what: str) -> Vector:
         """(m, q, count) stack; column j is ``action(tile(e_j, m))``,
@@ -549,28 +531,131 @@ class _Blocks:
         return _dense_columns(lambda _, e: action(np.tile(e, m)), None,
                               count, m * q, what).reshape(m, q, count)
 
-    def stack_jc(self, y: Vector) -> Vector:
-        """Jc(y) as its stack: without ``row_blocks`` the handle's dense
-        ``jacobian`` read."""
-        if self.mani.row_blocks is None:
-            return _finite(self.mani.jacobian(y), "jacobian",
-                           (self.q, self.k))[None]
-        return self._stack(lambda w: self.mani.apply_Jc(y, w), self.k,
-                           "apply_Jc")
 
-    def jat(self, pt) -> Vector | _JatOperator:
-        """J_A^T at the state ``pt`` = ``ManifoldHandle.point(y)``."""
-        if self.mani.row_blocks is not None:
-            return self._stack(pt.jat, self.q, "apply_JAT")
-        return _JatOperator(pt.jat, pt.ja, self.start)
+def _shaped(M: Vector, what: str, shape: tuple) -> Vector:
+    """M, else ``DimensionError`` naming the evaluator ``what``."""
+    if np.shape(M) != shape:
+        raise DimensionError(f"{what} has shape {np.shape(M)}, expected "
+                             f"{shape}")
+    return M
 
-    def jat_jc(self, pt, z: Vector) -> Vector:
-        """J_A^T(y) Jc(z) at the state ``pt`` of y: ``pt.jat`` of each
-        column of ``stack_jc(z)``, which the ``jacobian`` contract makes
-        bitwise the action ``apply_Jc(z, e_j)``."""
-        jc = self.stack_jc(z).reshape(self.m * self.q, self.k)
-        cols = np.array([pt.jat(col) for col in jc.T]).T
-        return _finite(cols.reshape(self.m, self.q, self.k), "apply_JAT")
+
+def _finite(M: Vector, what: str, shape: tuple | None = None) -> Vector:
+    """M, else ``EvaluatorFaultError`` naming the evaluator ``what``; with
+    ``shape``, an M of another shape raises ``DimensionError``."""
+    if shape is not None:
+        _shaped(M, what, shape)
+    if not np.all(np.isfinite(M)):
+        raise EvaluatorFaultError(f"{what} has a non-finite entry")
+    return M
+
+
+class _PointView:
+    """The checked reads of one point x, each made at most once
+    (``_Reader``): the values ``c``, ``u``, ``v`` and ``g`` = grad f, the
+    dense ``jc_dense`` = Jc and its stack ``jc``, the dense ``ju`` and
+    ``jv``, the handle's ``state`` at x, its ``ax`` = A(x) and ``jat`` =
+    J_A^T, and ``image``, the view at A(x).  x must not change while its
+    view is in use."""
+
+    def __init__(self, reader: _Reader, x: Vector, tag: str = ""):
+        self.read, self.tag = reader, tag
+        self.problem, self.handle = reader.problem, reader.handle
+        self.x = _check_point(x, self.handle.n, tag or "x")
+
+    def _name(self, what: str) -> str:
+        return f"{what} at {self.tag}" if self.tag else what
+
+    def _vector(self, value: Vector, size: int, what: str) -> Vector:
+        return _check_point(value, size, self._name(what))
+
+    def _columns(self, action, count: int, what: str) -> Vector:
+        return _dense_columns(action, self.x, count, self.handle.n,
+                              self._name(what))
+
+    @functools.cached_property
+    def c(self) -> Vector:
+        return self._vector(self.handle.eval_c(self.x), self.handle.p,
+                            "eval_c")
+
+    @functools.cached_property
+    def u(self) -> Vector:
+        return self._vector(self.problem.eval_u(self.x), self.problem.n_eq,
+                            "eval_u")
+
+    @functools.cached_property
+    def v(self) -> Vector:
+        return self._vector(self.problem.eval_v(self.x),
+                            self.problem.n_ineq, "eval_v")
+
+    @functools.cached_property
+    def g(self) -> Vector:
+        return self._vector(self.problem.grad_f(self.x), self.problem.n,
+                            "grad_f")
+
+    @functools.cached_property
+    def feasibility(self) -> float:
+        """||u(x)|| + ||c(x)|| + ||max(v(x), 0)||."""
+        return (float(np.linalg.norm(self.u)) + float(np.linalg.norm(self.c))
+                + float(np.linalg.norm(np.maximum(self.v, 0.0))))
+
+    @functools.cached_property
+    def jc_dense(self) -> Vector:
+        return _finite(self.handle.jacobian(self.x), self._name("jacobian"),
+                       (self.handle.n, self.handle.p))
+
+    @functools.cached_property
+    def jc(self) -> Vector:
+        """Jc(x) as its stack: without ``row_blocks`` ``jc_dense``."""
+        if self.handle.row_blocks is None:
+            return self.jc_dense[None]
+        return self.read._stack(lambda w: self.handle.apply_Jc(self.x, w),
+                                self.read.k, self._name("apply_Jc"))
+
+    @functools.cached_property
+    def ju(self) -> Vector:
+        return self._columns(self.problem.apply_Ju, self.problem.n_eq,
+                             "apply_Ju")
+
+    @functools.cached_property
+    def jv(self) -> Vector:
+        return self._columns(self.problem.apply_Jv, self.problem.n_ineq,
+                             "apply_Jv")
+
+    @functools.cached_property
+    def state(self):
+        return self.handle.point(self.x)
+
+    @functools.cached_property
+    def ax(self) -> Vector:
+        return self._vector(self.state.ax, self.handle.n, "eval_A")
+
+    @functools.cached_property
+    def image(self) -> "_PointView":
+        return self.read.at(self.ax)
+
+    @functools.cached_property
+    def jat(self) -> Vector | _JatOperator:
+        if self.handle.row_blocks is not None:
+            return self.read._stack(self.state.jat, self.read.q,
+                                    self._name("apply_JAT"))
+        return _JatOperator(self.state.jat, self.state.ja, self.read.start)
+
+    def jat_times(self, S: Vector) -> Vector:
+        """J_A^T(x) S, for a stack S of Jc's shape, as its stack: the
+        state's ``jat`` of each column of S."""
+        m, q, k = self.read.m, self.read.q, self.read.k
+        cols = [self._vector(self.state.jat(col), m * q, "apply_JAT")
+                for col in S.reshape(m * q, k).T]
+        return np.array(cols).reshape(k, m * q).T.reshape(m, q, k)
+
+    def adjoint_gap(self, d: Vector, g: Vector) -> float:
+        """<J_A d, g> - <d, J_A^T g> at x."""
+        what = "Jacobian action"
+        ja, jat = (self._vector(value, self.handle.n, what)
+                   for value in (self.state.ja(d), self.state.jat(g)))
+        return _finite(float(np.dot(ja, g)) - float(np.dot(d, jat)),
+                       self._name(what))
 
 
 @dataclass
@@ -589,43 +674,37 @@ def validate_manifold(handle: ManifoldHandle, probes: Sequence[Vector],
     """Check the dissolving-map axioms at (projections of) the given probes.
 
     At each feasible probe x the report records ``||A(x) - x||_inf``, the
-    spectral norm of J_A^T(x) Jc(x) (``_Blocks.jat_jc``), and the
-    adjointness error ``|<J_A d, g> - <d, J_A^T g>| / (||d|| ||g||)`` of
-    the forward and transposed actions for random d, g.  All three read
-    one state ``handle.point(x)`` per probe.  Jc comes from one
-    ``apply_Jc`` action per probe on a ``row_blocks`` handle, else from
-    one ``jacobian`` read.  Each must be within ``tol`` (finite and > 0,
-    else ``ParameterError``) for the report to pass.  A probe that
-    ``a_infinity`` cannot project is skipped with a note.  A c(x) or A(x)
-    of the wrong length raises ``DimensionError``, and a non-finite one,
-    or a non-finite adjoint gap, ``EvaluatorFaultError``, each naming the
-    probe.
+    spectral norm of J_A^T(x) Jc(x), and the adjointness error ``|<J_A d,
+    g> - <d, J_A^T g>| / (||d|| ||g||)`` of the forward and transposed
+    actions for random d, g.  All three read one ``_Reader`` view of the
+    probe, tagged ``probe k``, and so one state ``handle.point(x)``.  Jc
+    comes from one ``apply_Jc`` action per probe on a ``row_blocks``
+    handle, else from one ``jacobian`` read.  Each must be within ``tol``
+    (finite and > 0, else ``ParameterError``) for the report to pass.  A
+    probe that ``a_infinity`` cannot project is skipped with a note.
     """
     if not 0 < tol < np.inf:
         raise ParameterError(f"tol must be finite and positive, got {tol}")
-    read = _Blocks(handle)
+    read = _Reader(handle)
     max_fix = max_prod = max_adj = 0.0
     notes: list[str] = []
     used = 0
     rng = np.random.default_rng((handle.n, handle.p))  # d and g, per probe
     for k, probe in enumerate(probes):
-        x = _check_point(probe, handle.n, f"probe {k}")
-        c = _check_point(handle.eval_c(x), handle.p, f"eval_c at probe {k}")
-        if float(np.linalg.norm(c)) > FEASIBILITY_TOL:
+        at = read.at(probe, f"probe {k}")
+        if float(np.linalg.norm(at.c)) > FEASIBILITY_TOL:
             try:
-                x = a_infinity(handle, x, tol=FEASIBILITY_TOL)
+                x = a_infinity(handle, at.x, tol=FEASIBILITY_TOL)
             except OutOfNeighborhoodError as exc:
                 notes.append(f"probe {k} skipped: {exc}")
                 continue
-        pt = handle.point(x)
-        ax = _check_point(pt.ax, handle.n, f"eval_A at probe {k}")
-        max_fix = max(max_fix, float(np.max(np.abs(ax - x), initial=0.0)))
-        max_prod = max(max_prod, read.norm(read.jat_jc(pt, x)))
+            at = read.at(x, f"probe {k}")
+        max_fix = max(max_fix, float(np.max(np.abs(at.ax - at.x),
+                                            initial=0.0)))
+        max_prod = max(max_prod, read.norm(at.jat_times(at.jc)))
         d, g = rng.standard_normal((2, handle.n))
-        gap = _finite(float(np.dot(pt.ja(d), g)) - float(np.dot(d, pt.jat(g))),
-                      f"Jacobian action at probe {k}")
-        max_adj = max(max_adj, abs(gap) / float(np.linalg.norm(d)
-                                                * np.linalg.norm(g)))
+        max_adj = max(max_adj, abs(at.adjoint_gap(d, g))
+                      / float(np.linalg.norm(d) * np.linalg.norm(g)))
         used += 1
     passed = (used > 0 and max_fix <= tol and max_prod <= tol
               and max_adj <= tol)

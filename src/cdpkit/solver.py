@@ -404,8 +404,9 @@ def _alm_loop(problem: ProblemSpec, form, x0: Vector,
               opts: AlmOptions) -> SolveResult:
     """Shared outer loop.  ``form`` is the formulation, ``_Dissolved`` or
     ``_Direct``: the only part that differs between the pipelines.  The
-    first ``form.split`` equality multipliers belong to c.  A bad x0
-    raises as in ``check_licq``, before the loop starts."""
+    first ``form.split`` equality multipliers belong to c.  An x0 of the
+    wrong length raises ``DimensionError``, a non-finite one
+    ``EvaluatorFaultError``, before the loop starts."""
     t0 = time.perf_counter()
     x = _check_point(x0, problem.n, "x0").copy()
     n_eq, n_ineq = form.split + problem.n_eq, problem.n_ineq

@@ -127,6 +127,25 @@ class TestModuleLayers:
                     assert LAYERS.index(target.split(".")[0]) < layer, (
                         f"{name} imports {target}")
 
+    def test_diagnostics_reads_evaluators_only_through_its_reader(self):
+        # One checked reader per point: outside _Reader and its view no
+        # code in diagnostics names a problem's or a handle's evaluator
+        # (make_synthetic_kkt passes its own as keywords, not attributes).
+        tree = ast.parse((Path(cdpkit.__file__).parent
+                          / "diagnostics.py").read_text())
+        evaluators = {"eval_c", "eval_u", "eval_v", "grad_f", "apply_Jc",
+                      "apply_Ju", "apply_Jv", "jacobian", "point", "eval_A",
+                      "apply_JAT", "apply_JcT"}
+        readers = {"_Reader", "_PointView"}
+        assert readers <= {node.name for node in tree.body
+                           if isinstance(node, ast.ClassDef)}
+        named = sorted(
+            f"{top.name}: {node.attr}" for top in tree.body
+            if getattr(top, "name", None) not in readers
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr in evaluators)
+        assert named == []
+
 
 def _validation_case(family):
     """A handle of the family and a feasible base point."""

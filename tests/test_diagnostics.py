@@ -28,12 +28,11 @@ from cdpkit.diagnostics import (
     LANCZOS_MAX_STEPS,
     SAFETY,
     ConstantEstimates,
-    _Blocks,
+    _Reader,
     _ball,
     _bound_constants,
     check_condition,
     check_licq,
-    dense_jacobians,
     estimate_constants,
     feasibility,
     kkt_residual,
@@ -168,7 +167,8 @@ class TestKktResidual:
                 (_with_first_equality_twice(problem), x, True)]:
             report = kkt_residual(prob, y)
             assert report.rank_deficient is deficient
-            Jc, Ju, Jv = dense_jacobians(prob, y)
+            at = _Reader(prob).at(y)
+            Jc, Ju, Jv = at.jc_dense, at.ju, at.jv
             m = report.multipliers
             resid = prob.grad_f(y) + Jc @ m.rho + Ju @ m.lam + Jv @ m.mu
             assert abs(float(np.linalg.norm(resid))
@@ -196,7 +196,7 @@ class TestKktResidual:
                                                        x).stationarity
             check_licq(counted, x)
             assert taken() == per_check
-            assert np.array_equal(dense_jacobians(problem, x)[0],
+            assert np.array_equal(problem.manifold.jacobian(x),
                                   _dense_columns(mani.apply_Jc, x, problem.p,
                                                  problem.n))
 
@@ -240,7 +240,7 @@ def _active_synthetic_point():
     """A planted problem and a point off its KKT point where its first
     inequality is active: the NNLS branch fits a non-trivial mu."""
     problem, x_star, _ = make_synthetic_kkt(n=10, seed=4)
-    jv = dense_jacobians(problem, x_star)[2][:, 0]
+    jv = _Reader(problem).at(x_star).jv[:, 0]
     d = np.random.default_rng(1).standard_normal(problem.n)
     return problem, x_star + d - jv * (jv @ d) / (jv @ jv)
 
@@ -333,7 +333,7 @@ class TestGramCertificate:
         report = kkt_residual(problem, x)
         assert qr_calls() == qr_expected
         assert not report.rank_deficient
-        B = dense_jacobians(problem, x)[1]
+        B = _Reader(problem).at(x).ju
         assert np.linalg.cond(B) == pytest.approx(cond, rel=1e-6)
         assert scipy.linalg.lapack.dpotrf(B.T @ B)[1] == 0
 
@@ -402,6 +402,42 @@ def test_check_licq_rejects_a_bad_point(bad, error):
     problem, x = bad_cut_point(bad)
     with pytest.raises(error):
         check_licq(problem, x)
+
+
+@pytest.mark.parametrize("bad, error", BAD_POINTS)
+def test_feasibility_rejects_a_bad_point(bad, error):
+    # Named as x, not numpy's reshape ValueError from inside eval_u nor a
+    # non-finite eval_u.
+    problem, x = bad_cut_point(bad)
+    with pytest.raises(error, match="^x has"):
+        feasibility(problem, x)
+
+
+@pytest.mark.parametrize("check", [kkt_residual, check_licq, feasibility])
+def test_one_read_per_evaluator_per_call(check):
+    # kkt_residual read eval_v twice, once itself and once in feasibility.
+    problem, x_star, _ = make_synthetic_kkt()
+    calls = dict.fromkeys(("eval_c", "eval_u", "eval_v", "grad_f",
+                           "jacobian"), 0)
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    mani = problem.manifold
+    counted_problem = dataclasses.replace(
+        problem,
+        manifold=dataclasses.replace(
+            mani, **{name: counted(mani, name)
+                     for name in ("eval_c", "jacobian")}),
+        **{name: counted(problem, name)
+           for name in ("eval_u", "eval_v", "grad_f")})
+    check(counted_problem, x_star)
+    assert max(calls.values()) == 1, calls
 
 
 def test_the_nan_problems_certify_without_their_nan():
@@ -544,10 +580,38 @@ def test_bound_pass_names_a_non_finite_jat(path):
 def test_second_pass_names_a_non_finite_jat(path):
     # J_A^T Jc(A(y)) is read apart from the bound pass's J_A^T.
     problem, x = _nan_jat_problem(path)
-    read = _Blocks(problem.manifold)
-    pt = problem.manifold.point(x)
+    at = _Reader(problem).at(x)
     with pytest.raises(EvaluatorFaultError, match="apply_JAT"):
-        read.jat_jc(pt, pt.ax)
+        at.jat_times(at.image.jc)
+
+
+def _short_action(handle, action):
+    """The handle with its states' ``jat`` or ``ja`` one entry short."""
+
+    class ShortPoint:
+        def __init__(self, y):
+            self.state = handle.point(y)
+
+        def __getattr__(self, name):
+            return getattr(self.state, name)
+
+    setattr(ShortPoint, action,
+            lambda self, w: getattr(self.state, action)(w)[:-1])
+    return dataclasses.replace(handle, point=ShortPoint)
+
+
+@pytest.mark.parametrize("action, name", [("jat", "apply_JAT"),
+                                          ("ja", "Jacobian action")])
+def test_diagnostics_name_a_short_jacobian_action(action, name):
+    # Not numpy's matmul ValueError inside the Lanczos norm, nor its
+    # reshape ValueError in the axiom check's product J_A^T Jc.
+    problem, x = _com_point(6, 2)
+    bad = dataclasses.replace(problem,
+                              manifold=_short_action(problem.manifold, action))
+    with pytest.raises(DimensionError, match=name):
+        _bound_constants(bad, x, radius=0.1, samples=5, seed=0)
+    with pytest.raises(DimensionError, match=f"{name} at probe 0"):
+        validate_manifold(bad.manifold, [x], tol=1e-8)
 
 
 def _nan_jc_problem(path):
@@ -605,6 +669,14 @@ class TestLicq:
         x[0] = 1.0
         assert not check_licq(dup, x)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 1.0])
+    def test_tolerance_outside_unit_interval_raises(self, tol):
+        # NaN returned False and -1 True whatever the gradients.
+        problem, x_star, _ = make_synthetic_kkt()
+        with pytest.raises(ParameterError):
+            check_licq(problem, x_star, tol)
+        assert check_licq(problem, x_star, 0.0)
+
     def test_balanced_cut_holds_at_feasible_point(self):
         problem, x0 = gen_balanced_cut(BalancedCutConfig(m=20, q=2, rho=0.2,
                                                          seed=4))
@@ -618,8 +690,7 @@ class TestEstimateConstants:
                                  seed=0)
         assert est.L_cx == 0.0
         # exact smallest singular value of the constant Jacobian
-        from cdpkit.diagnostics import dense_jacobians
-        Jc, _, _ = dense_jacobians(problem, x_star)
+        Jc = problem.manifold.jacobian(x_star)
         assert est.sigma1x == pytest.approx(
             np.linalg.svd(Jc, compute_uv=False)[-1])
 
@@ -654,7 +725,7 @@ class TestEstimateConstants:
         x = np.eye(n)[0]
         est = estimate_constants(problem, x, radius=0.05, samples=30, seed=0)
         assert est.rho_x == pytest.approx(0.5, rel=1e-12, abs=0.0)
-        Jc = dense_jacobians(problem, (1.0 - est.rho_x) * x)[0]
+        Jc = problem.manifold.jacobian((1.0 - est.rho_x) * x)
         sigma = np.linalg.svd(Jc, compute_uv=False)[-1]
         assert sigma == pytest.approx(est.sigma1x / 2.0, rel=1e-12, abs=0.0)
 
@@ -890,9 +961,10 @@ class TestRowBlockConstants:
         X = data.draw(hnp.arrays(float, (m, q), elements=st.floats(
             -2.0, 2.0, allow_nan=False, allow_infinity=False)))
         handle = make_handle("oblique", m=m, q=q)
-        blocks = _Blocks(handle)
+        blocks = _Reader(handle)
         x = X.ravel()
-        stack = blocks.jat(handle.point(x))
+        at = blocks.at(x)
+        stack = at.jat
         dense = _dense_columns(handle.apply_JAT, x, handle.n, handle.n)
         assert np.array_equal(dense, scipy.linalg.block_diag(*stack))
 
@@ -906,10 +978,10 @@ class TestRowBlockConstants:
                             8)
         Jc = _dense_columns(handle.apply_Jc, x, handle.p, handle.n)
         s = np.linalg.svd(Jc, compute_uv=False)
-        assert _within_ulps(blocks.norm(blocks.stack_jc(x)), float(s[0]), 8)
+        assert _within_ulps(blocks.norm(at.jc), float(s[0]), 8)
         # An SVD resolves its smallest singular value to within rounding of
         # its largest.
-        sigma_min = np.min(blocks.singular_values(blocks.stack_jc(x))[:, -1])
+        sigma_min = np.min(blocks.singular_values(at.jc)[:, -1])
         assert abs(sigma_min - s[-1]) <= 8 * np.spacing(s[0])
 
         xf = (X / norms).ravel()
