@@ -67,8 +67,10 @@ class CenterOfMassConfig:
             raise DimensionError(f"need q <= m, got ({self.m}, {self.q})")
         if self.N < 1:
             raise ParameterError(f"N must be >= 1, got {self.N}")
-        if not self.r > 0:
-            raise ParameterError(f"r must be positive, got {self.r}")
+        if not 0.0 < self.r < np.inf:
+            raise ParameterError(f"r must be positive and finite, got {self.r}")
+        if not 0.0 <= self.beta < np.inf:
+            raise ParameterError(f"beta must be finite and >= 0, got {self.beta}")
 
     def label(self) -> str:
         return f"center_of_mass(m={self.m},q={self.q},N={self.N},r={self.r},seed={self.seed})"
@@ -89,6 +91,8 @@ class BalancedCutConfig:
             raise DimensionError(f"need m >= 2, q >= 1, got ({self.m}, {self.q})")
         if not 0.0 < self.rho < 1.0:
             raise ParameterError(f"rho must be in (0, 1), got {self.rho}")
+        if not 0.0 <= self.beta < np.inf:
+            raise ParameterError(f"beta must be finite and >= 0, got {self.beta}")
 
     def label(self) -> str:
         return f"balanced_cut(m={self.m},q={self.q},rho={self.rho},seed={self.seed})"
@@ -259,7 +263,11 @@ def _ingest_config(config):
     if not isinstance(config, (str, Path)):
         return config
     path = Path(config)
-    if isinstance(config, Path) or (len(config) < 4096 and path.is_file()):
+    try:
+        is_file = isinstance(config, Path) or path.is_file()
+    except OSError:  # a one-line document too long for a file name
+        is_file = False
+    if is_file:
         try:
             config = path.read_text()
         except OSError as exc:

@@ -118,8 +118,8 @@ class ManifoldHandle:
     A reader of several of these at one point (the transformed evaluation,
     ``validate_manifold``) holds one state, so A, c and what they share
     are evaluated once; the constant estimates hold one state per sample
-    point in each pass over the samples.  x must not change while its state
-    is in use.  Jc(x) w, which shares nothing with A, has one door:
+    point in their one walk over the samples.  x must not change while its
+    state is in use.  Jc(x) w, which shares nothing with A, has one door:
     ``apply_Jc``.
 
     ``row_blocks``, when given, is the ``(m, q)`` of the matrix variable

@@ -14,15 +14,15 @@ one factorization: a Cholesky factor of the Gram matrix B^T B when the
 ``dpocon`` estimate of its condition passes the guard ``GRAM_MAX_COND``,
 else the pivoted QR of B, which also decides ``rank_deficient``.
 
-The constant estimates also run inside the solve, as the beta safeguard
-of ``alm_solve_cdp``: a pass at 5 sample points, and one at 30 only when
-a decision is a close call.  ``_ball`` draws the 5 as the first of the
-30, and each constant is a maximum over its points, so the 5-point
-constants, and the threshold they give, are never above the 30-point
-ones.  Each pass holds one view per sample point: the safeguard's
-constants take one pass per sample count, ``estimate_constants`` a
-second over the same points, and it takes rho_x from the sigma_x and
-L_c it has measured, by Weyl's inequality.  The axiom check holds one
+The constant estimates fold their constants over one walk of the sample
+points (``_fold_ball``), one view per point: ``estimate_constants`` all
+nine, then rho_x from the sigma_x and L_c it has measured, by Weyl's
+inequality.  They also run inside the solve, as the beta safeguard of
+``alm_solve_cdp``, which folds only the six of its bound: a walk of 5
+sample points, and one of 30 only when a decision is a close call.
+``_ball`` draws the 5 as the first of the 30, and each constant is a
+maximum over its points, so the 5-point constants, and the threshold
+they give, are never above the 30-point ones.  The axiom check holds one
 view per probe.  A handle that declares ``row_blocks`` gives stacks of
 one block per row of X, O(n) work per sample point or probe.  Any other
 handle gives Jc as one dense n x p block, and the norms of J_A^T come
@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -286,61 +286,70 @@ def _ball(x: Vector, radius: float, samples: int, seed: int) -> list:
     return pts
 
 
-def _sample_views(problem: ProblemSpec, x: Vector, radius: float,
-                  samples: int, seed: int
-                  ) -> tuple[_PointView, Iterator[_PointView]]:
-    """The view at x, then an iterator over the views at ``_ball(x, radius,
-    samples, seed)``, one at a time, that at x the same view.  A radius
-    outside (0, 1] or fewer than one sample raises ``ParameterError``."""
+# What a walk of the sample ball folds, by constant: a sup keeps the
+# largest norm read at a point, a Lipschitz constant the largest
+# ``_diff_quotient`` of what it reads at consecutive points.
+_BOUND_SUPS = {"M_Ax": lambda at: _Reader.norm(at.jat),
+               "M_ux": lambda at: _spec_norm(at.ju),
+               "M_vx": lambda at: _spec_norm(at.jv),
+               "L_fx": lambda at: float(np.linalg.norm(at.image.g))}
+_BOUND_LIPSCHITZ = {"L_Ax": lambda at: at.jat}
+_ESTIMATE_SUPS = {**_BOUND_SUPS, "M_cx": lambda at: _Reader.norm(at.jc)}
+_ESTIMATE_LIPSCHITZ = {**_BOUND_LIPSCHITZ, "L_cx": lambda at: at.jc,
+                       "L_Acx": lambda at: at.jat_times(at.image.jc)}
+
+
+def _fold_ball(problem: ProblemSpec, x: Vector, radius: float, samples: int,
+               seed: int, sups: dict, lipschitz: dict) -> dict[str, float]:
+    """sigma1x = sigma_min(Jc(x)) and the constants of ``sups`` and
+    ``lipschitz``, folded over one walk of ``_ball(x, radius, samples,
+    seed)`` with one ``_Reader``: one view per point, two at a time.  A
+    radius outside (0, 1] or fewer than one sample raises
+    ``ParameterError``."""
     read = _Reader(problem, seed)
     base = read.at(x)
     if not 0.0 < radius <= 1.0:
         raise ParameterError(f"radius must be in (0, 1], got {radius}")
     if samples < 1:
         raise ParameterError(f"need at least one sample point, got {samples}")
-    ball = _ball(base.x, radius, samples, seed)
-    return base, itertools.chain([base], map(read.at, ball[1:]))
-
-
-def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
-                     samples: int, seed: int) -> _BoundConstants:
-    """Sample ``samples`` points of the ball of the given radius around a
-    feasible x (``_sample_views``) and estimate only what the
-    multiplier-coupled beta bound reads: sigma_min(Jc(x)), sup and
-    Lipschitz constant of J_A^T, sups of Ju and Jv, and sup of
-    ||grad f(A(y))||.
-
-    On a handle without ``row_blocks`` each norm of J_A^T, or of a
-    difference of two, is a Lanczos lower bound (``_Reader``) that stops
-    when its top Ritz value moves by at most ``LANCZOS_RTOL`` relative, or
-    after min(``LANCZOS_MAX_STEPS``, n) steps.  On the closed-form map of
-    center of mass (40, 10), N = 100, r = 0.01, seed 1, at radius 0.1 with
-    30 samples and seed 0, the sampled sup of ||J_A^T|| is 1.1748901
-    against 1.1748902 from dense SVDs at the same points (7.6e-8 relative
-    below), and its Lipschitz quotient 0.66424134 against 0.66424135
-    (1.9e-8): lower bounds, as sampled suprema already are.  A bad read
-    raises, so no sample drops out of a maximum.
-    """
-    base, views = _sample_views(problem, x, radius, samples, seed)
     sigma1 = (float(np.min(_Reader.singular_values(base.jc)[:, -1]))
               if problem.p else 0.0)
     if problem.p and sigma1 <= 1e-10:
         raise RankDeficiencyError(
             f"sigma_min(Jc) = {sigma1:.3e} at the base point; full-rank "
             "constraint Jacobian required")
-
-    M_A = M_u = M_v = L_f = L_A = 0.0
-    prev = None
-    for at in views:
-        M_A = max(M_A, _Reader.norm(at.jat))
-        M_u = max(M_u, _spec_norm(at.ju))
-        M_v = max(M_v, _spec_norm(at.jv))
-        L_f = max(L_f, float(np.linalg.norm(at.image.g)))
+    found, prev = dict.fromkeys([*sups, *lipschitz], 0.0), None
+    ball = _ball(base.x, radius, samples, seed)
+    for at in itertools.chain([base], map(read.at, ball[1:])):
+        for name, norm in sups.items():
+            found[name] = max(found[name], norm(at))
+        parts = {name: part(at) for name, part in lipschitz.items()}
         if prev is not None:
-            L_A = max(L_A, _diff_quotient(at.jat, prev.jat, at.x, prev.x))
-        prev = at
-    return _BoundConstants(sigma1x=sigma1, M_Ax=M_A, L_Ax=L_A, M_ux=M_u,
-                           M_vx=M_v, L_fx=L_f)
+            for name, S in parts.items():
+                found[name] = max(found[name], _diff_quotient(
+                    S, prev[1][name], at.x, prev[0]))
+        prev = (at.x, parts)
+    return dict(found, sigma1x=sigma1)
+
+
+def _bound_constants(problem: ProblemSpec, x: Vector, radius: float,
+                     samples: int, seed: int) -> _BoundConstants:
+    """Fold over ``samples`` points of the ball of the given radius around
+    a feasible x (``_fold_ball``) only what the multiplier-coupled beta
+    bound reads: sigma_min(Jc(x)), sup and Lipschitz constant of J_A^T,
+    sups of Ju and Jv, and sup of ||grad f(A(y))||.
+
+    On a handle without ``row_blocks`` each norm of J_A^T, or of a
+    difference of two, is a Lanczos lower bound (``_Reader``) that stops
+    when its top Ritz value moves by at most ``LANCZOS_RTOL`` relative, or
+    after min(``LANCZOS_MAX_STEPS``, n) steps.  On center of mass (40, 10)
+    at radius 0.1 with 30 samples, the sup of ||J_A^T|| and its Lipschitz
+    quotient are 7.6e-8 and 1.9e-8 relative below dense SVDs at the same
+    points: lower bounds, as sampled suprema already are.  A bad read
+    raises, so no sample drops out of a maximum.
+    """
+    return _BoundConstants(**_fold_ball(problem, x, radius, samples, seed,
+                                        _BOUND_SUPS, _BOUND_LIPSCHITZ))
 
 
 def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
@@ -349,45 +358,32 @@ def estimate_constants(problem: ProblemSpec, x: Vector, radius: float,
     radius around a feasible x: suprema as maxima over samples, Lipschitz
     constants as maxima of difference quotients over consecutive pairs.
 
-    The six constants of the beta bound come from ``_bound_constants``; a
-    second pass over the same points adds the sup and Lipschitz constant
-    of Jc and the Lipschitz constant of J_A^T Jc(A(y)), whose p columns
-    are the state's ``jat`` of the columns of Jc(A(y)).  rho_x comes from
-    sigma1x and L_cx by Weyl's inequality (``ConstantEstimates``), with no
-    further read of Jc.  It is a diagnostic for ``probe`` and the
-    condition checks; the solver's beta safeguard reads only the six.
+    One walk of the sample points (``_fold_ball``) folds the six constants
+    of the beta bound, as ``_bound_constants`` does, with the sup and
+    Lipschitz constant of Jc and the Lipschitz constant of J_A^T Jc(A(y)),
+    whose p columns are the state's ``jat`` of the columns of Jc(A(y)).
+    rho_x comes from sigma1x and L_cx by Weyl's inequality
+    (``ConstantEstimates``), with no further read of Jc.  It is a
+    diagnostic for ``probe`` and the condition checks; the solver's beta
+    safeguard reads only the six.
     """
-    consts = _bound_constants(problem, x, radius, samples, seed)
-    M_c = L_c = L_Ac = 0.0
-    prev = None
-    for at in _sample_views(problem, x, radius, samples, seed)[1]:
-        Jc = at.jc
-        JaJcA = at.jat_times(at.image.jc)
-        M_c = max(M_c, _Reader.norm(Jc))
-        if prev is not None:
-            L_c = max(L_c, _diff_quotient(Jc, prev[1], at.x, prev[0]))
-            L_Ac = max(L_Ac, _diff_quotient(JaJcA, prev[2], at.x, prev[0]))
-        prev = (at.x, Jc, JaJcA)
-
-    sigma1, M_A = consts.sigma1x, consts.M_Ax
+    found = _fold_ball(problem, x, radius, samples, seed, _ESTIMATE_SUPS,
+                       _ESTIMATE_LIPSCHITZ)
+    sigma1, M_A, M_c, L_c, L_Ac = (found[name] for name in (
+        "sigma1x", "M_Ax", "M_cx", "L_cx", "L_Acx"))
     rho_x = min(1.0, sigma1 / (2.0 * L_c)) if L_c > 0 else 1.0
-    with np.errstate(divide="ignore"):
-        eps = min(
-            rho_x / 2.0,
-            sigma1 / (32.0 * L_c * (M_A + 1.0)) if L_c > 0 else np.inf,
-            sigma1 ** 2 / (8.0 * L_Ac * M_c) if L_Ac > 0 and M_c > 0 else np.inf,
-        )
+    eps = min(
+        rho_x / 2.0,
+        sigma1 / (32.0 * L_c * (M_A + 1.0)) if L_c > 0 else np.inf,
+        sigma1 ** 2 / (8.0 * L_Ac * M_c) if L_Ac > 0 and M_c > 0 else np.inf)
     omega_bar = sigma1 * eps / (4.0 * M_c * (M_A + 1.0) + sigma1) if M_c > 0 else eps
-    return ConstantEstimates(
-        **consts._asdict(), M_cx=M_c, L_cx=L_c, L_Acx=L_Ac, rho_x=rho_x,
-        epsilon_x=float(eps), omega_bar_radius=float(omega_bar),
-        sample_count=samples, radius=radius)
+    return ConstantEstimates(**found, rho_x=rho_x, epsilon_x=float(eps),
+                             omega_bar_radius=float(omega_bar),
+                             sample_count=samples, radius=radius)
 
 
 def _spec_norm(M: Vector) -> float:
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.norm(M, 2)) if M.size else 0.0
 
 
 def _diff_quotient(S: Vector, S_prev: Vector, y: Vector,
@@ -477,26 +473,26 @@ class _Reader:
     the dense n x p matrices, and Jc is the handle's ``jacobian`` read.
     Row i of a row-block action depends only on row i of its direction, so
     the direction ``tile(e_j, m)``, which is e_j in every row, gives
-    column j of every block at once, bitwise equal to the dense entries: k
-    actions per stack.  A block-diagonal matrix's spectral norm is its
-    largest block norm, and its singular values are those of its blocks.
+    column j of every block at once, bitwise equal to the dense entries:
+    Jc is one ``apply_Jc`` action on ones(m).  A block-diagonal matrix's
+    spectral norm is its largest block norm, and its singular values are
+    those of its blocks.
 
     J_A^T is read from the view's state ``point(y)``.  Of a ``row_blocks``
-    handle it is the (m, q, q) stack of its blocks, q actions per point.
-    Of any other handle it is a matrix-free ``_JatOperator``, whose norm
-    is a Lanczos lower bound from the state's ``ja`` and ``jat`` (at most
+    handle it is the (m, q, q) stack of its blocks, ``jat_times`` of the
+    identity blocks: q actions, on the ``tile(e_j, m)``, per point.  Of
+    any other handle it is a matrix-free ``_JatOperator``, whose norm is a
+    Lanczos lower bound from the state's ``ja`` and ``jat`` (at most
     ``LANCZOS_MAX_STEPS`` of each), started at a unit vector fixed by
-    ``(n, seed)``, so it is a deterministic function of the point.
+    ``(n, seed)``, so it is a deterministic function of the point.  The
+    constant estimates walk their sample points once, with one reader that
+    holds the views of two consecutive points (``_fold_ball``).
     """
 
     def __init__(self, source: ProblemSpec | ManifoldHandle, seed: int = 0):
         self.problem = source if isinstance(source, ProblemSpec) else None
         self.handle = source if self.problem is None else source.manifold
         self.seed = seed
-        if self.handle.row_blocks is not None:
-            (self.m, self.q), self.k = self.handle.row_blocks, 1
-        else:
-            self.m, self.q, self.k = 1, self.handle.n, self.handle.p
 
     def at(self, x: Vector, tag: str = "") -> "_PointView":
         return _PointView(self, x, tag)
@@ -504,8 +500,8 @@ class _Reader:
     @functools.cached_property
     def start(self) -> Vector:
         """The Lanczos norm's first vector, fixed by ``(n, seed)``."""
-        start = np.random.default_rng((self.q, self.seed)).standard_normal(
-            self.q)
+        n = self.handle.n
+        start = np.random.default_rng((n, self.seed)).standard_normal(n)
         return start / np.linalg.norm(start)
 
     @staticmethod
@@ -520,16 +516,7 @@ class _Reader:
     def norm(S: Vector | _JatOperator) -> float:
         if isinstance(S, _JatOperator):
             return S.norm()
-        if S.size == 0:
-            return 0.0
-        return float(np.max(_Reader.singular_values(S)[:, 0]))
-
-    def _stack(self, action, count: int, what: str) -> Vector:
-        """(m, q, count) stack; column j is ``action(tile(e_j, m))``,
-        checked as the evaluator ``what``."""
-        m, q = self.m, self.q
-        return _dense_columns(lambda _, e: action(np.tile(e, m)), None,
-                              count, m * q, what).reshape(m, q, count)
+        return float(np.max(_Reader.singular_values(S)[:, 0])) if S.size else 0.0
 
 
 def _shaped(M: Vector, what: str, shape: tuple) -> Vector:
@@ -609,8 +596,9 @@ class _PointView:
         """Jc(x) as its stack: without ``row_blocks`` ``jc_dense``."""
         if self.handle.row_blocks is None:
             return self.jc_dense[None]
-        return self.read._stack(lambda w: self.handle.apply_Jc(self.x, w),
-                                self.read.k, self._name("apply_Jc"))
+        m, q = self.handle.row_blocks
+        return self._vector(self.handle.apply_Jc(self.x, np.ones(m)),
+                            m * q, "apply_Jc").reshape(m, q, 1)
 
     @functools.cached_property
     def ju(self) -> Vector:
@@ -637,14 +625,15 @@ class _PointView:
     @functools.cached_property
     def jat(self) -> Vector | _JatOperator:
         if self.handle.row_blocks is not None:
-            return self.read._stack(self.state.jat, self.read.q,
-                                    self._name("apply_JAT"))
+            m, q = self.handle.row_blocks
+            # Row j of tile(I_q, m) is tile(e_j, m).
+            return self.jat_times(np.tile(np.eye(q), m).T.reshape(m, q, q))
         return _JatOperator(self.state.jat, self.state.ja, self.read.start)
 
     def jat_times(self, S: Vector) -> Vector:
-        """J_A^T(x) S, for a stack S of Jc's shape, as its stack: the
-        state's ``jat`` of each column of S."""
-        m, q, k = self.read.m, self.read.q, self.read.k
+        """J_A^T(x) S, for an (m, q, k) stack S of q x k blocks, as its
+        stack: the state's ``jat`` of each column of S."""
+        m, q, k = S.shape
         cols = [self._vector(self.state.jat(col), m * q, "apply_JAT")
                 for col in S.reshape(m * q, k).T]
         return np.array(cols).reshape(k, m * q).T.reshape(m, q, k)

@@ -84,6 +84,8 @@ class AlmOptions:
         t = self.time_budget
         if t is not None and not (isinstance(t, Real) and t > 0):
             raise ParameterError(f"time_budget must be None or positive, got {t!r}")
+        if any(isinstance(v, bool) for v in (*tols, *budgets, t)):
+            raise ParameterError(f"options take numbers, not bools: {self}")
 
 
 @dataclass

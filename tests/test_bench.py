@@ -43,6 +43,16 @@ class TestConfigs:
             CenterOfMassConfig(m=8, q=4, N=0, r=0.1, seed=0)
         with pytest.raises(ParameterError):
             CenterOfMassConfig(m=8, q=4, N=10, r=0.0, seed=0)
+        with pytest.raises(ParameterError):
+            CenterOfMassConfig(m=8, q=4, N=10, r=float("inf"), seed=0)
+
+    @pytest.mark.parametrize("beta", [float("inf"), float("nan"), -1.0])
+    def test_beta_must_be_finite_and_non_negative(self, beta):
+        with pytest.raises(ParameterError, match="beta must be"):
+            CenterOfMassConfig(m=8, q=4, N=10, r=0.1, seed=0, beta=beta)
+        with pytest.raises(ParameterError, match="beta must be"):
+            BalancedCutConfig(m=10, q=2, rho=0.3, seed=0, beta=beta)
+        assert BalancedCutConfig(m=10, q=2, rho=0.3, seed=0, beta=0.0).beta == 0
 
     def test_balanced_cut_requires_valid_edge_probability(self):
         with pytest.raises(ParameterError):
@@ -94,6 +104,17 @@ class TestConfigIngestion:
 
     def test_integral_float_is_accepted(self):
         assert problem_config(dict(_VALID_DOCS["balanced_cut"], m=12.0)).m == 12
+
+    @pytest.mark.parametrize("family, key, value", [
+        *((family, "beta", value) for family in sorted(_VALID_DOCS)
+          for value in (float("inf"), float("nan"), -1.0)),
+        ("center_of_mass", "r", float("inf"))])
+    def test_out_of_range_value_is_a_config_error(self, family, key, value):
+        # Refused where the config is read, not later by the penalty or
+        # the instance's evaluators.
+        with pytest.raises(ConfigurationError) as exc:
+            problem_config(dict(_VALID_DOCS[family], **{key: value}))
+        assert exc.value.path == f"family.{family}"
 
     @pytest.mark.parametrize("family", sorted(_VALID_DOCS))
     def test_negative_seed_is_refused(self, family):

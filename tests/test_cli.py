@@ -200,11 +200,11 @@ class TestProbe:
     def test_both_verdicts_come_from_one_estimate(self, monkeypatch, capsys):
         calls = []
 
-        def counted(*args, _bound=cli.diagnostics._bound_constants):
+        def counted(*args, _walk=cli.diagnostics._fold_ball):
             calls.append(args)
-            return _bound(*args)
+            return _walk(*args)
 
-        monkeypatch.setattr(cli.diagnostics, "_bound_constants", counted)
+        monkeypatch.setattr(cli.diagnostics, "_fold_ball", counted)
         assert run(["probe", "--family", "balanced_cut", "--m", "10",
                     "--q", "2", "--rho", "0.3", "--probes", "10"]) == 0
         assert len(calls) == 1
@@ -347,6 +347,12 @@ class TestExitCodes:
         assert run(["solve", "--family", "center_of_mass", "--m", "6",
                     "--q", "2", "--N", "5", "--r", "nan"]) == 2
         assert "r must be positive" in capsys.readouterr().err
+
+    def test_infinite_radius_is_a_usage_error(self, capsys):
+        # Refused with the config, not as a non-finite eval_v in the solve.
+        assert run(["solve", "--family", "center_of_mass", "--m", "6",
+                    "--q", "2", "--N", "5", "--r", "inf", "--seed", "1"]) == 2
+        assert "r must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("pipeline, code", [("cdp", 2), ("nlp", 0)])
     def test_zero_beta_is_refused_only_where_it_must_adapt(self, pipeline,

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import json
 import pkgutil
 from pathlib import Path
 
@@ -381,6 +382,13 @@ class TestLoadProblem:
     def test_yaml_string_accepted(self):
         p = load_problem("family: balanced_cut\nm: 10\nq: 2\nrho: 0.3\nseed: 1\n")
         assert p.n == 20
+
+    def test_long_one_line_string_is_parsed_as_a_document(self):
+        # Longer than a file name may be: the file check must not raise.
+        doc = {"family": "balanced_cut", "m": 10, "q": 2, "rho": 0.3,
+               "seed": 1}
+        p = load_problem(json.dumps(doc) + " " * 300)
+        assert p.name == load_problem(doc).name
 
     def test_deterministic_across_calls(self):
         doc = {"family": "balanced_cut", "m": 20, "q": 2, "rho": 0.2, "seed": 5}

@@ -453,16 +453,16 @@ class TestGenericHandleCache:
             assert taken() == tuple((1 + len(points)) * k for k in per_read)
 
     def test_constant_estimates_read_jc_through_jacobian(self):
-        # Jc(A(y)) is one jacobian read per sample point, like Jc(y): 12
-        # reads in the bound pass (Jc(x), then one state per point), 3 per
-        # point in the second (Jc(y), the state at y, Jc(A(y))); no
-        # apply_Jc column.
+        # Jc(A(y)) is one jacobian read per sample point, like Jc(y): one
+        # walk of the 11 points reads 3 at each (Jc(y), the state at y,
+        # Jc(A(y))), and sigma_min(Jc(x)) shares the first; no apply_Jc
+        # column.
         spec, taken, _ = self._counted(True)
         problem = linear_objective_sphere_problem(
             spec.n, handle=make_handle("generic", spec=spec))
         estimate_constants(problem, symplectic_canonical_point(8, 4).ravel(),
                            0.05, samples=10)
-        assert taken() == (12 + 3 * 11, 0)
+        assert taken() == (3 * 11, 0)
 
     def test_gram_inverse_formed_once_per_acted_point(self, monkeypatch):
         formed = [0]

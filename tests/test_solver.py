@@ -190,6 +190,15 @@ class TestAlmOptions:
             with pytest.raises(ParameterError):
                 AlmOptions(**{field: 2.5})
 
+    @pytest.mark.parametrize("field", ["outer_tol_stationarity",
+                                       "outer_tol_feasibility", "max_outer",
+                                       "max_inner", "time_budget"])
+    def test_bools_rejected(self, field):
+        # bool is an int subclass; True would pass as a budget of 1.
+        for value in (True, False):
+            with pytest.raises(ParameterError):
+                AlmOptions(**{field: value})
+
     @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
     def test_time_budget_must_be_none_or_positive(self, budget):
         with pytest.raises(ParameterError):
