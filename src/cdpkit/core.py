@@ -278,14 +278,26 @@ class SolveTrace:
                    "note": "note"}
 
 
-def _check_point(x: Vector, n: int, what: str = "x") -> Vector:
-    """x as a flat float vector of length n, else a typed error."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != n:
-        raise DimensionError(f"{what} has length {x.size}, expected {n}")
-    if not np.all(np.isfinite(x)):
+def _check_shape(M: Vector, shape: tuple, what: str) -> Vector:
+    """M, else ``DimensionError`` naming the evaluator ``what``."""
+    if np.shape(M) != shape:
+        raise DimensionError(f"{what} has shape {np.shape(M)}, expected "
+                             f"{shape}")
+    return M
+
+
+def _check_read(M: Vector, shape: tuple, what: str) -> Vector:
+    """M, checked by ``_check_shape``, else ``EvaluatorFaultError`` naming
+    ``what`` for a non-finite entry: the package's one read check."""
+    _check_shape(M, shape, what)
+    if not np.isfinite(M).all():
         raise EvaluatorFaultError(f"{what} has a non-finite entry")
-    return x
+    return M
+
+
+def _check_point(x: Vector, n: int, what: str = "x") -> Vector:
+    """x as a flat float vector of length n, checked by ``_check_read``."""
+    return _check_read(np.asarray(x, dtype=float).ravel(), (n,), what)
 
 
 def _dense_columns(apply_comb: Callable[[Vector, Vector], Vector], x: Vector,
@@ -324,9 +336,7 @@ def finite_diff_check(value_fn: Callable[[Vector], float | Vector],
     ``deriv_action(x, d)`` must return the derivative of ``value_fn`` along
     d (a scalar for scalar evaluators, a vector for vector evaluators).
     """
-    x = np.asarray(point, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
-        raise EvaluatorFaultError("non-finite point")
+    x = _check_point(point, np.size(point), "point")
     if step <= 0:
         raise DegenerateStepError("step must be positive")
     if step < 1e-13 * (1.0 + float(np.linalg.norm(x))):

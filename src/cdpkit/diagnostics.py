@@ -5,8 +5,8 @@ penalty-condition checkers.
 Every function here reads a problem, or a bare handle, through one
 reader, ``_Reader``, and its per-point view ``_Reader.at(x)``: the view
 checks x once, then reads each evaluator at x at most once, when first
-asked, with the shape and finiteness of what it reads checked (see
-``_Reader`` for the errors and the names they carry).
+asked, with the shape and finiteness of what it reads checked by core's
+``_check_read`` (see ``_Reader`` for the names the errors carry).
 
 The KKT check takes its feasibility from the view first, then factors
 B = [Jc Ju] once and reads its projector and free multipliers from that
@@ -45,7 +45,6 @@ import scipy.optimize
 
 from .core import (
     DimensionError,
-    EvaluatorFaultError,
     ManifoldHandle,
     MultiplierSet,
     OutOfNeighborhoodError,
@@ -55,6 +54,8 @@ from .core import (
     RankDeficiencyError,
     Vector,
     _check_point,
+    _check_read,
+    _check_shape,
     _dense_columns,
 )
 from .dissolve import a_infinity
@@ -433,10 +434,10 @@ class _JatOperator(NamedTuple):
         for k in range(steps):
             u = self.rmv(V[k])
             if k == 0:  # the first step checks each action's length
-                _shaped(u, "Jacobian action", (n,))
+                _check_shape(u, (n,), "Jacobian action")
             w = self.mv(u)
             if k == 0:
-                _shaped(w, "apply_JAT", (n,))
+                _check_shape(w, (n,), "apply_JAT")
             alpha[k] = V[k] @ w
             w -= V[:k + 1].T @ (V[:k + 1] @ w)
             beta[k] = np.linalg.norm(w)
@@ -449,23 +450,23 @@ class _JatOperator(NamedTuple):
             if done:
                 break
             V[k + 1] = w / beta[k]
-        return _finite(top, "apply_JAT")
+        return _check_read(top, (), "apply_JAT")
 
 
 class _Reader:
     """The one reader of a problem's evaluators, or of a bare handle's.
 
     ``at(x)`` checks x and gives its view, ``_PointView``, which reads
-    each evaluator at x at most once, when first asked.  A read of the
-    wrong shape raises ``DimensionError``, a non-finite one
-    ``EvaluatorFaultError``, naming the evaluator: ``x``, ``eval_c``,
-    ``eval_u``, ``eval_v``, ``grad_f``, ``jacobian`` (or the ``apply_Jc``
-    column the generic handle's own ``jacobian`` reads), ``apply_Jc``,
-    ``apply_Ju``, ``apply_Jv``, ``eval_A`` for the state's ``ax``,
-    ``apply_JAT`` for J_A^T, its products and its norms, and ``Jacobian
-    action`` for J_A, in the adjoint gap and the norms.  In a view tagged
-    ``probe k``, x is ``probe k`` and each evaluator ``<name> at probe
-    k``.
+    each evaluator at x at most once, when first asked, through core's
+    ``_check_read``: a read of the wrong shape raises ``DimensionError``,
+    a non-finite one ``EvaluatorFaultError``, naming the evaluator: ``x``,
+    ``eval_c``, ``eval_u``, ``eval_v``, ``grad_f``, ``jacobian`` (or the
+    ``apply_Jc`` column the generic handle's own ``jacobian`` reads),
+    ``apply_Jc``, ``apply_Ju``, ``apply_Jv``, ``eval_A`` for the state's
+    ``ax``, ``apply_JAT`` for J_A^T, its products and its norms, and
+    ``Jacobian action`` for J_A, in the adjoint gap and the norms.  In a
+    view tagged ``probe k``, x is ``probe k`` and each evaluator ``<name>
+    at probe k``.
 
     Jc and J_A^T(y) Jc(z) come as (m, q, k) stacks of their q x k diagonal
     blocks.  A handle with ``row_blocks = (m, q)`` has one block per row
@@ -519,24 +520,6 @@ class _Reader:
         return float(np.max(_Reader.singular_values(S)[:, 0])) if S.size else 0.0
 
 
-def _shaped(M: Vector, what: str, shape: tuple) -> Vector:
-    """M, else ``DimensionError`` naming the evaluator ``what``."""
-    if np.shape(M) != shape:
-        raise DimensionError(f"{what} has shape {np.shape(M)}, expected "
-                             f"{shape}")
-    return M
-
-
-def _finite(M: Vector, what: str, shape: tuple | None = None) -> Vector:
-    """M, else ``EvaluatorFaultError`` naming the evaluator ``what``; with
-    ``shape``, an M of another shape raises ``DimensionError``."""
-    if shape is not None:
-        _shaped(M, what, shape)
-    if not np.all(np.isfinite(M)):
-        raise EvaluatorFaultError(f"{what} has a non-finite entry")
-    return M
-
-
 class _PointView:
     """The checked reads of one point x, each made at most once
     (``_Reader``): the values ``c``, ``u``, ``v`` and ``g`` = grad f, the
@@ -588,8 +571,9 @@ class _PointView:
 
     @functools.cached_property
     def jc_dense(self) -> Vector:
-        return _finite(self.handle.jacobian(self.x), self._name("jacobian"),
-                       (self.handle.n, self.handle.p))
+        return _check_read(self.handle.jacobian(self.x),
+                           (self.handle.n, self.handle.p),
+                           self._name("jacobian"))
 
     @functools.cached_property
     def jc(self) -> Vector:
@@ -643,8 +627,8 @@ class _PointView:
         what = "Jacobian action"
         ja, jat = (self._vector(value, self.handle.n, what)
                    for value in (self.state.ja(d), self.state.jat(g)))
-        return _finite(float(np.dot(ja, g)) - float(np.dot(d, jat)),
-                       self._name(what))
+        return _check_read(float(np.dot(ja, g)) - float(np.dot(d, jat)), (),
+                           self._name(what))
 
 
 @dataclass

@@ -19,6 +19,7 @@ from .core import (
     ProblemSpec,
     Vector,
     _check_point,
+    _check_shape,
 )
 
 __all__ = [
@@ -54,14 +55,10 @@ class CdpPointEval:
     def lagrangian(self, mult: MultiplierSet) -> float:
         """Value of h + lambda^T u~ + mu^T v~."""
         prob = self._instance.problem
-        if mult.lam.size != prob.n_eq:
-            raise DimensionError(
-                f"lambda has length {mult.lam.size}, expected {prob.n_eq}")
-        if mult.mu.size != prob.n_ineq:
-            raise DimensionError(
-                f"mu has length {mult.mu.size}, expected {prob.n_ineq}")
-        return self.h + float(np.dot(mult.lam, self.u_tilde)) \
-            + float(np.dot(mult.mu, self.v_tilde))
+        lam = _check_shape(mult.lam, (prob.n_eq,), "lambda")
+        mu = _check_shape(mult.mu, (prob.n_ineq,), "mu")
+        return self.h + float(np.dot(lam, self.u_tilde)) \
+            + float(np.dot(mu, self.v_tilde))
 
     def weighted_grad(self, w_f: float = 1.0,
                       a: Vector | None = None,
@@ -94,11 +91,22 @@ class CdpInstance:
         s.t. u~_i(x) = u_i(A(x)) + (tau_i/2) ||c(x)||^2  = 0
              v~_j(x) = v_j(A(x)) + (gamma_j/2) ||c(x)||^2 <= 0
 
-    read only through ``point_eval(x)``, which holds one state at x.
+    read only through ``point_eval(x)``, which holds one state at x.  The
+    constructor fills an empty tau or gamma with zeros; one not of shape
+    (n_eq,) or (n_ineq,) raises ``DimensionError``.
     """
 
     problem: ProblemSpec
     params: PenaltyParams
+
+    def __post_init__(self):
+        prob, params = self.problem, self.params
+        tau = (_check_shape(params.tau, (prob.n_eq,), "tau")
+               if params.tau.size else np.zeros(prob.n_eq))
+        gamma = (_check_shape(params.gamma, (prob.n_ineq,), "gamma")
+                 if params.gamma.size else np.zeros(prob.n_ineq))
+        object.__setattr__(self, "params",
+                           PenaltyParams(params.beta, tau, gamma))
 
     def point_eval(self, x: Vector) -> CdpPointEval:
         x = np.asarray(x, dtype=float).ravel()
@@ -112,25 +120,18 @@ class CdpInstance:
 
 
 def build_cdp(problem: ProblemSpec, params: PenaltyParams) -> CdpInstance:
-    """Attach penalty parameters to a problem, checking dimensions."""
-    if params.tau.size not in (0, problem.n_eq):
-        raise DimensionError(
-            f"tau has length {params.tau.size}, expected {problem.n_eq}")
-    if params.gamma.size not in (0, problem.n_ineq):
-        raise DimensionError(
-            f"gamma has length {params.gamma.size}, expected {problem.n_ineq}")
-    tau = params.tau if params.tau.size else np.zeros(problem.n_eq)
-    gamma = params.gamma if params.gamma.size else np.zeros(problem.n_ineq)
-    return CdpInstance(problem, PenaltyParams(params.beta, tau, gamma))
+    """``CdpInstance(problem, params)``, under the name its callers use."""
+    return CdpInstance(problem, params)
 
 
 def _map_step(handle: ManifoldHandle, z: Vector,
               viol: float) -> tuple[Vector, float]:
     """One application of the dissolving map to z, where ||c(z)|| = viol,
-    and the new ||c||.  Raises ``OutOfNeighborhoodError`` when ||c|| is
-    non-finite or grew more than 10x."""
-    z = handle.eval_A(z)
-    viol_next = float(np.linalg.norm(handle.eval_c(z)))
+    and the new ||c||, with its reads checked for shape only.  Raises
+    ``OutOfNeighborhoodError`` when ||c|| is non-finite or above 10 viol."""
+    z = _check_shape(handle.eval_A(z), (handle.n,), "eval_A")
+    viol_next = float(np.linalg.norm(
+        _check_shape(handle.eval_c(z), (handle.p,), "eval_c")))
     if not np.isfinite(viol_next) or viol_next > 10.0 * max(viol, 1e-300):
         raise OutOfNeighborhoodError(
             f"iterated map diverged (||c|| = {viol_next:.3e})", viol_next)
@@ -138,11 +139,13 @@ def _map_step(handle: ManifoldHandle, z: Vector,
 
 
 def apply_A_k(handle: ManifoldHandle, y: Vector, k: int) -> Vector:
-    """k-fold composition of the dissolving map; k = 0 returns y."""
+    """k-fold composition of the dissolving map; k = 0 returns y.  Its
+    reads are checked as ``a_infinity``'s are."""
     if k < 0:
         raise DimensionError(f"k must be >= 0, got {k}")
     z = _check_point(y, handle.n, "y")
-    viol = float(np.linalg.norm(handle.eval_c(z)))
+    viol = float(np.linalg.norm(_check_point(handle.eval_c(z), handle.p,
+                                             "eval_c")))
     for _ in range(k):
         z, viol = _map_step(handle, z, viol)
     return z
@@ -155,11 +158,14 @@ def a_infinity(handle: ManifoldHandle, y: Vector,
     Quadratic contraction makes the ``A_INFINITY_MAX_ITER`` budget vastly
     sufficient inside the operative neighborhood; outside it the 10x
     growth detector aborts early.  ``tol`` must be finite and positive.
+    y and c(y) are read through ``_check_point``, and the reads at mapped
+    points for shape only (``_map_step``).
     """
     if not 0 < tol < np.inf:
         raise DimensionError(f"tol must be finite and positive, got {tol}")
     z = _check_point(y, handle.n, "y")
-    viol = float(np.linalg.norm(handle.eval_c(z)))
+    viol = float(np.linalg.norm(_check_point(handle.eval_c(z), handle.p,
+                                             "eval_c")))
     for _ in range(A_INFINITY_MAX_ITER):
         if viol <= tol:
             return z
@@ -198,7 +204,8 @@ def lagrangian_decrease_probe(instance: CdpInstance, x_feasible: Vector,
     """Probe monotone Lagrangian decrease under single and iterated
     applications of the dissolving map at points x + t*w, for a random
     unit direction w drawn from ``seed``.  A decrease passes when it is at
-    least -1e-10.
+    least -1e-10.  ``eval_u`` and ``eval_v`` are read once at ``x_feasible``
+    through ``_check_point``, as a solve's first pass reads them.
 
     For equality-free problems additionally records the quadratic
     h-decrease bound (beta/4)||c(y)||^2.  Each offset reads three states,
@@ -212,6 +219,8 @@ def lagrangian_decrease_probe(instance: CdpInstance, x_feasible: Vector,
     """
     problem = instance.problem
     x = _check_point(x_feasible, problem.n, "x_feasible")
+    _check_point(problem.eval_u(x), problem.n_eq, "eval_u")
+    _check_point(problem.eval_v(x), problem.n_ineq, "eval_v")
     w = np.random.default_rng(seed).standard_normal(x.size)
     w = w / np.linalg.norm(w)
     slack = 1e-10

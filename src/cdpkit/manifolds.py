@@ -17,11 +17,12 @@ import numpy as np
 
 from .core import (
     DimensionError,
-    EvaluatorFaultError,
     ManifoldHandle,
     RankDeficiencyError,
     Vector,
     _check_point,
+    _check_read,
+    _check_shape,
     _dense_columns,
     default_fd_step,
 )
@@ -151,14 +152,9 @@ class _GenericPoint:
                  jacobian: Callable[[Vector], Vector], x: Vector):
         self.spec = spec
         self.x = x = np.array(x, dtype=float).ravel()  # a copy
-        J = self.J = jacobian(x)
-        if np.shape(J) != (spec.n, spec.p):
-            raise DimensionError(f"jacobian has shape {np.shape(J)}, expected "
-                                 f"({spec.n}, {spec.p})")
-        G = self.G = J.T @ J
-        if not np.all(np.isfinite(G)):
-            raise EvaluatorFaultError("Gram matrix of the constraint Jacobian "
-                                      "non-finite")
+        J = self.J = _check_shape(jacobian(x), (spec.n, spec.p), "jacobian")
+        G = self.G = _check_read(J.T @ J, (spec.p, spec.p),
+                                 "Gram matrix of the constraint Jacobian")
         lam = np.linalg.eigvalsh(G)
         if lam[0] <= 0.0 or lam[-1] > 1e12 * lam[0]:
             raise RankDeficiencyError(

@@ -147,6 +147,23 @@ class TestModuleLayers:
             if isinstance(node, ast.Attribute) and node.attr in evaluators)
         assert named == []
 
+    def test_one_read_check_raises_evaluator_faults(self):
+        # The rule "this shape, finite entries, else a typed error naming
+        # the evaluator" is written once: every EvaluatorFaultError in the
+        # package is raised by core's _check_read.
+        sites = []
+        for path in sorted(Path(cdpkit.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            # Each node's innermost enclosing function: walks go outside in.
+            owner = {node: fn.name for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef)
+                     for node in ast.walk(fn)}
+            sites += [f"{path.stem}.{owner.get(node, '<module>')}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Raise) and node.exc is not None
+                      and "EvaluatorFaultError" in ast.unparse(node.exc)]
+        assert sites == ["core._check_read"]
+
 
 def _validation_case(family):
     """A handle of the family and a feasible base point."""

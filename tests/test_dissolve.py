@@ -5,6 +5,7 @@ import pytest
 
 from cdpkit.core import (
     DimensionError,
+    EvaluatorFaultError,
     MultiplierSet,
     OutOfNeighborhoodError,
     ParameterError,
@@ -13,9 +14,15 @@ from cdpkit.core import (
     finite_diff_check,
     gradient_action,
 )
-from cdpkit.bench import CenterOfMassConfig, gen_center_of_mass
+from cdpkit.bench import (
+    BalancedCutConfig,
+    CenterOfMassConfig,
+    gen_balanced_cut,
+    gen_center_of_mass,
+)
 from cdpkit.diagnostics import check_condition, estimate_constants
 from cdpkit.dissolve import (
+    CdpInstance,
     CdpPointEval,
     a_infinity,
     apply_A_k,
@@ -28,6 +35,7 @@ from cdpkit.manifolds import (
     make_handle,
     symplectic_canonical_point,
 )
+from cdpkit.solver import alm_solve_cdp
 
 from conftest import (
     BAD_POINTS,
@@ -117,6 +125,26 @@ class TestBuildCdp:
         problem = _sphere_problem_with_constraints()
         with pytest.raises((ParameterError, DimensionError)):
             build_cdp(problem, PenaltyParams(beta=1.0, tau=np.ones(3)))
+
+    def test_direct_construction_completes_the_penalty(self):
+        # The constructor, not only build_cdp, fills the empty tau with
+        # zeros of n_eq, so a direct instance solves as the built one does.
+        problem, x0 = gen_balanced_cut(BalancedCutConfig(m=10, q=2, rho=0.3,
+                                                         seed=3))
+        direct = CdpInstance(problem, PenaltyParams(0.1))
+        built = build_cdp(problem, PenaltyParams(0.1))
+        assert np.array_equal(direct.params.tau, np.zeros(problem.n_eq))
+        assert np.array_equal(direct.params.gamma, np.zeros(problem.n_ineq))
+        a, b = alm_solve_cdp(direct, x0), alm_solve_cdp(built, x0)
+        assert a.status == b.status == "converged"
+        assert a.objective == b.objective
+
+    def test_direct_construction_rejects_a_wrong_length_tau(self):
+        problem, _ = gen_balanced_cut(BalancedCutConfig(m=10, q=2, rho=0.3,
+                                                        seed=3))
+        with pytest.raises(DimensionError, match="tau"):
+            CdpInstance(problem, PenaltyParams(0.1, tau=np.ones(
+                problem.n_eq + 1)))
 
     def test_gradients_match_finite_differences(self):
         problem = _sphere_problem_with_constraints()
@@ -262,6 +290,24 @@ class TestIteratedMap:
         problem, y = bad_cut_point(bad)
         with pytest.raises(error):
             apply_A_k(problem.manifold, y, 2)
+
+    @pytest.mark.parametrize("run", [
+        lambda handle, y: a_infinity(handle, y),
+        lambda handle, y: apply_A_k(handle, y, 2)],
+        ids=["a_infinity", "apply_A_k"])
+    @pytest.mark.parametrize("name, fault, error", [
+        ("eval_c", lambda h: lambda x: np.zeros(0), DimensionError),
+        ("eval_A", lambda h: lambda x: h.eval_A(x)[:-1], DimensionError),
+        ("eval_c", lambda h: lambda x: np.full(1, np.nan),
+         EvaluatorFaultError)], ids=["empty_c", "short_A", "nan_c"])
+    def test_faulty_handle_reads_raise_typed_errors(self, run, name, fault,
+                                                    error):
+        # Not y itself as a feasible limit for an empty c, a short vector
+        # for a short A, or a divergence report for a NaN c.
+        handle = make_handle("sphere", n=4)
+        faulty = dataclasses.replace(handle, **{name: fault(handle)})
+        with pytest.raises(error, match=name):
+            run(faulty, np.array([1.2, 0.1, 0.0, 0.0]))
 
 
 class TestLagrangian:
@@ -412,6 +458,24 @@ class TestDecreaseProbe:
                                            offsets=[1e-2, 1e-3])
         assert report.offsets == [1e-2, 1e-3] and not report.skipped
         assert counts == {"point": 3 * 2, "weighted_grad": 0}
+
+    @pytest.mark.parametrize("bad, error", BAD_POINTS)
+    def test_bad_equality_read_rejected(self, bad, error):
+        # A u one entry short would broadcast against tau in point_eval,
+        # and a NaN one would fail no comparison: either way the probe
+        # would pass on the decreases of another problem.
+        problem, x0 = gen_balanced_cut(BalancedCutConfig(m=10, q=2, rho=0.3,
+                                                         seed=3))
+        eval_u = problem.eval_u
+        faulty = dataclasses.replace(problem, eval_u=lambda x: (
+            eval_u(x)[:-1] if bad == "short" else np.full(problem.n_eq,
+                                                          np.nan)))
+        inst = build_cdp(faulty, PenaltyParams(beta=1.0))
+        mult = MultiplierSet(rho=np.zeros(problem.p),
+                             lam=np.ones(problem.n_eq))
+        with pytest.raises(error, match="eval_u"):
+            lagrangian_decrease_probe(inst, a_infinity(problem.manifold, x0),
+                                      mult, offsets=[1e-2])
 
     @pytest.mark.parametrize("bad, error", BAD_POINTS)
     def test_bad_point_rejected(self, bad, error):

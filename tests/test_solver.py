@@ -335,6 +335,19 @@ class TestBoundPass:
         assert [(row.beta, row.note) for row in cheap.trace.rows] \
             == [(row.beta, row.note) for row in full.trace.rows]
 
+    def test_margin_covers_the_cut_instance_spread(self):
+        # Cut m=20 with zero multipliers has the widest measured spread of
+        # the full threshold over the cheap one, 1.256: a margin of 1.25
+        # would let a decision there be a clear "no" that 30 points adapt.
+        problem, _, x0 = _cut_or_com("balanced_cut")
+        x_ref = a_infinity(problem.manifold, x0)
+        lam, mu = np.zeros(problem.n_eq), np.zeros(problem.n_ineq)
+        cheap, full = (_coupled_bound(
+            _bound_constants(problem, x_ref, radius=0.1, samples=s, seed=0),
+            PenaltyParams(beta=1.0), lam, mu)[1]
+            for s in (BOUND_SAMPLES, BOUND_SAMPLES_FULL))
+        assert cheap <= full < CLOSE_CALL_MARGIN * cheap
+
     @pytest.mark.parametrize("adapts", [True, False])
     def test_close_call_takes_the_full_pass_once(self, monkeypatch, adapts):
         # On center of mass (6, 2) with zero multipliers the cheap threshold
