@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 import numpy as np
+import scipy.linalg.lapack
 
 Vector = np.ndarray
 
@@ -298,6 +299,22 @@ def _check_read(M: Vector, shape: tuple, what: str) -> Vector:
 def _check_point(x: Vector, n: int, what: str = "x") -> Vector:
     """x as a flat float vector of length n, checked by ``_check_read``."""
     return _check_read(np.asarray(x, dtype=float).ravel(), (n,), what)
+
+
+def _guarded_cholesky(G: Vector, max_cond: float,
+                      floor: float = 0.0) -> Vector | None:
+    """The upper Cholesky factor of the finite symmetric G, else None when
+    ``dpotrf`` fails, ``dpocon``'s 1/rcond, a lower estimate of cond_1(G)
+    <= p cond_2(G), is above ``max_cond``, or rcond ||G||_1 ~ 1/||G^-1||_1
+    is at most ``floor``: the package's one rank test of a Gram matrix.
+    ``dpotrf`` alone is none: it succeeds at Gram condition 1e14."""
+    chol, info = scipy.linalg.lapack.dpotrf(G)
+    if info:
+        return None
+    anorm = float(np.max(np.sum(np.abs(G), axis=0)))
+    rcond, info = scipy.linalg.lapack.dpocon(chol, anorm)
+    ok = not info and rcond * max_cond >= 1.0 and rcond * anorm > floor
+    return chol if ok else None
 
 
 def _dense_columns(apply_comb: Callable[[Vector, Vector], Vector], x: Vector,

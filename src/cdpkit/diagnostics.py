@@ -10,9 +10,9 @@ asked, with the shape and finiteness of what it reads checked by core's
 
 The KKT check takes its feasibility from the view first, then factors
 B = [Jc Ju] once and reads its projector and free multipliers from that
-one factorization: a Cholesky factor of the Gram matrix B^T B when the
-``dpocon`` estimate of its condition passes the guard ``GRAM_MAX_COND``,
-else the pivoted QR of B, which also decides ``rank_deficient``.
+one factorization: a Cholesky factor of B^T B when core's rank test
+``_guarded_cholesky`` passes it at ``GRAM_MAX_COND``, else the pivoted
+QR of B, which also decides ``rank_deficient``.
 
 The constant estimates fold their constants over one walk of the sample
 points (``_fold_ball``), one view per point: ``estimate_constants`` all
@@ -57,6 +57,7 @@ from .core import (
     _check_read,
     _check_shape,
     _dense_columns,
+    _guarded_cholesky,
 )
 from .dissolve import a_infinity
 from .manifolds import GenericManifoldSpec, make_handle
@@ -106,10 +107,10 @@ def kkt_residual(problem: ProblemSpec, x: Vector) -> KktReport:
     one.  The stationarity is ||grad f + Jv mu + B xi||, with (rho, lambda)
     = xi the least-squares fit of -(grad f + Jv mu) by B.
 
-    The Gram path, taken when B is well conditioned, reads everything from
-    a Cholesky factor of G = B^T B: P M = M - B G^-1 B^T M and xi =
+    The Gram path, taken when ``_guarded_cholesky`` passes G = B^T B,
+    reads everything from its factor: P M = M - B G^-1 B^T M and xi =
     -G^-1 B^T (grad f + Jv mu); it reports ``rank_deficient`` False, which
-    its guard implies.  Any other B goes to a pivoted QR, whose rank test
+    the guard implies.  Any other B goes to a pivoted QR, whose rank test
     sets ``rank_deficient``; on a rank-deficient B its xi is a basic
     solution, zero on the columns the pivoting put last, not the
     minimum-norm one, and the residual it reaches is the same.
@@ -157,31 +158,20 @@ GRAM_MAX_COND = 1e8
 
 def _gram_fit(B: Vector) -> _Fit | None:
     """The fit from a Cholesky factor of G = B^T B, or None when G is not
-    finite, its factorization fails, or ``dpocon`` estimates 1/rcond(G)
-    above ``GRAM_MAX_COND``, or rcond(G) ||G||_1 at most RANK_FLOOR^2.
-    Both read one estimate: cond_2(G) <= cond_1(G) ~ 1/rcond, so cond(B)
-    is at most about 1e4, and sigma_min(B)^2 >= 1/||G^-1||_1 ~ rcond
-    ||G||_1, so every |R_ii| of the QR path, each at least sigma_min(B),
-    would clear its rank floor: B has full rank.  A factorization that
-    merely succeeds is no rank test, since ``dpotrf`` succeeds at Gram
-    condition 1e14."""
+    finite or core's ``_guarded_cholesky`` refuses it at ``GRAM_MAX_COND``
+    and floor RANK_FLOOR^2.  Then cond(B) <~ 1e4 and sigma_min(B)^2 >~
+    RANK_FLOOR^2, so every |R_ii| of the QR path would clear its floor."""
     G = B.T @ B
     if not G.size:
         return _Fit(lambda M: M, lambda r: (np.zeros(0), r), False)
     if not np.all(np.isfinite(G)):
         return None
-    lapack = scipy.linalg.lapack
-    chol, info = lapack.dpotrf(G)
-    if info:
-        return None
-    anorm = float(np.max(np.sum(np.abs(G), axis=0)))
-    rcond, info = lapack.dpocon(chol, anorm)
-    if info or not (rcond * GRAM_MAX_COND >= 1.0
-                    and rcond * anorm > RANK_FLOOR ** 2):
+    chol = _guarded_cholesky(G, GRAM_MAX_COND, RANK_FLOOR ** 2)
+    if chol is None:
         return None
 
     def coef(M):
-        return lapack.dpotrs(chol, B.T @ M)[0]
+        return scipy.linalg.lapack.dpotrs(chol, B.T @ M)[0]
 
     def solve(r):
         xi = -coef(r)

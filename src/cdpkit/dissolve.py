@@ -64,17 +64,24 @@ class CdpPointEval:
                       a: Vector | None = None,
                       b: Vector | None = None) -> Vector:
         """Gradient of w_f * h + a^T u~ + b^T v~, with one transposed-Jacobian
-        application of A shared across all terms."""
+        application of A shared across all terms.  A non-empty a or b not
+        of shape (n_eq,) or (n_ineq,) raises ``DimensionError`` naming
+        ``lambda`` or ``mu``, as ``lagrangian`` does."""
         inst = self._instance
         prob = inst.problem
         params = inst.params
         pt = self.point
         g = w_f * prob.grad_f(pt.ax)
         pen = w_f * params.beta
+        # The shape is compared first: the check costs more than the test.
         if a is not None and a.size:
+            if a.shape != (prob.n_eq,):
+                _check_shape(a, (prob.n_eq,), "lambda")
             g = g + prob.apply_Ju(pt.ax, a)
             pen += float(np.dot(a, params.tau))
         if b is not None and b.size:
+            if b.shape != (prob.n_ineq,):
+                _check_shape(b, (prob.n_ineq,), "mu")
             g = g + prob.apply_Jv(pt.ax, b)
             pen += float(np.dot(b, params.gamma))
         out = pt.jat(g)

@@ -24,6 +24,7 @@ from .core import (
     _check_read,
     _check_shape,
     _dense_columns,
+    _guarded_cholesky,
     default_fd_step,
 )
 
@@ -82,6 +83,7 @@ class _SpherePoint:
 
 # ---------------------------------------------------------------------------
 # Generic dissolving operator for arbitrary c with full-rank Jacobian.
+GAUSS_NEWTON_MAX_COND = 1e12  # its state's bound on the Gram condition
 
 
 @dataclass(frozen=True)
@@ -145,8 +147,9 @@ class _GenericPoint:
     x - z, with G^{-1} and E formed when a Jacobian action first needs
     them.  It keeps its own copy of x.
 
-    G is symmetric, so its eigenvalues give the 2-norm condition number
-    that the rank test bounds by 1e12."""
+    Its rank test is ``_guarded_cholesky`` at ``GAUSS_NEWTON_MAX_COND``, on
+    an estimate of cond_1(G), within a factor p of cond_2(G).  Generated
+    instances are pinned to the rounding of w and G^{-1} by ``np.linalg``."""
 
     def __init__(self, spec: GenericManifoldSpec,
                  jacobian: Callable[[Vector], Vector], x: Vector):
@@ -155,11 +158,10 @@ class _GenericPoint:
         J = self.J = _check_shape(jacobian(x), (spec.n, spec.p), "jacobian")
         G = self.G = _check_read(J.T @ J, (spec.p, spec.p),
                                  "Gram matrix of the constraint Jacobian")
-        lam = np.linalg.eigvalsh(G)
-        if lam[0] <= 0.0 or lam[-1] > 1e12 * lam[0]:
+        if _guarded_cholesky(G, GAUSS_NEWTON_MAX_COND) is None:
             raise RankDeficiencyError(
-                "Gram matrix condition number above 1e12: the constraint "
-                "Jacobian is (nearly) rank deficient at this point")
+                f"Gram matrix condition above {GAUSS_NEWTON_MAX_COND:.0e}: the "
+                "constraint Jacobian is (nearly) rank deficient at this point")
         c = self.cx = _check_point(spec.eval_c(x), spec.p, "eval_c")
         self.w = np.linalg.solve(G, c)
         self.z = J @ self.w

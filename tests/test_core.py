@@ -151,18 +151,35 @@ class TestModuleLayers:
         # The rule "this shape, finite entries, else a typed error naming
         # the evaluator" is written once: every EvaluatorFaultError in the
         # package is raised by core's _check_read.
-        sites = []
-        for path in sorted(Path(cdpkit.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text())
-            # Each node's innermost enclosing function: walks go outside in.
-            owner = {node: fn.name for fn in ast.walk(tree)
-                     if isinstance(fn, ast.FunctionDef)
-                     for node in ast.walk(fn)}
-            sites += [f"{path.stem}.{owner.get(node, '<module>')}"
-                      for node in ast.walk(tree)
-                      if isinstance(node, ast.Raise) and node.exc is not None
-                      and "EvaluatorFaultError" in ast.unparse(node.exc)]
+        sites = [site for site, node in _package_nodes()
+                 if isinstance(node, ast.Raise) and node.exc is not None
+                 and "EvaluatorFaultError" in ast.unparse(node.exc)]
         assert sites == ["core._check_read"]
+
+    def test_one_guarded_cholesky_tests_gram_rank(self):
+        # The rank test of a Gram matrix is written once: LAPACK's
+        # Cholesky and its condition estimate are called only in core's
+        # _guarded_cholesky, and no eigenvalue solve stands in for it.
+        names = [(site, node.attr if isinstance(node, ast.Attribute)
+                  else node.id) for site, node in _package_nodes()
+                 if isinstance(node, (ast.Attribute, ast.Name))]
+        assert [name for _, name in names if name == "eigvalsh"] == []
+        assert sorted({site for site, name in names
+                       if name in ("dpotrf", "dpocon")}) == [
+            "core._guarded_cholesky"]
+
+
+def _package_nodes():
+    """(site, node) for every ast node of the package's modules, with site
+    ``module.function`` naming the node's innermost enclosing function."""
+    for path in sorted(Path(cdpkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # Each node's innermost enclosing function: walks go outside in.
+        owner = {node: fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            yield f"{path.stem}.{owner.get(node, '<module>')}", node
 
 
 def _validation_case(family):

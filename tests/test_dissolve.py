@@ -357,6 +357,18 @@ class TestLagrangian:
         with pytest.raises(DimensionError):
             cdp_lagrangian(inst, np.ones(5), mult)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"a": np.ones(3)}, "lambda"), ({"a": np.ones(1)}, "lambda"),
+        ({"b": np.ones(3)}, "mu"), ({"b": np.ones(1)}, "mu")])
+    def test_gradient_names_a_misshapen_multiplier(self, kwargs, name):
+        # Not numpy's broadcast ValueError from the Ju or Jv combination:
+        # cut m=10 has n_eq = 2 and n_ineq = 0.
+        problem, x0 = gen_balanced_cut(
+            BalancedCutConfig(m=10, q=2, rho=0.3, seed=3))
+        pe = build_cdp(problem, PenaltyParams(1.0)).point_eval(x0)
+        with pytest.raises(DimensionError, match=name):
+            pe.weighted_grad(1.0, **kwargs)
+
 
 class TestDecreaseProbe:
     def test_feasible_probe_has_zero_differences(self, com_problem):

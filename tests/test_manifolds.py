@@ -300,6 +300,25 @@ class TestGenericOperator:
         assert np.linalg.norm(spec.eval_c(ax)) <= 1e-10 * np.linalg.norm(ax)
         assert np.all(np.isfinite(handle.apply_JAT(x, g)))
 
+    # LAPACK's 1-norm estimate of the condition of _affine_spec's Gram
+    # matrix, which the rank test bounds, is 1.6457e11 at exact cond_2
+    # 1e11 and 1.6454e13 at cond_2 1e13: one decade on either side of the
+    # bound 1e12, both decided as their cond_2 is.
+    @pytest.mark.parametrize("gram_cond, passes", [(1e11, True),
+                                                   (1e13, False)])
+    def test_rank_test_decides_a_decade_from_the_bound(self, gram_cond,
+                                                       passes):
+        spec, _ = self._affine_spec(gram_cond)
+        handle = make_handle("generic", spec=spec)
+        x = np.linspace(-1.0, 1.0, 5)
+        for call in (lambda: handle.eval_A(x),
+                     lambda: handle.apply_JAT(x, np.ones(5))):
+            if passes:
+                assert np.all(np.isfinite(call()))
+            else:
+                with pytest.raises(RankDeficiencyError):
+                    call()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_raises_evaluator_fault(self, bad):
         handle = make_handle("generic", spec=symplectic_spec(6, 2))
